@@ -19,7 +19,7 @@ from .structures import (
     embeds,
     empty_structure,
     encode_key,
-    one_point_extensions,
+    extension_slots,
     sort_key,
 )
 
@@ -86,10 +86,51 @@ def enumerate_age(k: BoundedClass, n: int) -> tuple[FinStructure, ...]:
         return (empty_structure(k.signature),)
     seen = set()
     for base in enumerate_age(k, n - 1):
-        for ext in one_point_extensions(base):
-            if _in_age(k, ext):
-                seen.add(canonical_form(ext))
+        for ext in age_extensions(k, base):
+            seen.add(canonical_form(ext))
     return tuple(sorted(seen, key=encode_key))
+
+
+def age_extensions(k: BoundedClass, base: FinStructure) -> tuple[FinStructure, ...]:
+    """The one-point extensions of base that lie in the age, in slot-bit order.
+
+    Equal to ``[e for e in one_point_extensions(base) if _in_age(k, e)]``.
+    The new point's slots are decided against no old point, then against
+    old point 0, old point 1, and so on; a branch is dropped as soon as the
+    structure induced on {0..i, new} leaves the age.  That is exact by
+    heredity: a bound that embeds into that induced structure embeds into
+    every extension of the branch.  The last stage checks the whole
+    extension, and the survivors are sorted back into slot-bit order.
+    """
+    sig = k.signature
+    new = base.size
+    # stages[i]: (slot bit, symbol, tuple) of the slots whose largest old
+    # point is i - 1; stages[0] holds the slots on the new point alone
+    stages: list[list] = [[] for _ in range(new + 1)]
+    for j, (si, t) in enumerate(extension_slots(sig, new)):
+        old = [v for v in t if v != new]
+        stages[max(old) + 1 if old else 0].append((j, si, t))
+    branches = [(0, ())]  # (slot bits, chosen (symbol, tuple) slots)
+    for i, group in enumerate(stages):
+        # induced structure on {0..i-1, new}, with new relabelled i
+        prefix = [{t for t in table if max(t) < i} for table in base.tables]
+        survivors = []
+        for bits, chosen in branches:
+            for sub in range(1 << len(group)):
+                b, ch = bits, list(chosen)
+                for g, (j, si, t) in enumerate(group):
+                    if sub >> g & 1:
+                        b |= 1 << j
+                        ch.append((si, t))
+                tables = [set(t) for t in prefix]
+                for si, t in ch:
+                    tables[si].add(tuple(i if v == new else v for v in t))
+                s = FinStructure(sig, i + 1, tuple(frozenset(t) for t in tables))
+                if _in_age(k, s):
+                    survivors.append((b, ch, s))
+        branches = [(b, ch) for b, ch, _ in survivors]
+    survivors.sort(key=lambda x: x[0])
+    return tuple(s for _, _, s in survivors)
 
 
 def default_ap_cap(k: BoundedClass) -> int:
@@ -122,7 +163,7 @@ def check_amalgamation(k: BoundedClass, cap: int | None = None,
     checked = 0
     for s in range(0, cap):
         for b0 in enumerate_age(k, s):
-            exts = [e for e in one_point_extensions(b0) if _in_age(k, e)]
+            exts = age_extensions(k, b0)
             for b1 in exts:
                 for b2 in exts:
                     checked += 1

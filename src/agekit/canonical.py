@@ -323,6 +323,7 @@ def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,
     Candidates are generated row by row with fail-fast compatibility pruning;
     the optional table_filter prunes full candidates before the (more
     expensive) realizability check.  Output is sorted by serialization.
+    ``jobs`` is accepted and ignored: the search runs in one thread.
     """
     if k < max(source.signature.max_arity, target.signature.max_arity):
         raise InputError("enumerate_behaviours: k below a signature arity")
@@ -359,13 +360,7 @@ def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,
             return None
         return xi
 
-    if jobs > 1 and len(candidates) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(qualifies, candidates))
-    else:
-        results = [qualifies(tab) for tab in candidates]
-    out = [xi for xi in results if xi is not None]
+    out = [xi for xi in map(qualifies, candidates) if xi is not None]
     out.sort(key=serialize_behaviour)
     return tuple(out)
 

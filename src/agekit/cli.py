@@ -407,7 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--realize-cap", type=int, default=None, dest="realize_cap")
         p.add_argument("--arity-cap", type=int, default=None, dest="arity_cap")
         p.add_argument("--ap-cap", type=int, default=None, dest="ap_cap")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--witness-out", default=None, dest="witness_out")
         p.add_argument("--format", choices=("text", "json"), default="text",

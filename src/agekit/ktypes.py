@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .ages import BoundedClass, _in_age, in_age
+from .ages import BoundedClass, _in_age, age_extensions, in_age
 from .errors import InputError
-from .structures import FinStructure, induced, parse_literal, render_literal
+from .structures import FinStructure, induced, parse_literal, render_literal, structure
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,12 @@ def partitions_rgs(k: int):
 
 @lru_cache(maxsize=None)
 def _labeled_age_structures(k: BoundedClass, n: int) -> tuple[FinStructure, ...]:
-    """All labelled structures on n points that lie in the age, in atom-mask order."""
+    """All labelled structures on n points that lie in the age, in atom-mask order.
+
+    By heredity each one extends a labelled member on n - 1 points by the
+    point n - 1, so the members are the age extensions of those, sorted by
+    atom mask (bit j set iff slot j, in symbol-major tuple-lex order, holds).
+    """
     sig = k.signature
     slots = []
     for si, (_, arity) in enumerate(sig.symbols):
@@ -138,15 +143,13 @@ def _labeled_age_structures(k: BoundedClass, n: int) -> tuple[FinStructure, ...]
             slots.append((si, t))
     if len(slots) > 20:
         raise InputError("type enumeration: relation space too large at this level")
-    out = []
-    for bits in range(1 << len(slots)):
-        tables = [set() for _ in sig.symbols]
-        for j, (si, t) in enumerate(slots):
-            if bits >> j & 1:
-                tables[si].add(t)
-        s = FinStructure(sig, n, tuple(frozenset(t) for t in tables))
-        if _in_age(k, s):
-            out.append(s)
+    if n <= 0:
+        return tuple(s for s in (structure(sig, n),) if _in_age(k, s))
+    bit = {slot: 1 << j for j, slot in enumerate(slots)}
+    out = [e for base in _labeled_age_structures(k, n - 1)
+           for e in age_extensions(k, base)]
+    out.sort(key=lambda s: sum(bit[si, t] for si, table in enumerate(s.tables)
+                               for t in table))
     return tuple(out)
 
 

@@ -173,6 +173,8 @@ def _parse_reduct(lines, i, name, base_name, cat) -> int:
                 definition = OrbitsDef(_parse_orbit_list(base.signature, body, lineno))
             else:
                 definition = FormulaDef(parse_formula(body, lineno))
+        except ParseError:
+            raise
         except InputError as exc:
             raise ParseError(str(exc), lineno, 1) from None
         relations.append(Relation(rname, arity, definition))
@@ -251,8 +253,8 @@ def parse_formula(text: str, lineno: int = 0):
     def take(expected=None):
         nonlocal pos
         if pos >= len(tokens):
-            raise ParseError(f"formula ended unexpectedly (wanted {expected})",
-                             lineno, len(text))
+            wanted = f" (wanted {expected})" if expected is not None else ""
+            raise ParseError(f"formula ended unexpectedly{wanted}", lineno, len(text))
         tok, col = tokens[pos]
         if expected is not None and tok != expected:
             raise ParseError(f"expected {expected!r}, got {tok!r}", lineno, col)

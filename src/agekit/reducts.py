@@ -7,7 +7,7 @@ currency of relation preservation throughout the core and decision modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .ages import BoundedClass
@@ -41,6 +41,7 @@ class Reduct:
     name: str
     base: BoundedClass
     relations: tuple[Relation, ...]
+    _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         names = [r.name for r in self.relations]
@@ -56,6 +57,11 @@ class Reduct:
                     if t.k != r.arity:
                         raise InputError(
                             f"relation {r.name}: orbit literal at wrong level {t.k}")
+        # reducts key lru_caches; hashing every relation's types each lookup is costly
+        object.__setattr__(self, "_hash", hash((self.name, self.base, self.relations)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def relation(self, name: str) -> Relation:
         for r in self.relations:

@@ -9,17 +9,22 @@ Canonical form and the bit-encoding it minimizes
 A structure of size n is encoded as one bit string: for each symbol in
 signature order, for each tuple over {0,..,n-1}^arity in lexicographic
 order, one bit (1 iff the tuple is in the relation); earlier bits are more
-significant.  canonical_form returns the relabelling (over all n!
-permutations, n <= 8) whose encoding is lexicographically least.  The
-rendered literal of the canonical form lists atoms in the same
-(symbol-major, tuple-lex) order, so canonical literals are byte-portable.
+significant.  canonical_form returns the relabelling (n <= 8) whose
+encoding is lexicographically least.  It finds it by branch and bound over
+partial labellings: labels 0, 1, .. are handed out one at a time, a tuple's
+bit is known once all its points are labelled, and a partial labelling
+whose lower bound exceeds the best complete encoding is cut.  The encoding
+determines the structure, so every least labelling yields the same
+canonical form.  The rendered literal of the canonical form lists atoms in
+the same (symbol-major, tuple-lex) order, so canonical literals are
+byte-portable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
 from .errors import InputError
 
@@ -195,52 +200,132 @@ def embeds(p: FinStructure, s: FinStructure, return_witness: bool = False):
 
 @lru_cache(maxsize=1 << 18)
 def canonical_form(s: FinStructure) -> FinStructure:
-    """The relabelling with lexicographically least bit-encoding (n <= 8)."""
+    """The relabelling with lexicographically least bit-encoding (n <= 8).
+
+    The encoding is read as one integer, symbol-major and tuple-lex, so the
+    least encoding is the least integer.  The search hands out the labels
+    0, 1, .. in turn; a node's known bits are those of the tuples whose
+    points are all labelled.  Its lower bound adds, for each block of tuples
+    that share a labelled prefix and end in an unlabelled point, that many
+    ones in the block's least significant places; every other unknown bit
+    counts as 0.  Children are tried in increasing bound order, and a child
+    whose bound exceeds the best complete encoding is cut.  A leaf equal to
+    the best one yields an automorphism; a child in the orbit of an explored
+    sibling under the automorphisms fixing the labelled points is skipped,
+    since its subtree holds the same encodings.  Any least labelling gives
+    the same structure, so the result is the brute-force lex-least one.
+    """
     n = s.size
     if n > 8:
         raise InputError(f"canonical_form limited to size <= 8, got {n}")
     if n <= 1:
         return s
-    weights = {
-        arity: [n ** (arity - 1 - j) for j in range(arity)]
-        for _, arity in s.signature.symbols
-    }
-    best_key = None
-    best_perm = None
-    for perm in permutations(range(n)):
-        key = []
-        for (_, arity), table in zip(s.signature.symbols, s.tables):
-            m = n ** arity
-            w = weights[arity]
-            bits = 0
-            for t in table:
+    # incident[v]: (prefix, last point, high, v in prefix) per tuple on v,
+    # high being the bit of its symbol's rank 0.  A tuple is pending while
+    # its prefix is labelled and its last point is not; pending[b] counts
+    # them per block, b being the bit of the block's tuple ending in label 0.
+    incident: list[list] = [[] for _ in range(n)]
+    pending: dict[int, int] = {}
+    top = sum(n ** arity for _, arity in s.signature.symbols)
+    for (_, arity), table in zip(s.signature.symbols, s.tables):
+        top -= n ** arity
+        high = top + n ** arity - 1
+        for t in table:
+            prefix = t[:-1]
+            if not prefix:
+                pending[high] = pending.get(high, 0) + 1
+            for v in set(t):
+                incident[v].append((prefix, t[-1], high, v in prefix))
+    label = [-1] * n
+    best: list = [None, None]  # least encoding so far, its labelling
+    autos: list[tuple[int, ...]] = []
+
+    # floor: every block's pending ones in its least significant places
+    def search(j: int, free: list, known: int, floor: int) -> None:
+        if j == n:
+            if best[0] is None or known < best[0]:
+                best[0], best[1] = known, tuple(label)
+            elif known == best[0]:
+                inv = [0] * n
+                for p, lp in enumerate(best[1]):
+                    inv[lp] = p
+                autos.append(tuple(inv[lp] for lp in label))
+            return
+        children = []
+        for v in free:
+            label[v] = j
+            bits, low, delta = known, floor, {}
+            for prefix, last, high, v_in_prefix in incident[v]:
                 r = 0
-                for v, wt in zip(t, w):
-                    r += perm[v] * wt
-                bits |= 1 << (m - 1 - r)
-            key.append(bits)
-        key = tuple(key)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_perm = perm
-    return apply_perm(s, best_perm)
+                for u in prefix:
+                    lu = label[u]
+                    if lu < 0:
+                        break
+                    r = r * n + lu
+                else:
+                    b = high - r * n
+                    if label[last] >= 0:
+                        bits |= 1 << (b - label[last])
+                        if not v_in_prefix:  # it was pending
+                            delta[b] = delta.get(b, 0) - 1
+                    else:
+                        delta[b] = delta.get(b, 0) + 1
+            label[v] = -1
+            for b, d in delta.items():
+                c = pending.get(b, 0)
+                low += ((1 << (c + d)) - (1 << c)) << (b - n + 1)
+            children.append((bits + low, v, bits, low, delta))
+        children.sort(key=lambda c: c[:2])
+        done: list[int] = []
+        for key, v, bits, low, delta in children:
+            if best[0] is not None and key > best[0]:
+                break
+            if done and autos and _in_explored_orbit(v, done, autos, label):
+                continue
+            label[v] = j
+            for b, d in delta.items():
+                pending[b] = pending.get(b, 0) + d
+            search(j + 1, [u for u in free if u != v], bits, low)
+            for b, d in delta.items():
+                pending[b] -= d
+            label[v] = -1
+            done.append(v)
+
+    search(0, list(range(n)), 0,
+           sum(((1 << c) - 1) << (b - n + 1) for b, c in pending.items()))
+    return apply_perm(s, best[1])
+
+
+def _in_explored_orbit(v: int, done: list, autos: list, label: list) -> bool:
+    """v's orbit under the automorphisms fixing every labelled point meets done."""
+    gens = [g for g in autos if all(g[p] == p for p, lp in enumerate(label) if lp >= 0)]
+    orbit, stack = {v}, [v]
+    while stack:
+        p = stack.pop()
+        for g in gens:
+            if g[p] not in orbit:
+                orbit.add(g[p])
+                stack.append(g[p])
+    return not orbit.isdisjoint(done)
 
 
 def isomorphic(a: FinStructure, b: FinStructure) -> bool:
     return a.size == b.size and embeds(a, b)
 
 
+def extension_slots(sig: Signature, new: int) -> tuple:
+    """The (symbol, tuple) slots a new point `new` adds, in slot-bit order."""
+    slots = _check_slots(sig, new + 1)[new]
+    if len(slots) > 24:
+        raise InputError("one_point_extensions: relation space too large")
+    return slots
+
+
 def one_point_extensions(s: FinStructure):
     """All labelled structures extending s by one new point (index s.size)."""
     sig = s.signature
     new = s.size
-    slots = []
-    for si, (_, arity) in enumerate(sig.symbols):
-        for t in product(range(new + 1), repeat=arity):
-            if new in t:
-                slots.append((si, t))
-    if len(slots) > 24:
-        raise InputError("one_point_extensions: relation space too large")
+    slots = extension_slots(sig, new)
     base = [set(t) for t in s.tables]
     for bits in range(1 << len(slots)):
         tables = [set(t) for t in base]

@@ -2,6 +2,7 @@
 exit codes, certificate paths, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +159,16 @@ class TestSubcommands:
         code = main(["orbits", "/nonexistent/file.cls"])
         capsys.readouterr()
         assert code == 3
+
+    def test_formula_error_has_one_position_prefix(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cls"
+        bad.write_text("class a\n  sig E/2\n  assert homogeneous\nend\n"
+                       "reduct r over a\n  rel R/2 := E(x0,\nend\n")
+        code = main(["orbits", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(re.findall(r"line \d+, col \d+:", err)) == 1
+        assert "line 6, col " in err and "wanted None" not in err
 
     def test_definable_query_exit_codes(self, capsys):
         base = ["definable", catalog_path("linord.cls"), "--reduct", "Qlt",
