@@ -19,13 +19,15 @@ from .ages import BoundedClass, _in_age, enumerate_age, in_age
 from .errors import IncoherentBehaviourError, InputError
 from .ktypes import (
     KType,
+    degenerate_pairs,
     enumerate_types,
     first_m_index_map,
     pad_index_map,
     restrict_index_map,
-    serialize_type,
+    serialized_types,
+    symbol_holds,
     type_index,
-    type_of_raw,
+    type_indices,
 )
 from .structures import FinStructure, embeds, empty_structure, induced
 
@@ -98,13 +100,9 @@ def _cached_level_map(xi: Behaviour, m: int) -> tuple[int, ...]:
 
 
 def serialize_behaviour(xi: Behaviour) -> str:
-    src = enumerate_types(xi.source, xi.k)
-    tgt = enumerate_types(xi.target, xi.k)
-    lines = sorted(
-        f"{serialize_type(p)} -> {serialize_type(tgt[v])}"
-        for p, v in zip(src, xi.table)
-    )
-    return "\n".join(lines)
+    src = serialized_types(xi.source, xi.k)
+    tgt = serialized_types(xi.target, xi.k)
+    return "\n".join(sorted(f"{p} -> {tgt[v]}" for p, v in zip(src, xi.table)))
 
 
 def parse_behaviour(text: str, source: BoundedClass, target: BoundedClass,
@@ -221,58 +219,83 @@ def image_structure(xi: Behaviour, s: FinStructure) -> FinStructure:
     if not in_age(xi.source, s):
         raise InputError("image_structure: structure outside the source age")
     n = s.size
-    tgt_sig = xi.target.signature
     if n == 0:
-        return empty_structure(tgt_sig)
+        return empty_structure(xi.target.signature)
     if xi.k < 2 and n > 1:
         raise InputError("image_structure needs level >= 2 to resolve collapsing")
 
-    if n == 1:
-        collapse = [[True]]
-    else:
-        lvl2 = xi.level_map(2)
-        idx2 = type_index(xi.source, 2)
-        tgt2 = enumerate_types(xi.target, 2)
-        collapse = [[False] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                q = tgt2[lvl2[idx2[type_of_raw(s, (x, y))]]]
-                collapse[x][y] = q.degenerate_pair
-        for x in range(n):
-            if not collapse[x][x]:
-                raise IncoherentBehaviourError("reflexive pair does not collapse")
-            for y in range(n):
-                if collapse[x][y] != collapse[y][x]:
-                    raise IncoherentBehaviourError("collapse relation not symmetric")
-                for z in range(n):
-                    if collapse[x][y] and collapse[y][z] and not collapse[x][z]:
-                        raise IncoherentBehaviourError("collapse relation not transitive")
+    def images(m: int) -> list[int]:
+        lvl = xi.level_map(m)
+        return [lvl[i] for i in type_indices(xi.source, s, m)]
 
-    class_of = [-1] * n
-    nclasses = 0
-    for x in range(n):
-        if class_of[x] == -1:
-            for y in range(x, n):
-                if collapse[x][y]:
-                    class_of[y] = nclasses
-            nclasses += 1
+    return _image_from_types(xi.target, n, images)
+
+
+def _image_from_types(target: BoundedClass, n: int, images) -> FinStructure:
+    """The image structure on n > 0 points, given target type indices.
+
+    ``images(m)`` lists the target m-type index of every m-tuple over
+    range(n), in tuple-lex order; it is asked for level 2 (when n > 1) and
+    for each symbol's arity, in that order, once per level.  Collapsing
+    pairs are identified and relations read off the image types.
+    """
+    rows: dict[int, list[int]] = {}
+
+    def row(m: int) -> list[int]:
+        if m not in rows:
+            rows[m] = images(m)
+        return rows[m]
+
+    if n == 1:
+        class_of, nclasses = [0], 1
+    else:
+        degenerate = degenerate_pairs(target)
+        pairs = row(2)
+        collapse = [[degenerate[pairs[x * n + y]] for y in range(n)]
+                    for x in range(n)]
+        if sum(map(sum, collapse)) != n or not all(collapse[x][x] for x in range(n)):
+            _check_equivalence(collapse)
+        class_of = [-1] * n
+        nclasses = 0
+        for x in range(n):
+            if class_of[x] == -1:
+                for y in range(x, n):
+                    if collapse[x][y]:
+                        class_of[y] = nclasses
+                nclasses += 1
 
     tables = []
-    for si, (_, arity) in enumerate(tgt_sig.symbols):
-        lvl = xi.level_map(arity)
-        idx = type_index(xi.source, arity)
-        tgt_types = enumerate_types(xi.target, arity)
+    for si, (_, arity) in enumerate(target.signature.symbols):
+        holds = symbol_holds(target, si)
+        tuples = product(range(n), repeat=arity)
+        if nclasses == n:  # no collapse: class_of is the identity
+            tables.append(frozenset(
+                t for t, v in zip(tuples, row(arity)) if holds[v]))
+            continue
         seen: dict[tuple[int, ...], bool] = {}
-        for t in product(range(n), repeat=arity):
-            q = tgt_types[lvl[idx[type_of_raw(s, t)]]]
-            holds = tuple(q.blocks[j] for j in range(arity)) in q.quotient.tables[si]
-            ct = tuple(class_of[v] for v in t)
-            if ct in seen and seen[ct] != holds:
+        for t, v in zip(tuples, row(arity)):
+            ct = tuple(class_of[x] for x in t)
+            if ct in seen and seen[ct] != holds[v]:
                 raise IncoherentBehaviourError(
                     "relation atoms disagree across representatives")
-            seen[ct] = holds
+            seen[ct] = holds[v]
         tables.append(frozenset(ct for ct, h in seen.items() if h))
-    return FinStructure(tgt_sig, nclasses, tuple(tables))
+    return FinStructure(target.signature, nclasses, tuple(tables))
+
+
+def _check_equivalence(collapse: list[list[bool]]) -> None:
+    """Raise IncoherentBehaviourError, naming the first failing law, unless
+    the collapse matrix is an equivalence relation."""
+    n = len(collapse)
+    for x in range(n):
+        if not collapse[x][x]:
+            raise IncoherentBehaviourError("reflexive pair does not collapse")
+        for y in range(n):
+            if collapse[x][y] != collapse[y][x]:
+                raise IncoherentBehaviourError("collapse relation not symmetric")
+            for z in range(n):
+                if collapse[x][y] and collapse[y][z] and not collapse[x][z]:
+                    raise IncoherentBehaviourError("collapse relation not transitive")
 
 
 def default_realize_cap(xi: Behaviour) -> int:

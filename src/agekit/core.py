@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .ages import BoundedClass, in_age
 from .canonical import (
@@ -20,7 +20,7 @@ from .canonical import (
     serialize_behaviour,
 )
 from .errors import InputError, InternalError
-from .ktypes import KType, default_level, enumerate_types, type_of_raw
+from .ktypes import KType, default_level, enumerate_types, type_index, type_indices
 from .reducts import (
     OrbitsDef,
     Reduct,
@@ -70,20 +70,14 @@ def scan_cap_for(c: Reduct, k: int) -> int:
     return max(c.base.max_bound_size, c.base.signature.max_arity, k)
 
 
-def _hits_only(image_types: frozenset[KType], s, k: int) -> bool:
-    if s.size == 0:
-        return True
-    return all(
-        type_of_raw(s, t) in image_types
-        for t in product(range(s.size), repeat=k)
-    )
-
-
 def carve_bounds(base: BoundedClass, image_types: frozenset[KType], k: int,
                  cap: int) -> tuple:
     """Minimal structures outside the carved age, scanned up to the cap."""
+    idx = type_index(base, k)
+    hit = frozenset(idx[p] for p in image_types)
+
     def member(s) -> bool:
-        return in_age(base, s) and _hits_only(image_types, s, k)
+        return in_age(base, s) and hit.issuperset(type_indices(base, s, k))
 
     bounds = []
     for size in range(1, cap + 1):

@@ -15,17 +15,19 @@ from functools import lru_cache
 from itertools import product
 
 from .ages import BoundedClass, _in_age, enumerate_age
+from .canonical import _image_from_types
 from .core import CorePresentation
 from .errors import IncoherentBehaviourError, InputError
 from .ktypes import (
     KType,
+    degenerate_pairs,
     enumerate_types,
     first_m_index_map,
     pad_index_map,
     restrict_index_map,
-    serialize_type,
+    serialized_types,
     type_index,
-    type_of_raw,
+    type_indices,
 )
 from .reducts import (
     OrbitsDef,
@@ -47,6 +49,7 @@ class PolymorphismBehaviour:
     k: int
     table: tuple[int, ...]
     _hash: int = field(init=False, repr=False, compare=False, default=0)
+    _ntypes: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         t = len(enumerate_types(self.source, self.k))
@@ -54,6 +57,7 @@ class PolymorphismBehaviour:
             raise InputError(f"polymorphism table must have {t ** self.arity} rows")
         if any(not (0 <= v < t) for v in self.table):
             raise InputError("polymorphism table value out of range")
+        object.__setattr__(self, "_ntypes", t)
         object.__setattr__(
             self, "_hash",
             hash((self.source, self.arity, self.k, self.table)))
@@ -62,23 +66,26 @@ class PolymorphismBehaviour:
         return self._hash
 
     def flat(self, args) -> int:
-        t = len(enumerate_types(self.source, self.k))
         idx = 0
         for a in args:
-            idx = idx * t + a
+            idx = idx * self._ntypes + a
         return idx
 
     def value(self, args) -> int:
         return self.table[self.flat(args)]
 
-    def level_value(self, args, level: int) -> int:
-        """Value on a tuple of level-`level` type indices (level <= k)."""
+    def level_maps(self, level: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(pad, back): level-type index -> k-type index and back (level <= k)."""
         if level > self.k:
             raise InputError("polymorphism level too small for this arity")
+        return (pad_index_map(self.source, level, self.k),
+                first_m_index_map(self.source, self.k, level))
+
+    def level_value(self, args, level: int) -> int:
+        """Value on a tuple of level-`level` type indices (level <= k)."""
         if level == self.k:
             return self.value(args)
-        pad = pad_index_map(self.source, level, self.k)
-        back = first_m_index_map(self.source, self.k, level)
+        pad, back = self.level_maps(level)
         return back[self.value(tuple(pad[a] for a in args))]
 
     def apply_types(self, ptypes) -> KType:
@@ -92,11 +99,11 @@ class PolymorphismBehaviour:
 
 
 def serialize_poly(xi: PolymorphismBehaviour) -> str:
-    types = enumerate_types(xi.source, xi.k)
+    names = serialized_types(xi.source, xi.k)
     lines = []
-    for args in product(range(len(types)), repeat=xi.arity):
-        left = " | ".join(serialize_type(types[a]) for a in args)
-        lines.append(f"{left} -> {serialize_type(types[xi.value(args)])}")
+    for args, v in zip(product(range(len(names)), repeat=xi.arity), xi.table):
+        left = " | ".join(names[a] for a in args)
+        lines.append(f"{left} -> {names[v]}")
     return "\n".join(sorted(lines))
 
 
@@ -207,48 +214,20 @@ def poly_image_structure(xi: PolymorphismBehaviour,
     if n == 0:
         return FinStructure(sig, 0, tuple(frozenset() for _ in sig.symbols))
 
-    idx2 = type_index(xi.source, 2)
-    tgt2 = enumerate_types(xi.source, 2)
-    collapse = [[False] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            args = tuple(idx2[type_of_raw(s, (x, y))] for s in members)
-            collapse[x][y] = tgt2[xi.level_value(args, 2)].degenerate_pair
-    for x in range(n):
-        if not collapse[x][x]:
-            raise IncoherentBehaviourError("reflexive pair does not collapse")
-        for y in range(n):
-            if collapse[x][y] != collapse[y][x]:
-                raise IncoherentBehaviourError("collapse relation not symmetric")
-            for z in range(n):
-                if collapse[x][y] and collapse[y][z] and not collapse[x][z]:
-                    raise IncoherentBehaviourError("collapse relation not transitive")
+    def images(m: int) -> list[int]:
+        pad, back = xi.level_maps(m)
+        t, table = xi._ntypes, xi.table
+        out = []
+        for args in zip(*(type_indices(xi.source, s, m) for s in members)):
+            flat = 0
+            for a in args:
+                flat = flat * t + pad[a]
+            out.append(back[table[flat]])
+        return out
 
-    class_of = [-1] * n
-    nclasses = 0
-    for x in range(n):
-        if class_of[x] == -1:
-            for y in range(x, n):
-                if collapse[x][y]:
-                    class_of[y] = nclasses
-            nclasses += 1
-
-    tables = []
-    for si, (_, arity) in enumerate(sig.symbols):
-        idx = type_index(xi.source, arity)
-        types = enumerate_types(xi.source, arity)
-        seen: dict[tuple[int, ...], bool] = {}
-        for tup in product(range(n), repeat=arity):
-            args = tuple(idx[type_of_raw(s, tup)] for s in members)
-            q = types[xi.level_value(args, arity)]
-            holds = tuple(q.blocks[j] for j in range(arity)) in q.quotient.tables[si]
-            ct = tuple(class_of[v] for v in tup)
-            if ct in seen and seen[ct] != holds:
-                raise IncoherentBehaviourError(
-                    "relation atoms disagree across representatives")
-            seen[ct] = holds
-        tables.append(frozenset(ct for ct, h in seen.items() if h))
-    return FinStructure(sig, nclasses, tuple(tables))
+    if n == 1 and not degenerate_pairs(xi.source)[images(2)[0]]:
+        raise IncoherentBehaviourError("reflexive pair does not collapse")
+    return _image_from_types(xi.source, n, images)
 
 
 def poly_realize_cap(k: BoundedClass, level: int) -> int:

@@ -137,20 +137,29 @@ def _labeled_age_structures(k: BoundedClass, n: int) -> tuple[FinStructure, ...]
     atom mask (bit j set iff slot j, in symbol-major tuple-lex order, holds).
     """
     sig = k.signature
-    slots = []
-    for si, (_, arity) in enumerate(sig.symbols):
-        for t in product(range(n), repeat=arity):
-            slots.append((si, t))
-    if len(slots) > 20:
+    if sum(max(n, 0) ** arity for _, arity in sig.symbols) > 20:
         raise InputError("type enumeration: relation space too large at this level")
     if n <= 0:
         return tuple(s for s in (structure(sig, n),) if _in_age(k, s))
-    bit = {slot: 1 << j for j, slot in enumerate(slots)}
     out = [e for base in _labeled_age_structures(k, n - 1)
            for e in age_extensions(k, base)]
-    out.sort(key=lambda s: sum(bit[si, t] for si, table in enumerate(s.tables)
-                               for t in table))
+    out.sort(key=lambda s: _atom_mask(s, range(n)))
     return tuple(out)
+
+
+def _atom_mask(s: FinStructure, points) -> int:
+    """Atom mask of the structure induced on the ordered points.
+
+    Bit j is set iff slot j holds, slots running symbol-major and tuple-lex
+    over positions in ``points``; no induced structure is built.
+    """
+    mask, bit = 0, 1
+    for (_, arity), table in zip(s.signature.symbols, s.tables):
+        for t in product(points, repeat=arity):
+            if t in table:
+                mask |= bit
+            bit <<= 1
+    return mask
 
 
 @lru_cache(maxsize=None)
@@ -169,6 +178,60 @@ def enumerate_types(k: BoundedClass, level: int) -> tuple[KType, ...]:
 @lru_cache(maxsize=None)
 def type_index(k: BoundedClass, level: int) -> dict[KType, int]:
     return {p: i for i, p in enumerate(enumerate_types(k, level))}
+
+
+@lru_cache(maxsize=None)
+def _type_lookup(k: BoundedClass, level: int) -> dict[tuple, int]:
+    """(blocks, atom mask of the quotient) -> type index at the level."""
+    return {(p.blocks, _atom_mask(p.quotient, range(p.nblocks))): i
+            for i, p in enumerate(enumerate_types(k, level))}
+
+
+# bounded: the extension probe maps a stream of fresh random members
+@lru_cache(maxsize=1 << 14)
+def type_indices(k: BoundedClass, s: FinStructure, level: int) -> tuple[int, ...]:
+    """The type index of every level-tuple of an age member, in tuple-lex order.
+
+    Equal to ``type_index(k, level)[type_of_raw(s, t)]`` for each t in
+    ``product(range(s.size), repeat=level)``, read off s.tables with no
+    KType or induced structure built.
+    """
+    if not in_age(k, s):
+        raise InputError("type_indices: structure outside the age")
+    lookup = _type_lookup(k, level)
+    masks: dict[tuple[int, ...], int] = {}
+    out = []
+    for t in product(range(s.size), repeat=level):
+        reps: list[int] = []
+        blocks = []
+        for v in t:
+            if v not in reps:
+                reps.append(v)
+            blocks.append(reps.index(v))
+        key = tuple(reps)
+        if key not in masks:
+            masks[key] = _atom_mask(s, key)
+        out.append(lookup[tuple(blocks), masks[key]])
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def degenerate_pairs(k: BoundedClass) -> tuple[bool, ...]:
+    """Per 2-type index: whether the type identifies its two positions."""
+    return tuple(p.degenerate_pair for p in enumerate_types(k, 2))
+
+
+@lru_cache(maxsize=None)
+def symbol_holds(k: BoundedClass, si: int) -> tuple[bool, ...]:
+    """Per type index at symbol si's arity: whether si holds on the tuple."""
+    arity = k.signature.symbols[si][1]
+    return tuple(p.blocks in p.quotient.tables[si] for p in enumerate_types(k, arity))
+
+
+@lru_cache(maxsize=None)
+def serialized_types(k: BoundedClass, level: int) -> tuple[str, ...]:
+    """serialize_type of every type at the level, in type-index order."""
+    return tuple(serialize_type(p) for p in enumerate_types(k, level))
 
 
 @lru_cache(maxsize=None)

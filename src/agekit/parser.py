@@ -9,7 +9,14 @@ from dataclasses import dataclass, field
 from .ages import BoundedClass
 from .errors import InputError, ParseError
 from .ktypes import parse_type, serialize_type
-from .reducts import FormulaDef, OrbitsDef, Relation, Reduct, render_reldef
+from .reducts import (
+    FormulaDef,
+    OrbitsDef,
+    Relation,
+    Reduct,
+    render_reldef,
+    validate_relation,
+)
 from .structures import (
     And,
     Atom,
@@ -173,11 +180,15 @@ def _parse_reduct(lines, i, name, base_name, cat) -> int:
                 definition = OrbitsDef(_parse_orbit_list(base.signature, body, lineno))
             else:
                 definition = FormulaDef(parse_formula(body, lineno))
+            rel = Relation(rname, arity, definition)
+            validate_relation(rel, base.signature)
         except ParseError:
             raise
         except InputError as exc:
             raise ParseError(str(exc), lineno, 1) from None
-        relations.append(Relation(rname, arity, definition))
+        if any(r.name == rname for r in relations):
+            raise ParseError(f"reduct {name}: duplicate relation names", lineno, 1)
+        relations.append(rel)
     if name in cat.reducts:
         if cat.reducts[name] == Reduct(name, base, tuple(relations)):
             return i

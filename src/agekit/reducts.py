@@ -13,7 +13,13 @@ from functools import lru_cache
 from .ages import BoundedClass
 from .errors import InputError
 from .ktypes import KType, enumerate_types, serialize_type
-from .structures import QfFormula, eval_qf, render_formula, validate_formula
+from .structures import (
+    QfFormula,
+    Signature,
+    eval_qf,
+    render_formula,
+    validate_formula,
+)
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,19 @@ class Relation:
     definition: RelDef
 
 
+def validate_relation(r: Relation, sig: Signature) -> None:
+    """Raise InputError unless r is a well-formed relation over sig."""
+    if r.arity < 1:
+        raise InputError(f"relation {r.name}: arity must be >= 1")
+    if isinstance(r.definition, FormulaDef):
+        validate_formula(r.definition.formula, sig, r.arity)
+    else:
+        for t in r.definition.members:
+            if t.k != r.arity:
+                raise InputError(
+                    f"relation {r.name}: orbit literal at wrong level {t.k}")
+
+
 @dataclass(frozen=True)
 class Reduct:
     name: str
@@ -48,15 +67,7 @@ class Reduct:
         if len(set(names)) != len(names):
             raise InputError(f"reduct {self.name}: duplicate relation names")
         for r in self.relations:
-            if r.arity < 1:
-                raise InputError(f"relation {r.name}: arity must be >= 1")
-            if isinstance(r.definition, FormulaDef):
-                validate_formula(r.definition.formula, self.base.signature, r.arity)
-            else:
-                for t in r.definition.members:
-                    if t.k != r.arity:
-                        raise InputError(
-                            f"relation {r.name}: orbit literal at wrong level {t.k}")
+            validate_relation(r, self.base.signature)
         # reducts key lru_caches; hashing every relation's types each lookup is costly
         object.__setattr__(self, "_hash", hash((self.name, self.base, self.relations)))
 

@@ -170,6 +170,17 @@ class TestSubcommands:
         assert len(re.findall(r"line \d+, col \d+:", err)) == 1
         assert "line 6, col " in err and "wanted None" not in err
 
+    def test_relation_error_has_its_own_line(self, capsys, tmp_path):
+        head = "class a\n  sig E/2\n  assert homogeneous\nend\nreduct r over a\n"
+        for body, line in (("  rel S/2 := F(x0,x1)\nend\n", 6),
+                           ("  rel S/2 := E(x0,x1)\n\n  rel S/2 := E(x1,x0)\nend\n", 8)):
+            bad = tmp_path / "bad.cls"
+            bad.write_text(head + body)
+            code = main(["orbits", str(bad)])
+            err = capsys.readouterr().err
+            assert code == 3
+            assert f"error: line {line}, col 1: " in err
+
     def test_definable_query_exit_codes(self, capsys):
         base = ["definable", catalog_path("linord.cls"), "--reduct", "Qlt",
                 "--mode", "pp"]

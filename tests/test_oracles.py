@@ -1,25 +1,54 @@
-"""The pruned searches against the brute-force algorithms they replace.
+"""The fast paths against the brute-force algorithms they replace.
 
 canonical_form is checked against the lex-least relabelling over all n!
 permutations, age_extensions against filtering every one-point extension,
-and _labeled_age_structures against a scan of every atom mask.  A work
-guard counts age-membership tests, so a silent fallback to the full filter
-fails without any timing.
+and _labeled_age_structures against a scan of every atom mask.  The
+type-index tables and the image kernel are checked against a KType built
+per tuple.  Work guards count age-membership tests and per-tuple KTypes,
+so a silent fallback to the slow path fails without any timing.
 """
 
 import random
+import sys
 from itertools import permutations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agekit import ktypes
 from agekit.ages import _in_age, age_extensions, enumerate_age
-from agekit.ktypes import _labeled_age_structures
+from agekit.canonical import (
+    Behaviour,
+    _sigma_constraints,
+    default_realize_cap,
+    enumerate_behaviours,
+    greedy_extension_probe,
+    image_structure,
+    serialize_behaviour,
+)
+from agekit.definability import (
+    PolymorphismBehaviour,
+    _poly_sigma_constraints,
+    poly_image_structure,
+    poly_is_realizable,
+    serialize_poly,
+)
+from agekit.errors import IncoherentBehaviourError, InputError
+from agekit.ktypes import (
+    _labeled_age_structures,
+    enumerate_types,
+    serialize_type,
+    type_index,
+    type_indices,
+    type_of_raw,
+)
 from agekit.structures import (
     FinStructure,
     Signature,
     apply_perm,
     canonical_form,
+    empty_structure,
     enumerate_structures,
     one_point_extensions,
     structure,
@@ -212,3 +241,264 @@ class TestAgeGeneration:
         enumerate_age.cache_clear()
         enumerate_age(graphs, 6)
         assert _in_age.cache_info().misses <= 5000
+
+
+# -- type-index tables and the image kernel -------------------------------------
+
+def reference_image(sig: Signature, n: int, image_type, single_collapses: bool):
+    """The image structure read off one KType per tuple, as the per-tuple code did.
+
+    image_type(t) is the target type of the tuple t.  single_collapses says
+    whether a one-point structure still checks its reflexive pair (the
+    polymorphism path did, the behaviour path did not).
+    """
+    if n == 0:
+        return empty_structure(sig)
+    if n == 1 and not single_collapses:
+        collapse = [[True]]
+    else:
+        collapse = [[image_type((x, y)).degenerate_pair for y in range(n)]
+                    for x in range(n)]
+        for x in range(n):
+            if not collapse[x][x]:
+                raise IncoherentBehaviourError("reflexive pair does not collapse")
+            for y in range(n):
+                if collapse[x][y] != collapse[y][x]:
+                    raise IncoherentBehaviourError("collapse relation not symmetric")
+                for z in range(n):
+                    if collapse[x][y] and collapse[y][z] and not collapse[x][z]:
+                        raise IncoherentBehaviourError("collapse relation not transitive")
+    class_of = [-1] * n
+    nclasses = 0
+    for x in range(n):
+        if class_of[x] == -1:
+            for y in range(x, n):
+                if collapse[x][y]:
+                    class_of[y] = nclasses
+            nclasses += 1
+    tables = []
+    for si, (_, arity) in enumerate(sig.symbols):
+        seen = {}
+        for t in product(range(n), repeat=arity):
+            q = image_type(t)
+            holds = tuple(q.blocks[j] for j in range(arity)) in q.quotient.tables[si]
+            ct = tuple(class_of[v] for v in t)
+            if ct in seen and seen[ct] != holds:
+                raise IncoherentBehaviourError(
+                    "relation atoms disagree across representatives")
+            seen[ct] = holds
+        tables.append(frozenset(ct for ct, h in seen.items() if h))
+    return FinStructure(sig, nclasses, tuple(tables))
+
+
+def outcome(fn):
+    """The result, or the message of the IncoherentBehaviourError raised."""
+    try:
+        return fn()
+    except IncoherentBehaviourError as exc:
+        return f"incoherent: {exc}"
+
+
+def source_types(k, s):
+    """type_index[type_of_raw] of every tuple of s, at levels 1-3, per tuple."""
+    out = {}
+    for level in (1, 2, 3):
+        idx = type_index(k, level)
+        for t in product(range(s.size), repeat=level):
+            out[t] = idx[type_of_raw(s, t)]
+    return out
+
+
+def compatible_tables(source, target, k):
+    """Every table commuting with restriction, by a plain row-by-row search."""
+    nrows = len(enumerate_types(source, k))
+    nvals = len(enumerate_types(target, k))
+    checks = _sigma_constraints(source, target, k)
+    table, out = [-1] * nrows, []
+
+    def rec(i):
+        if i == nrows:
+            out.append(tuple(table))
+            return
+        for v in range(nvals):
+            table[i] = v
+            if all(table[j] == rt[table[p]] for p, j, rt in checks[i]):
+                rec(i + 1)
+        table[i] = -1
+
+    rec(0)
+    return out
+
+
+def compatible_poly_tables(k, level, arity):
+    t = len(enumerate_types(k, level))
+    checks, _ = _poly_sigma_constraints(k, level, arity)
+    table, out = [-1] * t ** arity, []
+
+    def rec(i):
+        if i == len(table):
+            out.append(tuple(table))
+            return
+        for v in range(t):
+            table[i] = v
+            if all(table[j] == r[table[p]] for p, j, r in checks[i]):
+                rec(i + 1)
+        table[i] = -1
+
+    rec(0)
+    return out
+
+
+class TestTypeIndices:
+    def test_equal_type_index_of_type_of_raw(self, catalog):
+        for name in CLASSES:
+            k = catalog.bounded_class(name)
+            for level in (1, 2, 3):
+                slots = sum(level ** arity for _, arity in k.signature.symbols)
+                if slots > 20:
+                    continue
+                idx = type_index(k, level)
+                for n in range(6):
+                    for s in enumerate_age(k, n):
+                        want = tuple(idx[type_of_raw(s, t)]
+                                     for t in product(range(n), repeat=level))
+                        assert type_indices(k, s, level) == want
+
+    def test_outside_the_age_is_input_error(self, catalog, trifree, linord):
+        triangle = structure(trifree.signature, 3, [
+            ("E", (i, j)) for i in range(3) for j in range(3) if i != j])
+        cycle = structure(linord.signature, 3, [
+            ("lt", (0, 1)), ("lt", (1, 2)), ("lt", (2, 0))])
+        for k, s in ((trifree, triangle), (linord, cycle)):
+            for level in (1, 2, 3):
+                with pytest.raises(InputError, match="outside the age"):
+                    type_indices(k, s, level)
+            xi = Behaviour(k, k, 2, tuple(range(len(enumerate_types(k, 2)))))
+            with pytest.raises(InputError, match="structure outside the source age"):
+                image_structure(xi, s)
+
+    def test_serialized_tables_equal_per_type_serialization(self, linord, trifree):
+        for xi in enumerate_behaviours(trifree, trifree, 3):
+            src = enumerate_types(xi.source, xi.k)
+            tgt = enumerate_types(xi.target, xi.k)
+            assert serialize_behaviour(xi) == "\n".join(sorted(
+                f"{serialize_type(p)} -> {serialize_type(tgt[v])}"
+                for p, v in zip(src, xi.table)))
+        types = enumerate_types(linord, 2)
+        for table in compatible_poly_tables(linord, 2, 2)[::50]:
+            xi = PolymorphismBehaviour(linord, 2, 2, table)
+            lines = []
+            for args in product(range(len(types)), repeat=2):
+                left = " | ".join(serialize_type(types[a]) for a in args)
+                lines.append(f"{left} -> {serialize_type(types[xi.value(args)])}")
+            assert serialize_poly(xi) == "\n".join(sorted(lines))
+
+
+class TestImageKernel:
+    @pytest.mark.parametrize("name", ["graphs", "trifree"])
+    def test_behaviour_images_at_k3(self, catalog, name):
+        k = catalog.bounded_class(name)
+        tables = compatible_tables(k, k, 3)
+        assert tables
+        cap = default_realize_cap(Behaviour(k, k, 3, tables[0]))
+        self._check(k, [Behaviour(k, k, 3, t) for t in tables], cap)
+
+    @pytest.mark.parametrize("name,second", [
+        ("graphs", "transitive"), ("trifree", "transitive"), ("linord", "symmetric")])
+    def test_behaviour_images_of_every_level_two_table(self, catalog, name, second):
+        # every raw table, most of them incompatible or incoherent
+        k = catalog.bounded_class(name)
+        nt = len(enumerate_types(k, 2))
+        xis = [Behaviour(k, k, 2, t) for t in product(range(nt), repeat=nt)]
+        assert self._check(k, xis, 5) == {
+            "incoherent: reflexive pair does not collapse",
+            f"incoherent: collapse relation not {second}"}
+
+    def _check(self, k, xis, cap):
+        types = {m: enumerate_types(k, m) for m in (1, 2, 3)}
+        messages = set()
+        for n in range(cap + 1):
+            for s in enumerate_age(k, n):
+                src = source_types(k, s)
+                for xi in xis:
+                    def image_type(t, xi=xi):
+                        m = len(t)
+                        return types[m][xi.level_map(m)[src[t]]]
+                    want = outcome(lambda: reference_image(
+                        k.signature, n, image_type, single_collapses=False))
+                    got = outcome(lambda: image_structure(xi, s))
+                    assert got == want, (xi.table, s)
+                    if isinstance(got, str):
+                        messages.add(got)
+        return messages
+
+    @pytest.mark.parametrize("name,level,size", [
+        ("graphs", 3, 3), ("trifree", 3, 4), ("graphs", 2, 4), ("trifree", 2, 4)])
+    def test_poly_images(self, catalog, name, level, size):
+        # argument pairs up to `size` points: at the realize cap (6) graphs
+        # alone has 24,336 pairs per table.  At level 2 a share of the 6,561
+        # compatible tables, and random raw ones to reach incoherent images.
+        k = catalog.bounded_class(name)
+        tables = compatible_poly_tables(k, level, 2)
+        if level == 2:
+            nt = len(enumerate_types(k, 2))
+            rng = random.Random(2)
+            tables = tables[::80] + [tuple(rng.randrange(nt) for _ in range(nt * nt))
+                                     for _ in range(60)]
+        xis = [PolymorphismBehaviour(k, 2, level, t) for t in tables]
+        types = {m: enumerate_types(k, m) for m in (1, 2, 3)}
+        messages = set()
+        for n in range(size + 1):
+            members = enumerate_age(k, n)
+            src = {s: source_types(k, s) for s in members}
+            for pair in product(members, repeat=2):
+                for xi in xis:
+                    def image_type(t, xi=xi, pair=pair):
+                        m = len(t)
+                        args = tuple(src[s][t] for s in pair)
+                        return types[m][xi.level_value(args, m)]
+                    want = outcome(lambda: reference_image(
+                        k.signature, n, image_type, single_collapses=True))
+                    got = outcome(lambda: poly_image_structure(xi, pair))
+                    assert got == want, (xi.table, pair)
+                    if isinstance(got, str):
+                        messages.add(got)
+        if level == 2:
+            assert "incoherent: relation atoms disagree across representatives" in messages
+
+
+class TestNoTypePerTuple:
+    """No KType is built per tuple on the realizability and probe paths."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        real = ktypes.type_of_raw
+
+        def counting(*args):
+            count[0] += 1
+            return real(*args)
+
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.startswith("agekit") \
+                    and getattr(mod, "type_of_raw", None) is real:
+                monkeypatch.setattr(mod, "type_of_raw", counting)
+        type_indices.cache_clear()
+        return count
+
+    def test_enumerate_behaviours(self, calls, graphs):
+        assert len(enumerate_behaviours(graphs, graphs, 3)) == 5
+        assert type_indices.cache_info().misses > 0
+        assert calls[0] == 0
+
+    def test_probe(self, calls, graphs):
+        for xi in enumerate_behaviours(graphs, graphs, 2):
+            assert greedy_extension_probe(xi, 6, 20, 1).ok
+        assert calls[0] == 0
+
+    def test_poly_is_realizable(self, calls, linord):
+        nt = len(enumerate_types(linord, 2))
+        proj0 = tuple(a for a, b in product(range(nt), repeat=2))
+        assert poly_is_realizable(PolymorphismBehaviour(linord, 2, 2, proj0))
+        assert type_indices.cache_info().misses > 0
+        assert calls[0] == 0
