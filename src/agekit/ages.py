@@ -9,17 +9,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 from .errors import InputError
 from .structures import (
     FinStructure,
     Signature,
+    apply_perm,
     canonical_form,
     embeds,
     empty_structure,
     encode_key,
     extension_slots,
+    find_embedding,
     sort_key,
 )
 
@@ -78,6 +80,31 @@ def _in_age(k: BoundedClass, s: FinStructure) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _rooted_bounds(k: BoundedClass, m: int) -> tuple[FinStructure, ...]:
+    """Each bound on >= m points, relabelled so that its points r_0..r_{m-1}
+    come first, for every ordered choice of m distinct points r_i."""
+    rooted: dict[FinStructure, None] = {}
+    for b in k.bounds:
+        for roots in permutations(range(b.size), m):
+            order = roots + tuple(v for v in range(b.size) if v not in roots)
+            rooted.setdefault(apply_perm(b, [order.index(v) for v in range(b.size)]), None)
+    return tuple(rooted)
+
+
+def _in_age_through(k: BoundedClass, tables, size: int, through: tuple[int, ...]) -> bool:
+    """Whether the structure (raw tables on size points) lies in the age.
+
+    Exact only when dropping any one point of `through` leaves a structure
+    in the age: then, by heredity, a bound can only embed with every point
+    of `through` in its image, so only such embeddings are searched.
+    """
+    sig = k.signature
+    return not any(
+        find_embedding(sig, b.tables, b.size, tables, size, through) is not None
+        for b in _rooted_bounds(k, len(through)))
+
+
+@lru_cache(maxsize=None)
 def enumerate_age(k: BoundedClass, n: int) -> tuple[FinStructure, ...]:
     """One canonical representative per isomorphism class of age members of size n."""
     if n < 0:
@@ -100,8 +127,12 @@ def age_extensions(k: BoundedClass, base: FinStructure) -> tuple[FinStructure, .
     structure induced on {0..i, new} leaves the age.  That is exact by
     heredity: a bound that embeds into that induced structure embeds into
     every extension of the branch.  The last stage checks the whole
-    extension, and the survivors are sorted back into slot-bit order.
+    extension, and the survivors are sorted back into slot-bit order.  As
+    base lies in the age, each test only searches for bound embeddings
+    through the new point; a base outside the age has no extension in it.
     """
+    if not _in_age(k, base):
+        return ()
     sig = k.signature
     new = base.size
     # stages[i]: (slot bit, symbol, tuple) of the slots whose largest old
@@ -125,12 +156,12 @@ def age_extensions(k: BoundedClass, base: FinStructure) -> tuple[FinStructure, .
                 tables = [set(t) for t in prefix]
                 for si, t in ch:
                     tables[si].add(tuple(i if v == new else v for v in t))
-                s = FinStructure(sig, i + 1, tuple(frozenset(t) for t in tables))
-                if _in_age(k, s):
-                    survivors.append((b, ch, s))
+                if _in_age_through(k, tables, i + 1, (i,)):
+                    survivors.append((b, ch, tables))
         branches = [(b, ch) for b, ch, _ in survivors]
     survivors.sort(key=lambda x: x[0])
-    return tuple(s for _, _, s in survivors)
+    return tuple(FinStructure(sig, new + 1, tuple(frozenset(t) for t in tables))
+                 for _, _, tables in survivors)
 
 
 def default_ap_cap(k: BoundedClass) -> int:
@@ -155,6 +186,10 @@ def check_amalgamation(k: BoundedClass, cap: int | None = None,
     proxy); B1, B2 range over labelled one-point age extensions of B0.  The
     strong variant only accepts amalgams that keep the two new points
     distinct.  Returns the first failing diagram, if any.
+
+    Swapping the two new points maps the candidate amalgams of (B0, B1, B2)
+    onto those of (B0, B2, B1), so a diagram whose mirror came first in the
+    loop passes with it, and only the other one is tested.
     """
     if cap is None:
         cap = default_ap_cap(k)
@@ -164,10 +199,10 @@ def check_amalgamation(k: BoundedClass, cap: int | None = None,
     for s in range(0, cap):
         for b0 in enumerate_age(k, s):
             exts = age_extensions(k, b0)
-            for b1 in exts:
-                for b2 in exts:
+            for i, b1 in enumerate(exts):
+                for j, b2 in enumerate(exts):
                     checked += 1
-                    if not _one_point_amalgam_exists(k, b0, b1, b2, strong):
+                    if j >= i and not _one_point_amalgam_exists(k, b0, b1, b2, strong):
                         return AmalgamationResult(False, strong, cap, checked, (b0, b1, b2))
     return AmalgamationResult(True, strong, cap, checked, None)
 
@@ -191,13 +226,13 @@ def _one_point_amalgam_exists(k, b0, b1, b2, strong) -> bool:
         for t in product(range(s + 2), repeat=arity):
             if s in t and s + 1 in t:
                 free.append((si, t))
+    # dropping either new point leaves b1 or a copy of b2, both in the age
     for bits in range(1 << len(free)):
         cand = [set(t) for t in tables]
         for j, (si, t) in enumerate(free):
             if bits >> j & 1:
                 cand[si].add(t)
-        c = FinStructure(sig, s + 2, tuple(frozenset(t) for t in cand))
-        if _in_age(k, c):
+        if _in_age_through(k, cand, s + 2, (s, s + 1)):
             return True
     return False
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
-from .ages import BoundedClass, _in_age, enumerate_age, in_age
+from .ages import BoundedClass, _in_age, _in_age_through, enumerate_age, in_age
 from .errors import IncoherentBehaviourError, InputError
 from .ktypes import (
     KType,
@@ -434,6 +434,8 @@ def random_age_member(k: BoundedClass, n: int, rng: random.Random) -> FinStructu
 
 
 def _random_extension(k, s, singles, options, rng):
+    if not singles:  # no one-point member: the age is {empty structure}
+        return None
     size = s.size
     retries = 64 * (size + 2)
     old_parts = [induced(s, (x,)) for x in range(size)]
@@ -462,9 +464,9 @@ def _random_extension(k, s, singles, options, rng):
         tables = [set(tb) for tb in s.tables]
         for si, t in atoms:
             tables[si].add(t)
-        cand = FinStructure(k.signature, size + 1, tuple(frozenset(tb) for tb in tables))
-        if _in_age(k, cand):
-            return cand
+        # s lies in the age, so only bound embeddings through the new point count
+        if _in_age_through(k, tables, size + 1, (size,)):
+            return FinStructure(k.signature, size + 1, tuple(frozenset(tb) for tb in tables))
     return None
 
 

@@ -146,6 +146,8 @@ def load_certificate(path: str | Path) -> dict:
         cert = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"unreadable certificate: {exc}")
+    if not isinstance(cert, dict):
+        raise InputError("unreadable certificate: not a JSON object")
     if cert.get("format") != FORMAT:
         raise InputError(f"unknown certificate format {cert.get('format')!r}")
     return cert

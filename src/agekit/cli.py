@@ -378,7 +378,7 @@ def _run_decide(job: Job) -> tuple[int, str]:
 def _run_verify(job: Job) -> tuple[int, str]:
     rep = Report("verify")
     cert = load_certificate(job.files[0])
-    rep.line(f"certificate: kind={cert['kind']} verdict={cert.get('verdict')}")
+    rep.line(f"certificate: kind={cert.get('kind')} verdict={cert.get('verdict')}")
     try:
         notes = verify_certificate(cert)
     except VerificationFailure as exc:

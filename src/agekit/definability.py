@@ -254,7 +254,7 @@ def poly_preserves_union(xi: PolymorphismBehaviour, u: OrbitUnion) -> bool:
         raise InputError("polymorphism level too small for this union")
     idx = type_index(xi.source, u.arity)
     types = enumerate_types(xi.source, u.arity)
-    member_idx = [idx[p] for p in u.sorted_members()]
+    member_idx = sorted(idx[p] for p in u.members)
     for args in product(member_idx, repeat=xi.arity):
         if types[xi.level_value(args, u.arity)] not in u.members:
             return False

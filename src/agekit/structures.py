@@ -162,29 +162,38 @@ def embeds(p: FinStructure, s: FinStructure, return_witness: bool = False):
     """Injective map preserving and reflecting every relation, if one exists."""
     if p.signature != s.signature:
         raise InputError("embeds: signature mismatch")
-    n, m = p.size, s.size
+    witness = find_embedding(p.signature, p.tables, p.size, s.tables, s.size)
+    found = witness is not None
+    return (found, witness) if return_witness else found
+
+
+def find_embedding(sig: Signature, p_tables, n: int, s_tables, m: int,
+                   pinned: tuple[int, ...] = ()) -> tuple[int, ...] | None:
+    """An embedding of the pattern (p_tables on n points) into s_tables on m points.
+
+    Both are raw per-symbol tuple sets over sig.  Pattern point i is sent
+    to pinned[i] for i < len(pinned) (distinct points of the target); the
+    other points are searched in increasing order.  Returns the images of
+    the pattern points, or None if no such embedding exists.
+    """
     if n > m:
-        return (False, None) if return_witness else False
-    if n == 0:
-        return (True, ()) if return_witness else True
-    slots = _check_slots(p.signature, n)
+        return None
+    slots = _check_slots(sig, n)
+    fixed = len(pinned)
     assign = [-1] * n
     used = [False] * m
 
     def extend(i: int) -> bool:
         if i == n:
             return True
-        for cand in range(m):
+        for cand in (pinned[i],) if i < fixed else range(m):
             if used[cand]:
                 continue
             assign[i] = cand
-            ok = True
             for si, t in slots[i]:
-                mapped = tuple(assign[v] for v in t)
-                if (t in p.tables[si]) != (mapped in s.tables[si]):
-                    ok = False
+                if (t in p_tables[si]) != (tuple([assign[v] for v in t]) in s_tables[si]):
                     break
-            if ok:
+            else:
                 used[cand] = True
                 if extend(i + 1):
                     return True
@@ -192,10 +201,7 @@ def embeds(p: FinStructure, s: FinStructure, return_witness: bool = False):
         assign[i] = -1
         return False
 
-    found = extend(0)
-    if return_witness:
-        return (found, tuple(assign) if found else None)
-    return found
+    return tuple(assign) if extend(0) else None
 
 
 @lru_cache(maxsize=1 << 18)

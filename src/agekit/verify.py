@@ -61,17 +61,26 @@ def _vserialize(p: VType) -> str:
     return f"[{''.join(parts)}|{render_literal(quotient)}]"
 
 
-def _vparse_type(sig: Signature, text: str) -> VType:
+def _vparse_type(sig: Signature, text: str, field: str) -> VType:
+    """Parse one serialized type read from the certificate field `field`."""
     text = text.strip()
+    bad = f"certificate field {field}: bad type serialization {text!r}"
     if not (text.startswith("[") and text.endswith("]")):
-        raise VerificationFailure(f"bad type serialization {text!r}")
+        raise VerificationFailure(bad)
     part, _, lit = text[1:-1].partition("|")
     assign: dict[int, int] = {}
     for b, group in enumerate(part.strip("{}").split("}{")):
         for tok in group.split(","):
+            if not tok.isdecimal() or int(tok) in assign:
+                raise VerificationFailure(bad)
             assign[int(tok)] = b
+    if sorted(assign) != list(range(len(assign))):
+        raise VerificationFailure(bad)
     blocks = tuple(assign[i] for i in range(len(assign)))
-    return blocks, parse_literal(sig, lit)
+    try:
+        return blocks, parse_literal(sig, lit)
+    except InputError as exc:
+        raise VerificationFailure(f"{bad}: {exc}")
 
 
 def _bounds_allow(bounds, s: FinStructure) -> bool:
@@ -126,7 +135,8 @@ def _v_age(sig: Signature, bounds, n: int) -> list[FinStructure]:
 class _VBehaviour:
     """A parsed behaviour table over verifier-local types."""
 
-    def __init__(self, src_class, tgt_class, k: int, lines: str):
+    def __init__(self, src_class, tgt_class, k: int, lines: str,
+                 field: str = "behaviour"):
         self.k = k
         self.src = src_class
         self.tgt = tgt_class
@@ -142,8 +152,8 @@ class _VBehaviour:
             left, sep, right = line.partition("->")
             if not sep:
                 raise VerificationFailure(f"bad behaviour line {line!r}")
-            p = _vparse_type(src_class.signature, left)
-            q = _vparse_type(tgt_class.signature, right)
+            p = _vparse_type(src_class.signature, left, field)
+            q = _vparse_type(tgt_class.signature, right, field)
             if p not in src_set:
                 raise VerificationFailure(f"{_vserialize(p)} is not a source type")
             if q not in tgt_set:
@@ -159,6 +169,8 @@ class _VBehaviour:
         m = len(p[0])
         if m == self.k:
             return self.table[p]
+        if m > self.k:
+            raise VerificationFailure(f"level k={self.k} is below the arity {m} it is applied at")
         pad = tuple(min(i, m - 1) for i in range(self.k))
         return _vrestrict(self.table[_vrestrict(p, pad)], tuple(range(m)))
 
@@ -230,6 +242,49 @@ def _v_union(reduct, name: str, types_by_arity) -> set[VType]:
     }
 
 
+# -- certificate fields ------------------------------------------------------------
+
+_KIND_NAMES = {str: "a string", int: "an integer", dict: "an object", list: "a list"}
+
+
+def _field(cert: dict, path: str, kind: type):
+    """The field at a dotted path such as "core.k", checked to be a `kind`."""
+    value, seen = cert, []
+    for key in path.split("."):
+        if not isinstance(value, dict):
+            raise VerificationFailure(f"certificate field {'.'.join(seen)} is not an object")
+        seen.append(key)
+        if key not in value:
+            raise VerificationFailure(f"certificate field {'.'.join(seen)} is missing")
+        value = value[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise VerificationFailure(f"certificate field {path} is not {_KIND_NAMES[kind]}")
+    return value
+
+
+def _count(cert: dict, path: str, least: int) -> int:
+    value = _field(cert, path, int)
+    if value < least:
+        raise VerificationFailure(f"certificate field {path} is below {least}")
+    return value
+
+
+def _strings(cert: dict, path: str) -> list[str]:
+    items = _field(cert, path, list)
+    if not all(isinstance(x, str) for x in items):
+        raise VerificationFailure(f"certificate field {path} is not a list of strings")
+    return items
+
+
+def _presentation(cert: dict, *paths: str):
+    """The sole class and first reduct of the blocks at `paths`, joined."""
+    cat = _parse_block("\n".join(_field(cert, p, str) for p in paths))
+    if len(cat.classes) != 1 or not cat.reducts:
+        raise VerificationFailure(
+            f"certificate field {' + '.join(paths)} does not hold one class and a reduct")
+    return cat.sole_class(), next(iter(cat.reducts.values()))
+
+
 # -- certificate verification ----------------------------------------------------
 
 def verify_certificate(cert: dict) -> list[str]:
@@ -254,23 +309,24 @@ def _parse_block(text: str) -> Catalog:
 def _verify_bidef(cert: dict) -> list[str]:
     notes = []
     for key in ("input_c", "input_d"):
-        _parse_block(cert[key])
+        _parse_block(_field(cert, key, str))
     notes.append("inputs parse")
-    if cert["verdict"] != "YES":
-        notes.append(f"verdict {cert['verdict']}: no witness to verify")
+    verdict = _field(cert, "verdict", str)
+    if verdict != "YES":
+        notes.append(f"verdict {verdict}: no witness to verify")
         return notes
 
-    k = cert["caps"]["k"]
-    cat_c = _parse_block(cert["core_c"]["base"] + "\n" + cert["expanded_c"])
-    cat_d = _parse_block(cert["core_d"]["base"] + "\n" + cert["expanded_d"])
-    base_c = cat_c.sole_class()
-    base_d = cat_d.sole_class()
-    exp_c = next(iter(cat_c.reducts.values()))
-    exp_d = next(iter(cat_d.reducts.values()))
+    k = _count(cert, "caps.k", 1)
+    base_c, exp_c = _presentation(cert, "core_c.base", "expanded_c")
+    base_d, exp_d = _presentation(cert, "core_d.base", "expanded_d")
     notes.append("core presentations parse")
 
-    w = cert["witness"]
-    matching = [tuple(pair) for pair in w["matching"]]
+    matching = _field(cert, "witness.matching", list)
+    if not all(isinstance(pair, list) and len(pair) == 2
+               and all(isinstance(name, str) for name in pair) for pair in matching):
+        raise VerificationFailure(
+            "certificate field witness.matching is not a list of name pairs")
+    matching = [tuple(pair) for pair in matching]
     c_names = [r.name for r in exp_c.relations]
     d_names = [r.name for r in exp_d.relations]
     if sorted(cn for cn, _ in matching) != sorted(c_names):
@@ -282,8 +338,8 @@ def _verify_bidef(cert: dict) -> list[str]:
             raise VerificationFailure(f"matching pairs {cn} with {dn} of different arity")
     notes.append("matching is an arity-preserving bijection")
 
-    xi = _VBehaviour(base_c, base_d, k, w["xi"])
-    eta = _VBehaviour(base_d, base_c, k, w["eta"])
+    xi = _VBehaviour(base_c, base_d, k, _field(cert, "witness.xi", str), "witness.xi")
+    eta = _VBehaviour(base_d, base_c, k, _field(cert, "witness.eta", str), "witness.eta")
     xi.check_compatible()
     eta.check_compatible()
     notes.append("behaviours are compatible tables")
@@ -301,10 +357,11 @@ def _verify_bidef(cert: dict) -> list[str]:
             raise VerificationFailure("behaviour collapses or splits a partition")
     notes.append("behaviours are injective (partition-preserving)")
 
-    xi.check_realizable(w["xi_realize_cap"])
-    eta.check_realizable(w["eta_realize_cap"])
-    notes.append(
-        f"behaviours realizable up to caps {w['xi_realize_cap']}/{w['eta_realize_cap']}")
+    xi_cap = _count(cert, "witness.xi_realize_cap", 0)
+    eta_cap = _count(cert, "witness.eta_realize_cap", 0)
+    xi.check_realizable(xi_cap)
+    eta.check_realizable(eta_cap)
+    notes.append(f"behaviours realizable up to caps {xi_cap}/{eta_cap}")
 
     arities_c = {r.arity for r in exp_c.relations}
     types_c = {m: _v_types(base_c.signature, base_c.bounds, m) for m in arities_c}
@@ -324,19 +381,14 @@ def _verify_bidef(cert: dict) -> list[str]:
 
 def _verify_core(cert: dict) -> list[str]:
     notes = []
-    cat = _parse_block(cert["input"])
-    base = cat.sole_class()
-    reduct = next(iter(cat.reducts.values()))
-    block = cert["core"]
-    k = block["k"]
-    out_cat = _parse_block(block["base"] + "\n" + block["reduct"])
-    base_out = out_cat.sole_class()
-    reduct_out = next(iter(out_cat.reducts.values()))
+    base, reduct = _presentation(cert, "input")
+    k = _count(cert, "core.k", 1)
+    base_out, reduct_out = _presentation(cert, "core.base", "core.reduct")
     notes.append("input and output presentations parse")
 
-    xi = _VBehaviour(base, base, k, block["witness"])
+    xi = _VBehaviour(base, base, k, _field(cert, "core.witness", str), "core.witness")
     xi.check_compatible()
-    xi.check_realizable(block["witness_realize_cap"])
+    xi.check_realizable(_count(cert, "core.witness_realize_cap", 0))
     for p, q in xi.table.items():
         if xi.table[q] != q:
             raise VerificationFailure("witness is not range-rigid")
@@ -352,12 +404,13 @@ def _verify_core(cert: dict) -> list[str]:
     notes.append("witness preserves every declared relation")
 
     image = {xi.table[p] for p in xi.types_src}
-    stated = {_vparse_type(base.signature, t) for t in block["image_types"]}
+    stated = {_vparse_type(base.signature, t, "core.image_types")
+              for t in _strings(cert, "core.image_types")}
     if image != stated:
         raise VerificationFailure("stated image types differ from the witness's")
     notes.append("image types match the witness")
 
-    cap = block["scan_cap"]
+    cap = _count(cert, "core.scan_cap", 0)
 
     def member(s: FinStructure) -> bool:
         if not _bounds_allow(base.bounds, s):
@@ -414,35 +467,38 @@ def _split_columns(line: str) -> list[str]:
 
 def _verify_definable(cert: dict) -> list[str]:
     notes = []
-    _parse_block(cert["input"])
-    block = cert["core"]
-    k = block["k"]
-    out_cat = _parse_block(block["base"] + "\n" + block["reduct"])
-    base = out_cat.sole_class()
-    reduct_out = next(iter(out_cat.reducts.values()))
+    _parse_block(_field(cert, "input", str))
+    k = _count(cert, "core.k", 1)
+    base, reduct_out = _presentation(cert, "core.base", "core.reduct")
     notes.append("core presentation parses")
 
-    rel = cert["relation"]
-    members = {_vparse_type(base.signature, t) for t in rel["members"]}
-    if cert["verdict"] == "DEFINABLE":
+    members = {_vparse_type(base.signature, t, "relation.members")
+               for t in _strings(cert, "relation.members")}
+    if _field(cert, "verdict", str) == "DEFINABLE":
         notes.append("verdict DEFINABLE is cap-relative; nothing further to verify")
         return notes
 
-    arity = cert["witness_arity"]
+    levels = {len(p[0]) for p in members if len(p[0]) <= k}
+    if not members <= {t for m in levels for t in _v_types(base.signature, base.bounds, m)}:
+        raise VerificationFailure(
+            "certificate field relation.members holds a type that is not a type "
+            "of the core at a level up to core.k")
+    arity = _count(cert, "witness_arity", 1)
     types_k = _v_types(base.signature, base.bounds, k)
     type_set = set(types_k)
     table: dict[tuple[VType, ...], VType] = {}
-    for raw in cert["witness"].splitlines():
+    for raw in _field(cert, "witness", str).splitlines():
         line = raw.strip()
         if not line:
             continue
         left, sep, right = line.partition("->")
         if not sep:
             raise VerificationFailure(f"bad witness line {line!r}")
-        args = tuple(_vparse_type(base.signature, c) for c in _split_columns(left))
+        args = tuple(_vparse_type(base.signature, c, "witness")
+                     for c in _split_columns(left))
         if len(args) != arity or any(a not in type_set for a in args):
             raise VerificationFailure(f"bad argument columns in {line!r}")
-        table[args] = _vparse_type(base.signature, right)
+        table[args] = _vparse_type(base.signature, right, "witness")
     if len(table) != len(types_k) ** arity:
         raise VerificationFailure("witness table is not total")
     notes.append("witness parses as a total table")
@@ -451,6 +507,8 @@ def _verify_definable(cert: dict) -> list[str]:
         m = len(args[0][0])
         if m == k:
             return table[args]
+        if m > k:
+            raise VerificationFailure(f"level k={k} is below the arity {m} it is applied at")
         pad = tuple(min(i, m - 1) for i in range(k))
         padded = tuple(_vrestrict(a, pad) for a in args)
         return _vrestrict(table[padded], tuple(range(m)))
@@ -463,7 +521,7 @@ def _verify_definable(cert: dict) -> list[str]:
                 raise VerificationFailure("witness is not componentwise compatible")
     notes.append("witness is componentwise compatible")
 
-    cap = cert["caps"]["realize_cap"]
+    cap = _count(cert, "caps.realize_cap", 0)
     for n in range(1, cap + 1):
         age_n = _v_age(base.signature, base.bounds, n)
         for members_tuple in product(age_n, repeat=arity):

@@ -1,6 +1,7 @@
 """CLI surface: grammar errors with positions, round-trips, subcommands,
 exit codes, certificate paths, determinism."""
 
+import copy
 import json
 import re
 import subprocess
@@ -253,3 +254,30 @@ class TestCertificateFiles:
                              base_cat.bounded_class("bipartite"),
                              base_cat.bounded_class("bipartite"), 2)
         assert xi.table == (0, 0, 2)
+
+
+class TestMalformedCertificates:
+    """A malformed certificate.json is rejected with the field's name, not a traceback."""
+
+    @pytest.fixture(scope="class")
+    def core_cert(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("core-Qleq")
+        assert main(["core", catalog_path("linord.cls"), "--reduct", "Qleq",
+                     "--witness-out", str(out)]) == 0
+        return json.loads((out / "certificate.json").read_text())
+
+    @pytest.mark.parametrize("field, edit", [
+        ("core.k", lambda c: c["core"].update(k="two")),
+        ("core", lambda c: c.pop("core")),
+        ("core.image_types", lambda c: c["core"].update(image_types=["[{0,x,2}|size=1:]"])),
+        ("core.witness", lambda c: c["core"].update(witness=5)),
+    ])
+    def test_rejected_with_field_name(self, core_cert, tmp_path, field, edit):
+        cert = copy.deepcopy(core_cert)
+        edit(cert)
+        (tmp_path / "certificate.json").write_text(json.dumps(cert))
+        r = subprocess.run([sys.executable, "-m", "agekit.cli", "verify", str(tmp_path)],
+                           capture_output=True, text=True)
+        assert r.returncode == 1
+        assert re.search(rf"FAILED: certificate field {re.escape(field)}[ :]", r.stdout)
+        assert "Traceback" not in r.stderr

@@ -4,8 +4,11 @@ canonical_form is checked against the lex-least relabelling over all n!
 permutations, age_extensions against filtering every one-point extension,
 and _labeled_age_structures against a scan of every atom mask.  The
 type-index tables and the image kernel are checked against a KType built
-per tuple.  Work guards count age-membership tests and per-tuple KTypes,
-so a silent fallback to the slow path fails without any timing.
+per tuple.  The anchored bound checks (_in_age_through, the amalgamation
+scan without mirrored diagrams, random_age_member) are checked against the
+full _in_age search.  Work guards count age-membership tests, amalgam
+tests and per-tuple KTypes, so a silent fallback to the slow path fails
+without any timing.
 """
 
 import random
@@ -16,8 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agekit import ktypes
-from agekit.ages import _in_age, age_extensions, enumerate_age
+from agekit import ages, canonical, ktypes
+from agekit.ages import (
+    BoundedClass,
+    _in_age,
+    _in_age_through,
+    age_extensions,
+    check_amalgamation,
+    default_ap_cap,
+    enumerate_age,
+)
 from agekit.canonical import (
     Behaviour,
     _sigma_constraints,
@@ -25,6 +36,7 @@ from agekit.canonical import (
     enumerate_behaviours,
     greedy_extension_probe,
     image_structure,
+    random_age_member,
     serialize_behaviour,
 )
 from agekit.definability import (
@@ -502,3 +514,151 @@ class TestNoTypePerTuple:
         assert poly_is_realizable(PolymorphismBehaviour(linord, 2, 2, proj0))
         assert type_indices.cache_info().misses > 0
         assert calls[0] == 0
+
+
+# -- anchored bound checks --------------------------------------------------------
+
+def full_in_age(k, tables, size, through) -> bool:
+    """_in_age_through by the full bound search over the whole structure."""
+    return _in_age(k, FinStructure(k.signature, size, tuple(frozenset(t) for t in tables)))
+
+
+def reference_amalgamation(k, cap: int, strong: bool):
+    """(ok, diagrams checked, first failing diagram), testing every diagram
+    and every candidate amalgam with the full _in_age."""
+    sig = k.signature
+    checked = 0
+    for n in range(cap):
+        for b0 in enumerate_age(k, n):
+            exts = [e for e in one_point_extensions(b0) if _in_age(k, e)]
+            for b1 in exts:
+                for b2 in exts:
+                    checked += 1
+                    if not strong and b1.tables == b2.tables:
+                        continue
+                    # new points: n from b1, n + 1 from b2
+                    tables = [set(t) for t in b1.tables]
+                    for si, table in enumerate(b2.tables):
+                        tables[si] |= {tuple(n + 1 if v == n else v for v in t)
+                                       for t in table if n in t}
+                    free = [(si, t) for si, (_, arity) in enumerate(sig.symbols)
+                            for t in product(range(n + 2), repeat=arity)
+                            if n in t and n + 1 in t]
+                    for bits in range(1 << len(free)):
+                        cand = [set(t) for t in tables]
+                        for j, (si, t) in enumerate(free):
+                            if bits >> j & 1:
+                                cand[si].add(t)
+                        if full_in_age(k, cand, n + 2, None):
+                            break
+                    else:
+                        return False, checked, (b0, b1, b2)
+    return True, checked, None
+
+
+def random_structure(sig: Signature, n: int, rng) -> FinStructure:
+    return structure(sig, n, [(name, t) for name, arity in sig.symbols
+                              for t in product(range(n), repeat=arity)
+                              if rng.random() < 0.5])
+
+
+def random_class(sig: Signature, rng, name: str) -> BoundedClass:
+    """1-4 bounds on at most 3 points.  Half the classes take uniform random
+    bounds.  The other half take one random structure on 2 or 3 points in
+    1-4 of the four ways of joining its last two points by E: with all four
+    kept, amalgamating the two points over the others fails, which uniform
+    bounds almost never bring about."""
+    if rng.random() < 0.5:
+        bounds = [random_structure(sig, rng.randint(1, 3), rng)
+                  for _ in range(rng.randint(1, 4))]
+    else:
+        n = rng.randint(2, 3)
+        e = sig.index("E")
+        a, b = n - 2, n - 1
+        base = [set(t) for t in random_structure(sig, n, rng).tables]
+        base[e] -= {(a, b), (b, a)}
+        bounds = []
+        for joins in rng.sample(((), ((a, b),), ((b, a),), ((a, b), (b, a))),
+                                rng.choice((1, 2, 3, 4, 4, 4))):
+            tables = [set(t) for t in base]
+            tables[e] |= set(joins)
+            bounds.append(FinStructure(sig, n, tuple(frozenset(t) for t in tables)))
+    return BoundedClass(name, sig, tuple(bounds))
+
+
+def random_classes() -> list[BoundedClass]:
+    """40 seeded classes, 20 over E/2 and 20 over E/2 and U/1."""
+    rng = random.Random(4)
+    return [random_class(sig, rng, f"r{i}")
+            for sig in (Signature((("E", 2),)), Signature((("E", 2), ("U", 1))))
+            for i in range(20)]
+
+
+class TestAnchoredBoundChecks:
+    def test_amalgamation_on_catalog_classes(self, catalog):
+        for name in CLASSES:
+            k = catalog.bounded_class(name)
+            for strong in (False, True):
+                got = check_amalgamation(k, None, strong)
+                assert (got.ok, got.diagrams_checked, got.counterexample) == \
+                    reference_amalgamation(k, default_ap_cap(k), strong)
+
+    def test_amalgamation_on_random_classes(self):
+        # cap 2: amalgams on up to 3 points, the size of the largest bound
+        outcomes = set()
+        for k in random_classes():
+            for strong in (False, True):
+                got = check_amalgamation(k, 2, strong)
+                assert (got.ok, got.diagrams_checked, got.counterexample) == \
+                    reference_amalgamation(k, 2, strong)
+                outcomes.add((strong, got.ok))
+        # weak and strong failures both occur, so counterexamples are compared
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_in_age_through_equals_in_age(self, catalog):
+        for name in CLASSES:
+            k = catalog.bounded_class(name)
+            for n in range(5):
+                for base in enumerate_age(k, n):
+                    for e in one_point_extensions(base):
+                        assert _in_age_through(k, e.tables, e.size, (n,)) == _in_age(k, e)
+
+    def test_random_age_member(self, catalog, monkeypatch):
+        # the random classes include some without a one-point member
+        runs = [(catalog.bounded_class(name), 8) for name in CLASSES]
+        runs += [(k, 5) for k in random_classes()]
+        got = [random_age_member(k, n, random.Random(seed))
+               for k, n in runs for seed in range(20)]
+        monkeypatch.setattr(canonical, "_in_age_through", full_in_age)
+        assert got == [random_age_member(k, n, random.Random(seed))
+                       for k, n in runs for seed in range(20)]
+
+    def test_mirrored_diagrams_tested_once(self, trifree, monkeypatch):
+        calls = [0]
+        real = ages._one_point_amalgam_exists
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(ages, "_one_point_amalgam_exists", counting)
+        assert check_amalgamation(trifree, 6, strong=True).ok
+        exts = [len(age_extensions(trifree, b0))
+                for n in range(6) for b0 in enumerate_age(trifree, n)]
+        # 2,815 here; 5,295 when both orders of every pair are tested
+        assert calls[0] <= sum(e * (e + 1) // 2 for e in exts)
+
+    def test_one_full_check_per_base(self, trifree, monkeypatch):
+        calls = [0]
+        real = ages._in_age
+
+        def counting(k, s):
+            calls[0] += 1
+            return real(k, s)
+
+        monkeypatch.setattr(ages, "_in_age", counting)
+        enumerate_age.cache_clear()
+        enumerate_age(trifree, 6)
+        full_checks = calls[0]
+        bases = sum(len(enumerate_age(trifree, n)) for n in range(6))
+        assert 0 < full_checks <= bases
