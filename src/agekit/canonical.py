@@ -1,11 +1,13 @@
-"""Behaviours of canonical functions between two bounded classes.
+"""Behaviours of canonical functions and polymorphisms between bounded classes.
 
-A behaviour is a total map from the k-types of the source class to the
-k-types of the target class.  It stands in for a canonical function: the
-function itself lives on an infinite domain and is never materialized.
-Candidate tables are generated with incremental compatibility pruning and
-kept only if they pass a bounded realizability check; the randomized
-extension probe cross-checks that bound on concrete age members.
+A behaviour of arity m is a total map from m-tuples of k-types of the
+source class to k-types of the target class.  Arity 1 stands in for a
+canonical function, arity m > 1 with source == target for a canonical
+polymorphism: the function itself lives on an infinite domain and is never
+materialized.  Candidate tables are searched over arc-consistent domains
+with incremental compatibility pruning and kept only if they pass a bounded
+realizability check; the randomized extension probe cross-checks that
+bound on concrete age members.
 """
 
 from __future__ import annotations
@@ -32,46 +34,73 @@ from .ktypes import (
 from .structures import FinStructure, embeds, empty_structure, induced
 
 
+def _flat_rows(values, base: int, arity: int) -> list[int]:
+    """Flattened index of (values[a1], .., values[am]) for every argument
+    tuple (a1, .., am) in product order, first argument most significant."""
+    out = [0]
+    for _ in range(arity):
+        out = [f * base + v for f in out for v in values]
+    return out
+
+
 @dataclass(frozen=True)
 class Behaviour:
-    """table[i] is the target-type index assigned to the i-th source k-type."""
+    """table[i] is the target k-type index assigned to the i-th tuple of
+    `arity` source k-types, flattened with the first argument most significant."""
 
     source: BoundedClass
     target: BoundedClass
     k: int
     table: tuple[int, ...]
+    arity: int = 1
     _hash: int = field(init=False, repr=False, compare=False, default=0)
+    _levels: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        ntypes = len(enumerate_types(self.source, self.k))
-        if len(self.table) != ntypes:
-            raise InputError(f"behaviour table must have {ntypes} rows")
+        nrows = len(enumerate_types(self.source, self.k)) ** self.arity
+        if len(self.table) != nrows:
+            raise InputError(f"behaviour table must have {nrows} rows")
         nt = len(enumerate_types(self.target, self.k))
         if any(not (0 <= v < nt) for v in self.table):
             raise InputError("behaviour table value out of range")
         object.__setattr__(
             self, "_hash",
-            hash((self.source, self.target, self.k, self.table)))
+            hash((self.source, self.target, self.k, self.table, self.arity)))
+        object.__setattr__(self, "_levels", {self.k: self.table})
 
     def __hash__(self) -> int:
         return self._hash
 
-    def mapping(self) -> dict[KType, KType]:
-        src = enumerate_types(self.source, self.k)
-        tgt = enumerate_types(self.target, self.k)
-        return {p: tgt[v] for p, v in zip(src, self.table)}
-
     def level_map(self, m: int) -> tuple[int, ...]:
-        """Induced map on m-type indices (m <= k), via the padding convention."""
+        """The induced table on flattened tuples of m-types (m <= k), via the
+        padding convention; computed once per level."""
         if m > self.k:
             raise InputError("behaviour level too small for this arity")
-        if m == self.k:
-            return self.table
-        return _cached_level_map(self, m)
+        if m not in self._levels:
+            pad = pad_index_map(self.source, m, self.k)
+            back = first_m_index_map(self.target, self.k, m)
+            nk = len(enumerate_types(self.source, self.k))
+            self._levels[m] = tuple(
+                back[self.table[f]] for f in _flat_rows(pad, nk, self.arity))
+        return self._levels[m]
 
-    def apply_type(self, p: KType) -> KType:
-        idx = type_index(self.source, p.k)[p]
-        return enumerate_types(self.target, p.k)[self.level_map(p.k)[idx]]
+    def value(self, args, level: int | None = None) -> int:
+        """Target type index on a tuple of source type indices at the level."""
+        level = self.k if level is None else level
+        nm = len(enumerate_types(self.source, level))
+        flat = 0
+        for a in args:
+            flat = flat * nm + a
+        return self.level_map(level)[flat]
+
+    def apply_types(self, ptypes) -> KType:
+        ptypes = tuple(ptypes)
+        level = ptypes[0].k
+        if any(p.k != level for p in ptypes):
+            raise InputError("argument types must share one level")
+        idx = type_index(self.source, level)
+        v = self.value([idx[p] for p in ptypes], level)
+        return enumerate_types(self.target, level)[v]
 
     def is_identity(self) -> bool:
         return (self.source == self.target
@@ -81,36 +110,43 @@ class Behaviour:
         tgt = enumerate_types(self.target, self.k)
         return len(set(self.table)) == len(self.table) == len(tgt)
 
-    def is_injective_behaviour(self) -> bool:
-        """No two distinct blocks ever collapse: image partitions equal sources'."""
-        src = enumerate_types(self.source, self.k)
-        tgt = enumerate_types(self.target, self.k)
-        return all(p.blocks == tgt[v].blocks for p, v in zip(src, self.table))
-
     def image_types(self) -> frozenset[KType]:
         tgt = enumerate_types(self.target, self.k)
         return frozenset(tgt[v] for v in set(self.table))
 
 
-@lru_cache(maxsize=None)
-def _cached_level_map(xi: Behaviour, m: int) -> tuple[int, ...]:
-    pad = pad_index_map(xi.source, m, xi.k)
-    back = first_m_index_map(xi.target, xi.k, m)
-    return tuple(back[xi.table[pad[i]]] for i in range(len(pad)))
-
-
 def serialize_behaviour(xi: Behaviour) -> str:
     src = serialized_types(xi.source, xi.k)
     tgt = serialized_types(xi.target, xi.k)
-    return "\n".join(sorted(f"{p} -> {tgt[v]}" for p, v in zip(src, xi.table)))
+    args = product(range(len(src)), repeat=xi.arity)
+    return "\n".join(sorted(
+        f"{' | '.join(src[a] for a in row)} -> {tgt[v]}"
+        for row, v in zip(args, xi.table)))
+
+
+def split_type_columns(line: str) -> list[str]:
+    """Split at pipes outside type brackets (types contain pipes internally)."""
+    out, depth, cur = [], 0, []
+    for ch in line:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if ch == "|" and depth == 0:
+            out.append("".join(cur).strip())
+            cur = []
+        else:
+            cur.append(ch)
+    out.append("".join(cur).strip())
+    return out
 
 
 def parse_behaviour(text: str, source: BoundedClass, target: BoundedClass,
-                    k: int) -> Behaviour:
+                    k: int, arity: int = 1) -> Behaviour:
     from .ktypes import parse_type
     src_index = type_index(source, k)
     tgt_index = type_index(target, k)
-    table = [-1] * len(src_index)
+    table = [-1] * len(src_index) ** arity
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -118,18 +154,24 @@ def parse_behaviour(text: str, source: BoundedClass, target: BoundedClass,
         left, sep, right = line.partition("->")
         if not sep:
             raise InputError(f"bad behaviour line: {line!r}")
-        p = parse_type(source.signature, left.strip())
+        parts = split_type_columns(left)
+        if len(parts) != arity:
+            raise InputError(f"expected {arity} argument columns: {line!r}")
+        flat = 0
+        for part in parts:
+            p = parse_type(source.signature, part)
+            if p not in src_index:
+                raise InputError(f"unknown source type {part!r}")
+            flat = flat * len(src_index) + src_index[p]
         q = parse_type(target.signature, right.strip())
-        if p not in src_index:
-            raise InputError(f"unknown source type {left.strip()!r}")
         if q not in tgt_index:
             raise InputError(f"unknown target type {right.strip()!r}")
-        if table[src_index[p]] != -1:
+        if table[flat] != -1:
             raise InputError(f"duplicate row for {left.strip()!r}")
-        table[src_index[p]] = tgt_index[q]
+        table[flat] = tgt_index[q]
     if -1 in table:
         raise InputError("behaviour table is not total")
-    return Behaviour(source, target, k, tuple(table))
+    return Behaviour(source, target, k, tuple(table), arity)
 
 
 def identity_behaviour(k: BoundedClass, level: int) -> Behaviour:
@@ -138,44 +180,30 @@ def identity_behaviour(k: BoundedClass, level: int) -> Behaviour:
 
 
 def is_compatible(xi: Behaviour) -> bool:
-    """The table commutes with restriction along every self-map of positions."""
-    k = xi.k
-    for sigma in product(range(k), repeat=k):
-        rs = restrict_index_map(xi.source, k, sigma)
-        rt = restrict_index_map(xi.target, k, sigma)
-        for i, v in enumerate(xi.table):
-            if xi.table[rs[i]] != rt[v]:
-                return False
-    return True
+    """Restricting every argument along a self-map of positions restricts the value."""
+    table = xi.table
+    return all(table[j] == rt[table[p]]
+               for checks in _sigma_constraints(xi.source, xi.target, xi.k, xi.arity)
+               for p, j, rt in checks)
 
 
 def is_coherent(xi: Behaviour) -> bool:
-    """Pairwise collapsing inside every type is an equivalence on its positions."""
-    if xi.k < 2:
+    """Pairwise collapsing inside every image type is an equivalence on its positions."""
+    k = xi.k
+    if k < 2:
         return True
     lvl2 = xi.level_map(2)
-    tgt2 = enumerate_types(xi.target, 2)
-    k = xi.k
-    nrows = len(xi.table)
-    pair_maps = {
-        (i, j): restrict_index_map(xi.source, k, (i, j))
+    n2 = len(enumerate_types(xi.source, 2))
+    degenerate = degenerate_pairs(xi.target)
+    # column (i, j): does the value collapse positions i and j, per argument tuple
+    columns = [
+        [degenerate[lvl2[f]] for f in _flat_rows(
+            restrict_index_map(xi.source, k, (i, j)), n2, xi.arity)]
         for i in range(k) for j in range(k)
-    }
-    for row in range(nrows):
-        collapse = [
-            [tgt2[lvl2[pair_maps[i, j][row]]].degenerate_pair for j in range(k)]
-            for i in range(k)
-        ]
-        for i in range(k):
-            if not collapse[i][i]:
-                return False
-            for j in range(k):
-                if collapse[i][j] != collapse[j][i]:
-                    return False
-                for l in range(k):
-                    if collapse[i][j] and collapse[j][l] and not collapse[i][l]:
-                        return False
-    return True
+    ]
+    return not any(
+        _equivalence_failure([flags[i * k:(i + 1) * k] for i in range(k)])
+        for flags in set(zip(*columns)))
 
 
 def compose(eta: Behaviour, xi: Behaviour) -> Behaviour:
@@ -208,7 +236,7 @@ def is_range_rigid(xi: Behaviour) -> bool:
 
 
 def image_structure(xi: Behaviour, s: FinStructure) -> FinStructure:
-    """The finite trace of the behaviour on one age member.
+    """The finite trace of an arity-1 behaviour on one age member.
 
     Points collapsing under the behaviour are identified; relations are read
     off the images of tuple types.  Raises IncoherentBehaviourError when the
@@ -223,12 +251,38 @@ def image_structure(xi: Behaviour, s: FinStructure) -> FinStructure:
         return empty_structure(xi.target.signature)
     if xi.k < 2 and n > 1:
         raise InputError("image_structure needs level >= 2 to resolve collapsing")
+    return _image_from_types(xi.target, n, _value_rows(xi, (s,)))
+
+
+def poly_image_structure(xi: Behaviour,
+                         members: tuple[FinStructure, ...]) -> FinStructure:
+    """Image of m age members over a common index set under an arity-m behaviour."""
+    if len(members) != xi.arity:
+        raise InputError("need one argument structure per polymorphism argument")
+    n = members[0].size
+    if any(s.size != n for s in members):
+        raise InputError("argument structures must share one index set")
+    if n == 0:
+        return empty_structure(xi.target.signature)
+    images = _value_rows(xi, members)
+    if n == 1 and not degenerate_pairs(xi.target)[images(2)[0]]:
+        raise IncoherentBehaviourError("reflexive pair does not collapse")
+    return _image_from_types(xi.target, n, images)
+
+
+def _value_rows(xi: Behaviour, members: tuple[FinStructure, ...]):
+    """``images`` for _image_from_types: the value on the m-types that each
+    m-tuple of points has in the argument structures, one lookup per tuple."""
 
     def images(m: int) -> list[int]:
+        nm = len(enumerate_types(xi.source, m))
+        flat = type_indices(xi.source, members[0], m)
+        for s in members[1:]:
+            flat = [f * nm + a for f, a in zip(flat, type_indices(xi.source, s, m))]
         lvl = xi.level_map(m)
-        return [lvl[i] for i in type_indices(xi.source, s, m)]
+        return [lvl[f] for f in flat]
 
-    return _image_from_types(xi.target, n, images)
+    return images
 
 
 def _image_from_types(target: BoundedClass, n: int, images) -> FinStructure:
@@ -254,7 +308,9 @@ def _image_from_types(target: BoundedClass, n: int, images) -> FinStructure:
         collapse = [[degenerate[pairs[x * n + y]] for y in range(n)]
                     for x in range(n)]
         if sum(map(sum, collapse)) != n or not all(collapse[x][x] for x in range(n)):
-            _check_equivalence(collapse)
+            failure = _equivalence_failure(collapse)
+            if failure:
+                raise IncoherentBehaviourError(failure)
         class_of = [-1] * n
         nclasses = 0
         for x in range(n):
@@ -283,19 +339,20 @@ def _image_from_types(target: BoundedClass, n: int, images) -> FinStructure:
     return FinStructure(target.signature, nclasses, tuple(tables))
 
 
-def _check_equivalence(collapse: list[list[bool]]) -> None:
-    """Raise IncoherentBehaviourError, naming the first failing law, unless
-    the collapse matrix is an equivalence relation."""
+def _equivalence_failure(collapse) -> str | None:
+    """The first law the square collapse matrix breaks, or None when it is
+    an equivalence relation."""
     n = len(collapse)
     for x in range(n):
         if not collapse[x][x]:
-            raise IncoherentBehaviourError("reflexive pair does not collapse")
+            return "reflexive pair does not collapse"
         for y in range(n):
             if collapse[x][y] != collapse[y][x]:
-                raise IncoherentBehaviourError("collapse relation not symmetric")
+                return "collapse relation not symmetric"
             for z in range(n):
                 if collapse[x][y] and collapse[y][z] and not collapse[x][z]:
-                    raise IncoherentBehaviourError("collapse relation not transitive")
+                    return "collapse relation not transitive"
+    return None
 
 
 def default_realize_cap(xi: Behaviour) -> int:
@@ -305,12 +362,14 @@ def default_realize_cap(xi: Behaviour) -> int:
 
 
 def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
-    """Bounded check: every small source age member must map into the target age."""
+    """Bounded check: every tuple of small source age members on one index
+    set must map into the target age."""
     n_cap = cap if cap is not None else default_realize_cap(xi)
     for n in range(1, n_cap + 1):
-        for s in enumerate_age(xi.source, n):
+        for members in product(enumerate_age(xi.source, n), repeat=xi.arity):
             try:
-                img = image_structure(xi, s)
+                img = (image_structure(xi, members[0]) if xi.arity == 1
+                       else poly_image_structure(xi, members))
             except IncoherentBehaviourError:
                 return False
             if not _in_age(xi.target, img):
@@ -319,71 +378,97 @@ def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _sigma_constraints(source: BoundedClass, target: BoundedClass, k: int):
+def _sigma_constraints(source: BoundedClass, target: BoundedClass, k: int,
+                       arity: int = 1):
     """Per-row constraint lists for incremental compatibility pruning.
 
     checks[i] holds triples (p, j, rt) meaning: once rows p and j = p∘sigma
-    are both assigned (max(p, j) == i), require table[j] == rt[table[p]].
+    (sigma applied to every argument) are both assigned (max(p, j) == i),
+    require table[j] == rt[table[p]].
     """
-    nrows = len(enumerate_types(source, k))
-    checks: list[list] = [[] for _ in range(nrows)]
+    nk = len(enumerate_types(source, k))
+    checks: list[list] = [[] for _ in range(nk ** arity)]
     for sigma in product(range(k), repeat=k):
         if sigma == tuple(range(k)):
             continue
         rs = restrict_index_map(source, k, sigma)
         rt = restrict_index_map(target, k, sigma)
-        for p in range(nrows):
-            j = rs[p]
+        for p, j in enumerate(_flat_rows(rs, nk, arity)):
             checks[max(p, j)].append((p, j, rt))
     return tuple(tuple(c) for c in checks)
 
 
+def _propagate_domains(source: BoundedClass, target: BoundedClass, k: int,
+                       arity: int, pins: dict[int, frozenset[int]]):
+    """Arc consistency over the σ-constraints, starting from per-row pins.
+
+    Sound: every compatible table respecting the pins stays inside the
+    returned per-row domains.  Returns None when some domain empties.
+    """
+    nvals = len(enumerate_types(target, k))
+    nrows = len(enumerate_types(source, k)) ** arity
+    allowed = [set(range(nvals)) for _ in range(nrows)]
+    for row, vals in pins.items():
+        allowed[row] &= vals
+    changed = True
+    while changed:
+        changed = False
+        for checks in _sigma_constraints(source, target, k, arity):
+            for p, j, r in checks:
+                image = {r[v] for v in allowed[p]}
+                if not allowed[j] <= image:
+                    allowed[j] &= image
+                    changed = True
+                back = {v for v in allowed[p] if r[v] in allowed[j]}
+                if len(back) != len(allowed[p]):
+                    allowed[p] = back
+                    changed = True
+    if any(not a for a in allowed):
+        return None
+    return allowed
+
+
 def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,
                          table_filter=None, realize_cap: int | None = None,
-                         jobs: int = 1) -> tuple[Behaviour, ...]:
-    """Every compatible, coherent, realizable behaviour at level k.
+                         arity: int = 1,
+                         pins: dict[int, frozenset[int]] | None = None,
+                         check_realizable: bool = True) -> tuple[Behaviour, ...]:
+    """Every compatible, coherent (and by default realizable) behaviour of
+    the arity at level k, sorted by serialization.
 
-    Candidates are generated row by row with fail-fast compatibility pruning;
-    the optional table_filter prunes full candidates before the (more
-    expensive) realizability check.  Output is sorted by serialization.
-    ``jobs`` is accepted and ignored: the search runs in one thread.
+    Tables are searched row by row over arc-consistent domains, narrowed by
+    the optional per-row pins, with fail-fast compatibility pruning.  Each
+    full table is judged in turn for coherence, by the optional table_filter
+    and by the (most expensive) realizability check.
     """
     if k < max(source.signature.max_arity, target.signature.max_arity):
         raise InputError("enumerate_behaviours: k below a signature arity")
-    nrows = len(enumerate_types(source, k))
-    nvals = len(enumerate_types(target, k))
-    checks = _sigma_constraints(source, target, k)
+    checks = _sigma_constraints(source, target, k, arity)
+    domains = _propagate_domains(source, target, k, arity, pins or {})
+    if domains is None:
+        return ()
+    domains = [sorted(d) for d in domains]
+    nrows = len(domains)
     table = [-1] * nrows
-    candidates: list[tuple[int, ...]] = []
+    out = []
 
     def rec(i: int):
         if i == nrows:
-            candidates.append(tuple(table))
+            xi = Behaviour(source, target, k, tuple(table), arity)
+            if not is_coherent(xi):
+                return
+            if table_filter is not None and not table_filter(xi):
+                return
+            if not check_realizable or is_realizable(xi, realize_cap):
+                out.append(xi)
             return
-        for v in range(nvals):
+        for v in domains[i]:
             table[i] = v
-            ok = True
-            for p, j, rt in checks[i]:
-                if table[j] != rt[table[p]]:
-                    ok = False
-                    break
-            if ok:
+            if all(table[j] == rt[table[p]] for p, j, rt in checks[i]):
                 rec(i + 1)
         table[i] = -1
 
     rec(0)
-
-    def qualifies(tab):
-        xi = Behaviour(source, target, k, tab)
-        if not is_coherent(xi):
-            return None
-        if table_filter is not None and not table_filter(xi):
-            return None
-        if not is_realizable(xi, realize_cap):
-            return None
-        return xi
-
-    out = [xi for xi in map(qualifies, candidates) if xi is not None]
     out.sort(key=serialize_behaviour)
     return tuple(out)
 

@@ -14,7 +14,7 @@ from . import __version__
 from .canonical import default_realize_cap, serialize_behaviour
 from .core import CorePresentation
 from .decide import Verdict
-from .definability import PPVerdict, serialize_poly
+from .definability import PPVerdict
 from .errors import InputError
 from .ktypes import serialize_type
 from .parser import render_class, render_reduct
@@ -109,7 +109,7 @@ def definable_certificate(c: Reduct, p: CorePresentation,
         },
     }
     if verdict.witness is not None:
-        cert["witness"] = serialize_poly(verdict.witness)
+        cert["witness"] = serialize_behaviour(verdict.witness)
         cert["witness_arity"] = verdict.witness.arity
     return cert
 

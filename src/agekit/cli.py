@@ -21,6 +21,7 @@ from .canonical import (
     enumerate_behaviours,
     greedy_extension_probe,
     serialize_behaviour,
+    split_type_columns,
 )
 from .certs import (
     bidef_certificate,
@@ -31,8 +32,8 @@ from .certs import (
 )
 from .core import compute_core, is_optimally_presented
 from .decide import decide_bidef, decide_biint
-from .definability import ep_expand, pp_definable, pp_expand, serialize_poly
-from .errors import AgekitError, InputError
+from .definability import ep_expand, pp_definable, pp_expand
+from .errors import AgekitError, InputError, InternalError
 from .ktypes import default_level, enumerate_types, serialize_type
 from .parser import Catalog, parse_formula, parse_input, render_class, render_reduct
 from .reducts import OrbitUnion, compile_orbit_union, Reduct, Relation, FormulaDef
@@ -43,6 +44,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_PRECONDITION = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 @dataclass
@@ -55,7 +57,6 @@ class Job:
     arity_cap: int | None = None
     ap_cap: int | None = None
     expand_arity: int | None = None
-    jobs: int = 1
     seed: int = 0
     witness_out: str | None = None
     fmt: str = "text"
@@ -175,8 +176,7 @@ def _run_behaviours(job: Job) -> tuple[int, str]:
     src = cat.bounded_class(job.options.get("source") or cat.sole_class().name)
     tgt = cat.bounded_class(job.options.get("target") or src.name)
     level = job.k if job.k is not None else max(default_level(src), default_level(tgt))
-    bs = enumerate_behaviours(src, tgt, level, realize_cap=job.realize_cap,
-                              jobs=job.jobs)
+    bs = enumerate_behaviours(src, tgt, level, realize_cap=job.realize_cap)
     eff = job.realize_cap if job.realize_cap is not None else (
         default_realize_cap(bs[0]) if bs else None)
     rep = Report("behaviours")
@@ -262,7 +262,6 @@ def _parse_query_union(job: Job, p) -> OrbitUnion | None:
                        (Relation("q", arity, FormulaDef(phi)),))
         return compile_orbit_union(probe, "q")
     from .ktypes import parse_type
-    from .definability import split_type_columns
     members = []
     for chunk in split_type_columns(orbit_text):
         members.append(parse_type(p.base_out.signature, chunk))
@@ -298,8 +297,8 @@ def _run_definable(job: Job) -> tuple[int, str]:
         rep.data["caps"] = {"k": p.k, "arity_cap": verdict.arity_cap,
                             "realize_cap": verdict.realize_cap}
         if verdict.witness is not None:
-            rep.block("witness:", serialize_poly(verdict.witness))
-            rep.data["witness"] = serialize_poly(verdict.witness)
+            rep.block("witness:", serialize_behaviour(verdict.witness))
+            rep.data["witness"] = serialize_behaviour(verdict.witness)
         if job.witness_out:
             write_certificate(definable_certificate(c, p, verdict), job.witness_out)
             rep.line(f"certificate: {job.witness_out}")
@@ -393,8 +392,17 @@ def _run_verify(job: Job) -> tuple[int, str]:
 
 # -- argument parsing ------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the input-error code: argparse's own code 2
+    means PRECONDITION-FAILED here.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="agekit",
         description="decision engine for finitely bounded homogeneous classes")
     ap.add_argument("--version", action="version", version=__version__)
@@ -407,8 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--realize-cap", type=int, default=None, dest="realize_cap")
         p.add_argument("--arity-cap", type=int, default=None, dest="arity_cap")
         p.add_argument("--ap-cap", type=int, default=None, dest="ap_cap")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--witness-out", default=None, dest="witness_out")
         p.add_argument("--format", choices=("text", "json"), default="text",
@@ -465,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _job_from_args(args) -> Job:
     job = Job(command=args.command)
     for attr in ("files", "mode", "k", "realize_cap", "arity_cap", "ap_cap",
-                 "expand_arity", "jobs", "seed", "witness_out", "fmt"):
+                 "expand_arity", "seed", "witness_out", "fmt"):
         if hasattr(args, attr):
             val = getattr(args, attr)
             if attr == "files":
@@ -484,6 +490,11 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         code, report = run(job)
+    except InternalError as exc:
+        print(f"agekit {job.command}\ninternal error: {exc}\n"
+              "this is a bug in agekit, not a problem with the input",
+              file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     except AgekitError as exc:
         print(f"agekit {job.command}\nerror: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

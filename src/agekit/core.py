@@ -42,7 +42,8 @@ class CorePresentation:
     realize_cap: int | None
 
 
-def _require_flags(c: Reduct) -> None:
+def require_core_flags(c: Reduct) -> None:
+    """Core search needs the base class to assert homogeneity and Ramsey."""
     if not (c.base.homogeneous_asserted and c.base.ramsey_asserted):
         raise InputError(
             f"class {c.base.name} must assert homogeneous and ramsey for core search")
@@ -97,7 +98,7 @@ def carve_bounds(base: BoundedClass, image_types: frozenset[KType], k: int,
 def compute_core(c: Reduct, k: int | None = None,
                  realize_cap: int | None = None) -> CorePresentation:
     """Model-complete core of a reduct, with an optimal presentation."""
-    _require_flags(c)
+    require_core_flags(c)
     if k is None:
         k = default_level(c)
     if k < default_level(c):
@@ -139,7 +140,7 @@ def is_optimally_presented(c: Reduct, k: int | None = None,
                            realize_cap: int | None = None):
     """True iff every realizable relation-preserving endo-behaviour is surjective
     on k-types; otherwise returns a refuting (non-surjective) behaviour."""
-    _require_flags(c)
+    require_core_flags(c)
     if k is None:
         k = default_level(c)
     ntypes = len(enumerate_types(c.base, k))

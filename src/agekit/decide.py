@@ -19,7 +19,7 @@ from .canonical import (
     inverse,
     is_realizable,
 )
-from .core import CorePresentation, compute_core
+from .core import CorePresentation, compute_core, require_core_flags
 from .definability import ep_expand, pp_expand
 from .errors import InputError
 from .ktypes import default_level, enumerate_types
@@ -76,12 +76,6 @@ def _check_mode(mode: str) -> None:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _check_flags(c: Reduct) -> None:
-    if not (c.base.homogeneous_asserted and c.base.ramsey_asserted):
-        raise InputError(
-            f"class {c.base.name} must assert homogeneous and ramsey")
-
-
 def _expand(p: CorePresentation, mode: str, caps: Caps) -> Reduct:
     # fo and ep definability agree on model-complete cores
     if mode in ("fo", "ep"):
@@ -127,16 +121,15 @@ def default_caps(c: Reduct, d: Reduct, k: int | None = None,
 def decide_bidef(c: Reduct, d: Reduct, mode: str, k: int | None = None,
                  expand_arity: int | None = None,
                  realize_cap: int | None = None,
-                 arity_cap: int | None = None,
-                 jobs: int = 1) -> Verdict:
+                 arity_cap: int | None = None) -> Verdict:
     """Are the model-complete cores of c and d (fo/ep/pp)-bi-definable?
 
     In pp mode a NO is relative to the arity and realizability caps (and the
     verdict says so); YES answers always carry a re-checkable witness.
     """
     _check_mode(mode)
-    _check_flags(c)
-    _check_flags(d)
+    require_core_flags(c)
+    require_core_flags(d)
     caps = default_caps(c, d, k, expand_arity, realize_cap, arity_cap)
     pc = compute_core(c, caps.k, caps.realize_cap)
     pd = compute_core(d, caps.k, caps.realize_cap)
@@ -163,8 +156,7 @@ def decide_bidef(c: Reduct, d: Reduct, mode: str, k: int | None = None,
 
     candidates = [
         xi for xi in enumerate_behaviours(pc.base_out, pd.base_out, caps.k,
-                                          realize_cap=caps.realize_cap,
-                                          jobs=jobs)
+                                          realize_cap=caps.realize_cap)
         if xi.is_bijective()
     ]
     eta_ok: dict[Behaviour, Behaviour | None] = {}
@@ -194,8 +186,7 @@ def decide_biint(c: Reduct, d: Reduct, mode: str, k: int | None = None,
                  expand_arity: int | None = None,
                  realize_cap: int | None = None,
                  arity_cap: int | None = None,
-                 ap_cap: int | None = None,
-                 jobs: int = 1) -> Verdict:
+                 ap_cap: int | None = None) -> Verdict:
     """Bi-interpretability of the cores, reduced to bi-definability.
 
     Preconditions: both cores without algebraicity, checked through the
@@ -203,8 +194,8 @@ def decide_biint(c: Reduct, d: Reduct, mode: str, k: int | None = None,
     in pp mode additionally transitivity of both input base classes.
     """
     _check_mode(mode)
-    _check_flags(c)
-    _check_flags(d)
+    require_core_flags(c)
+    require_core_flags(d)
     caps = default_caps(c, d, k, expand_arity, realize_cap, arity_cap, ap_cap)
     pc = compute_core(c, caps.k, caps.realize_cap)
     pd = compute_core(d, caps.k, caps.realize_cap)
@@ -230,7 +221,7 @@ def decide_biint(c: Reduct, d: Reduct, mode: str, k: int | None = None,
                         f"amalgamation (no-algebraicity proxy) at cap {cap}"))
 
     verdict = decide_bidef(c, d, mode, caps.k, caps.expand_arity,
-                           caps.realize_cap, caps.arity_cap, jobs=jobs)
+                           caps.realize_cap, caps.arity_cap)
     return Verdict(verdict.answer, mode=mode, caps=caps, witness=verdict.witness,
                    reason=verdict.reason, core_c=pc, core_d=pd,
                    expanded_c=verdict.expanded_c, expanded_d=verdict.expanded_d,

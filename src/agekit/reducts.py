@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 from .ages import BoundedClass
 from .errors import InputError
-from .ktypes import KType, enumerate_types, serialize_type
+from .ktypes import KType, enumerate_types, serialize_type, type_index
 from .structures import (
     QfFormula,
     Signature,
@@ -118,12 +119,17 @@ def compiled_unions(c: Reduct) -> tuple[tuple[str, OrbitUnion], ...]:
 
 
 def behaviour_preserves_relation(xi, src: OrbitUnion, tgt: OrbitUnion) -> bool:
-    """True iff xi's induced map at the unions' arity sends src into tgt."""
+    """True iff xi's induced map at the unions' arity sends every tuple of
+    src members (one per argument) into tgt."""
     if src.arity != tgt.arity:
         raise InputError("behaviour_preserves_relation: arity mismatch")
     if src.arity > xi.k:
         raise InputError("behaviour_preserves_relation: behaviour level too small")
-    return all(xi.apply_type(p) in tgt.members for p in src.members)
+    idx = type_index(xi.source, src.arity)
+    types = enumerate_types(xi.target, src.arity)
+    members = sorted(idx[p] for p in src.members)
+    return all(types[xi.value(args, src.arity)] in tgt.members
+               for args in product(members, repeat=xi.arity))
 
 
 def render_reldef(base: BoundedClass, d: RelDef) -> str:

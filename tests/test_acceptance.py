@@ -16,16 +16,17 @@ from agekit.canonical import (
     compose,
     enumerate_behaviours,
     greedy_extension_probe,
+    is_realizable,
     serialize_behaviour,
 )
 from agekit.certs import bidef_certificate, definable_certificate
 from agekit.cli import main
 from agekit.core import compute_core, is_optimally_presented
 from agekit.decide import decide_bidef
-from agekit.definability import poly_is_realizable, poly_preserves_union, pp_definable
+from agekit.definability import pp_definable
 from agekit.ktypes import enumerate_types, serialize_type
 from agekit.parser import parse_input, render_class, render_reduct
-from agekit.reducts import OrbitUnion, compile_orbit_union
+from agekit.reducts import OrbitUnion, behaviour_preserves_relation, compile_orbit_union
 from agekit.structures import Signature, render_literal, structure
 from agekit.verify import VerificationFailure, _VBehaviour, verify_certificate
 from conftest import CATALOG_FILES, catalog_path, catalog_text
@@ -134,9 +135,10 @@ def test_criterion_6_pp_definability(catalog):
         assert w.arity == 2
         # componentwise-minimum signature: the pair ((<),(>)) collapses to (=)
         assert w.apply_types((types[1], types[2])) == types[0]
-        assert poly_preserves_union(w, OrbitUnion(2, frozenset({types[1]})))
-        assert not poly_preserves_union(w, neq)
-        assert poly_is_realizable(w, verdict.realize_cap)
+        lt = OrbitUnion(2, frozenset({types[1]}))
+        assert behaviour_preserves_relation(w, lt, lt)
+        assert not behaviour_preserves_relation(w, neq, neq)
+        assert is_realizable(w, verdict.realize_cap)
         cert = definable_certificate(c, p, verdict)
         notes = verify_certificate(cert)
         assert any("violates" in n for n in notes)

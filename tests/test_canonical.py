@@ -89,11 +89,6 @@ class TestEnumerateBehaviours:
             linord, linord, 2, table_filter=lambda xi: xi.is_identity())
         assert [b.table for b in only_id] == [(0, 1, 2)]
 
-    def test_parallel_enumeration_order_matches_sequential(self, graphs):
-        seq = enumerate_behaviours(graphs, graphs, 2, jobs=1)
-        par = enumerate_behaviours(graphs, graphs, 2, jobs=4)
-        assert seq == par
-
 
 class TestRealizability:
     def test_identity_realizable(self, linord):

@@ -206,6 +206,41 @@ class TestSubcommands:
         assert code == 0 and "verdict: OK" in out
 
 
+
+class TestExitCodes:
+    """Usage errors exit 3 like input errors (2 is PRECONDITION-FAILED);
+    an internal error exits 4 and says it is a bug."""
+
+    @pytest.mark.parametrize("argv", [
+        ["core", catalog_path("linord.cls"), "--reduct", "Qlt", "--k", "two"],
+        ["orbits", catalog_path("linord.cls"), "--no-such-flag"],
+        ["behaviours", catalog_path("linord.cls"), "--jobs", "4"],
+        ["no-such-command"],
+        [],
+    ])
+    def test_usage_error(self, argv):
+        r = subprocess.run([sys.executable, "-m", "agekit.cli", *argv],
+                           capture_output=True, text=True)
+        assert r.returncode == 3
+        assert "usage: agekit" in r.stderr and "error:" in r.stderr
+        assert "Traceback" not in r.stderr and r.stdout == ""
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["core", "--help"]])
+    def test_help_and_version_exit_0(self, argv):
+        r = subprocess.run([sys.executable, "-m", "agekit.cli", *argv],
+                           capture_output=True, text=True)
+        assert r.returncode == 0 and r.stdout and "Traceback" not in r.stderr
+
+    def test_internal_error(self, monkeypatch, capsys):
+        from agekit import core
+        monkeypatch.setattr(core, "qualifying_behaviours", lambda *args, **kwargs: ())
+        core.compute_core.cache_clear()
+        code = main(["core", catalog_path("linord.cls"), "--reduct", "Qlt"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "internal error: no qualifying behaviour" in captured.err
+        assert "bug" in captured.err
+
 class TestDeterminism:
     def test_reports_byte_identical_across_runs(self, capsys):
         argvs = (

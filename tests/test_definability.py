@@ -5,24 +5,20 @@ from itertools import product
 
 import pytest
 
+from agekit.canonical import (
+    enumerate_behaviours,
+    is_coherent,
+    is_compatible,
+    is_realizable,
+    parse_behaviour,
+    serialize_behaviour,
+)
 from agekit.certs import definable_certificate
 from agekit.core import compute_core
-from agekit.definability import (
-    PolymorphismBehaviour,
-    ep_expand,
-    enumerate_poly_behaviours,
-    parse_poly,
-    poly_is_coherent,
-    poly_is_compatible,
-    poly_is_realizable,
-    poly_preserves_union,
-    pp_definable,
-    pp_expand,
-    serialize_poly,
-)
+from agekit.definability import ep_expand, pp_definable, pp_expand
 from agekit.errors import InputError
 from agekit.ktypes import enumerate_types, serialize_type
-from agekit.reducts import OrbitUnion, compile_orbit_union
+from agekit.reducts import OrbitUnion, behaviour_preserves_relation, compile_orbit_union
 from agekit.verify import verify_certificate
 
 
@@ -89,28 +85,27 @@ class TestEpExpand:
 class TestPolymorphismBehaviours:
     def test_unary_polys_match_behaviours(self, linord):
         # arity-1 polymorphism behaviours are plain behaviours
-        from agekit.canonical import enumerate_behaviours
-        got = enumerate_poly_behaviours(linord, 1, 2)
+        got = enumerate_behaviours(linord, linord, 2, arity=1)
         assert {tuple(xi.table) for xi in got} == \
             {b.table for b in enumerate_behaviours(linord, linord, 2)}
 
     def test_projections_always_present(self, linord):
         types = enumerate_types(linord, 2)
         t = len(types)
-        got = enumerate_poly_behaviours(linord, 2, 2)
+        got = enumerate_behaviours(linord, linord, 2, arity=2)
         proj0 = tuple(a for a, b in product(range(t), repeat=2))
         proj1 = tuple(b for a, b in product(range(t), repeat=2))
         tables = {xi.table for xi in got}
         assert proj0 in tables and proj1 in tables
 
     def test_compatibility_and_coherence_checks(self, linord):
-        got = enumerate_poly_behaviours(linord, 2, 2)
+        got = enumerate_behaviours(linord, linord, 2, arity=2)
         for xi in got:
-            assert poly_is_compatible(xi) and poly_is_coherent(xi)
+            assert is_compatible(xi) and is_coherent(xi)
 
     def test_serialization_round_trip(self, linord):
-        for xi in enumerate_poly_behaviours(linord, 2, 2)[:5]:
-            assert parse_poly(serialize_poly(xi), linord, 2, 2) == xi
+        for xi in enumerate_behaviours(linord, linord, 2, arity=2)[:5]:
+            assert parse_behaviour(serialize_behaviour(xi), linord, linord, 2, arity=2) == xi
 
 
 class TestPpDefinable:
@@ -135,9 +130,10 @@ class TestPpDefinable:
         assert w.arity == 2
         # the componentwise-minimum signature: ((<),(>)) collapses to (=)
         assert w.apply_types((types[1], types[2])) == types[0]
-        assert poly_preserves_union(w, union_of(p.base_out, 2, 1))
-        assert not poly_preserves_union(w, neq)
-        assert poly_is_realizable(w, verdict.realize_cap)
+        lt = union_of(p.base_out, 2, 1)
+        assert behaviour_preserves_relation(w, lt, lt)
+        assert not behaviour_preserves_relation(w, neq, neq)
+        assert is_realizable(w, verdict.realize_cap)
 
     def test_leq_not_definable_in_qlt_core(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))

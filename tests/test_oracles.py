@@ -36,20 +36,17 @@ from agekit.canonical import (
     enumerate_behaviours,
     greedy_extension_probe,
     image_structure,
+    is_coherent,
+    is_realizable,
+    poly_image_structure,
     random_age_member,
     serialize_behaviour,
-)
-from agekit.definability import (
-    PolymorphismBehaviour,
-    _poly_sigma_constraints,
-    poly_image_structure,
-    poly_is_realizable,
-    serialize_poly,
 )
 from agekit.errors import IncoherentBehaviourError, InputError
 from agekit.ktypes import (
     _labeled_age_structures,
     enumerate_types,
+    restrict_type,
     serialize_type,
     type_index,
     type_indices,
@@ -344,7 +341,7 @@ def compatible_tables(source, target, k):
 
 def compatible_poly_tables(k, level, arity):
     t = len(enumerate_types(k, level))
-    checks, _ = _poly_sigma_constraints(k, level, arity)
+    checks = _sigma_constraints(k, k, level, arity)
     table, out = [-1] * t ** arity, []
 
     def rec(i):
@@ -398,12 +395,12 @@ class TestTypeIndices:
                 for p, v in zip(src, xi.table)))
         types = enumerate_types(linord, 2)
         for table in compatible_poly_tables(linord, 2, 2)[::50]:
-            xi = PolymorphismBehaviour(linord, 2, 2, table)
+            xi = Behaviour(linord, linord, 2, table, arity=2)
             lines = []
             for args in product(range(len(types)), repeat=2):
                 left = " | ".join(serialize_type(types[a]) for a in args)
                 lines.append(f"{left} -> {serialize_type(types[xi.value(args)])}")
-            assert serialize_poly(xi) == "\n".join(sorted(lines))
+            assert serialize_behaviour(xi) == "\n".join(sorted(lines))
 
 
 class TestImageKernel:
@@ -457,7 +454,7 @@ class TestImageKernel:
             rng = random.Random(2)
             tables = tables[::80] + [tuple(rng.randrange(nt) for _ in range(nt * nt))
                                      for _ in range(60)]
-        xis = [PolymorphismBehaviour(k, 2, level, t) for t in tables]
+        xis = [Behaviour(k, k, level, t, arity=2) for t in tables]
         types = {m: enumerate_types(k, m) for m in (1, 2, 3)}
         messages = set()
         for n in range(size + 1):
@@ -468,7 +465,7 @@ class TestImageKernel:
                     def image_type(t, xi=xi, pair=pair):
                         m = len(t)
                         args = tuple(src[s][t] for s in pair)
-                        return types[m][xi.level_value(args, m)]
+                        return types[m][xi.value(args, m)]
                     want = outcome(lambda: reference_image(
                         k.signature, n, image_type, single_collapses=True))
                     got = outcome(lambda: poly_image_structure(xi, pair))
@@ -511,10 +508,71 @@ class TestNoTypePerTuple:
     def test_poly_is_realizable(self, calls, linord):
         nt = len(enumerate_types(linord, 2))
         proj0 = tuple(a for a, b in product(range(nt), repeat=2))
-        assert poly_is_realizable(PolymorphismBehaviour(linord, 2, 2, proj0))
+        assert is_realizable(Behaviour(linord, linord, 2, proj0, arity=2))
         assert type_indices.cache_info().misses > 0
         assert calls[0] == 0
 
+
+class TestBehaviourSearch:
+    """enumerate_behaviours (arc-consistent domains, tables judged at the
+    leaf) against the plain row-by-row search followed by a per-tuple KType
+    coherence check and realizability: same tables, same sorted order."""
+
+    @staticmethod
+    def coherent_by_types(xi):
+        src = enumerate_types(xi.source, xi.k)
+        pair = {(p, i, j): restrict_type(p, (i, j))
+                for p in src for i in range(xi.k) for j in range(xi.k)}
+        for args in product(src, repeat=xi.arity):
+            collapse = [[xi.apply_types(pair[p, i, j] for p in args).degenerate_pair
+                         for j in range(xi.k)] for i in range(xi.k)]
+            for x, y, z in product(range(xi.k), repeat=3):
+                if not collapse[x][x] or collapse[x][y] != collapse[y][x]:
+                    return False
+                if collapse[x][y] and collapse[y][z] and not collapse[x][z]:
+                    return False
+        return True
+
+    def reference(self, cls, k, arity):
+        tables = (compatible_tables(cls, cls, k) if arity == 1
+                  else compatible_poly_tables(cls, k, arity))
+        xis = [Behaviour(cls, cls, k, t, arity) for t in tables]
+        kept = [xi for xi in xis if self.coherent_by_types(xi) and is_realizable(xi)]
+        return tuple(sorted(kept, key=serialize_behaviour))
+
+    @pytest.mark.parametrize("name,k", [(name, 2) for name in CLASSES]
+                             + [("graphs", 3), ("trifree", 3)])
+    def test_arity_one(self, catalog, name, k):
+        cls = catalog.bounded_class(name)
+        want = self.reference(cls, k, 1)
+        assert want
+        assert enumerate_behaviours(cls, cls, k) == want
+
+    def test_arity_two(self, linord):
+        want = self.reference(linord, 2, 2)
+        assert len(want) > 2  # more than the two projections
+        assert enumerate_behaviours(linord, linord, 2, arity=2) == want
+
+
+    @pytest.mark.parametrize("name", ["linord", "trifree"])
+    def test_coherence_of_perturbed_tables(self, catalog, name):
+        # every compatible level-3 table is coherent here, so flip single
+        # rows of them to reach incoherent ones, at arity 1 and 2
+        cls = catalog.bounded_class(name)
+        nt = len(enumerate_types(cls, 3))
+        rng = random.Random(5)
+        verdicts = set()
+        for arity in (1, 2):
+            tables = (compatible_tables(cls, cls, 3) if arity == 1
+                      else compatible_poly_tables(cls, 3, arity))
+            for table in tables:
+                for _ in range(3):
+                    row = list(table)
+                    row[rng.randrange(len(row))] = rng.randrange(nt)
+                    xi = Behaviour(cls, cls, 3, tuple(row), arity)
+                    verdicts.add((arity, is_coherent(xi)))
+                    assert is_coherent(xi) == self.coherent_by_types(xi), (arity, row)
+        assert verdicts == {(1, True), (1, False), (2, True), (2, False)}
 
 # -- anchored bound checks --------------------------------------------------------
 

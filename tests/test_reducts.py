@@ -111,8 +111,8 @@ class TestPaddingConvention:
                 pads = [(0, 0)]
                 for sigma in pads:
                     expanded = restrict_type(p, sigma)
-                    image = xi.apply_type(expanded)
-                    assert restrict_type(image, (0,)) == xi.apply_type(p)
+                    image = xi.apply_types((expanded,))
+                    assert restrict_type(image, (0,)) == xi.apply_types((p,))
 
     def test_serialized_unions_deterministic(self, catalog):
         u = compile_orbit_union(catalog.reduct("Qneq"), "neq")
