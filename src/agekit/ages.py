@@ -237,10 +237,6 @@ def _one_point_amalgam_exists(k, b0, b1, b2, strong) -> bool:
     return False
 
 
-def unconstrained_class(sig: Signature, name: str = "all") -> BoundedClass:
-    return BoundedClass(name, sig, ())
-
-
 def age_equal_upto(a: BoundedClass, b: BoundedClass, n: int) -> bool:
     """Same age members at every size up to n (canonical representatives)."""
     if a.signature != b.signature:

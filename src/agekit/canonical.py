@@ -31,6 +31,7 @@ from .ktypes import (
     type_index,
     type_indices,
 )
+from .parser import split_type_columns
 from .structures import FinStructure, embeds, empty_structure, induced
 
 
@@ -122,23 +123,6 @@ def serialize_behaviour(xi: Behaviour) -> str:
     return "\n".join(sorted(
         f"{' | '.join(src[a] for a in row)} -> {tgt[v]}"
         for row, v in zip(args, xi.table)))
-
-
-def split_type_columns(line: str) -> list[str]:
-    """Split at pipes outside type brackets (types contain pipes internally)."""
-    out, depth, cur = [], 0, []
-    for ch in line:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "|" and depth == 0:
-            out.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur).strip())
-    return out
 
 
 def parse_behaviour(text: str, source: BoundedClass, target: BoundedClass,
@@ -510,20 +494,22 @@ def random_age_member(k: BoundedClass, n: int, rng: random.Random) -> FinStructu
     """Grow a random age member of size <= n, locally filtering pair patterns."""
     singles, options = _local_pair_options(k)
     s = empty_structure(k.signature)
+    parts = []  # parts[x] is the one-point substructure of s at x
     while s.size < n:
-        grown = _random_extension(k, s, singles, options, rng)
+        grown = _random_extension(k, s, parts, singles, options, rng)
         if grown is None:
             break
-        s = grown
+        s, new_part = grown
+        parts.append(new_part)
     return s
 
 
-def _random_extension(k, s, singles, options, rng):
+def _random_extension(k, s, old_parts, singles, options, rng):
+    """s grown by one point, with that point's one-point part, or None."""
     if not singles:  # no one-point member: the age is {empty structure}
         return None
     size = s.size
     retries = 64 * (size + 2)
-    old_parts = [induced(s, (x,)) for x in range(size)]
     for _ in range(retries):
         new_part = rng.choice(singles)
         atoms = []
@@ -551,7 +537,8 @@ def _random_extension(k, s, singles, options, rng):
             tables[si].add(t)
         # s lies in the age, so only bound embeddings through the new point count
         if _in_age_through(k, tables, size + 1, (size,)):
-            return FinStructure(k.signature, size + 1, tuple(frozenset(tb) for tb in tables))
+            grown = FinStructure(k.signature, size + 1, tuple(frozenset(tb) for tb in tables))
+            return grown, new_part
     return None
 
 

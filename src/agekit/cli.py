@@ -21,7 +21,6 @@ from .canonical import (
     enumerate_behaviours,
     greedy_extension_probe,
     serialize_behaviour,
-    split_type_columns,
 )
 from .certs import (
     bidef_certificate,
@@ -35,7 +34,8 @@ from .decide import decide_bidef, decide_biint
 from .definability import ep_expand, pp_definable, pp_expand
 from .errors import AgekitError, InputError, InternalError
 from .ktypes import default_level, enumerate_types, serialize_type
-from .parser import Catalog, parse_formula, parse_input, render_class, render_reduct
+from .parser import (Catalog, parse_formula, parse_input, render_class,
+                     render_reduct, split_type_columns)
 from .reducts import OrbitUnion, compile_orbit_union, Reduct, Relation, FormulaDef
 from .structures import render_literal
 from .verify import VerificationFailure, verify_certificate
@@ -491,16 +491,20 @@ def main(argv=None) -> int:
     try:
         code, report = run(job)
     except InternalError as exc:
-        print(f"agekit {job.command}\ninternal error: {exc}\n"
-              "this is a bug in agekit, not a problem with the input",
-              file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
+        message = str(exc)
     except AgekitError as exc:
         print(f"agekit {job.command}\nerror: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    sys.stdout.write(report)
-    print(f"# elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
-    return code
+    except Exception as exc:  # RecursionError, MemoryError: an engine failure, never a NO
+        message = repr(exc)
+    else:
+        sys.stdout.write(report)
+        print(f"# elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
+        return code
+    print(f"agekit {job.command}\ninternal error: {message}\n"
+          "this is a bug in agekit, not a problem with the input",
+          file=sys.stderr)
+    return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

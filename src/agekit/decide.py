@@ -1,16 +1,16 @@
 """Top-level deciders: bi-definability and the bi-interpretability wrapper.
 
 Both inputs are taken to their model-complete cores and expanded by all
-mode-definable relations of bounded arity; the search then runs over
-arity-preserving signature matchings and pairs of mutually inverse
-realizable behaviours between the two optimal presentations, checking that
-matched relations are carried into each other in both directions.
+mode-definable relations of bounded arity.  On cores, a bijective realizable
+behaviour xi forces the signature matching: the relation with orbit union U
+goes to the relation with union xi(U), the lowest unused one among duplicate
+declarations.  The witness is the first xi, by matched positions and then by
+candidate order, whose inverse is realizable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
 
 from .ages import check_amalgamation, default_ap_cap
 from .canonical import (
@@ -22,8 +22,8 @@ from .canonical import (
 from .core import CorePresentation, compute_core, require_core_flags
 from .definability import ep_expand, pp_expand
 from .errors import InputError
-from .ktypes import default_level, enumerate_types
-from .reducts import Reduct, behaviour_preserves_relation, compiled_unions
+from .ktypes import default_level, enumerate_types, type_index
+from .reducts import Reduct, compiled_unions
 
 MODES = ("fo", "ep", "pp")
 
@@ -83,21 +83,32 @@ def _expand(p: CorePresentation, mode: str, caps: Caps) -> Reduct:
     return pp_expand(p, caps.expand_arity, caps.arity_cap, caps.realize_cap)
 
 
-def _matchings(crels, drels):
-    """Arity-preserving bijections, lexicographic by D-relation positions."""
-    arities = sorted({r.arity for r in crels})
-    by_c = {a: [r for r in crels if r.arity == a] for a in arities}
-    by_d = {a: [r for r in drels if r.arity == a] for a in arities}
-    if {r.arity for r in drels} != set(arities):
-        return
-    if any(len(by_c[a]) != len(by_d[a]) for a in arities):
-        return
-    pools = [permutations(by_d[a]) for a in arities]
-    for combo in product(*pools):
-        pairs = []
-        for a, perm in zip(arities, combo):
-            pairs.extend((c.name, d.name) for c, d in zip(by_c[a], perm))
-        yield tuple(sorted(pairs))
+def _masks(r: Reduct) -> list[tuple[int, int]]:
+    """(arity, bitmask of the orbit union over type indices) per relation."""
+    out = []
+    for _, u in compiled_unions(r):
+        idx = type_index(r.base, u.arity)
+        out.append((u.arity, sum(1 << idx[p] for p in u.members)))
+    return out
+
+
+def _forced_positions(xi: Behaviour, c_masks, d_index) -> tuple[int, ...] | None:
+    """The D position each C mask goes to under xi, in the order of c_masks,
+    or None when some image mask is not (or no longer) available in D."""
+    used: set[int] = set()
+    out = []
+    for arity, mask in c_masks:
+        level = xi.level_map(arity)
+        image = 0
+        for i, v in enumerate(level):
+            if mask >> i & 1:
+                image |= 1 << v
+        pos = next((q for q in d_index.get((arity, image), ()) if q not in used), None)
+        if pos is None:
+            return None
+        used.add(pos)
+        out.append(pos)
+    return tuple(out)
 
 
 def default_caps(c: Reduct, d: Reduct, k: int | None = None,
@@ -147,37 +158,29 @@ def decide_bidef(c: Reduct, d: Reduct, mode: str, k: int | None = None,
             f"type counts at k={caps.k} differ: {n_src} vs {n_tgt}"),
             **base_kwargs)
 
-    c_unions = dict(compiled_unions(cc))
-    d_unions = dict(compiled_unions(dd))
-    matchings = list(_matchings(cc.relations, dd.relations))
-    if not matchings:
+    if sorted(r.arity for r in cc.relations) != sorted(r.arity for r in dd.relations):
         return Verdict("NO", reason="no arity-preserving signature matching",
                        **base_kwargs)
+    c_masks = _masks(cc)
+    # arities ascending, declaration order within one arity (sorted is stable)
+    c_order = sorted(range(len(c_masks)), key=lambda i: c_masks[i][0])
+    c_masks = [c_masks[i] for i in c_order]
+    d_index: dict[tuple[int, int], list[int]] = {}
+    for q, key in enumerate(_masks(dd)):
+        d_index.setdefault(key, []).append(q)
 
     candidates = [
         xi for xi in enumerate_behaviours(pc.base_out, pd.base_out, caps.k,
                                           realize_cap=caps.realize_cap)
         if xi.is_bijective()
     ]
-    eta_ok: dict[Behaviour, Behaviour | None] = {}
-    for tau in matchings:
-        for xi in candidates:
-            if not all(
-                behaviour_preserves_relation(xi, c_unions[cn], d_unions[dn])
-                for cn, dn in tau
-            ):
-                continue
-            if xi not in eta_ok:
-                eta = inverse(xi)
-                eta_ok[xi] = eta if is_realizable(eta, caps.realize_cap) else None
-            eta = eta_ok[xi]
-            if eta is None:
-                continue
-            if not all(
-                behaviour_preserves_relation(eta, d_unions[dn], c_unions[cn])
-                for cn, dn in tau
-            ):
-                continue
+    forced = sorted((positions, n, xi) for n, xi in enumerate(candidates)
+                    if (positions := _forced_positions(xi, c_masks, d_index)) is not None)
+    for positions, _, xi in forced:
+        eta = inverse(xi)
+        if is_realizable(eta, caps.realize_cap):
+            tau = tuple(sorted((cc.relations[i].name, dd.relations[q].name)
+                               for i, q in zip(c_order, positions)))
             return Verdict("YES", witness=Witness(tau, xi, eta), **base_kwargs)
     return Verdict("NO", reason="no witness pair over any matching", **base_kwargs)
 

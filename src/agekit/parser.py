@@ -236,6 +236,23 @@ def _split_bracketed(inner: str, lineno: int):
     return [c for c in out if c]
 
 
+def split_type_columns(line: str) -> list[str]:
+    """Split at pipes outside type brackets (types contain pipes internally)."""
+    out, depth, cur = [], 0, []
+    for ch in line:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if ch == "|" and depth == 0:
+            out.append("".join(cur).strip())
+            cur = []
+        else:
+            cur.append(ch)
+    out.append("".join(cur).strip())
+    return out
+
+
 # -- formula parsing -----------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[()!&|=,])")

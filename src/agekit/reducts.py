@@ -62,13 +62,15 @@ class Reduct:
     base: BoundedClass
     relations: tuple[Relation, ...]
     _hash: int = field(init=False, repr=False, compare=False, default=0)
+    _by_name: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        names = [r.name for r in self.relations]
-        if len(set(names)) != len(names):
+        by_name = {r.name: r for r in self.relations}
+        if len(by_name) != len(self.relations):
             raise InputError(f"reduct {self.name}: duplicate relation names")
         for r in self.relations:
             validate_relation(r, self.base.signature)
+        object.__setattr__(self, "_by_name", by_name)
         # reducts key lru_caches; hashing every relation's types each lookup is costly
         object.__setattr__(self, "_hash", hash((self.name, self.base, self.relations)))
 
@@ -76,10 +78,9 @@ class Reduct:
         return self._hash
 
     def relation(self, name: str) -> Relation:
-        for r in self.relations:
-            if r.name == name:
-                return r
-        raise InputError(f"reduct {self.name}: no relation named {name!r}")
+        if name not in self._by_name:
+            raise InputError(f"reduct {self.name}: no relation named {name!r}")
+        return self._by_name[name]
 
     @property
     def max_arity(self) -> int:

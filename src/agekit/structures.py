@@ -315,10 +315,6 @@ def _in_explored_orbit(v: int, done: list, autos: list, label: list) -> bool:
     return not orbit.isdisjoint(done)
 
 
-def isomorphic(a: FinStructure, b: FinStructure) -> bool:
-    return a.size == b.size and embeds(a, b)
-
-
 def extension_slots(sig: Signature, new: int) -> tuple:
     """The (symbol, tuple) slots a new point `new` adds, in slot-bit order."""
     slots = _check_slots(sig, new + 1)[new]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import AgekitError, InputError
-from .parser import Catalog, parse_input
+from .parser import Catalog, parse_input, split_type_columns
 from .reducts import FormulaDef, OrbitsDef
 from .structures import (
     FinStructure,
@@ -449,22 +449,6 @@ def _verify_core(cert: dict) -> list[str]:
     return notes
 
 
-def _split_columns(line: str) -> list[str]:
-    out, depth, cur = [], 0, []
-    for ch in line:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "|" and depth == 0:
-            out.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur).strip())
-    return out
-
-
 def _verify_definable(cert: dict) -> list[str]:
     notes = []
     _parse_block(_field(cert, "input", str))
@@ -495,7 +479,7 @@ def _verify_definable(cert: dict) -> list[str]:
         if not sep:
             raise VerificationFailure(f"bad witness line {line!r}")
         args = tuple(_vparse_type(base.signature, c, "witness")
-                     for c in _split_columns(left))
+                     for c in split_type_columns(left))
         if len(args) != arity or any(a not in type_set for a in args):
             raise VerificationFailure(f"bad argument columns in {line!r}")
         table[args] = _vparse_type(base.signature, right, "witness")

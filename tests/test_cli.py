@@ -207,6 +207,26 @@ class TestSubcommands:
 
 
 
+class TestExpansionScale:
+    def test_arity_three_bidef_within_1gib(self):
+        # 8,199 expanded relations per side: the relation matching is forced
+        # by the behaviour, never searched over signature permutations
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        r = subprocess.run(
+            [sys.executable, "-m", "agekit.cli", "bidef", catalog_path("linord.cls"),
+             "--reducts", "Qlt", "QltRev", "--mode", "fo", "--k", "3", "--n", "3"],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+        assert r.returncode == 0, r.stderr
+        assert "verdict: YES" in r.stdout and "lt->rev" in r.stdout.split()
+        xi = r.stdout.split("witness xi:")[1].split("witness eta:")[0]
+        assert ("[{0}{1}{2}|size=3: lt(0,1) lt(0,2) lt(1,2)] -> "
+                "[{0}{1}{2}|size=3: lt(1,0) lt(2,0) lt(2,1)]") in xi
+
+
 class TestExitCodes:
     """Usage errors exit 3 like input errors (2 is PRECONDITION-FAILED);
     an internal error exits 4 and says it is a bug."""
@@ -231,15 +251,27 @@ class TestExitCodes:
                            capture_output=True, text=True)
         assert r.returncode == 0 and r.stdout and "Traceback" not in r.stderr
 
-    def test_internal_error(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("failure,message", [
+        (None, "internal error: no qualifying behaviour"),
+        (RecursionError("maximum recursion depth exceeded"), "internal error: RecursionError"),
+        (MemoryError(), "internal error: MemoryError"),
+    ], ids=["no-qualifying-behaviour", "recursion", "memory"])
+    def test_internal_error(self, monkeypatch, capsys, failure, message):
+        # an engine failure must never exit 1, the NO code
         from agekit import core
-        monkeypatch.setattr(core, "qualifying_behaviours", lambda *args, **kwargs: ())
+
+        def qualifying(*args, **kwargs):
+            if failure is not None:
+                raise failure
+            return ()
+
+        monkeypatch.setattr(core, "qualifying_behaviours", qualifying)
         core.compute_core.cache_clear()
         code = main(["core", catalog_path("linord.cls"), "--reduct", "Qlt"])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
-        assert "internal error: no qualifying behaviour" in captured.err
-        assert "bug" in captured.err
+        assert message in captured.err and "bug" in captured.err
+        assert "Traceback" not in captured.err
 
 class TestDeterminism:
     def test_reports_byte_identical_across_runs(self, capsys):

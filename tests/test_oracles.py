@@ -6,7 +6,8 @@ and _labeled_age_structures against a scan of every atom mask.  The
 type-index tables and the image kernel are checked against a KType built
 per tuple.  The anchored bound checks (_in_age_through, the amalgamation
 scan without mirrored diagrams, random_age_member) are checked against the
-full _in_age search.  Work guards count age-membership tests, amalgam
+full _in_age search.  decide_bidef's forced signature matching is checked
+against the search over every arity-preserving matching.  Work guards count age-membership tests, amalgam
 tests and per-tuple KTypes, so a silent fallback to the slow path fails
 without any timing.
 """
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agekit import ages, canonical, ktypes
+from agekit import ages, canonical, decide, ktypes
 from agekit.ages import (
     BoundedClass,
     _in_age,
@@ -31,6 +32,7 @@ from agekit.ages import (
 )
 from agekit.canonical import (
     Behaviour,
+    inverse,
     _sigma_constraints,
     default_realize_cap,
     enumerate_behaviours,
@@ -42,6 +44,7 @@ from agekit.canonical import (
     random_age_member,
     serialize_behaviour,
 )
+from agekit.core import compute_core
 from agekit.errors import IncoherentBehaviourError, InputError
 from agekit.ktypes import (
     _labeled_age_structures,
@@ -59,9 +62,12 @@ from agekit.structures import (
     canonical_form,
     empty_structure,
     enumerate_structures,
+    induced,
     one_point_extensions,
     structure,
 )
+from agekit.parser import parse_input
+from agekit.reducts import behaviour_preserves_relation, compiled_unions
 from conftest import CATALOG_FILES
 
 CLASSES = [name[:-len(".cls")] for name in CATALOG_FILES]
@@ -687,6 +693,10 @@ class TestAnchoredBoundChecks:
         runs += [(k, 5) for k in random_classes()]
         got = [random_age_member(k, n, random.Random(seed))
                for k, n in runs for seed in range(20)]
+        # reference: full bound search, one-point parts rebuilt per extension
+        real = canonical._random_extension
+        monkeypatch.setattr(canonical, "_random_extension", lambda k, s, parts, *rest: real(
+            k, s, [induced(s, (x,)) for x in range(s.size)], *rest))
         monkeypatch.setattr(canonical, "_in_age_through", full_in_age)
         assert got == [random_age_member(k, n, random.Random(seed))
                        for k, n in runs for seed in range(20)]
@@ -720,3 +730,109 @@ class TestAnchoredBoundChecks:
         full_checks = calls[0]
         bases = sum(len(enumerate_age(trifree, n)) for n in range(6))
         assert 0 < full_checks <= bases
+
+
+# -- forced signature matching --------------------------------------------------
+
+def reference_matchings(crels, drels):
+    """Arity-preserving bijections, lexicographic by D-relation positions."""
+    arities = sorted({r.arity for r in crels})
+    by_c = {a: [r for r in crels if r.arity == a] for a in arities}
+    by_d = {a: [r for r in drels if r.arity == a] for a in arities}
+    if {r.arity for r in drels} != set(arities):
+        return
+    if any(len(by_c[a]) != len(by_d[a]) for a in arities):
+        return
+    pools = [permutations(by_d[a]) for a in arities]
+    for combo in product(*pools):
+        pairs = []
+        for a, perm in zip(arities, combo):
+            pairs.extend((c.name, d.name) for c, d in zip(by_c[a], perm))
+        yield tuple(sorted(pairs))
+
+
+def reference_bidef(c, d, mode, k=None):
+    """decide_bidef searching every matching against every bijective candidate,
+    as (answer, reason, matching, xi, eta)."""
+    caps = decide.default_caps(c, d, k)
+    pc = compute_core(c, caps.k, caps.realize_cap)
+    pd = compute_core(d, caps.k, caps.realize_cap)
+    cc = decide._expand(pc, mode, caps)
+    dd = decide._expand(pd, mode, caps)
+    n_src = len(enumerate_types(pc.base_out, caps.k))
+    n_tgt = len(enumerate_types(pd.base_out, caps.k))
+    if n_src != n_tgt:
+        return ("NO", f"type counts at k={caps.k} differ: {n_src} vs {n_tgt}",
+                None, None, None)
+    c_unions = dict(compiled_unions(cc))
+    d_unions = dict(compiled_unions(dd))
+    matchings = list(reference_matchings(cc.relations, dd.relations))
+    if not matchings:
+        return ("NO", "no arity-preserving signature matching", None, None, None)
+    candidates = [xi for xi in enumerate_behaviours(pc.base_out, pd.base_out, caps.k,
+                                                    realize_cap=caps.realize_cap)
+                  if xi.is_bijective()]
+    for tau in matchings:
+        for xi in candidates:
+            if not all(behaviour_preserves_relation(xi, c_unions[cn], d_unions[dn])
+                       for cn, dn in tau):
+                continue
+            eta = inverse(xi)
+            if not is_realizable(eta, caps.realize_cap):
+                continue
+            if all(behaviour_preserves_relation(eta, d_unions[dn], c_unions[cn])
+                   for cn, dn in tau):
+                return ("YES", "", tau, xi, eta)
+    return ("NO", "no witness pair over any matching", None, None, None)
+
+
+# duplicate declarations: the identity needs a second lt in Dup2, so only
+# the reversal pairs them, each relation with the lowest unused position
+DUPLICATES = """
+reduct Dup1 over linord
+  rel a/2 := lt(x0,x1)
+  rel b/2 := lt(x1,x0)
+  rel c/2 := lt(x0,x1)
+end
+
+reduct Dup2 over linord
+  rel p/2 := lt(x1,x0)
+  rel q/2 := lt(x0,x1)
+  rel r/2 := lt(x1,x0)
+end
+"""
+
+
+class TestForcedMatching:
+    """decide_bidef pairs relations by the images each bijective xi forces;
+    the search over every arity-preserving matching is the reference."""
+
+    @staticmethod
+    def outcomes(catalog, names, modes):
+        cat = parse_input(DUPLICATES, catalog)
+        got, want = [], []
+        for mode in modes:
+            for a, b in product(names, repeat=2):
+                c, d = cat.reduct(a), cat.reduct(b)
+                v = decide.decide_bidef(c, d, mode)
+                w = v.witness
+                got.append((a, b, mode, v.answer, v.reason, w and w.matching,
+                            w and w.xi, w and w.eta))
+                want.append((a, b, mode, *reference_bidef(c, d, mode)))
+        return got, want
+
+    def test_linord_and_point(self, catalog):
+        got, want = self.outcomes(
+            catalog, ("Qlt", "QltRev", "Qleq", "Qneq", "Pt", "Dup1", "Dup2"),
+            ("fo", "ep", "pp"))
+        assert got == want
+        answers = {g[3] for g in got}
+        assert answers == {"YES", "NO"}
+        assert any(g[3] == "YES" and any(cn != dn for cn, dn in g[5]) for g in got)
+        dup = [g for g in got if g[:2] == ("Dup1", "Dup2")]
+        assert all(g[3] == "YES" and g[6].table == (0, 2, 1)
+                   and {("a", "p"), ("b", "q"), ("c", "r")} <= set(g[5]) for g in dup)
+
+    def test_graph_classes(self, catalog):
+        got, want = self.outcomes(catalog, ("Rg", "Tf", "Kww", "M1"), ("fo", "pp"))
+        assert got == want
