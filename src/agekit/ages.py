@@ -16,10 +16,10 @@ from .structures import (
     FinStructure,
     Signature,
     apply_perm,
+    augment,
     canonical_form,
     embeds,
     empty_structure,
-    encode_key,
     extension_slots,
     find_embedding,
     sort_key,
@@ -111,11 +111,7 @@ def enumerate_age(k: BoundedClass, n: int) -> tuple[FinStructure, ...]:
         raise InputError("enumerate_age: n must be >= 0")
     if n == 0:
         return (empty_structure(k.signature),)
-    seen = set()
-    for base in enumerate_age(k, n - 1):
-        for ext in age_extensions(k, base):
-            seen.add(canonical_form(ext))
-    return tuple(sorted(seen, key=encode_key))
+    return augment(enumerate_age(k, n - 1), lambda base: age_extensions(k, base))
 
 
 def age_extensions(k: BoundedClass, base: FinStructure) -> tuple[FinStructure, ...]:
@@ -127,9 +123,12 @@ def age_extensions(k: BoundedClass, base: FinStructure) -> tuple[FinStructure, .
     structure induced on {0..i, new} leaves the age.  That is exact by
     heredity: a bound that embeds into that induced structure embeds into
     every extension of the branch.  The last stage checks the whole
-    extension, and the survivors are sorted back into slot-bit order.  As
-    base lies in the age, each test only searches for bound embeddings
-    through the new point; a base outside the age has no extension in it.
+    extension, and the survivors are sorted back into slot-bit order.  Each
+    test only searches for bound embeddings through the new point and the
+    old point just decided against, if any: dropping the new point leaves a
+    prefix of base, which lies in the age, and dropping that old point
+    leaves a structure the step before kept.  A base outside the age has no
+    extension in it.
     """
     if not _in_age(k, base):
         return ()
@@ -156,7 +155,7 @@ def age_extensions(k: BoundedClass, base: FinStructure) -> tuple[FinStructure, .
                 tables = [set(t) for t in prefix]
                 for si, t in ch:
                     tables[si].add(tuple(i if v == new else v for v in t))
-                if _in_age_through(k, tables, i + 1, (i,)):
+                if _in_age_through(k, tables, i + 1, (i, i - 1) if i else (0,)):
                     survivors.append((b, ch, tables))
         branches = [(b, ch) for b, ch, _ in survivors]
     survivors.sort(key=lambda x: x[0])
@@ -235,10 +234,3 @@ def _one_point_amalgam_exists(k, b0, b1, b2, strong) -> bool:
         if _in_age_through(k, cand, s + 2, (s, s + 1)):
             return True
     return False
-
-
-def age_equal_upto(a: BoundedClass, b: BoundedClass, n: int) -> bool:
-    """Same age members at every size up to n (canonical representatives)."""
-    if a.signature != b.signature:
-        return False
-    return all(enumerate_age(a, i) == enumerate_age(b, i) for i in range(n + 1))

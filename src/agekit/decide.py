@@ -126,6 +126,9 @@ def default_caps(c: Reduct, d: Reduct, k: int | None = None,
         expand_arity = n
     if expand_arity < n:
         raise InputError(f"expansion arity must be >= {n}")
+    if expand_arity > k:
+        raise InputError(f"--n {expand_arity} exceeds --k {k}: the behaviour level "
+                         f"must cover every expanded arity")
     return Caps(k, expand_arity, realize_cap, arity_cap, ap_cap)
 
 

@@ -18,6 +18,17 @@ determines the structure, so every least labelling yields the same
 canonical form.  The rendered literal of the canonical form lists atoms in
 the same (symbol-major, tuple-lex) order, so canonical literals are
 byte-portable.
+
+Isomorph-free generation
+------------------------
+augment grows the members of size n of a hereditary class from its
+canonical members of size n - 1 by one-point extension.  An extension is
+canonicalized only if its new point has the greatest profile, an
+isomorphism-invariant count of the tuples each point occurs in; every
+member arises that way from the member left by deleting a point of
+greatest profile.  The canonical forms are deduplicated and sorted by
+encoding, so the result equals canonicalizing every extension.
+enumerate_structures and ages.enumerate_age both generate this way.
 """
 
 from __future__ import annotations
@@ -338,17 +349,58 @@ def one_point_extensions(s: FinStructure):
 
 
 @lru_cache(maxsize=None)
+def _occurrences(si: int, t: tuple[int, ...]) -> tuple:
+    """(point, (symbol, equality pattern, first position)) per distinct point of t."""
+    pattern = tuple(t.index(v) for v in t)
+    return tuple((v, (si, pattern, p)) for p, v in enumerate(t) if pattern[p] == p)
+
+
+def _profiles(tables, n: int) -> list:
+    """An isomorphism-invariant profile per point of raw tables on n points.
+
+    A point's profile counts the tuples it occurs in, per symbol, equality
+    pattern of the tuple and first position of the point in it.  It is the
+    sorted tuple of (key, count) items, and profiles compare as such.
+    """
+    counts: list[dict] = [{} for _ in range(n)]
+    for si, table in enumerate(tables):
+        for t in table:
+            for v, key in _occurrences(si, t):
+                c = counts[v]
+                c[key] = c.get(key, 0) + 1
+    return [tuple(sorted(c.items())) for c in counts]
+
+
+def augment(bases, extensions) -> tuple[FinStructure, ...]:
+    """One canonical representative per isomorphism class of one-point extensions.
+
+    bases holds a representative of every isomorphism class of size n - 1
+    of a hereditary class, and extensions(base) every labelled one-point
+    extension of base in the class (new point n - 1).  Only an extension
+    whose new point has the greatest profile goes to canonical_form.
+    Profiles are isomorphism-invariant, so every member X of size n has a
+    point m of greatest profile; X - m is in the class by heredity, some
+    base is isomorphic to it, and that base's extension at m is isomorphic
+    to X and passes.  The canonical forms are deduplicated and sorted by
+    encoding.
+    """
+    seen = set()
+    for base in bases:
+        for ext in extensions(base):
+            profiles = _profiles(ext.tables, ext.size)
+            if profiles[-1] == max(profiles):
+                seen.add(canonical_form(ext))
+    return tuple(sorted(seen, key=encode_key))
+
+
+@lru_cache(maxsize=None)
 def enumerate_structures(sig: Signature, n: int) -> tuple[FinStructure, ...]:
     """One canonical representative per isomorphism class of size n."""
     if n < 0:
         raise InputError("enumerate_structures: n must be >= 0")
     if n == 0:
         return (empty_structure(sig),)
-    seen = set()
-    for base in enumerate_structures(sig, n - 1):
-        for ext in one_point_extensions(base):
-            seen.add(canonical_form(ext))
-    return tuple(sorted(seen, key=encode_key))
+    return augment(enumerate_structures(sig, n - 1), one_point_extensions)
 
 
 # -- structure literals -------------------------------------------------------

@@ -4,6 +4,7 @@ from importlib import resources
 
 import pytest
 
+from agekit.ages import BoundedClass, enumerate_age
 from agekit.parser import Catalog, parse_input
 
 CATALOG_FILES = ("linord.cls", "graphs.cls", "trifree.cls", "bipartite.cls",
@@ -16,6 +17,13 @@ def catalog_text(name: str) -> str:
 
 def catalog_path(name: str) -> str:
     return str(resources.files("agekit.catalog").joinpath(name))
+
+
+def age_equal_upto(a: BoundedClass, b: BoundedClass, n: int) -> bool:
+    """Same age members at every size up to n (canonical representatives)."""
+    if a.signature != b.signature:
+        return False
+    return all(enumerate_age(a, i) == enumerate_age(b, i) for i in range(n + 1))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from agekit.ages import age_equal_upto, enumerate_age
+from agekit.ages import enumerate_age
 from agekit.canonical import (
     Behaviour,
     compose,
@@ -29,7 +29,7 @@ from agekit.parser import parse_input, render_class, render_reduct
 from agekit.reducts import OrbitUnion, behaviour_preserves_relation, compile_orbit_union
 from agekit.structures import Signature, render_literal, structure
 from agekit.verify import VerificationFailure, _VBehaviour, verify_certificate
-from conftest import CATALOG_FILES, catalog_path, catalog_text
+from conftest import CATALOG_FILES, age_equal_upto, catalog_path, catalog_text
 
 GOLDEN = Path(__file__).parent / "golden"
 ALL_REDUCTS = ("Qlt", "Qleq", "QltRev", "Qneq", "Rg", "Tf", "Kww", "M1", "Pt")

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -244,6 +245,18 @@ class TestExitCodes:
         assert r.returncode == 3
         assert "usage: agekit" in r.stderr and "error:" in r.stderr
         assert "Traceback" not in r.stderr and r.stdout == ""
+
+    def test_expansion_arity_above_level(self):
+        # rejected before either side is expanded to 8,199 relations
+        start = time.monotonic()
+        r = subprocess.run(
+            [sys.executable, "-m", "agekit.cli", "bidef", catalog_path("linord.cls"),
+             "--reducts", "Qlt", "QltRev", "--k", "2", "--n", "3"],
+            capture_output=True, text=True, timeout=60)
+        assert time.monotonic() - start < 1.0
+        assert r.returncode == 3 and r.stdout == ""
+        assert "--n 3" in r.stderr and "--k 2" in r.stderr
+        assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["core", "--help"]])
     def test_help_and_version_exit_0(self, argv):

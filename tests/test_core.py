@@ -3,13 +3,14 @@ idempotence, witness minimality and uniqueness."""
 
 import pytest
 
-from agekit.ages import age_equal_upto, enumerate_age
+from agekit.ages import enumerate_age
 from agekit.canonical import serialize_behaviour
 from agekit.core import compute_core, is_optimally_presented, qualifying_behaviours
 from agekit.errors import InputError
 from agekit.ktypes import enumerate_types
 from agekit.reducts import compile_orbit_union
 from agekit.structures import Signature, render_literal, structure
+from conftest import age_equal_upto
 
 GSIG = Signature((("E", 2),))
 

@@ -1,19 +1,22 @@
 """The fast paths against the brute-force algorithms they replace.
 
 canonical_form is checked against the lex-least relabelling over all n!
-permutations, age_extensions against filtering every one-point extension,
+permutations, enumerate_age and enumerate_structures against
+canonicalizing every one-point extension, age_extensions against
+filtering every one-point extension,
 and _labeled_age_structures against a scan of every atom mask.  The
 type-index tables and the image kernel are checked against a KType built
 per tuple.  The anchored bound checks (_in_age_through, the amalgamation
 scan without mirrored diagrams, random_age_member) are checked against the
 full _in_age search.  decide_bidef's forced signature matching is checked
-against the search over every arity-preserving matching.  Work guards count age-membership tests, amalgam
-tests and per-tuple KTypes, so a silent fallback to the slow path fails
-without any timing.
+against the search over every arity-preserving matching.  Work guards
+count canonical forms, age-membership tests, amalgam tests and per-tuple
+KTypes, so a silent fallback to the slow path fails without any timing.
 """
 
 import random
 import sys
+from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
@@ -61,6 +64,7 @@ from agekit.structures import (
     apply_perm,
     canonical_form,
     empty_structure,
+    encode_key,
     enumerate_structures,
     induced,
     one_point_extensions,
@@ -233,7 +237,47 @@ def test_automorphisms_fixing_the_labelled_points_only():
         assert canonical_form(s) == brute_canonical_form(s)
 
 
+def reference_generation(bases, extensions) -> tuple[FinStructure, ...]:
+    """The canonical forms of every extension of every base, without a gate."""
+    seen = {canonical_form(e) for base in bases for e in extensions(base)}
+    return tuple(sorted(seen, key=encode_key))
+
+
+@lru_cache(maxsize=None)
+def reference_structures(sig: Signature, n: int) -> tuple[FinStructure, ...]:
+    if n == 0:
+        return (empty_structure(sig),)
+    return reference_generation(reference_structures(sig, n - 1), one_point_extensions)
+
+
+@st.composite
+def small_signatures(draw) -> tuple[Signature, int]:
+    """One or two unary and binary symbols, the last perhaps ternary instead,
+    and a size up to 4 with at most 2^16 labelled structures."""
+    arities = draw(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        arities[-1] = 3
+    sig = Signature(tuple((f"S{i}", a) for i, a in enumerate(arities)))
+    top = max(n for n in range(5) if sum(n ** a for a in arities) <= 16)
+    return sig, draw(st.integers(0, top))
+
+
 class TestAgeGeneration:
+    @pytest.mark.parametrize("name", CLASSES)
+    def test_enumerate_age_equals_every_extension_canonicalized(self, catalog, name):
+        k = catalog.bounded_class(name)
+        top = 7 if name in ("linord", "maxdeg1", "point", "bipartite") else 6
+        members = (empty_structure(k.signature),)
+        for n in range(1, top + 1):
+            members = reference_generation(members, lambda base: age_extensions(k, base))
+            assert enumerate_age(k, n) == members
+
+    @ORACLE_SETTINGS
+    @given(small_signatures())
+    def test_enumerate_structures_equal_every_extension_canonicalized(self, drawn):
+        sig, n = drawn
+        assert enumerate_structures(sig, n) == reference_structures(sig, n)
+
     def test_age_extensions_equal_filtered_extensions(self, catalog):
         for name in CLASSES:
             k = catalog.bounded_class(name)
@@ -256,6 +300,14 @@ class TestAgeGeneration:
         enumerate_age.cache_clear()
         enumerate_age(graphs, 6)
         assert _in_age.cache_info().misses <= 5000
+
+    def test_canonical_form_work_guard(self, graphs):
+        # canonicalizing every extension takes 1,307 canonical forms here;
+        # the profile gate lets 442 extensions through
+        canonical_form.cache_clear()
+        enumerate_age.cache_clear()
+        enumerate_age(graphs, 6)
+        assert canonical_form.cache_info().misses <= 500
 
 
 # -- type-index tables and the image kernel -------------------------------------
