@@ -28,10 +28,8 @@ from .ktypes import (
     restrict_index_map,
     serialized_types,
     symbol_holds,
-    type_index,
     type_indices,
 )
-from .parser import split_type_columns
 from .structures import FinStructure, embeds, empty_structure, induced
 
 
@@ -94,19 +92,6 @@ class Behaviour:
             flat = flat * nm + a
         return self.level_map(level)[flat]
 
-    def apply_types(self, ptypes) -> KType:
-        ptypes = tuple(ptypes)
-        level = ptypes[0].k
-        if any(p.k != level for p in ptypes):
-            raise InputError("argument types must share one level")
-        idx = type_index(self.source, level)
-        v = self.value([idx[p] for p in ptypes], level)
-        return enumerate_types(self.target, level)[v]
-
-    def is_identity(self) -> bool:
-        return (self.source == self.target
-                and self.table == tuple(range(len(self.table))))
-
     def is_bijective(self) -> bool:
         tgt = enumerate_types(self.target, self.k)
         return len(set(self.table)) == len(self.table) == len(tgt)
@@ -125,50 +110,10 @@ def serialize_behaviour(xi: Behaviour) -> str:
         for row, v in zip(args, xi.table)))
 
 
-def parse_behaviour(text: str, source: BoundedClass, target: BoundedClass,
-                    k: int, arity: int = 1) -> Behaviour:
-    from .ktypes import parse_type
-    src_index = type_index(source, k)
-    tgt_index = type_index(target, k)
-    table = [-1] * len(src_index) ** arity
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        left, sep, right = line.partition("->")
-        if not sep:
-            raise InputError(f"bad behaviour line: {line!r}")
-        parts = split_type_columns(left)
-        if len(parts) != arity:
-            raise InputError(f"expected {arity} argument columns: {line!r}")
-        flat = 0
-        for part in parts:
-            p = parse_type(source.signature, part)
-            if p not in src_index:
-                raise InputError(f"unknown source type {part!r}")
-            flat = flat * len(src_index) + src_index[p]
-        q = parse_type(target.signature, right.strip())
-        if q not in tgt_index:
-            raise InputError(f"unknown target type {right.strip()!r}")
-        if table[flat] != -1:
-            raise InputError(f"duplicate row for {left.strip()!r}")
-        table[flat] = tgt_index[q]
-    if -1 in table:
-        raise InputError("behaviour table is not total")
-    return Behaviour(source, target, k, tuple(table), arity)
-
-
+@lru_cache(maxsize=None)
 def identity_behaviour(k: BoundedClass, level: int) -> Behaviour:
     n = len(enumerate_types(k, level))
     return Behaviour(k, k, level, tuple(range(n)))
-
-
-def is_compatible(xi: Behaviour) -> bool:
-    """Restricting every argument along a self-map of positions restricts the value."""
-    table = xi.table
-    return all(table[j] == rt[table[p]]
-               for checks in _sigma_constraints(xi.source, xi.target, xi.k, xi.arity)
-               for p, j, rt in checks)
 
 
 def is_coherent(xi: Behaviour) -> bool:
@@ -188,19 +133,6 @@ def is_coherent(xi: Behaviour) -> bool:
     return not any(
         _equivalence_failure([flags[i * k:(i + 1) * k] for i in range(k)])
         for flags in set(zip(*columns)))
-
-
-def compose(eta: Behaviour, xi: Behaviour) -> Behaviour:
-    """eta after xi; classes and levels must chain."""
-    if xi.target != eta.source:
-        raise InputError("compose: xi.target must equal eta.source")
-    if xi.k != eta.k:
-        raise InputError("compose: levels differ")
-    out = Behaviour(xi.source, eta.target, xi.k,
-                    tuple(eta.table[v] for v in xi.table))
-    if not is_compatible(out) or not is_coherent(out):
-        raise IncoherentBehaviourError("composition produced an invalid table")
-    return out
 
 
 def inverse(xi: Behaviour) -> Behaviour:
@@ -413,22 +345,22 @@ def _propagate_domains(source: BoundedClass, target: BoundedClass, k: int,
 
 
 def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,
-                         table_filter=None, realize_cap: int | None = None,
-                         arity: int = 1,
-                         pins: dict[int, frozenset[int]] | None = None,
+                         realize_cap: int | None = None, arity: int = 1,
+                         domains: list[set[int]] | None = None,
                          check_realizable: bool = True) -> tuple[Behaviour, ...]:
     """Every compatible, coherent (and by default realizable) behaviour of
     the arity at level k, sorted by serialization.
 
-    Tables are searched row by row over arc-consistent domains, narrowed by
-    the optional per-row pins, with fail-fast compatibility pruning.  Each
-    full table is judged in turn for coherence, by the optional table_filter
-    and by the (most expensive) realizability check.
+    Tables are searched row by row over arc-consistent per-row domains
+    (given, or propagated from the σ-constraints alone) with fail-fast
+    compatibility pruning.  Each full table is judged for coherence and
+    then by the (most expensive) realizability check.
     """
     if k < max(source.signature.max_arity, target.signature.max_arity):
         raise InputError("enumerate_behaviours: k below a signature arity")
     checks = _sigma_constraints(source, target, k, arity)
-    domains = _propagate_domains(source, target, k, arity, pins or {})
+    if domains is None:
+        domains = _propagate_domains(source, target, k, arity, {})
     if domains is None:
         return ()
     domains = [sorted(d) for d in domains]
@@ -439,11 +371,8 @@ def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,
     def rec(i: int):
         if i == nrows:
             xi = Behaviour(source, target, k, tuple(table), arity)
-            if not is_coherent(xi):
-                return
-            if table_filter is not None and not table_filter(xi):
-                return
-            if not check_realizable or is_realizable(xi, realize_cap):
+            if is_coherent(xi) and (not check_realizable
+                                    or is_realizable(xi, realize_cap)):
                 out.append(xi)
             return
         for v in domains[i]:

@@ -14,7 +14,7 @@ from . import __version__
 from .canonical import default_realize_cap, serialize_behaviour
 from .core import CorePresentation
 from .decide import Verdict
-from .definability import PPVerdict
+from .definability import DefinableVerdict
 from .errors import InputError
 from .ktypes import serialize_type
 from .parser import render_class, render_reduct
@@ -90,7 +90,7 @@ def core_certificate(c: Reduct, p: CorePresentation) -> dict:
 
 
 def definable_certificate(c: Reduct, p: CorePresentation,
-                          verdict: PPVerdict) -> dict:
+                          verdict: DefinableVerdict) -> dict:
     cert = {
         "format": FORMAT,
         "kind": "definable",

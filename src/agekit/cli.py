@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -30,10 +29,10 @@ from .certs import (
     write_certificate,
 )
 from .core import compute_core, is_optimally_presented
-from .decide import decide_bidef, decide_biint
-from .definability import ep_expand, pp_definable, pp_expand
+from .decide import decide_bidef, decide_biint, default_caps
+from .definability import definable, expand
 from .errors import AgekitError, InputError, InternalError
-from .ktypes import default_level, enumerate_types, serialize_type
+from .ktypes import default_level, enumerate_types, parse_type, serialize_type
 from .parser import (Catalog, parse_formula, parse_input, render_class,
                      render_reduct, split_type_columns)
 from .reducts import OrbitUnion, compile_orbit_union, Reduct, Relation, FormulaDef
@@ -45,22 +44,6 @@ EXIT_NO = 1
 EXIT_PRECONDITION = 2
 EXIT_INPUT_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
-
-
-@dataclass
-class Job:
-    command: str
-    files: list[str] = field(default_factory=list)
-    mode: str = "fo"
-    k: int | None = None
-    realize_cap: int | None = None
-    arity_cap: int | None = None
-    ap_cap: int | None = None
-    expand_arity: int | None = None
-    seed: int = 0
-    witness_out: str | None = None
-    fmt: str = "text"
-    options: dict = field(default_factory=dict)
 
 
 def _load(files) -> Catalog:
@@ -103,8 +86,8 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
-def run(job: Job) -> tuple[int, str]:
-    """Dispatch a job; returns (exit code, report text)."""
+def run(args: argparse.Namespace) -> tuple[int, str]:
+    """Dispatch parsed arguments; returns (exit code, report text)."""
     handler = {
         "check": _run_check,
         "orbits": _run_orbits,
@@ -115,18 +98,18 @@ def run(job: Job) -> tuple[int, str]:
         "biint": _run_decide,
         "verify": _run_verify,
         "probe": _run_probe,
-    }[job.command]
-    return handler(job)
+    }[args.command]
+    return handler(args)
 
 
-def _run_check(job: Job) -> tuple[int, str]:
-    cat = _load(job.files)
+def _run_check(args: argparse.Namespace) -> tuple[int, str]:
+    cat = _load(args.files)
     rep = Report("check")
     rep.data["classes"] = {}
     worst = EXIT_YES
     for name in sorted(cat.classes):
         k = cat.classes[name]
-        cap = job.ap_cap if job.ap_cap is not None else default_ap_cap(k)
+        cap = args.ap_cap if args.ap_cap is not None else default_ap_cap(k)
         rep.line(f"class {name}: {len(k.bounds)} bounds "
                  f"(sizes {min((b.size for b in k.bounds), default=0)}"
                  f"..{k.max_bound_size})")
@@ -147,18 +130,13 @@ def _run_check(job: Job) -> tuple[int, str]:
         rep.data["classes"][name] = entry
     rep.line(f"verdict: {'OK' if worst == EXIT_YES else 'AMALGAMATION-FAILURE'}",
              "verdict", "OK" if worst == EXIT_YES else "AMALGAMATION-FAILURE")
-    return worst, rep.emit(job.fmt)
+    return worst, rep.emit(args.fmt)
 
 
-def _pick_class(cat: Catalog, job: Job, option: str):
-    name = job.options.get(option)
-    return cat.bounded_class(name) if name else cat.sole_class()
-
-
-def _run_orbits(job: Job) -> tuple[int, str]:
-    cat = _load(job.files)
-    k = _pick_class(cat, job, "class_name")
-    level = job.k if job.k is not None else default_level(k)
+def _run_orbits(args: argparse.Namespace) -> tuple[int, str]:
+    cat = _load(args.files)
+    k = cat.bounded_class(args.class_name) if args.class_name else cat.sole_class()
+    level = args.k if args.k is not None else default_level(k)
     types = enumerate_types(k, level)
     rep = Report("orbits")
     rep.line(f"class: {k.name}")
@@ -168,16 +146,16 @@ def _run_orbits(job: Job) -> tuple[int, str]:
                      "orbits": [serialize_type(t) for t in types]})
     for t in types:
         rep.line(f"  {serialize_type(t)}")
-    return EXIT_YES, rep.emit(job.fmt)
+    return EXIT_YES, rep.emit(args.fmt)
 
 
-def _run_behaviours(job: Job) -> tuple[int, str]:
-    cat = _load(job.files)
-    src = cat.bounded_class(job.options.get("source") or cat.sole_class().name)
-    tgt = cat.bounded_class(job.options.get("target") or src.name)
-    level = job.k if job.k is not None else max(default_level(src), default_level(tgt))
-    bs = enumerate_behaviours(src, tgt, level, realize_cap=job.realize_cap)
-    eff = job.realize_cap if job.realize_cap is not None else (
+def _run_behaviours(args: argparse.Namespace) -> tuple[int, str]:
+    cat = _load(args.files)
+    src = cat.bounded_class(args.source or cat.sole_class().name)
+    tgt = cat.bounded_class(args.target or src.name)
+    level = args.k if args.k is not None else max(default_level(src), default_level(tgt))
+    bs = enumerate_behaviours(src, tgt, level, realize_cap=args.realize_cap)
+    eff = args.realize_cap if args.realize_cap is not None else (
         default_realize_cap(bs[0]) if bs else None)
     rep = Report("behaviours")
     rep.line(f"source: {src.name}  target: {tgt.name}")
@@ -188,25 +166,23 @@ def _run_behaviours(job: Job) -> tuple[int, str]:
                      "behaviours": [serialize_behaviour(b) for b in bs]})
     for i, b in enumerate(bs):
         rep.block(f"behaviour {i}:", serialize_behaviour(b))
-    return EXIT_YES, rep.emit(job.fmt)
+    return EXIT_YES, rep.emit(args.fmt)
 
 
-def _run_probe(job: Job) -> tuple[int, str]:
-    cat = _load(job.files)
-    src = cat.bounded_class(job.options.get("source") or cat.sole_class().name)
-    tgt = cat.bounded_class(job.options.get("target") or src.name)
-    level = job.k if job.k is not None else max(default_level(src), default_level(tgt))
-    trials = job.options.get("trials", 200)
-    max_size = job.options.get("max_size", 8)
-    bs = enumerate_behaviours(src, tgt, level, realize_cap=job.realize_cap)
+def _run_probe(args: argparse.Namespace) -> tuple[int, str]:
+    cat = _load(args.files)
+    src = cat.bounded_class(args.source or cat.sole_class().name)
+    tgt = cat.bounded_class(args.target or src.name)
+    level = args.k if args.k is not None else max(default_level(src), default_level(tgt))
+    bs = enumerate_behaviours(src, tgt, level, realize_cap=args.realize_cap)
     rep = Report("probe")
     rep.line(f"source: {src.name}  target: {tgt.name}")
-    rep.line(f"caps: {_caps_line(k=level, realize_cap=job.realize_cap)} "
-             f"trials={trials} max-size={max_size} seed={job.seed}")
+    rep.line(f"caps: {_caps_line(k=level, realize_cap=args.realize_cap)} "
+             f"trials={args.trials} max-size={args.max_size} seed={args.seed}")
     total_failures = 0
     rep.data["reports"] = []
     for i, b in enumerate(bs):
-        r = greedy_extension_probe(b, max_size, trials, job.seed)
+        r = greedy_extension_probe(b, args.max_size, args.trials, args.seed)
         total_failures += len(r.failures)
         rep.line(f"behaviour {i}: {len(r.failures)} failures")
         rep.data["reports"].append({"behaviour": i, "failures": list(r.failures)})
@@ -214,19 +190,19 @@ def _run_probe(job: Job) -> tuple[int, str]:
             rep.line(f"  {f}")
     rep.line(f"verdict: {'OK' if not total_failures else 'PROBE-FAILURES'}",
              "verdict", "OK" if not total_failures else "PROBE-FAILURES")
-    return (EXIT_YES if not total_failures else EXIT_NO), rep.emit(job.fmt)
+    return (EXIT_YES if not total_failures else EXIT_NO), rep.emit(args.fmt)
 
 
-def _run_core(job: Job) -> tuple[int, str]:
-    cat = _load(job.files)
-    c = cat.reduct(job.options["reduct"])
-    p = compute_core(c, job.k, job.realize_cap)
-    optimal, _ = is_optimally_presented(p.reduct_out, p.k, job.realize_cap)
+def _run_core(args: argparse.Namespace) -> tuple[int, str]:
+    cat = _load(args.files)
+    c = cat.reduct(args.reduct)
+    p = compute_core(c, args.k, args.realize_cap)
+    optimal, _ = is_optimally_presented(p.reduct_out, p.k, args.realize_cap)
     rep = Report("core")
     rep.line(f"input: {c.name} over {c.base.name}")
-    rep.line(f"caps: {_caps_line(k=p.k, realize_cap=job.realize_cap)} "
+    rep.line(f"caps: {_caps_line(k=p.k, realize_cap=args.realize_cap)} "
              f"scan-cap={p.scan_cap} "
-             f"witness-realize-cap={job.realize_cap if job.realize_cap is not None else default_realize_cap(p.witness)}")
+             f"witness-realize-cap={args.realize_cap if args.realize_cap is not None else default_realize_cap(p.witness)}")
     rep.line(f"image types: {len(p.image_types)} of "
              f"{len(enumerate_types(c.base, p.k))}")
     rep.line(f"optimally presented: {'yes' if optimal else 'NO'}")
@@ -235,41 +211,45 @@ def _run_core(job: Job) -> tuple[int, str]:
     rep.block("witness:", serialize_behaviour(p.witness))
     rep.data.update({
         "input": c.name,
-        "caps": {"k": p.k, "realize_cap": job.realize_cap, "scan_cap": p.scan_cap},
+        "caps": {"k": p.k, "realize_cap": args.realize_cap, "scan_cap": p.scan_cap},
         "base_out": render_class(p.base_out),
         "reduct_out": render_reduct(p.reduct_out),
         "witness": serialize_behaviour(p.witness),
         "image_types": sorted(serialize_type(t) for t in p.image_types),
         "optimally_presented": bool(optimal),
     })
-    if job.witness_out:
-        write_certificate(core_certificate(c, p), job.witness_out)
-        rep.line(f"certificate: {job.witness_out}")
-    return EXIT_YES, rep.emit(job.fmt)
+    if args.witness_out:
+        write_certificate(core_certificate(c, p), args.witness_out)
+        rep.line(f"certificate: {args.witness_out}")
+    return EXIT_YES, rep.emit(args.fmt)
 
 
-def _parse_query_union(job: Job, p) -> OrbitUnion | None:
-    formula_text = job.options.get("query")
-    orbit_text = job.options.get("query_orbits")
-    if formula_text is None and orbit_text is None:
-        return None
-    arity = job.options.get("query_arity")
-    if formula_text is not None:
-        if arity is None:
+def _query_arity(args: argparse.Namespace, sig) -> tuple[int, str] | None:
+    """The arity of the queried relation and the flag that sets it, or None
+    without a query; --query-orbits types are checked to share one level."""
+    if args.query is not None:
+        if args.query_arity is None:
             raise InputError("--query needs --query-arity")
-        phi = parse_formula(formula_text)
-        probe = Reduct("_query", p.base_out,
-                       (Relation("q", arity, FormulaDef(phi)),))
-        return compile_orbit_union(probe, "q")
-    from .ktypes import parse_type
-    members = []
-    for chunk in split_type_columns(orbit_text):
-        members.append(parse_type(p.base_out.signature, chunk))
-    if not members:
+        return args.query_arity, "--query-arity"
+    if args.query_orbits is None:
+        return None
+    levels = {parse_type(sig, chunk).k for chunk in split_type_columns(args.query_orbits)}
+    if not levels:
         raise InputError("--query-orbits lists no types")
-    levels = {t.k for t in members}
     if len(levels) != 1:
         raise InputError("--query-orbits types must share one level")
+    return levels.pop(), "--query-orbits level"
+
+
+def _query_union(args: argparse.Namespace, p) -> OrbitUnion:
+    """The queried relation as an orbit union of the core base."""
+    if args.query is not None:
+        phi = parse_formula(args.query)
+        probe = Reduct("_query", p.base_out,
+                       (Relation("q", args.query_arity, FormulaDef(phi)),))
+        return compile_orbit_union(probe, "q")
+    members = [parse_type(p.base_out.signature, chunk)
+               for chunk in split_type_columns(args.query_orbits)]
     universe = set(enumerate_types(p.base_out, members[0].k))
     for t in members:
         if t not in universe:
@@ -277,21 +257,30 @@ def _parse_query_union(job: Job, p) -> OrbitUnion | None:
     return OrbitUnion(members[0].k, frozenset(members))
 
 
-def _run_definable(job: Job) -> tuple[int, str]:
-    cat = _load(job.files)
-    c = cat.reduct(job.options["reduct"])
-    p = compute_core(c, job.k, job.realize_cap)
-    mode = job.mode if job.mode in ("ep", "pp") else "ep"
+def _run_definable(args: argparse.Namespace) -> tuple[int, str]:
+    cat = _load(args.files)
+    c = cat.reduct(args.reduct)
+    query = _query_arity(args, c.base.signature)
+    if query is None:
+        n = args.expand_arity if args.expand_arity is not None else c.max_arity
+    else:
+        n, flag = query
+        if args.k is not None and n > args.k:
+            raise InputError(f"{flag} {n} exceeds --k {args.k}: the behaviour "
+                             f"level must cover the query's arity")
+    # the input's own arities bound --n from below only for bidef and biint
+    caps = default_caps(c, c, args.k, max(n, c.max_arity))
+    p = compute_core(c, caps.k, args.realize_cap)
     rep = Report("definable")
     rep.line(f"input: {c.name} over {c.base.name}")
-    rep.line(f"mode: {mode}")
+    rep.line(f"mode: {args.mode}")
 
-    query = _parse_query_union(job, p)
     if query is not None:
-        verdict = pp_definable(p, query, job.arity_cap, job.realize_cap)
+        verdict = definable(p, _query_union(args, p), args.mode, args.arity_cap,
+                            args.realize_cap)
         rep.line(f"caps: {_caps_line(k=p.k)} arity-cap={verdict.arity_cap} "
                  f"realize-cap={verdict.realize_cap}")
-        rep.line(f"relation: {{{', '.join(serialize_type(t) for t in query.sorted_members())}}}")
+        rep.line(f"relation: {{{', '.join(serialize_type(t) for t in verdict.relation.sorted_members())}}}")
         rep.line(f"verdict: {verdict.label}", "verdict",
                  "DEFINABLE" if verdict.definable else "NOT-DEFINABLE")
         rep.data["caps"] = {"k": p.k, "arity_cap": verdict.arity_cap,
@@ -299,39 +288,34 @@ def _run_definable(job: Job) -> tuple[int, str]:
         if verdict.witness is not None:
             rep.block("witness:", serialize_behaviour(verdict.witness))
             rep.data["witness"] = serialize_behaviour(verdict.witness)
-        if job.witness_out:
-            write_certificate(definable_certificate(c, p, verdict), job.witness_out)
-            rep.line(f"certificate: {job.witness_out}")
+        if args.witness_out:
+            write_certificate(definable_certificate(c, p, verdict), args.witness_out)
+            rep.line(f"certificate: {args.witness_out}")
         code = EXIT_YES if verdict.definable else EXIT_NO
-        return code, rep.emit(job.fmt)
+        return code, rep.emit(args.fmt)
 
-    n = job.expand_arity if job.expand_arity is not None else c.max_arity
-    if mode == "ep":
-        expanded = ep_expand(p, n)
-    else:
-        expanded = pp_expand(p, n, job.arity_cap, job.realize_cap)
+    expanded = expand(p, n, args.mode, args.arity_cap, args.realize_cap)
     added = expanded.relations[len(p.reduct_out.relations):]
-    rep.line(f"caps: {_caps_line(k=p.k, realize_cap=job.realize_cap, arity_cap=job.arity_cap)} expand-arity={n}")
+    rep.line(f"caps: {_caps_line(k=p.k, realize_cap=args.realize_cap, arity_cap=args.arity_cap)} expand-arity={n}")
     rep.line(f"added relations: {len(added)}", "added", len(added))
     for r in added:
         u = compile_orbit_union(expanded, r.name)
         body = ", ".join(serialize_type(t) for t in u.sorted_members())
         rep.line(f"  {r.name}/{r.arity} = {{{body}}}")
     rep.data["expanded"] = render_reduct(expanded)
-    return EXIT_YES, rep.emit(job.fmt)
+    return EXIT_YES, rep.emit(args.fmt)
 
 
-def _run_decide(job: Job) -> tuple[int, str]:
-    cat = _load(job.files)
-    names = job.options["reducts"]
-    c, d = cat.reduct(names[0]), cat.reduct(names[1])
-    if job.command == "bidef":
-        verdict = decide_bidef(c, d, job.mode, job.k, job.expand_arity,
-                               job.realize_cap, job.arity_cap)
+def _run_decide(args: argparse.Namespace) -> tuple[int, str]:
+    cat = _load(args.files)
+    c, d = (cat.reduct(name) for name in args.reducts)
+    if args.command == "bidef":
+        verdict = decide_bidef(c, d, args.mode, args.k, args.expand_arity,
+                               args.realize_cap, args.arity_cap)
     else:
-        verdict = decide_biint(c, d, job.mode, job.k, job.expand_arity,
-                               job.realize_cap, job.arity_cap, job.ap_cap)
-    rep = Report(job.command)
+        verdict = decide_biint(c, d, args.mode, args.k, args.expand_arity,
+                               args.realize_cap, args.arity_cap, args.ap_cap)
+    rep = Report(args.command)
     rep.line(f"inputs: {c.name} over {c.base.name}  vs  {d.name} over {d.base.name}")
     rep.line(f"mode: {verdict.mode}")
     caps = verdict.caps
@@ -367,27 +351,27 @@ def _run_decide(job: Job) -> tuple[int, str]:
             "xi": serialize_behaviour(w.xi),
             "eta": serialize_behaviour(w.eta),
         }
-    if job.witness_out:
-        cert = bidef_certificate(job.command, c, d, verdict)
-        write_certificate(cert, job.witness_out)
-        rep.line(f"certificate: {job.witness_out}")
-    return verdict.exit_code, rep.emit(job.fmt)
+    if args.witness_out:
+        cert = bidef_certificate(args.command, c, d, verdict)
+        write_certificate(cert, args.witness_out)
+        rep.line(f"certificate: {args.witness_out}")
+    return verdict.exit_code, rep.emit(args.fmt)
 
 
-def _run_verify(job: Job) -> tuple[int, str]:
+def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
     rep = Report("verify")
-    cert = load_certificate(job.files[0])
+    cert = load_certificate(args.files[0])
     rep.line(f"certificate: kind={cert.get('kind')} verdict={cert.get('verdict')}")
     try:
         notes = verify_certificate(cert)
     except VerificationFailure as exc:
         rep.line(f"FAILED: {exc}", "verdict", "INVALID")
-        return EXIT_NO, rep.emit(job.fmt)
+        return EXIT_NO, rep.emit(args.fmt)
     for note in notes:
         rep.line(f"  {note}")
     rep.data["checks"] = notes
     rep.line("verdict: CERTIFICATE-OK", "verdict", "CERTIFICATE-OK")
-    return EXIT_YES, rep.emit(job.fmt)
+    return EXIT_YES, rep.emit(args.fmt)
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -468,32 +452,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _job_from_args(args) -> Job:
-    job = Job(command=args.command)
-    for attr in ("files", "mode", "k", "realize_cap", "arity_cap", "ap_cap",
-                 "expand_arity", "seed", "witness_out", "fmt"):
-        if hasattr(args, attr):
-            val = getattr(args, attr)
-            if attr == "files":
-                val = list(val)
-            setattr(job, attr, val)
-    for opt in ("class_name", "source", "target", "reduct", "reducts",
-                "query", "query_arity", "query_orbits", "trials", "max_size"):
-        if hasattr(args, opt) and getattr(args, opt) is not None:
-            job.options[opt] = getattr(args, opt)
-    return job
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    job = _job_from_args(args)
     start = time.monotonic()
     try:
-        code, report = run(job)
+        code, report = run(args)
     except InternalError as exc:
         message = str(exc)
     except AgekitError as exc:
-        print(f"agekit {job.command}\nerror: {exc}", file=sys.stderr)
+        print(f"agekit {args.command}\nerror: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # RecursionError, MemoryError: an engine failure, never a NO
         message = repr(exc)
@@ -501,7 +468,7 @@ def main(argv=None) -> int:
         sys.stdout.write(report)
         print(f"# elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
         return code
-    print(f"agekit {job.command}\ninternal error: {message}\n"
+    print(f"agekit {args.command}\ninternal error: {message}\n"
           "this is a bug in agekit, not a problem with the input",
           file=sys.stderr)
     return EXIT_INTERNAL_ERROR

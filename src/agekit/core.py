@@ -4,6 +4,8 @@ The core of a reduct is found by searching the realizable relation-preserving
 range-rigid endo-behaviours of its base class, selecting one whose set of hit
 types is inclusion-minimal, and carving the sub-age of members all of whose
 k-types are hit.  The new age is presented by freshly scanned minimal bounds.
+`preserving_behaviours` is the one search for relation-preserving behaviours
+of a reduct; the core search and the definability oracle both read it.
 """
 
 from __future__ import annotations
@@ -15,19 +17,24 @@ from itertools import combinations
 from .ages import BoundedClass, in_age
 from .canonical import (
     Behaviour,
+    _flat_rows,
+    _propagate_domains,
     enumerate_behaviours,
     is_range_rigid,
+    is_realizable,
     serialize_behaviour,
 )
 from .errors import InputError, InternalError
-from .ktypes import KType, default_level, enumerate_types, type_index, type_indices
-from .reducts import (
-    OrbitsDef,
-    Reduct,
-    Relation,
-    behaviour_preserves_relation,
-    compiled_unions,
+from .ktypes import (
+    KType,
+    default_level,
+    enumerate_types,
+    first_m_index_map,
+    pad_index_map,
+    type_index,
+    type_indices,
 )
+from .reducts import OrbitsDef, OrbitUnion, Reduct, Relation, compiled_unions
 from .structures import canonical_form, enumerate_structures, induced, sort_key
 
 
@@ -49,22 +56,55 @@ def require_core_flags(c: Reduct) -> None:
             f"class {c.base.name} must assert homogeneous and ramsey for core search")
 
 
-def _relation_filter(c: Reduct):
-    unions = [u for _, u in compiled_unions(c)]
+def union_rows(base: BoundedClass, u: OrbitUnion, arity: int,
+               level: int) -> tuple[list[int], frozenset[int]]:
+    """The table rows whose arguments all pad members of an orbit union, and
+    the level values whose restriction to the union's arity is a member.
 
-    def keeps_all(xi: Behaviour) -> bool:
-        return all(behaviour_preserves_relation(xi, u, u) for u in unions)
+    A behaviour of the arity preserves the union iff every such row holds a
+    value of the second set.
+    """
+    t = len(enumerate_types(base, level))
+    idx = type_index(base, u.arity)
+    pad = pad_index_map(base, u.arity, level)
+    back = first_m_index_map(base, level, u.arity)
+    member_idx = sorted(idx[p] for p in u.members)
+    members = set(member_idx)
+    keep = frozenset(v for v in range(t) if back[v] in members)
+    return _flat_rows([pad[a] for a in member_idx], t, arity), keep
 
-    return keeps_all
+
+@lru_cache(maxsize=None)
+def preserving_domains(c: Reduct, arity: int, level: int):
+    """Arc-consistent per-row domains of the behaviours of the arity that
+    preserve every relation of c, or None when no such table exists."""
+    pins: dict[int, frozenset[int]] = {}
+    for _, u in compiled_unions(c):
+        rows, keep = union_rows(c.base, u, arity, level)
+        for flat in rows:
+            pins[flat] = pins.get(flat, keep) & keep
+    return _propagate_domains(c.base, c.base, level, arity, pins)
+
+
+@lru_cache(maxsize=None)
+def preserving_behaviours(c: Reduct, arity: int, level: int) -> tuple[Behaviour, ...]:
+    """Compatible, coherent behaviours of the arity at the level that preserve
+    every relation of c, sorted by serialization.
+
+    Realizability is left to the caller, which often needs it on few of them.
+    """
+    domains = preserving_domains(c, arity, level)
+    if domains is None:
+        return ()
+    return enumerate_behaviours(c.base, c.base, level, arity=arity, domains=domains,
+                                check_realizable=False)
 
 
 def qualifying_behaviours(c: Reduct, k: int,
                           realize_cap: int | None = None) -> tuple[Behaviour, ...]:
     """Realizable relation-preserving range-rigid endo-behaviours of the base."""
-    cands = enumerate_behaviours(c.base, c.base, k,
-                                 table_filter=_relation_filter(c),
-                                 realize_cap=realize_cap)
-    return tuple(xi for xi in cands if is_range_rigid(xi))
+    return tuple(xi for xi in preserving_behaviours(c, 1, k)
+                 if is_range_rigid(xi) and is_realizable(xi, realize_cap))
 
 
 def scan_cap_for(c: Reduct, k: int) -> int:
@@ -144,10 +184,7 @@ def is_optimally_presented(c: Reduct, k: int | None = None,
     if k is None:
         k = default_level(c)
     ntypes = len(enumerate_types(c.base, k))
-    cands = enumerate_behaviours(c.base, c.base, k,
-                                 table_filter=_relation_filter(c),
-                                 realize_cap=realize_cap)
-    for xi in cands:
-        if len(set(xi.table)) != ntypes:
+    for xi in preserving_behaviours(c, 1, k):
+        if len(set(xi.table)) != ntypes and is_realizable(xi, realize_cap):
             return False, xi
     return True, None

@@ -20,7 +20,7 @@ from .canonical import (
     is_realizable,
 )
 from .core import CorePresentation, compute_core, require_core_flags
-from .definability import ep_expand, pp_expand
+from .definability import expand
 from .errors import InputError
 from .ktypes import default_level, enumerate_types, type_index
 from .reducts import Reduct, compiled_unions
@@ -76,13 +76,6 @@ def _check_mode(mode: str) -> None:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _expand(p: CorePresentation, mode: str, caps: Caps) -> Reduct:
-    # fo and ep definability agree on model-complete cores
-    if mode in ("fo", "ep"):
-        return ep_expand(p, caps.expand_arity)
-    return pp_expand(p, caps.expand_arity, caps.arity_cap, caps.realize_cap)
-
-
 def _masks(r: Reduct) -> list[tuple[int, int]]:
     """(arity, bitmask of the orbit union over type indices) per relation."""
     out = []
@@ -117,15 +110,15 @@ def default_caps(c: Reduct, d: Reduct, k: int | None = None,
                  arity_cap: int | None = None,
                  ap_cap: int | None = None) -> Caps:
     level = default_level(c, d)
-    if k is None:
-        k = level
-    if k < level:
-        raise InputError(f"k must be >= {level} for these inputs")
     n = max(c.max_arity, d.max_arity)
     if expand_arity is None:
         expand_arity = n
     if expand_arity < n:
         raise InputError(f"expansion arity must be >= {n}")
+    if k is None:
+        k = max(level, expand_arity)
+    if k < level:
+        raise InputError(f"k must be >= {level} for these inputs")
     if expand_arity > k:
         raise InputError(f"--n {expand_arity} exceeds --k {k}: the behaviour level "
                          f"must cover every expanded arity")
@@ -147,8 +140,8 @@ def decide_bidef(c: Reduct, d: Reduct, mode: str, k: int | None = None,
     caps = default_caps(c, d, k, expand_arity, realize_cap, arity_cap)
     pc = compute_core(c, caps.k, caps.realize_cap)
     pd = compute_core(d, caps.k, caps.realize_cap)
-    cc = _expand(pc, mode, caps)
-    dd = _expand(pd, mode, caps)
+    cc = expand(pc, caps.expand_arity, mode, caps.arity_cap, caps.realize_cap)
+    dd = expand(pd, caps.expand_arity, mode, caps.arity_cap, caps.realize_cap)
     relative = mode == "pp"
 
     base_kwargs = dict(mode=mode, caps=caps, core_c=pc, core_d=pd,

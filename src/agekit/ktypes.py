@@ -89,13 +89,6 @@ def type_of_raw(s: FinStructure, tup) -> KType:
     return KType(len(tup), tuple(blocks), induced(s, reps))
 
 
-def type_of(k: BoundedClass, s: FinStructure, tup) -> KType:
-    """The type of a tuple in an age member of k."""
-    if not in_age(k, s):
-        raise InputError("type_of: structure outside the age")
-    return type_of_raw(s, tup)
-
-
 def restrict_type(p: KType, sigma) -> KType:
     """The type of (t_{sigma(0)},..,t_{sigma(j-1)}) for any tuple t of type p."""
     sigma = tuple(sigma)

@@ -1,11 +1,15 @@
-"""Shared fixtures: the shipped catalog, parsed once per session."""
+"""Shared fixtures: the shipped catalog, parsed once per session, and
+helpers that only the tests need."""
 
 from importlib import resources
 
 import pytest
 
-from agekit.ages import BoundedClass, enumerate_age
-from agekit.parser import Catalog, parse_input
+from agekit.ages import BoundedClass, enumerate_age, in_age
+from agekit.canonical import Behaviour, _sigma_constraints, is_coherent
+from agekit.errors import IncoherentBehaviourError, InputError
+from agekit.ktypes import KType, enumerate_types, parse_type, type_index, type_of_raw
+from agekit.parser import Catalog, parse_input, split_type_columns
 
 CATALOG_FILES = ("linord.cls", "graphs.cls", "trifree.cls", "bipartite.cls",
                  "maxdeg1.cls", "point.cls")
@@ -24,6 +28,82 @@ def age_equal_upto(a: BoundedClass, b: BoundedClass, n: int) -> bool:
     if a.signature != b.signature:
         return False
     return all(enumerate_age(a, i) == enumerate_age(b, i) for i in range(n + 1))
+
+
+def type_of(k: BoundedClass, s, tup) -> KType:
+    """The type of a tuple in an age member of k."""
+    if not in_age(k, s):
+        raise InputError("type_of: structure outside the age")
+    return type_of_raw(s, tup)
+
+
+def is_identity(xi: Behaviour) -> bool:
+    return xi.source == xi.target and xi.table == tuple(range(len(xi.table)))
+
+
+def apply_types(xi: Behaviour, ptypes) -> KType:
+    """The target type xi assigns to argument types of one level."""
+    ptypes = tuple(ptypes)
+    level = ptypes[0].k
+    if any(p.k != level for p in ptypes):
+        raise InputError("argument types must share one level")
+    idx = type_index(xi.source, level)
+    v = xi.value([idx[p] for p in ptypes], level)
+    return enumerate_types(xi.target, level)[v]
+
+
+def is_compatible(xi: Behaviour) -> bool:
+    """Restricting every argument along a self-map of positions restricts the value."""
+    table = xi.table
+    return all(table[j] == rt[table[p]]
+               for checks in _sigma_constraints(xi.source, xi.target, xi.k, xi.arity)
+               for p, j, rt in checks)
+
+
+def compose(eta: Behaviour, xi: Behaviour) -> Behaviour:
+    """eta after xi; classes and levels must chain."""
+    if xi.target != eta.source:
+        raise InputError("compose: xi.target must equal eta.source")
+    if xi.k != eta.k:
+        raise InputError("compose: levels differ")
+    out = Behaviour(xi.source, eta.target, xi.k,
+                    tuple(eta.table[v] for v in xi.table))
+    if not is_compatible(out) or not is_coherent(out):
+        raise IncoherentBehaviourError("composition produced an invalid table")
+    return out
+
+
+def parse_behaviour(text: str, source: BoundedClass, target: BoundedClass,
+                    k: int, arity: int = 1) -> Behaviour:
+    """A behaviour table from its serialization."""
+    src_index = type_index(source, k)
+    tgt_index = type_index(target, k)
+    table = [-1] * len(src_index) ** arity
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        left, sep, right = line.partition("->")
+        if not sep:
+            raise InputError(f"bad behaviour line: {line!r}")
+        parts = split_type_columns(left)
+        if len(parts) != arity:
+            raise InputError(f"expected {arity} argument columns: {line!r}")
+        flat = 0
+        for part in parts:
+            p = parse_type(source.signature, part)
+            if p not in src_index:
+                raise InputError(f"unknown source type {part!r}")
+            flat = flat * len(src_index) + src_index[p]
+        q = parse_type(target.signature, right.strip())
+        if q not in tgt_index:
+            raise InputError(f"unknown target type {right.strip()!r}")
+        if table[flat] != -1:
+            raise InputError(f"duplicate row for {left.strip()!r}")
+        table[flat] = tgt_index[q]
+    if -1 in table:
+        raise InputError("behaviour table is not total")
+    return Behaviour(source, target, k, tuple(table), arity)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,6 @@ import pytest
 from agekit.ages import enumerate_age
 from agekit.canonical import (
     Behaviour,
-    compose,
     enumerate_behaviours,
     greedy_extension_probe,
     is_realizable,
@@ -23,13 +22,14 @@ from agekit.certs import bidef_certificate, definable_certificate
 from agekit.cli import main
 from agekit.core import compute_core, is_optimally_presented
 from agekit.decide import decide_bidef
-from agekit.definability import pp_definable
+from agekit.definability import definable
 from agekit.ktypes import enumerate_types, serialize_type
 from agekit.parser import parse_input, render_class, render_reduct
 from agekit.reducts import OrbitUnion, behaviour_preserves_relation, compile_orbit_union
 from agekit.structures import Signature, render_literal, structure
 from agekit.verify import VerificationFailure, _VBehaviour, verify_certificate
-from conftest import CATALOG_FILES, age_equal_upto, catalog_path, catalog_text
+from conftest import (CATALOG_FILES, age_equal_upto, apply_types, catalog_path,
+                      catalog_text, compose, is_identity)
 
 GOLDEN = Path(__file__).parent / "golden"
 ALL_REDUCTS = ("Qlt", "Qleq", "QltRev", "Qneq", "Rg", "Tf", "Kww", "M1", "Pt")
@@ -78,7 +78,7 @@ def test_criterion_2_qlt_core_identity(catalog, linord):
     """Core of (Q,<) is (Q,<): same age up to size 4, identity witness."""
     with timed(1.0) as t:
         p = compute_core(catalog.reduct("Qlt"))
-        assert p.witness.is_identity()
+        assert is_identity(p.witness)
         assert age_equal_upto(p.base_out, linord, 4)
     report(2, "core of (Q,<) is (Q,<) up to size 4 with identity witness", t.elapsed)
 
@@ -129,12 +129,12 @@ def test_criterion_6_pp_definability(catalog):
         p = compute_core(c)
         types = enumerate_types(p.base_out, 2)
         neq = OrbitUnion(2, frozenset({types[1], types[2]}))
-        verdict = pp_definable(p, neq)
+        verdict = definable(p, neq, "pp")
         assert not verdict.definable
         w = verdict.witness
         assert w.arity == 2
         # componentwise-minimum signature: the pair ((<),(>)) collapses to (=)
-        assert w.apply_types((types[1], types[2])) == types[0]
+        assert apply_types(w, (types[1], types[2])) == types[0]
         lt = OrbitUnion(2, frozenset({types[1]}))
         assert behaviour_preserves_relation(w, lt, lt)
         assert not behaviour_preserves_relation(w, neq, neq)
@@ -144,7 +144,7 @@ def test_criterion_6_pp_definability(catalog):
         assert any("violates" in n for n in notes)
 
         lt = OrbitUnion(2, frozenset({types[1]}))
-        assert pp_definable(p, lt).definable
+        assert definable(p, lt, "pp").definable
     report(6, "pp: {<,>} NOT-DEFINABLE (verified min witness), {<} DEFINABLE",
            t.elapsed)
 
@@ -196,7 +196,7 @@ def test_criterion_8_property_suites(catalog, tmp_path):
             ok, _ = is_optimally_presented(p.reduct_out, p.k)
             assert ok, name
             p2 = compute_core(p.reduct_out, p.k)
-            assert p2.witness.is_identity(), name
+            assert is_identity(p2.witness), name
 
         # (c) decision relation properties
         certs = []

@@ -89,9 +89,9 @@ class TestRoundTrip:
 
     def test_orbit_literal_reducts_round_trip(self, catalog):
         from agekit.core import compute_core
-        from agekit.definability import ep_expand
+        from agekit.definability import expand
         p = compute_core(catalog.reduct("Rg"))
-        expanded = ep_expand(p, 2)
+        expanded = expand(p, 2, "ep")
         text = render_class(p.base_out) + render_reduct(expanded)
         cat = parse_input(text)
         again = render_class(cat.sole_class()) + render_reduct(
@@ -228,6 +228,53 @@ class TestExpansionScale:
                 "[{0}{1}{2}|size=3: lt(1,0) lt(2,0) lt(2,1)]") in xi
 
 
+THOMAS = str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "thomas.cls")
+
+
+class TestDefinabilityVerdicts:
+    """fo/ep verdicts come from the relation-preserving self-maps of the core,
+    not from every orbit union of the base class."""
+
+    @pytest.mark.parametrize("pair", [("Qlt", "Qneq"), ("Qneq", "Qlt")])
+    def test_qlt_qneq_fo_is_no(self, capsys, pair):
+        # Aut(Q,!=) is Sym(Q), so < is not fo-definable from != (Cameron 1976)
+        code, out = run_cli(["bidef", catalog_path("linord.cls"), "--reducts", *pair,
+                             "--mode", "fo"], capsys)
+        assert code == 1 and "verdict: NO" in out
+
+    def test_betw_cyc_fo_is_no(self, capsys):
+        code, out = run_cli(["bidef", catalog_path("linord.cls"), THOMAS,
+                             "--reducts", "Betw", "Cyc", "--mode", "fo", "--k", "3"], capsys)
+        assert code == 1 and "verdict: NO" in out
+
+    def test_ep_query_of_disequality_in_qlt(self, capsys):
+        # x0<x1 | x1<x0 is an existential positive definition
+        code, out = run_cli(["definable", catalog_path("linord.cls"), "--reduct", "Qlt",
+                             "--mode", "ep", "--query", "!(x0=x1)", "--query-arity", "2"],
+                            capsys)
+        assert code == 0 and "verdict: DEFINABLE" in out
+
+    def test_ep_query_witness_verifies(self, tmp_path, capsys):
+        # the reversal preserves != and moves <
+        out_dir = tmp_path / "D"
+        code, out = run_cli(["definable", catalog_path("linord.cls"), "--reduct", "Qneq",
+                             "--mode", "ep", "--query", "lt(x0,x1)", "--query-arity", "2",
+                             "--witness-out", str(out_dir)], capsys)
+        assert code == 1 and "verdict: NOT-DEFINABLE" in out
+        cert = json.loads((out_dir / "certificate.json").read_text())
+        assert cert["witness_arity"] == 1
+        code, out = run_cli(["verify", str(out_dir)], capsys)
+        assert code == 0 and "CERTIFICATE-OK" in out
+
+    def test_definable_level_follows_the_arity(self, capsys):
+        base = ["definable", catalog_path("linord.cls"), "--reduct", "Qlt"]
+        code, out = run_cli(base + ["--mode", "ep", "--n", "3"], capsys)
+        assert code == 0 and "caps: k=3 " in out and "added relations: 8198" in out
+        code, out = run_cli(base + ["--mode", "pp", "--query", "lt(x0,x1) & lt(x1,x2)",
+                                    "--query-arity", "3"], capsys)
+        assert code == 0 and "caps: k=3 " in out and "verdict: DEFINABLE" in out
+
+
 class TestExitCodes:
     """Usage errors exit 3 like input errors (2 is PRECONDITION-FAILED);
     an internal error exits 4 and says it is a bug."""
@@ -256,6 +303,19 @@ class TestExitCodes:
         assert time.monotonic() - start < 1.0
         assert r.returncode == 3 and r.stdout == ""
         assert "--n 3" in r.stderr and "--k 2" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--n", "3"], "--n 3"),
+        (["--query", "lt(x0,x1) & lt(x1,x2)", "--query-arity", "3"], "--query-arity 3"),
+    ], ids=["n", "query-arity"])
+    def test_definable_arity_above_level(self, flags, named):
+        r = subprocess.run(
+            [sys.executable, "-m", "agekit.cli", "definable", catalog_path("linord.cls"),
+             "--reduct", "Qlt", "--mode", "pp", "--k", "2", *flags],
+            capture_output=True, text=True, timeout=60)
+        assert r.returncode == 3 and r.stdout == ""
+        assert named in r.stderr and "--k 2" in r.stderr
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["core", "--help"]])
@@ -327,8 +387,8 @@ class TestCertificateFiles:
         cat = parse_input((w / "core_base.cls").read_text())
         cat = parse_input((w / "core_reduct.cls").read_text(), cat)
         assert cat.reducts
-        from agekit.canonical import parse_behaviour
         from agekit.parser import Catalog
+        from conftest import parse_behaviour
         base_cat = parse_input(catalog_text("bipartite.cls"))
         xi = parse_behaviour((w / "core_witness.bhv").read_text(),
                              base_cat.bounded_class("bipartite"),

@@ -3,12 +3,12 @@ witness verification, bi-interpretability preconditions."""
 
 import pytest
 
-from agekit.canonical import compose
 from agekit.certs import bidef_certificate
 from agekit.decide import decide_bidef, decide_biint
 from agekit.errors import InputError
 from agekit.parser import parse_input
 from agekit.verify import VerificationFailure, verify_certificate
+from conftest import compose, is_identity
 
 
 class TestBidefVerdicts:
@@ -16,8 +16,8 @@ class TestBidefVerdicts:
         v = decide_bidef(catalog.reduct("Qlt"), catalog.reduct("QltRev"), "fo")
         assert v.answer == "YES"
         assert v.witness.xi.table == (0, 2, 1)
-        assert compose(v.witness.eta, v.witness.xi).is_identity()
-        assert compose(v.witness.xi, v.witness.eta).is_identity()
+        assert is_identity(compose(v.witness.eta, v.witness.xi))
+        assert is_identity(compose(v.witness.xi, v.witness.eta))
 
     def test_leq_vs_lt_is_no(self, catalog):
         v = decide_bidef(catalog.reduct("Qleq"), catalog.reduct("Qlt"), "fo")
@@ -28,7 +28,7 @@ class TestBidefVerdicts:
         for name in ("Qlt", "Rg", "Kww", "Pt"):
             v = decide_bidef(catalog.reduct(name), catalog.reduct(name), "fo")
             assert v.answer == "YES"
-            assert v.witness.xi.is_identity()
+            assert is_identity(v.witness.xi)
 
     def test_random_graph_vs_kww_is_no(self, catalog):
         v = decide_bidef(catalog.reduct("Rg"), catalog.reduct("Kww"), "fo")
@@ -98,7 +98,7 @@ end
         composed = compose(bc.witness.xi, ab.witness.xi)
         assert composed.table == ac.witness.xi.table
         back = compose(ab.witness.eta, bc.witness.eta)
-        assert compose(back, composed).is_identity()
+        assert is_identity(compose(back, composed))
 
 
 class TestWitnessCertificates:

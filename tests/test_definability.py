@@ -8,18 +8,17 @@ import pytest
 from agekit.canonical import (
     enumerate_behaviours,
     is_coherent,
-    is_compatible,
     is_realizable,
-    parse_behaviour,
     serialize_behaviour,
 )
 from agekit.certs import definable_certificate
 from agekit.core import compute_core
-from agekit.definability import ep_expand, pp_definable, pp_expand
+from agekit.definability import definable, expand
 from agekit.errors import InputError
 from agekit.ktypes import enumerate_types, serialize_type
 from agekit.reducts import OrbitUnion, behaviour_preserves_relation, compile_orbit_union
 from agekit.verify import verify_certificate
+from conftest import apply_types, is_compatible, parse_behaviour
 
 
 def union_of(cls, level, *indices):
@@ -43,27 +42,27 @@ def oracle_expected_additions(p, n):
 class TestEpExpand:
     def test_qlt_adds_seven(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
-        expanded = ep_expand(p, 2)
+        expanded = expand(p, 2, "ep")
         added = len(expanded.relations) - len(p.reduct_out.relations)
         assert added == oracle_expected_additions(p, 2) == 7
 
     def test_point_core(self, catalog):
         p = compute_core(catalog.reduct("Qleq"))
-        expanded = ep_expand(p, 2)
+        expanded = expand(p, 2, "ep")
         added = len(expanded.relations) - len(p.reduct_out.relations)
         # one unary union; the single binary union duplicates <= on the point
         assert added == oracle_expected_additions(p, 2) == 1
 
     def test_clique_core(self, catalog):
         p = compute_core(catalog.reduct("Rg"))
-        expanded = ep_expand(p, 2)
+        expanded = expand(p, 2, "ep")
         added = len(expanded.relations) - len(p.reduct_out.relations)
         # unions of {=, edge}: 3 nonempty, one ({edge}) duplicates E; plus unary
         assert added == oracle_expected_additions(p, 2) == 3
 
     def test_added_relations_compile_to_their_unions(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
-        expanded = ep_expand(p, 2)
+        expanded = expand(p, 2, "ep")
         unions = [compile_orbit_union(expanded, r.name) for r in expanded.relations]
         binary = [u.members for u in unions if u.arity == 2]
         assert len(set(binary)) == len(binary)  # pairwise distinct
@@ -77,8 +76,8 @@ class TestEpExpand:
         # witness produced it: re-coring yields the same expansion
         p = compute_core(catalog.reduct("Kww"))
         p2 = compute_core(p.reduct_out, p.k)
-        a = [r.arity for r in ep_expand(p, 2).relations]
-        b = [r.arity for r in ep_expand(p2, 2).relations]
+        a = [r.arity for r in expand(p, 2, "ep").relations]
+        b = [r.arity for r in expand(p2, 2, "ep").relations]
         assert a == b
 
 
@@ -111,25 +110,25 @@ class TestPolymorphismBehaviours:
 class TestPpDefinable:
     def test_atomic_lt_definable(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
-        verdict = pp_definable(p, union_of(p.base_out, 2, 1))
+        verdict = definable(p, union_of(p.base_out, 2, 1), "pp")
         assert verdict.definable
 
     def test_equality_definable(self, catalog):
         for name in ("Qlt", "Rg"):
             p = compute_core(catalog.reduct(name))
-            verdict = pp_definable(p, union_of(p.base_out, 2, 0))
+            verdict = definable(p, union_of(p.base_out, 2, 0), "pp")
             assert verdict.definable
 
     def test_disequality_not_definable_with_min_witness(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
         types = enumerate_types(p.base_out, 2)
         neq = union_of(p.base_out, 2, 1, 2)
-        verdict = pp_definable(p, neq, arity_cap=2)
+        verdict = definable(p, neq, "pp", arity_cap=2)
         assert not verdict.definable
         w = verdict.witness
         assert w.arity == 2
         # the componentwise-minimum signature: ((<),(>)) collapses to (=)
-        assert w.apply_types((types[1], types[2])) == types[0]
+        assert apply_types(w, (types[1], types[2])) == types[0]
         lt = union_of(p.base_out, 2, 1)
         assert behaviour_preserves_relation(w, lt, lt)
         assert not behaviour_preserves_relation(w, neq, neq)
@@ -137,25 +136,25 @@ class TestPpDefinable:
 
     def test_leq_not_definable_in_qlt_core(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
-        verdict = pp_definable(p, union_of(p.base_out, 2, 0, 1))
+        verdict = definable(p, union_of(p.base_out, 2, 0, 1), "pp")
         assert not verdict.definable
 
     def test_caps_recorded(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
-        verdict = pp_definable(p, union_of(p.base_out, 2, 1))
+        verdict = definable(p, union_of(p.base_out, 2, 1), "pp")
         assert verdict.arity_cap == 1 and verdict.realize_cap >= 2
         assert "up to arity" in verdict.label and "realize-cap" in verdict.label
 
     def test_empty_union_rejected(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
         with pytest.raises(InputError):
-            pp_definable(p, OrbitUnion(2, frozenset()))
+            definable(p, OrbitUnion(2, frozenset()), "pp")
 
 
 class TestPpExpand:
     def test_qlt_core_adds_companions_but_not_disequality(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
-        expanded = pp_expand(p, 2, arity_cap=3)
+        expanded = expand(p, 2, "pp", arity_cap=3)
         unions = {r.name: compile_orbit_union(expanded, r.name)
                   for r in expanded.relations}
         types = enumerate_types(p.base_out, 2)
@@ -170,8 +169,8 @@ class TestPpExpand:
 
     def test_point_core_pp_equals_ep(self, catalog):
         p = compute_core(catalog.reduct("Qleq"))
-        ep = ep_expand(p, 2)
-        pp = pp_expand(p, 2)
+        ep = expand(p, 2, "ep")
+        pp = expand(p, 2, "pp")
         assert [(r.arity, compile_orbit_union(ep, r.name).members)
                 for r in ep.relations] == \
                [(r.arity, compile_orbit_union(pp, r.name).members)
@@ -179,19 +178,19 @@ class TestPpExpand:
 
     def test_clique_core_all_binary_unions_definable(self, catalog):
         p = compute_core(catalog.reduct("Rg"))
-        ep = ep_expand(p, 2)
-        pp = pp_expand(p, 2)
+        ep = expand(p, 2, "ep")
+        pp = expand(p, 2, "pp")
         assert len(pp.relations) == len(ep.relations)
 
     def test_pp_subset_of_ep_on_catalog(self, catalog):
         for name in ("Qlt", "Qleq", "Rg", "Kww", "Pt"):
             p = compute_core(catalog.reduct(name))
             ep_unions = {(u.arity, u.members) for u in
-                         (compile_orbit_union(ep_expand(p, 2), r.name)
-                          for r in ep_expand(p, 2).relations)}
+                         (compile_orbit_union(expand(p, 2, "ep"), r.name)
+                          for r in expand(p, 2, "ep").relations)}
             pp_unions = {(u.arity, u.members) for u in
-                         (compile_orbit_union(pp_expand(p, 2), r.name)
-                          for r in pp_expand(p, 2).relations)}
+                         (compile_orbit_union(expand(p, 2, "pp"), r.name)
+                          for r in expand(p, 2, "pp").relations)}
             assert pp_unions <= ep_unions
 
 
@@ -200,7 +199,7 @@ class TestWitnessVerification:
         c = catalog.reduct("Qlt")
         p = compute_core(c)
         neq = union_of(p.base_out, 2, 1, 2)
-        verdict = pp_definable(p, neq)
+        verdict = definable(p, neq, "pp")
         cert = definable_certificate(c, p, verdict)
         notes = verify_certificate(cert)
         assert any("violates" in n for n in notes)
@@ -210,7 +209,7 @@ class TestWitnessVerification:
         c = catalog.reduct("Qlt")
         p = compute_core(c)
         neq = union_of(p.base_out, 2, 1, 2)
-        verdict = pp_definable(p, neq)
+        verdict = definable(p, neq, "pp")
         cert = definable_certificate(c, p, verdict)
         # break the table: swap the queried relation to one it preserves
         cert["relation"]["members"] = [

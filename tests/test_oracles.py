@@ -9,9 +9,12 @@ type-index tables and the image kernel are checked against a KType built
 per tuple.  The anchored bound checks (_in_age_through, the amalgamation
 scan without mirrored diagrams, random_age_member) are checked against the
 full _in_age search.  decide_bidef's forced signature matching is checked
-against the search over every arity-preserving matching.  Work guards
-count canonical forms, age-membership tests, amalgam tests and per-tuple
-KTypes, so a silent fallback to the slow path fails without any timing.
+against the search over every arity-preserving matching.  The pinned
+search for relation-preserving behaviours, and the definability expansions
+built on it, are checked against filtering every realizable behaviour.
+Work guards count canonical forms, age-membership tests, amalgam tests,
+per-tuple KTypes and domain propagations, so a silent fallback to the slow
+path fails without any timing.
 """
 
 import random
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agekit import ages, canonical, decide, ktypes
+from agekit import ages, canonical, core, decide, ktypes
 from agekit.ages import (
     BoundedClass,
     _in_age,
@@ -42,12 +45,14 @@ from agekit.canonical import (
     greedy_extension_probe,
     image_structure,
     is_coherent,
+    is_range_rigid,
     is_realizable,
     poly_image_structure,
     random_age_member,
     serialize_behaviour,
 )
-from agekit.core import compute_core
+from agekit.core import compute_core, is_optimally_presented, qualifying_behaviours
+from agekit.definability import expand
 from agekit.errors import IncoherentBehaviourError, InputError
 from agekit.ktypes import (
     _labeled_age_structures,
@@ -71,8 +76,8 @@ from agekit.structures import (
     structure,
 )
 from agekit.parser import parse_input
-from agekit.reducts import behaviour_preserves_relation, compiled_unions
-from conftest import CATALOG_FILES
+from agekit.reducts import OrbitUnion, behaviour_preserves_relation, compiled_unions
+from conftest import CATALOG_FILES, apply_types
 
 CLASSES = [name[:-len(".cls")] for name in CATALOG_FILES]
 
@@ -582,7 +587,7 @@ class TestBehaviourSearch:
         pair = {(p, i, j): restrict_type(p, (i, j))
                 for p in src for i in range(xi.k) for j in range(xi.k)}
         for args in product(src, repeat=xi.arity):
-            collapse = [[xi.apply_types(pair[p, i, j] for p in args).degenerate_pair
+            collapse = [[apply_types(xi, (pair[p, i, j] for p in args)).degenerate_pair
                          for j in range(xi.k)] for i in range(xi.k)]
             for x, y, z in product(range(xi.k), repeat=3):
                 if not collapse[x][x] or collapse[x][y] != collapse[y][x]:
@@ -809,8 +814,8 @@ def reference_bidef(c, d, mode, k=None):
     caps = decide.default_caps(c, d, k)
     pc = compute_core(c, caps.k, caps.realize_cap)
     pd = compute_core(d, caps.k, caps.realize_cap)
-    cc = decide._expand(pc, mode, caps)
-    dd = decide._expand(pd, mode, caps)
+    cc = expand(pc, caps.expand_arity, mode, caps.arity_cap, caps.realize_cap)
+    dd = expand(pd, caps.expand_arity, mode, caps.arity_cap, caps.realize_cap)
     n_src = len(enumerate_types(pc.base_out, caps.k))
     n_tgt = len(enumerate_types(pd.base_out, caps.k))
     if n_src != n_tgt:
@@ -888,3 +893,130 @@ class TestForcedMatching:
     def test_graph_classes(self, catalog):
         got, want = self.outcomes(catalog, ("Rg", "Tf", "Kww", "M1"), ("fo", "pp"))
         assert got == want
+
+
+# -- definability oracle ----------------------------------------------------------
+
+# two of Thomas's reducts of (Q,<): betweenness and cyclic order
+THOMAS = """
+reduct Betw over linord
+  rel btw/3 := (lt(x0,x1) & lt(x1,x2)) | (lt(x2,x1) & lt(x1,x0))
+end
+
+reduct Cyc over linord
+  rel cyc/3 := (lt(x0,x1) & lt(x1,x2)) | (lt(x1,x2) & lt(x2,x0)) | (lt(x2,x0) & lt(x0,x1))
+end
+"""
+REDUCTS = ("Qlt", "Qleq", "QltRev", "Qneq", "Rg", "Tf", "Kww", "M1", "Pt")
+
+
+def preserves_all(xi, c) -> bool:
+    return all(behaviour_preserves_relation(xi, u, u) for _, u in compiled_unions(c))
+
+
+def fresh_unions(p, n):
+    """(name, union) of every nonempty orbit union of arity <= n that the
+    core does not declare, named U<arity>_<mask>."""
+    declared = {u.members for _, u in compiled_unions(p.reduct_out)}
+    out = []
+    for m in range(1, n + 1):
+        types = enumerate_types(p.base_out, m)
+        for mask in range(1, 1 << len(types)):
+            members = frozenset(t for i, t in enumerate(types) if mask >> i & 1)
+            if members not in declared:
+                out.append((f"U{m}_{mask}", OrbitUnion(m, members)))
+    return out
+
+
+def added(expanded, p):
+    """(name, union) of the relations the expansion adds to the core."""
+    return list(compiled_unions(expanded))[len(p.reduct_out.relations):]
+
+
+class TestDefinabilityOracle:
+    """expand and the core search, over the pinned relation-preserving search,
+    against filtering every realizable behaviour for the declared relations."""
+
+    @staticmethod
+    def cores(catalog):
+        cat = parse_input(THOMAS, catalog)
+        out = [compute_core(catalog.reduct(name)) for name in REDUCTS]
+        return out + [compute_core(cat.reduct(name), 3) for name in ("Betw", "Cyc")]
+
+    def test_ep_expand(self, catalog):
+        kept_counts = {}
+        for p in self.cores(catalog):
+            n = p.reduct_out.max_arity
+            endos = [xi for xi in enumerate_behaviours(p.base_out, p.base_out, p.k)
+                     if preserves_all(xi, p.reduct_out)]
+            want = [(name, u) for name, u in fresh_unions(p, n)
+                    if all(behaviour_preserves_relation(xi, u, u) for xi in endos)]
+            expanded = expand(p, n, "ep")
+            assert added(expanded, p) == want, p.reduct_out.name
+            assert expand(p, n, "fo") == expanded
+            kept_counts[p.reduct_out.name] = (len(want), len(fresh_unions(p, n)))
+        # the reversal moves < and >; Betw keeps 130 of 8,198 fresh unions
+        assert kept_counts["Qlt_core"] == (7, 7)
+        assert kept_counts["Qneq_core"] == (3, 7)
+        assert kept_counts["Betw_core"] == (130, 8198)
+        assert kept_counts["Cyc_core"] == (8198, 8198)
+
+    @pytest.mark.parametrize("name", ["Qlt", "Qleq", "Rg", "Kww", "Pt"])
+    def test_pp_expand(self, catalog, name):
+        p = compute_core(catalog.reduct(name))
+        polys: dict[int, list] = {}
+
+        def preserving(m):
+            if m not in polys:
+                polys[m] = [xi for xi in enumerate_behaviours(
+                    p.base_out, p.base_out, p.k, arity=m, check_realizable=False)
+                    if preserves_all(xi, p.reduct_out)]
+            return polys[m]
+
+        def violated(u):
+            if len(u.members) == len(enumerate_types(p.base_out, u.arity)):
+                return False  # every table keeps a union of every type
+            return any(not behaviour_preserves_relation(xi, u, u) and is_realizable(xi)
+                       for m in range(1, len(u.members) + 1) for xi in preserving(m))
+
+        want = [(n, u) for n, u in fresh_unions(p, 2) if not violated(u)]
+        assert added(expand(p, 2, "pp"), p) == want
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_core_search(self, catalog, k):
+        cat = parse_input(THOMAS, catalog)
+        names = REDUCTS + (("Betw", "Cyc") if k == 3 else ())
+        for name in names:
+            c = cat.reduct(name)
+            realizable = [xi for xi in enumerate_behaviours(c.base, c.base, k)
+                          if preserves_all(xi, c)]
+            want = tuple(xi for xi in realizable if is_range_rigid(xi))
+            assert qualifying_behaviours(c, k) == want, name
+            ntypes = len(enumerate_types(c.base, k))
+            refuting = [xi for xi in realizable if len(set(xi.table)) != ntypes]
+            want_optimal = (not refuting, refuting[0] if refuting else None)
+            assert is_optimally_presented(c, k) == want_optimal, name
+            p = compute_core(c, k)
+            assert p.witness in want
+            minimal = [xi for xi in want
+                       if not any(o.image_types() < xi.image_types() for o in want)]
+            assert p.witness == min(minimal, key=serialize_behaviour)
+
+    def test_one_propagation_per_reduct_arity_and_level(self, catalog, monkeypatch):
+        # the domains are propagated once, not once per union (8,198 times)
+        p = compute_core(parse_input(THOMAS, catalog).reduct("Betw"), 3)
+        calls = []
+        real = canonical._propagate_domains
+
+        def counting(source, target, k, arity, pins):
+            calls.append((source, k, arity))
+            return real(source, target, k, arity, pins)
+
+        monkeypatch.setattr(core, "_propagate_domains", counting)
+        monkeypatch.setattr(canonical, "_propagate_domains", counting)
+        core.preserving_domains.cache_clear()
+        core.preserving_behaviours.cache_clear()
+        expand(p, 3, "ep")
+        expand(p, 3, "fo")
+        assert calls == [(p.base_out, 3, 1)]
+

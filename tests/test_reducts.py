@@ -15,6 +15,7 @@ from agekit.reducts import (
     compile_orbit_union,
 )
 from agekit.structures import And, Atom, Eq, Not, Or
+from conftest import apply_types
 
 
 def names_of(union, cls):
@@ -111,8 +112,8 @@ class TestPaddingConvention:
                 pads = [(0, 0)]
                 for sigma in pads:
                     expanded = restrict_type(p, sigma)
-                    image = xi.apply_types((expanded,))
-                    assert restrict_type(image, (0,)) == xi.apply_types((p,))
+                    image = apply_types(xi, (expanded,))
+                    assert restrict_type(image, (0,)) == apply_types(xi, (p,))
 
     def test_serialized_unions_deterministic(self, catalog):
         u = compile_orbit_union(catalog.reduct("Qneq"), "neq")

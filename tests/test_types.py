@@ -13,10 +13,10 @@ from agekit.ktypes import (
     partitions_rgs,
     restrict_type,
     serialize_type,
-    type_of,
     type_of_raw,
 )
 from agekit.structures import Signature, structure
+from conftest import type_of
 
 SIG = Signature((("lt", 2),))
 
