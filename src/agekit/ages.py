@@ -16,6 +16,7 @@ from .structures import (
     FinStructure,
     Signature,
     apply_perm,
+    atom_mask,
     augment,
     canonical_form,
     embeds,
@@ -91,17 +92,46 @@ def _rooted_bounds(k: BoundedClass, m: int) -> tuple[FinStructure, ...]:
     return tuple(rooted)
 
 
+@lru_cache(maxsize=None)
+def _root_index(k: BoundedClass, m: int) -> tuple[frozenset[int], dict[int, tuple]]:
+    """The rooted bounds of _rooted_bounds(k, m), keyed by the atom mask of
+    the pattern each induces on its m roots.
+
+    Returns the keys of the bounds on exactly m points, and, per key, the
+    bounds on more points.
+    """
+    sig = k.signature
+    whole: set[int] = set()
+    larger: dict[int, list] = {}
+    for b in _rooted_bounds(k, m):
+        key = atom_mask(sig, b.tables, range(m))
+        if b.size == m:
+            whole.add(key)
+        else:
+            larger.setdefault(key, []).append(b)
+    return frozenset(whole), {key: tuple(bs) for key, bs in larger.items()}
+
+
 def _in_age_through(k: BoundedClass, tables, size: int, through: tuple[int, ...]) -> bool:
     """Whether the structure (raw tables on size points) lies in the age.
 
     Exact only when dropping any one point of `through` leaves a structure
     in the age: then, by heredity, a bound can only embed with every point
-    of `through` in its image, so only such embeddings are searched.
+    of `through` in its image, so only such embeddings are searched.  Such
+    an embedding sends the bound's roots onto `through` and matches the
+    pattern on them, so the pattern on `through` is read first and looked
+    up in _root_index: a pattern no rooted bound has leaves the structure
+    in the age, a pattern of a bound with no other point is that bound
+    embedding, and only the larger bounds with the pattern are searched.
     """
     sig = k.signature
+    whole, larger = _root_index(k, len(through))
+    key = atom_mask(sig, tables, through)
+    if key in whole:
+        return False
     return not any(
         find_embedding(sig, b.tables, b.size, tables, size, through) is not None
-        for b in _rooted_bounds(k, len(through)))
+        for b in larger.get(key, ()))
 
 
 @lru_cache(maxsize=None)

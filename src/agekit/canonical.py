@@ -170,22 +170,6 @@ def image_structure(xi: Behaviour, s: FinStructure) -> FinStructure:
     return _image_from_types(xi.target, n, _value_rows(xi, (s,)))
 
 
-def poly_image_structure(xi: Behaviour,
-                         members: tuple[FinStructure, ...]) -> FinStructure:
-    """Image of m age members over a common index set under an arity-m behaviour."""
-    if len(members) != xi.arity:
-        raise InputError("need one argument structure per polymorphism argument")
-    n = members[0].size
-    if any(s.size != n for s in members):
-        raise InputError("argument structures must share one index set")
-    if n == 0:
-        return empty_structure(xi.target.signature)
-    images = _value_rows(xi, members)
-    if n == 1 and not degenerate_pairs(xi.target)[images(2)[0]]:
-        raise IncoherentBehaviourError("reflexive pair does not collapse")
-    return _image_from_types(xi.target, n, images)
-
-
 def _value_rows(xi: Behaviour, members: tuple[FinStructure, ...]):
     """``images`` for _image_from_types: the value on the m-types that each
     m-tuple of points has in the argument structures, one lookup per tuple."""
@@ -279,18 +263,42 @@ def default_realize_cap(xi: Behaviour) -> int:
 
 def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
     """Bounded check: every tuple of small source age members on one index
-    set must map into the target age."""
+    set must map into the target age.
+
+    The image of a member tuple is a function of the value rows it reads:
+    level 2 when points can collapse (n > 1) or a polymorphism's reflexive
+    pair is checked (arity > 1), and each target symbol's arity.  Those rows
+    are computed once per member tuple and key the verdict's cache.
+    """
     n_cap = cap if cap is not None else default_realize_cap(xi)
+    arities = {a for _, a in xi.target.signature.symbols}
+    poly = xi.arity > 1
     for n in range(1, n_cap + 1):
-        for members in product(enumerate_age(xi.source, n), repeat=xi.arity):
-            try:
-                img = (image_structure(xi, members[0]) if xi.arity == 1
-                       else poly_image_structure(xi, members))
-            except IncoherentBehaviourError:
-                return False
-            if not _in_age(xi.target, img):
+        members_n = enumerate_age(xi.source, n)
+        if n > 1 and xi.k < 2 and not poly and members_n:
+            raise InputError("image_structure needs level >= 2 to resolve collapsing")
+        levels = sorted(arities | {2} if n > 1 or poly else arities)
+        for members in product(members_n, repeat=xi.arity):
+            images = _value_rows(xi, members)
+            rows = tuple((m, tuple(images(m))) for m in levels)
+            if not _image_in_age(xi.target, n, poly, rows):
                 return False
     return True
+
+
+@lru_cache(maxsize=1 << 14)
+def _image_in_age(target: BoundedClass, n: int, poly: bool, rows: tuple) -> bool:
+    """Whether the image on n points with these (level, value row) pairs is
+    coherent and lies in the target age; a polymorphism's (poly) one-point
+    image also needs its reflexive pair to collapse."""
+    by_level = dict(rows)
+    if poly and n == 1 and not degenerate_pairs(target)[by_level[2][0]]:
+        return False
+    try:
+        img = _image_from_types(target, n, by_level.__getitem__)
+    except IncoherentBehaviourError:
+        return False
+    return _in_age(target, img)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,14 @@ from itertools import product
 
 from .ages import BoundedClass, _in_age, age_extensions, in_age
 from .errors import InputError
-from .structures import FinStructure, induced, parse_literal, render_literal, structure
+from .structures import (
+    FinStructure,
+    atom_mask,
+    induced,
+    parse_literal,
+    render_literal,
+    structure,
+)
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,7 @@ class KType:
         return self.blocks == (0, 0)
 
 
+@lru_cache(maxsize=None)
 def serialize_type(p: KType) -> str:
     parts = []
     for b in range(p.nblocks):
@@ -136,23 +144,8 @@ def _labeled_age_structures(k: BoundedClass, n: int) -> tuple[FinStructure, ...]
         return tuple(s for s in (structure(sig, n),) if _in_age(k, s))
     out = [e for base in _labeled_age_structures(k, n - 1)
            for e in age_extensions(k, base)]
-    out.sort(key=lambda s: _atom_mask(s, range(n)))
+    out.sort(key=lambda s: atom_mask(sig, s.tables, range(n)))
     return tuple(out)
-
-
-def _atom_mask(s: FinStructure, points) -> int:
-    """Atom mask of the structure induced on the ordered points.
-
-    Bit j is set iff slot j holds, slots running symbol-major and tuple-lex
-    over positions in ``points``; no induced structure is built.
-    """
-    mask, bit = 0, 1
-    for (_, arity), table in zip(s.signature.symbols, s.tables):
-        for t in product(points, repeat=arity):
-            if t in table:
-                mask |= bit
-            bit <<= 1
-    return mask
 
 
 @lru_cache(maxsize=None)
@@ -176,7 +169,7 @@ def type_index(k: BoundedClass, level: int) -> dict[KType, int]:
 @lru_cache(maxsize=None)
 def _type_lookup(k: BoundedClass, level: int) -> dict[tuple, int]:
     """(blocks, atom mask of the quotient) -> type index at the level."""
-    return {(p.blocks, _atom_mask(p.quotient, range(p.nblocks))): i
+    return {(p.blocks, atom_mask(k.signature, p.quotient.tables, range(p.nblocks))): i
             for i, p in enumerate(enumerate_types(k, level))}
 
 
@@ -203,7 +196,7 @@ def type_indices(k: BoundedClass, s: FinStructure, level: int) -> tuple[int, ...
             blocks.append(reps.index(v))
         key = tuple(reps)
         if key not in masks:
-            masks[key] = _atom_mask(s, key)
+            masks[key] = atom_mask(s.signature, s.tables, key)
         out.append(lookup[tuple(blocks), masks[key]])
     return tuple(out)
 

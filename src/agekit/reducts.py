@@ -115,6 +115,9 @@ def compile_orbit_union(c: Reduct, name: str) -> OrbitUnion:
     return OrbitUnion(rel.arity, members)
 
 
+# cached per reduct: an equal reduct from another side would otherwise be
+# compared with the cached one relation by relation on every name's lookup
+@lru_cache(maxsize=None)
 def compiled_unions(c: Reduct) -> tuple[tuple[str, OrbitUnion], ...]:
     return tuple((r.name, compile_orbit_union(c, r.name)) for r in c.relations)
 

@@ -22,12 +22,18 @@ byte-portable.
 Isomorph-free generation
 ------------------------
 augment grows the members of size n of a hereditary class from its
-canonical members of size n - 1 by one-point extension.  An extension is
-canonicalized only if its new point has the greatest profile, an
-isomorphism-invariant count of the tuples each point occurs in; every
-member arises that way from the member left by deleting a point of
-greatest profile.  The canonical forms are deduplicated and sorted by
-encoding, so the result equals canonicalizing every extension.
+canonical members of size n - 1 by one-point extension, in the style of
+McKay's isomorph-free generation.  Two filters run before canonical_form.
+First, automorphisms of the base that fix the new point permute the new
+point's slots and map each extension to an isomorphic one, so one
+extension per orbit of slot masks goes on; the generators are the
+automorphisms canonical_form's search met on the base, and since any
+generators of a subgroup keep this exact, the set need not be complete.
+Second, an extension is canonicalized only if its new point has the
+greatest profile, an isomorphism-invariant count of the tuples each point
+occurs in; every member arises that way from the member left by deleting
+a point of greatest profile.  The canonical forms are deduplicated and
+sorted by encoding, so the result equals canonicalizing every extension.
 enumerate_structures and ages.enumerate_age both generate this way.
 """
 
@@ -78,16 +84,12 @@ class FinStructure:
     _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
+        # Tuples are not checked here: the engine builds structures from
+        # tables that are already valid, and structure() checks input atoms.
         if self.size < 0:
             raise InputError("structure size must be >= 0")
         if len(self.tables) != len(self.signature.symbols):
             raise InputError("one table per signature symbol required")
-        for (name, arity), table in zip(self.signature.symbols, self.tables):
-            for t in table:
-                if len(t) != arity:
-                    raise InputError(f"tuple {t} has wrong arity for {name}/{arity}")
-                if any(not (0 <= v < self.size) for v in t):
-                    raise InputError(f"tuple {t} out of range for size {self.size}")
         object.__setattr__(self, "_hash", hash((self.signature, self.size, self.tables)))
 
     def __hash__(self) -> int:
@@ -98,10 +100,21 @@ class FinStructure:
 
 
 def structure(sig: Signature, size: int, atoms=()) -> FinStructure:
-    """Build a structure from (symbol_name, tuple) atoms."""
+    """Build a structure from (symbol_name, tuple) atoms.
+
+    The input boundary: raises InputError on an atom of the wrong arity or
+    with a point outside range(size).
+    """
     tables = [set() for _ in sig.symbols]
     for name, t in atoms:
-        tables[sig.index(name)].add(tuple(t))
+        si = sig.index(name)
+        t = tuple(t)
+        arity = sig.symbols[si][1]
+        if len(t) != arity:
+            raise InputError(f"tuple {t} has wrong arity for {name}/{arity}")
+        if any(not (0 <= v < size) for v in t):
+            raise InputError(f"tuple {t} out of range for size {size}")
+        tables[si].add(t)
     return FinStructure(sig, size, tuple(frozenset(t) for t in tables))
 
 
@@ -217,7 +230,26 @@ def find_embedding(sig: Signature, p_tables, n: int, s_tables, m: int,
 
 @lru_cache(maxsize=1 << 18)
 def canonical_form(s: FinStructure) -> FinStructure:
-    """The relabelling with lexicographically least bit-encoding (n <= 8).
+    """The relabelling with lexicographically least bit-encoding (n <= 8)."""
+    if s.size <= 1:
+        return s
+    return apply_perm(s, _least_labelling(s)[0])
+
+
+def automorphism_generators(s: FinStructure) -> tuple[tuple[int, ...], ...]:
+    """Automorphisms of s met by canonical_form's search, as point maps.
+
+    They generate a subgroup of Aut(s), not always all of it; each g has
+    apply_perm(s, g) == s.
+    """
+    if s.size <= 1:
+        return ()
+    return _least_labelling(s)[1]
+
+
+@lru_cache(maxsize=1 << 18)
+def _least_labelling(s: FinStructure) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """A labelling with least encoding, and the automorphisms the search met.
 
     The encoding is read as one integer, symbol-major and tuple-lex, so the
     least encoding is the least integer.  The search hands out the labels
@@ -235,8 +267,6 @@ def canonical_form(s: FinStructure) -> FinStructure:
     n = s.size
     if n > 8:
         raise InputError(f"canonical_form limited to size <= 8, got {n}")
-    if n <= 1:
-        return s
     # incident[v]: (prefix, last point, high, v in prefix) per tuple on v,
     # high being the bit of its symbol's rank 0.  A tuple is pending while
     # its prefix is labelled and its last point is not; pending[b] counts
@@ -310,7 +340,7 @@ def canonical_form(s: FinStructure) -> FinStructure:
 
     search(0, list(range(n)), 0,
            sum(((1 << c) - 1) << (b - n + 1) for b, c in pending.items()))
-    return apply_perm(s, best[1])
+    return best[1], tuple(autos)
 
 
 def _in_explored_orbit(v: int, done: list, autos: list, label: list) -> bool:
@@ -324,6 +354,21 @@ def _in_explored_orbit(v: int, done: list, autos: list, label: list) -> bool:
                 orbit.add(g[p])
                 stack.append(g[p])
     return not orbit.isdisjoint(done)
+
+
+def atom_mask(sig: Signature, tables, points) -> int:
+    """Atom mask of the pattern that raw tables induce on the ordered points.
+
+    Bit j is set iff slot j holds, slots running symbol-major and tuple-lex
+    over positions in ``points``; no induced structure is built.
+    """
+    mask, bit = 0, 1
+    for (_, arity), table in zip(sig.symbols, tables):
+        for t in product(points, repeat=arity):
+            if t in table:
+                mask |= bit
+            bit <<= 1
+    return mask
 
 
 def extension_slots(sig: Signature, new: int) -> tuple:
@@ -376,7 +421,11 @@ def augment(bases, extensions) -> tuple[FinStructure, ...]:
 
     bases holds a representative of every isomorphism class of size n - 1
     of a hereditary class, and extensions(base) every labelled one-point
-    extension of base in the class (new point n - 1).  Only an extension
+    extension of base in the class (new point n - 1).  An automorphism of
+    base that fixes the new point maps each extension to an isomorphic one
+    and permutes the new point's slots, so only the first extension of each
+    orbit of slot masks under base's automorphism generators is looked at;
+    any set of generators keeps this exact.  Of those, only an extension
     whose new point has the greatest profile goes to canonical_form.
     Profiles are isomorphism-invariant, so every member X of size n has a
     point m of greatest profile; X - m is in the class by heredity, some
@@ -386,11 +435,52 @@ def augment(bases, extensions) -> tuple[FinStructure, ...]:
     """
     seen = set()
     for base in bases:
+        moves = _slot_moves(base)
+        slots = extension_slots(base.signature, base.size) if moves else ()
+        explored: set[int] = set()
         for ext in extensions(base):
+            if moves:
+                mask = 0
+                for j, (si, t) in enumerate(slots):
+                    if t in ext.tables[si]:
+                        mask |= 1 << j
+                if mask in explored:
+                    continue
+                _add_orbit(mask, moves, explored)
             profiles = _profiles(ext.tables, ext.size)
             if profiles[-1] == max(profiles):
                 seen.add(canonical_form(ext))
     return tuple(sorted(seen, key=encode_key))
+
+
+def _slot_moves(base: FinStructure) -> tuple[tuple[int, ...], ...]:
+    """Each automorphism generator of base, extended by fixing the new point
+    base.size, as a permutation of the indices of extension_slots."""
+    gens = automorphism_generators(base)
+    if not gens:
+        return ()
+    new = base.size
+    slots = extension_slots(base.signature, new)
+    index = {slot: j for j, slot in enumerate(slots)}
+    return tuple(
+        tuple(index[si, tuple(v if v == new else g[v] for v in t)] for si, t in slots)
+        for g in gens)
+
+
+def _add_orbit(mask: int, moves, explored: set[int]) -> None:
+    """Add the orbit of a slot mask under the slot permutations to explored."""
+    explored.add(mask)
+    stack = [mask]
+    while stack:
+        m = stack.pop()
+        for move in moves:
+            image = 0
+            for j, to in enumerate(move):
+                if m >> j & 1:
+                    image |= 1 << to
+            if image not in explored:
+                explored.add(image)
+                stack.append(image)
 
 
 @lru_cache(maxsize=None)

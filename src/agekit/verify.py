@@ -8,6 +8,7 @@ and age scan.  It deliberately shares no checking logic with the searcher.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from .errors import AgekitError, InputError
@@ -119,15 +120,18 @@ def _v_types(sig: Signature, bounds, k: int) -> list[VType]:
     return out
 
 
-def _v_age(sig: Signature, bounds, n: int) -> list[FinStructure]:
+# once per (signature, bounds, size): every behaviour of a certificate scans
+# the same ages, and each size is built from the one below it
+@lru_cache(maxsize=None)
+def _v_age(sig: Signature, bounds, n: int) -> tuple[FinStructure, ...]:
     if n == 0:
-        return [empty_structure(sig)]
+        return (empty_structure(sig),)
     seen = set()
     for base in _v_age(sig, bounds, n - 1):
         for ext in one_point_extensions(base):
             if _bounds_allow(bounds, ext):
                 seen.add(canonical_form(ext))
-    return sorted(seen, key=sort_key)
+    return tuple(sorted(seen, key=sort_key))
 
 
 # -- behaviour checks ------------------------------------------------------------

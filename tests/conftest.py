@@ -6,10 +6,24 @@ from importlib import resources
 import pytest
 
 from agekit.ages import BoundedClass, enumerate_age, in_age
-from agekit.canonical import Behaviour, _sigma_constraints, is_coherent
+from agekit.canonical import (
+    Behaviour,
+    _image_from_types,
+    _sigma_constraints,
+    _value_rows,
+    is_coherent,
+)
 from agekit.errors import IncoherentBehaviourError, InputError
-from agekit.ktypes import KType, enumerate_types, parse_type, type_index, type_of_raw
+from agekit.ktypes import (
+    KType,
+    degenerate_pairs,
+    enumerate_types,
+    parse_type,
+    type_index,
+    type_of_raw,
+)
 from agekit.parser import Catalog, parse_input, split_type_columns
+from agekit.structures import FinStructure, empty_structure
 
 CATALOG_FILES = ("linord.cls", "graphs.cls", "trifree.cls", "bipartite.cls",
                  "maxdeg1.cls", "point.cls")
@@ -71,6 +85,24 @@ def compose(eta: Behaviour, xi: Behaviour) -> Behaviour:
     if not is_compatible(out) or not is_coherent(out):
         raise IncoherentBehaviourError("composition produced an invalid table")
     return out
+
+
+def poly_image_structure(xi: Behaviour,
+                         members: tuple[FinStructure, ...]) -> FinStructure:
+    """Image of m age members over a common index set under an arity-m
+    behaviour, one member tuple at a time: the reference for the verdicts
+    is_realizable caches by value rows."""
+    if len(members) != xi.arity:
+        raise InputError("need one argument structure per polymorphism argument")
+    n = members[0].size
+    if any(s.size != n for s in members):
+        raise InputError("argument structures must share one index set")
+    if n == 0:
+        return empty_structure(xi.target.signature)
+    images = _value_rows(xi, members)
+    if n == 1 and not degenerate_pairs(xi.target)[images(2)[0]]:
+        raise IncoherentBehaviourError("reflexive pair does not collapse")
+    return _image_from_types(xi.target, n, images)
 
 
 def parse_behaviour(text: str, source: BoundedClass, target: BoundedClass,

@@ -318,6 +318,21 @@ class TestExitCodes:
         assert named in r.stderr and "--k 2" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("body,message", [
+        ("  bound size=2: E(0,2)\n", "out of range"),
+        ("  bound size=2: E(0,1,1)\n", "wrong arity"),
+        ("end\nreduct r over a\n  rel R/2 := orbits [ [{0}{1}|size=2: E(1,2)] ]\n",
+         "out of range"),
+    ], ids=["bound-out-of-range", "bound-wrong-arity", "orbit-literal-out-of-range"])
+    def test_bad_literal_atom(self, tmp_path, body, message):
+        # structures are checked where literals are parsed, not where built
+        bad = tmp_path / "bad.cls"
+        bad.write_text(f"class a\n  sig E/2\n{body}end\n")
+        r = subprocess.run([sys.executable, "-m", "agekit.cli", "orbits", str(bad)],
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 3 and r.stdout == ""
+        assert message in r.stderr and "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["core", "--help"]])
     def test_help_and_version_exit_0(self, argv):
         r = subprocess.run([sys.executable, "-m", "agekit.cli", *argv],

@@ -8,13 +8,15 @@ and _labeled_age_structures against a scan of every atom mask.  The
 type-index tables and the image kernel are checked against a KType built
 per tuple.  The anchored bound checks (_in_age_through, the amalgamation
 scan without mirrored diagrams, random_age_member) are checked against the
-full _in_age search.  decide_bidef's forced signature matching is checked
+full _in_age search, and _in_age_through's root index against searching
+every rooted bound.  decide_bidef's forced signature matching is checked
 against the search over every arity-preserving matching.  The pinned
 search for relation-preserving behaviours, and the definability expansions
-built on it, are checked against filtering every realizable behaviour.
-Work guards count canonical forms, age-membership tests, amalgam tests,
-per-tuple KTypes and domain propagations, so a silent fallback to the slow
-path fails without any timing.
+built on it, are checked against filtering every realizable behaviour,
+and is_realizable's verdict cache against building every image.  Work
+guards count canonical forms and searches, age-membership tests, amalgam
+tests, per-tuple KTypes and domain propagations, so a silent fallback to
+the slow path fails without any timing.
 """
 
 import random
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agekit import ages, canonical, core, decide, ktypes
+from agekit import ages, canonical, core, decide, ktypes, structures
 from agekit.ages import (
     BoundedClass,
     _in_age,
@@ -47,7 +49,6 @@ from agekit.canonical import (
     is_coherent,
     is_range_rigid,
     is_realizable,
-    poly_image_structure,
     random_age_member,
     serialize_behaviour,
 )
@@ -67,17 +68,19 @@ from agekit.structures import (
     FinStructure,
     Signature,
     apply_perm,
+    automorphism_generators,
     canonical_form,
     empty_structure,
     encode_key,
     enumerate_structures,
+    find_embedding,
     induced,
     one_point_extensions,
     structure,
 )
 from agekit.parser import parse_input
 from agekit.reducts import OrbitUnion, behaviour_preserves_relation, compiled_unions
-from conftest import CATALOG_FILES, apply_types
+from conftest import CATALOG_FILES, apply_types, poly_image_structure
 
 CLASSES = [name[:-len(".cls")] for name in CATALOG_FILES]
 
@@ -313,6 +316,27 @@ class TestAgeGeneration:
         enumerate_age.cache_clear()
         enumerate_age(graphs, 6)
         assert canonical_form.cache_info().misses <= 500
+
+    def test_canonical_search_work_guard(self, graphs):
+        # searches, bases included: 444 with the profile gate alone, 255
+        # with orbit pruning, which lets 241 extensions reach canonical_form
+        structures._least_labelling.cache_clear()
+        canonical_form.cache_clear()
+        enumerate_age.cache_clear()
+        enumerate_age(graphs, 6)
+        assert structures._least_labelling.cache_info().misses <= 300
+
+    def test_automorphism_generators_fix_every_member(self, catalog):
+        moved = 0
+        for name in CLASSES:
+            k = catalog.bounded_class(name)
+            for n in range(7):
+                for s in enumerate_age(k, n):
+                    for g in automorphism_generators(s):
+                        assert sorted(g) == list(range(n))
+                        assert apply_perm(s, g) == s
+                        moved += g != tuple(range(n))
+        assert moved > 0
 
 
 # -- type-index tables and the image kernel -------------------------------------
@@ -611,6 +635,44 @@ class TestBehaviourSearch:
         assert want
         assert enumerate_behaviours(cls, cls, k) == want
 
+    @staticmethod
+    def realizable_image_by_image(xi, cap):
+        """is_realizable through image_structure and poly_image_structure,
+        one member tuple at a time, with no verdict cache."""
+        for n in range(1, cap + 1):
+            for members in product(enumerate_age(xi.source, n), repeat=xi.arity):
+                try:
+                    img = (image_structure(xi, members[0]) if xi.arity == 1
+                           else poly_image_structure(xi, members))
+                except IncoherentBehaviourError:
+                    return False
+                if not _in_age(xi.target, img):
+                    return False
+        return True
+
+    @pytest.mark.parametrize("name,k,arity,step", [(name, 2, 1, 1) for name in CLASSES]
+                             + [("graphs", 3, 1, 1), ("trifree", 3, 1, 1),
+                                ("linord", 2, 2, 1), ("graphs", 2, 2, 40),
+                                ("trifree", 2, 2, 40)])
+    def test_is_realizable_equals_image_by_image(self, catalog, name, k, arity, step):
+        # the verdict cache keyed by value rows against building every image;
+        # every compatible table (every step-th of the larger polymorphism
+        # lists), and random raw ones to reach incoherent images
+        cls = catalog.bounded_class(name)
+        tables = (compatible_tables(cls, cls, k) if arity == 1
+                  else compatible_poly_tables(cls, k, arity))[::step]
+        nt = len(enumerate_types(cls, k))
+        rng = random.Random(3)
+        tables += [tuple(rng.randrange(nt) for _ in range(nt ** arity)) for _ in range(20)]
+        verdicts = set()
+        for t in tables:
+            xi = Behaviour(cls, cls, k, t, arity)
+            for cap in (1, default_realize_cap(xi)):
+                got = is_realizable(xi, cap)
+                assert got == self.realizable_image_by_image(xi, cap), (t, cap)
+                verdicts.add(got)
+        assert verdicts == {False, True} or nt == 1  # point: one table
+
     def test_arity_two(self, linord):
         want = self.reference(linord, 2, 2)
         assert len(want) > 2  # more than the two projections
@@ -675,6 +737,13 @@ def reference_amalgamation(k, cap: int, strong: bool):
                     else:
                         return False, checked, (b0, b1, b2)
     return True, checked, None
+
+
+def unindexed_in_age_through(k, tables, size, through) -> bool:
+    """_in_age_through searching every rooted bound, without the root index."""
+    return not any(
+        find_embedding(k.signature, b.tables, b.size, tables, size, through) is not None
+        for b in ages._rooted_bounds(k, len(through)))
 
 
 def random_structure(sig: Signature, n: int, rng) -> FinStructure:
@@ -743,6 +812,27 @@ class TestAnchoredBoundChecks:
                 for base in enumerate_age(k, n):
                     for e in one_point_extensions(base):
                         assert _in_age_through(k, e.tables, e.size, (n,)) == _in_age(k, e)
+
+    def test_in_age_through_equals_unindexed_search(self, catalog):
+        # catalog classes, and seeded classes with a ternary symbol; random
+        # structures on up to 5 points, 1 to 3 distinct points to go through
+        rng = random.Random(9)
+        classes = [catalog.bounded_class(name) for name in CLASSES]
+        classes += [random_class(sig, rng, f"t{i}")
+                    for sig in (Signature((("E", 2), ("T", 3))),
+                                Signature((("T", 3), ("E", 2), ("U", 1))))
+                    for i in range(15)]
+        verdicts = set()
+        for k in classes:
+            for _ in range(40):
+                n = rng.randint(1, 5)
+                s = random_structure(k.signature, n, rng)
+                for m in range(1, min(n, 3) + 1):
+                    through = tuple(rng.sample(range(n), m))
+                    got = _in_age_through(k, s.tables, n, through)
+                    assert got == unindexed_in_age_through(k, s.tables, n, through)
+                    verdicts.add((m, got))
+        assert verdicts == {(m, v) for m in (1, 2, 3) for v in (False, True)}
 
     def test_random_age_member(self, catalog, monkeypatch):
         # the random classes include some without a one-point member

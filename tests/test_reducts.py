@@ -1,5 +1,7 @@
 """Reducts: orbit-union compilation, literal definitions, preservation checks."""
 
+from itertools import combinations
+
 import pytest
 
 from agekit.canonical import enumerate_behaviours, identity_behaviour
@@ -13,6 +15,7 @@ from agekit.reducts import (
     Relation,
     behaviour_preserves_relation,
     compile_orbit_union,
+    compiled_unions,
 )
 from agekit.structures import And, Atom, Eq, Not, Or
 from conftest import apply_types
@@ -119,3 +122,29 @@ class TestPaddingConvention:
         u = compile_orbit_union(catalog.reduct("Qneq"), "neq")
         assert [serialize_type(t) for t in u.sorted_members()] == sorted(
             serialize_type(t) for t in u.members)
+
+
+class TestCompiledUnions:
+    def test_equal_reducts_compared_once(self, linord, monkeypatch):
+        # an equal reduct of another side hits the first one's cache entries;
+        # looked up name by name, each hit compared all 91 relations (8,281
+        # comparisons)
+        types = enumerate_types(linord, 3)
+        members = [(t,) for t in types] + list(combinations(types, 2))
+
+        def reduct():
+            return Reduct("R", linord, tuple(
+                Relation(f"U{i}", 3, OrbitsDef(m)) for i, m in enumerate(members)))
+
+        first, second = reduct(), reduct()
+        want = compiled_unions(first)
+        calls = [0]
+        real = Relation.__eq__
+
+        def counting(a, b):
+            calls[0] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(Relation, "__eq__", counting)
+        assert compiled_unions(second) == want
+        assert 0 < calls[0] <= 2 * len(members)
