@@ -152,45 +152,64 @@ def age_extensions(k: BoundedClass, base: FinStructure) -> tuple[FinStructure, .
     old point 0, old point 1, and so on; a branch is dropped as soon as the
     structure induced on {0..i, new} leaves the age.  That is exact by
     heredity: a bound that embeds into that induced structure embeds into
-    every extension of the branch.  The last stage checks the whole
-    extension, and the survivors are sorted back into slot-bit order.  Each
-    test only searches for bound embeddings through the new point and the
-    old point just decided against, if any: dropping the new point leaves a
-    prefix of base, which lies in the age, and dropping that old point
-    leaves a structure the step before kept.  A base outside the age has no
-    extension in it.
+    every extension of the branch.  Each test only searches for bound
+    embeddings through the new point and the old point just decided
+    against, if any: dropping the new point leaves a prefix of base, which
+    lies in the age, and dropping that old point leaves a structure the
+    step before kept.  A base outside the age has no extension in it.
+
+    The branches are searched depth first on one working table set, with
+    the new point labelled 0 and old point x labelled x + 1: the structure
+    induced on {new, 0..i-1} is then the working set on i + 1 points (a
+    test on i + 1 points reads no atom on a later point), so each stage
+    only adds, and on the way back discards, the new point's slots it
+    decides.  The surviving slot masks are sorted into slot-bit order.
     """
     if not _in_age(k, base):
         return ()
     sig = k.signature
     new = base.size
-    # stages[i]: (slot bit, symbol, tuple) of the slots whose largest old
-    # point is i - 1; stages[0] holds the slots on the new point alone
+    slots = extension_slots(sig, new)
+
+    def relabel(t):
+        return tuple(0 if v == new else v + 1 for v in t)
+
+    # stages[i]: (slot bit, symbol, relabelled tuple) of the slots whose
+    # largest old point is i - 1; stages[0] holds the slots on the new point alone
     stages: list[list] = [[] for _ in range(new + 1)]
-    for j, (si, t) in enumerate(extension_slots(sig, new)):
+    for j, (si, t) in enumerate(slots):
         old = [v for v in t if v != new]
-        stages[max(old) + 1 if old else 0].append((j, si, t))
-    branches = [(0, ())]  # (slot bits, chosen (symbol, tuple) slots)
-    for i, group in enumerate(stages):
-        # induced structure on {0..i-1, new}, with new relabelled i
-        prefix = [{t for t in table if max(t) < i} for table in base.tables]
-        survivors = []
-        for bits, chosen in branches:
-            for sub in range(1 << len(group)):
-                b, ch = bits, list(chosen)
-                for g, (j, si, t) in enumerate(group):
-                    if sub >> g & 1:
-                        b |= 1 << j
-                        ch.append((si, t))
-                tables = [set(t) for t in prefix]
-                for si, t in ch:
-                    tables[si].add(tuple(i if v == new else v for v in t))
-                if _in_age_through(k, tables, i + 1, (i, i - 1) if i else (0,)):
-                    survivors.append((b, ch, tables))
-        branches = [(b, ch) for b, ch, _ in survivors]
-    survivors.sort(key=lambda x: x[0])
-    return tuple(FinStructure(sig, new + 1, tuple(frozenset(t) for t in tables))
-                 for _, _, tables in survivors)
+        stages[max(old) + 1 if old else 0].append((1 << j, si, relabel(t)))
+    work = [{relabel(t) for t in table} for table in base.tables]
+    masks: list[int] = []
+
+    def decide(i: int, bits: int) -> None:
+        group = stages[i]
+        through = (0, i) if i else (0,)
+        for sub in range(1 << len(group)):
+            chosen = [slot for g, slot in enumerate(group) if sub >> g & 1]
+            for _, si, t in chosen:
+                work[si].add(t)
+            if _in_age_through(k, work, i + 1, through):
+                b = bits + sum(bit for bit, _, _ in chosen)
+                if i == new:
+                    masks.append(b)
+                else:
+                    decide(i + 1, b)
+            for _, si, t in chosen:
+                work[si].discard(t)
+
+    decide(0, 0)
+    masks.sort()
+    out = []
+    for b in masks:
+        added: list[list] = [[] for _ in sig.symbols]
+        for j, (si, t) in enumerate(slots):
+            if b >> j & 1:
+                added[si].append(t)
+        out.append(FinStructure(sig, new + 1, tuple(
+            table.union(a) for table, a in zip(base.tables, added))))
+    return tuple(out)
 
 
 def default_ap_cap(k: BoundedClass) -> int:
@@ -218,7 +237,10 @@ def check_amalgamation(k: BoundedClass, cap: int | None = None,
 
     Swapping the two new points maps the candidate amalgams of (B0, B1, B2)
     onto those of (B0, B2, B1), so a diagram whose mirror came first in the
-    loop passes with it, and only the other one is tested.
+    loop passes with it, and only the other one is tested.  The parts of a
+    diagram are built once per B0: one working copy of B0's tables, and
+    each extension's atoms on its new point, both as B1's (point |B0|)
+    and as B2's (point |B0| + 1).
     """
     if cap is None:
         cap = default_ap_cap(k)
@@ -226,41 +248,55 @@ def check_amalgamation(k: BoundedClass, cap: int | None = None,
         raise InputError("check_amalgamation: cap must be >= 1")
     checked = 0
     for s in range(0, cap):
+        free = _amalgam_free_slots(k.signature, s)
         for b0 in enumerate_age(k, s):
             exts = age_extensions(k, b0)
+            own = [[(si, t) for si, table in enumerate(e.tables) for t in table if s in t]
+                   for e in exts]
+            moved = [[(si, tuple(s + 1 if v == s else v for v in t)) for si, t in atoms]
+                     for atoms in own]
+            work = [set(t) for t in b0.tables]
             for i, b1 in enumerate(exts):
                 for j, b2 in enumerate(exts):
                     checked += 1
-                    if j >= i and not _one_point_amalgam_exists(k, b0, b1, b2, strong):
-                        return AmalgamationResult(False, strong, cap, checked, (b0, b1, b2))
+                    # identifying the new points of a diagram with B1 = B2 yields B1
+                    if j > i or (j == i and strong):
+                        if not _one_point_amalgam_exists(k, work, s, own[i] + moved[j], free):
+                            return AmalgamationResult(False, strong, cap, checked, (b0, b1, b2))
     return AmalgamationResult(True, strong, cap, checked, None)
 
 
-def _one_point_amalgam_exists(k, b0, b1, b2, strong) -> bool:
-    s = b0.size
-    if not strong and b1.tables == b2.tables:
-        # identifying the two new points yields b1 itself
-        return True
-    # amalgam on s+2 points: base b0, new points s (from b1) and s+1 (from b2)
-    sig = k.signature
-    tables = [set(t) for t in b1.tables]
-    remap = {i: i for i in range(s)}
-    remap[s] = s + 1
-    for si in range(len(sig.symbols)):
-        for t in b2.tables[si]:
-            if s in t:
-                tables[si].add(tuple(remap[v] for v in t))
-    free = []
-    for si, (_, arity) in enumerate(sig.symbols):
-        for t in product(range(s + 2), repeat=arity):
-            if s in t and s + 1 in t:
-                free.append((si, t))
-    # dropping either new point leaves b1 or a copy of b2, both in the age
+@lru_cache(maxsize=None)
+def _amalgam_free_slots(sig: Signature, s: int) -> tuple:
+    """The (symbol, tuple) slots over s + 2 points through both s and s + 1."""
+    return tuple((si, t) for si, (_, arity) in enumerate(sig.symbols)
+                 for t in product(range(s + 2), repeat=arity)
+                 if s in t and s + 1 in t)
+
+
+def _one_point_amalgam_exists(k, work, s, atoms, free) -> bool:
+    """Whether some choice of the free slots completes an amalgam in the age.
+
+    The amalgam has B0's points, B1's new point s and B2's new point
+    s + 1: work holds B0's tables, atoms B1's atoms on s and B2's on s + 1,
+    and free the slots through both new points.  Each candidate adds its
+    free atoms to work and discards them after the test, and the atoms are
+    discarded at the end, so work is left as it was.  Dropping either new
+    point leaves B1 or a copy of B2, both in the age, so only bound
+    embeddings through both new points are searched.
+    """
+    for si, t in atoms:
+        work[si].add(t)
+    found = False
     for bits in range(1 << len(free)):
-        cand = [set(t) for t in tables]
-        for j, (si, t) in enumerate(free):
-            if bits >> j & 1:
-                cand[si].add(t)
-        if _in_age_through(k, cand, s + 2, (s, s + 1)):
-            return True
-    return False
+        chosen = [slot for j, slot in enumerate(free) if bits >> j & 1]
+        for si, t in chosen:
+            work[si].add(t)
+        found = _in_age_through(k, work, s + 2, (s, s + 1))
+        for si, t in chosen:
+            work[si].discard(t)
+        if found:
+            break
+    for si, t in atoms:
+        work[si].discard(t)
+    return found

@@ -479,37 +479,79 @@ def _random_extension(k, s, old_parts, singles, options, rng):
     return None
 
 
-def greedy_extension_probe(xi: Behaviour, max_size: int, trials: int,
-                           seed: int) -> ProbeReport:
-    """Randomized cross-check of the bounded realizability decision.
+def greedy_extension_probe(behaviours, max_size: int, trials: int,
+                           seed: int) -> tuple[ProbeReport, ...]:
+    """Randomized cross-check of the bounded realizability decision, one
+    report per behaviour.
 
-    Draws random source age members of size <= max_size, checks their images
-    land in the target age, and that images of prefixes extend point by
-    point.  Any failure falsifies the bounded check's completeness on this
-    behaviour and is reported verbatim.
+    Draws random source age members of size <= max_size and checks, for
+    every behaviour, that the images of the member's prefixes (its points
+    in a random order) land in the target age and extend point by point.
+    The draws depend only on the source class, max_size, trials and seed,
+    so the behaviours must share their source: each member and its
+    prefixes are built once and checked for every behaviour, and each
+    report is the one a probe of its behaviour alone would give.  Any
+    failure falsifies the bounded check's completeness on that behaviour
+    and is reported verbatim.
     """
+    behaviours = tuple(behaviours)
+    if not behaviours:
+        return ()
+    source = behaviours[0].source
+    if any(xi.source != source for xi in behaviours):
+        raise InputError("greedy_extension_probe: behaviours must share one source class")
     rng = random.Random(seed)
-    failures = []
+    failures: list[list[str]] = [[] for _ in behaviours]
     for trial in range(trials):
         n = rng.randint(1, max_size)
-        s = random_age_member(xi.source, n, rng)
+        s = random_age_member(source, n, rng)
         if s.size == 0:
             continue
         order = list(range(s.size))
         rng.shuffle(order)
-        prev_img = None
-        for i in range(1, s.size + 1):
-            part = induced(s, order[:i])
-            try:
-                img = image_structure(xi, part)
-            except IncoherentBehaviourError as exc:
-                failures.append(f"trial {trial}: incoherent image at size {i}: {exc}")
-                break
-            if not _in_age(xi.target, img):
-                failures.append(f"trial {trial}: image outside target age at size {i}")
-                break
-            if prev_img is not None and not embeds(prev_img, img):
-                failures.append(f"trial {trial}: image does not extend at size {i}")
-                break
-            prev_img = img
-    return ProbeReport(trials, max_size, seed, tuple(failures))
+        parts = [induced(s, order[:i]) for i in range(1, s.size + 1)]
+        for xi, out in zip(behaviours, failures):
+            failure = _prefix_failure(xi, parts)
+            if failure is not None:
+                out.append(f"trial {trial}: {failure}")
+    return tuple(ProbeReport(trials, max_size, seed, tuple(f)) for f in failures)
+
+
+def _prefix_failure(xi: Behaviour, parts) -> str | None:
+    """The first way the images of the growing prefixes fail, or None.
+
+    Image points are numbered by their first preimage, so each image is
+    expected to be the previous one with at most one point added.  That is
+    tested, not assumed; when it holds, the natural map embeds the
+    previous image, and the new image lies in the target age iff it is the
+    previous image or no bound embeds through its new point (by heredity,
+    as the previous image passed).  Otherwise the full age test and an
+    embedding search decide.
+    """
+    prev = None
+    for i, part in enumerate(parts, 1):
+        try:
+            img = image_structure(xi, part)
+        except IncoherentBehaviourError as exc:
+            return f"incoherent image at size {i}: {exc}"
+        natural = prev is not None and _extends_naturally(prev, img)
+        if natural:
+            in_target = img.size == prev.size or _in_age_through(
+                xi.target, img.tables, img.size, (img.size - 1,))
+        else:
+            in_target = _in_age(xi.target, img)
+        if not in_target:
+            return f"image outside target age at size {i}"
+        if not natural and prev is not None and not embeds(prev, img):
+            return f"image does not extend at size {i}"
+        prev = img
+    return None
+
+
+def _extends_naturally(prev: FinStructure, img: FinStructure) -> bool:
+    """Whether img is prev with at most one point added: on prev's points,
+    img induces prev."""
+    m = prev.size
+    return img.size - m in (0, 1) and all(
+        small == {t for t in big if max(t) < m}
+        for small, big in zip(prev.tables, img.tables))

@@ -170,6 +170,10 @@ def _run_behaviours(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_probe(args: argparse.Namespace) -> tuple[int, str]:
+    if args.max_size < 1:
+        raise InputError(f"--max-size must be >= 1, got {args.max_size}")
+    if args.trials < 0:
+        raise InputError(f"--trials must be >= 0, got {args.trials}")
     cat = _load(args.files)
     src = cat.bounded_class(args.source or cat.sole_class().name)
     tgt = cat.bounded_class(args.target or src.name)
@@ -181,8 +185,8 @@ def _run_probe(args: argparse.Namespace) -> tuple[int, str]:
              f"trials={args.trials} max-size={args.max_size} seed={args.seed}")
     total_failures = 0
     rep.data["reports"] = []
-    for i, b in enumerate(bs):
-        r = greedy_extension_probe(b, args.max_size, args.trials, args.seed)
+    reports = greedy_extension_probe(bs, args.max_size, args.trials, args.seed)
+    for i, r in enumerate(reports):
         total_failures += len(r.failures)
         rep.line(f"behaviour {i}: {len(r.failures)} failures")
         rep.data["reports"].append({"behaviour": i, "failures": list(r.failures)})

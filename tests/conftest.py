@@ -1,17 +1,21 @@
 """Shared fixtures: the shipped catalog, parsed once per session, and
 helpers that only the tests need."""
 
+import random
 from importlib import resources
 
 import pytest
 
-from agekit.ages import BoundedClass, enumerate_age, in_age
+from agekit.ages import BoundedClass, _in_age, enumerate_age, in_age
 from agekit.canonical import (
     Behaviour,
+    ProbeReport,
     _image_from_types,
     _sigma_constraints,
     _value_rows,
+    image_structure,
     is_coherent,
+    random_age_member,
 )
 from agekit.errors import IncoherentBehaviourError, InputError
 from agekit.ktypes import (
@@ -23,7 +27,7 @@ from agekit.ktypes import (
     type_of_raw,
 )
 from agekit.parser import Catalog, parse_input, split_type_columns
-from agekit.structures import FinStructure, empty_structure
+from agekit.structures import FinStructure, embeds, empty_structure, induced
 
 CATALOG_FILES = ("linord.cls", "graphs.cls", "trifree.cls", "bipartite.cls",
                  "maxdeg1.cls", "point.cls")
@@ -103,6 +107,39 @@ def poly_image_structure(xi: Behaviour,
     if n == 1 and not degenerate_pairs(xi.target)[images(2)[0]]:
         raise IncoherentBehaviourError("reflexive pair does not collapse")
     return _image_from_types(xi.target, n, images)
+
+
+def reference_probe(xi: Behaviour, max_size: int, trials: int,
+                    seed: int) -> ProbeReport:
+    """The randomized extension probe of one behaviour on its own draws,
+    with the full age test and an embedding search for every prefix image:
+    the reference for the one pass over the draws that checks every
+    behaviour and tries the natural map between images first."""
+    rng = random.Random(seed)
+    failures = []
+    for trial in range(trials):
+        n = rng.randint(1, max_size)
+        s = random_age_member(xi.source, n, rng)
+        if s.size == 0:
+            continue
+        order = list(range(s.size))
+        rng.shuffle(order)
+        prev_img = None
+        for i in range(1, s.size + 1):
+            part = induced(s, order[:i])
+            try:
+                img = image_structure(xi, part)
+            except IncoherentBehaviourError as exc:
+                failures.append(f"trial {trial}: incoherent image at size {i}: {exc}")
+                break
+            if not _in_age(xi.target, img):
+                failures.append(f"trial {trial}: image outside target age at size {i}")
+                break
+            if prev_img is not None and not embeds(prev_img, img):
+                failures.append(f"trial {trial}: image does not extend at size {i}")
+                break
+            prev_img = img
+    return ProbeReport(trials, max_size, seed, tuple(failures))
 
 
 def parse_behaviour(text: str, source: BoundedClass, target: BoundedClass,

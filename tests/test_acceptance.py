@@ -186,7 +186,7 @@ def test_criterion_8_property_suites(catalog, tmp_path):
                      "point"):
             cls = catalog.bounded_class(name)
             for xi in enumerate_behaviours(cls, cls, 2):
-                probe = greedy_extension_probe(xi, 8, 200, seed=0)
+                probe = greedy_extension_probe((xi,), 8, 200, seed=0)[0]
                 assert probe.ok, (
                     f"probe failures on {name}: {probe.failures[:3]}")
 

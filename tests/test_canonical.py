@@ -244,25 +244,25 @@ class TestSerialization:
 
 class TestProbe:
     def test_identity_probe_clean(self, linord):
-        report = greedy_extension_probe(identity_behaviour(linord, 2), 6, 100, 1)
+        report = greedy_extension_probe((identity_behaviour(linord, 2),), 6, 100, 1)[0]
         assert report.ok and report.trials == 100
 
     def test_cliqueify_probe_clean(self, graphs):
         cliq = Behaviour(graphs, graphs, 2, (0, 2, 2))
-        report = greedy_extension_probe(cliq, 8, 200, 2)
+        report = greedy_extension_probe((cliq,), 8, 200, 2)[0]
         assert report.ok
 
     def test_probe_exposes_bogus_behaviour(self, graphs):
         # not realizable (rejected at cap 4); geometry fails on 4-point paths
         bad = Behaviour(graphs, graphs, 2, (0, 0, 2))
         assert not is_realizable(bad)
-        report = greedy_extension_probe(bad, 8, 200, 3)
+        report = greedy_extension_probe((bad,), 8, 200, 3)[0]
         assert not report.ok
 
     def test_probe_deterministic_for_fixed_seed(self, graphs):
         cliq = Behaviour(graphs, graphs, 2, (0, 2, 2))
-        a = greedy_extension_probe(cliq, 6, 50, 7)
-        b = greedy_extension_probe(cliq, 6, 50, 7)
+        a = greedy_extension_probe((cliq,), 6, 50, 7)[0]
+        b = greedy_extension_probe((cliq,), 6, 50, 7)[0]
         assert a == b
 
     def test_random_members_live_in_the_age(self, catalog):

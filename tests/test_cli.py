@@ -1,7 +1,9 @@
 """CLI surface: grammar errors with positions, round-trips, subcommands,
 exit codes, certificate paths, determinism."""
 
+import contextlib
 import copy
+import io
 import json
 import re
 import subprocess
@@ -10,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agekit.cli import main
 from agekit.errors import ParseError
@@ -134,6 +138,15 @@ class TestSubcommands:
         code, out = run_cli(
             ["core", catalog_path("linord.cls"), "--reduct", "Qleq"], capsys)
         assert code == 0 and out == golden.read_text()
+
+    def test_probe_report_matches_golden(self, capsys):
+        # realize cap 2 admits behaviours whose images fail: 88 incoherent
+        # and 56 outside-target-age lines over 40 trials
+        golden = Path(__file__).parent / "golden" / "probe_trifree_cap2.txt"
+        code, out = run_cli(
+            ["probe", catalog_path("trifree.cls"), "--realize-cap", "2",
+             "--trials", "40", "--seed", "3"], capsys)
+        assert code == 1 and out == golden.read_text()
 
     def test_bidef_yes_then_verify(self, tmp_path, capsys):
         w = tmp_path / "w"
@@ -293,6 +306,22 @@ class TestExitCodes:
         assert "usage: agekit" in r.stderr and "error:" in r.stderr
         assert "Traceback" not in r.stderr and r.stdout == ""
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--max-size", "0"], "--max-size"),
+        (["--max-size", "-2"], "--max-size"),
+        (["--trials", "-3"], "--trials"),
+    ], ids=["max-size-0", "max-size-negative", "trials-negative"])
+    def test_probe_flag_out_of_range(self, capsys, flags, named):
+        code = main(["probe", catalog_path("graphs.cls"), *flags])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert named in captured.err and "internal error" not in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_probe_zero_trials_is_valid(self, capsys):
+        code, out = run_cli(["probe", catalog_path("graphs.cls"), "--trials", "0"], capsys)
+        assert code == 0 and "verdict: OK" in out
+
     def test_expansion_arity_above_level(self):
         # rejected before either side is expanded to 8,199 relations
         start = time.monotonic()
@@ -360,6 +389,23 @@ class TestExitCodes:
         assert code == 4 and captured.out == ""
         assert message in captured.err and "bug" in captured.err
         assert "Traceback" not in captured.err
+
+class TestProbeFlagFuzz:
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(("linord", "graphs")),
+           trials=st.integers(-5, 30), max_size=st.integers(-2, 10),
+           seed=st.integers(), realize_cap=st.integers(1, 4))
+    def test_exit_code_and_no_traceback(self, name, trials, max_size, seed,
+                                        realize_cap):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["probe", catalog_path(f"{name}.cls"), "--trials", str(trials),
+                         "--max-size", str(max_size), "--seed", str(seed),
+                         "--realize-cap", str(realize_cap)])
+        err = err.getvalue()
+        assert code in (0, 1, 3)
+        assert "Traceback" not in err and "internal error" not in err
+
 
 class TestDeterminism:
     def test_reports_byte_identical_across_runs(self, capsys):

@@ -80,7 +80,7 @@ from agekit.structures import (
 )
 from agekit.parser import parse_input
 from agekit.reducts import OrbitUnion, behaviour_preserves_relation, compiled_unions
-from conftest import CATALOG_FILES, apply_types, poly_image_structure
+from conftest import CATALOG_FILES, apply_types, poly_image_structure, reference_probe
 
 CLASSES = [name[:-len(".cls")] for name in CATALOG_FILES]
 
@@ -589,7 +589,7 @@ class TestNoTypePerTuple:
 
     def test_probe(self, calls, graphs):
         for xi in enumerate_behaviours(graphs, graphs, 2):
-            assert greedy_extension_probe(xi, 6, 20, 1).ok
+            assert greedy_extension_probe((xi,), 6, 20, 1)[0].ok
         assert calls[0] == 0
 
     def test_poly_is_realizable(self, calls, linord):
@@ -877,6 +877,94 @@ class TestAnchoredBoundChecks:
         full_checks = calls[0]
         bases = sum(len(enumerate_age(trifree, n)) for n in range(6))
         assert 0 < full_checks <= bases
+
+
+# -- one-pass extension probe ---------------------------------------------------
+
+def count_calls(monkeypatch, module, name) -> list[int]:
+    """Patch module.name to count its calls; the count is in the returned list."""
+    calls = [0]
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestOnePassProbe:
+    """greedy_extension_probe draws each member once for all behaviours and
+    tries the natural map between prefix images first; reference_probe
+    draws per behaviour and searches every embedding."""
+
+    @pytest.mark.parametrize("name", CLASSES)
+    def test_reports_equal_reference(self, catalog, name):
+        k = catalog.bounded_class(name)
+        bs = enumerate_behaviours(k, k, 2)
+        for seed in (1, 7, 12):
+            assert greedy_extension_probe(bs, 8, 30, seed) == \
+                tuple(reference_probe(xi, 8, 30, seed) for xi in bs)
+
+    def test_failing_reports_equal_reference(self, catalog):
+        kinds = set()
+        for name in ("trifree", "bipartite", "maxdeg1"):
+            k = catalog.bounded_class(name)
+            bs = enumerate_behaviours(k, k, 2, realize_cap=2)
+            for seed in (3, 11):
+                got = greedy_extension_probe(bs, 8, 30, seed)
+                assert got == tuple(reference_probe(xi, 8, 30, seed) for xi in bs)
+                kinds |= {f.split(": ")[1].split(" at ")[0]
+                          for r in got for f in r.failures}
+        assert kinds == {"incoherent image", "image outside target age"}
+
+    def test_relabelled_images_take_the_fallback(self, catalog, monkeypatch):
+        # image points in reverse order: the natural map mostly misses, so
+        # the full age test and the embedding search decide
+        real = canonical._image_from_types
+
+        def reversed_points(target, n, images):
+            img = real(target, n, images)
+            return apply_perm(img, list(range(img.size))[::-1])
+
+        runs = []
+        for name in ("graphs", "trifree", "maxdeg1"):
+            k = catalog.bounded_class(name)
+            for cap in (None, 2):
+                bs = enumerate_behaviours(k, k, 2, realize_cap=cap)
+                runs.append((bs, tuple(reference_probe(xi, 8, 30, 5) for xi in bs)))
+        monkeypatch.setattr(canonical, "_image_from_types", reversed_points)
+        searches = count_calls(monkeypatch, canonical, "embeds")
+        for bs, want in runs:
+            assert greedy_extension_probe(bs, 8, 30, 5) == want
+        assert searches[0] > 100
+
+    def test_natural_map_spares_embedding_search(self, catalog, monkeypatch):
+        calls = count_calls(monkeypatch, canonical, "embeds")
+        for name in ("graphs", "trifree"):
+            k = catalog.bounded_class(name)
+            for cap in (None, 2):
+                greedy_extension_probe(enumerate_behaviours(k, k, 2, realize_cap=cap),
+                                       8, 30, 4)
+        assert calls[0] == 0
+
+    def test_behaviours_share_one_source(self, trifree, graphs):
+        # the graphs identity could run on trifree's draws, but its own
+        # report would draw from graphs
+        with pytest.raises(InputError, match="one source"):
+            greedy_extension_probe(
+                (canonical.identity_behaviour(trifree, 2),
+                 canonical.identity_behaviour(graphs, 2)), 4, 3, 0)
+
+    def test_one_draw_per_trial(self, graphs, monkeypatch):
+        calls = count_calls(monkeypatch, canonical, "random_age_member")
+        bs = enumerate_behaviours(graphs, graphs, 2)
+        assert len(bs) == 5
+        reports = greedy_extension_probe(bs, 6, 40, 2)
+        assert len(reports) == 5 and all(r.ok for r in reports)
+        # 200 when each behaviour draws its own members
+        assert calls[0] <= 40
 
 
 # -- forced signature matching --------------------------------------------------
