@@ -257,8 +257,20 @@ def _equivalence_failure(collapse) -> str | None:
 
 def default_realize_cap(xi: Behaviour) -> int:
     """Bounded realizability cap: 2k to expose pairwise-collapse interaction,
-    plus the target's bound sizes and arities."""
+    plus the target's bound sizes and arities.
+
+    This is the cap reports and certificates record.  For arity 1,
+    is_realizable stops at the local bound max(3, r + 1, b) when that is
+    smaller; its lemma shows the check to this cap is then implied.
+    """
     return max(2 * xi.k, xi.target.max_bound_size, xi.target.signature.max_arity)
+
+
+def local_realize_bound(target: BoundedClass) -> int:
+    """max(3, r + 1, b), with r the target's largest arity and b its largest
+    bound: an arity-1 image that fails on some member fails on a sub-member
+    of at most this many points (see is_realizable)."""
+    return max(3, target.signature.max_arity + 1, target.max_bound_size)
 
 
 def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
@@ -269,10 +281,35 @@ def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
     level 2 when points can collapse (n > 1) or a polymorphism's reflexive
     pair is checked (arity > 1), and each target symbol's arity.  Those rows
     are computed once per member tuple and key the verdict's cache.
+
+    For arity 1 the check stops at min(cap, local_realize_bound(target)),
+    with the same verdict as the check to cap.  Lemma: if the image of a
+    member A fails, so does the image of an induced sub-member A|S with
+    |S| <= max(3, r + 1, b).  A tuple has the same type in A as in A|S, so
+    the collapse relation and the atoms read on S are those read on A: the
+    image of A|S is the induced sub-image.  A|S lies in the age, and its
+    canonical representative has an isomorphic image, so the check at size
+    |S| sees the failure.  A failure is one of three kinds.
+      - The collapse is not an equivalence: the law it breaks names at most
+        3 points (pad a reflexivity failure to 2: a one-point image reads
+        no pair).
+      - Atoms disagree across representatives: tuples t and t' of a symbol
+        of arity m <= r have the same class tuple but differ on the atom.
+        Walk from t to t', replacing one coordinate at a time by one of the
+        same class; some single step changes the atom, and its two tuples
+        use at most r + 1 points.
+      - The image is coherent but a bound embeds into it: one preimage per
+        point of the bound's image is at most b points.
+    Polymorphisms (arity > 1) keep the full cap: they are checked on tuples
+    of canonical age representatives over one index set, and restricting
+    such a tuple to S need not give a tuple of representatives, so the
+    smaller checks do not cover the larger ones.
     """
     n_cap = cap if cap is not None else default_realize_cap(xi)
     arities = {a for _, a in xi.target.signature.symbols}
     poly = xi.arity > 1
+    if not poly:
+        n_cap = min(n_cap, local_realize_bound(xi.target))
     for n in range(1, n_cap + 1):
         members_n = enumerate_age(xi.source, n)
         if n > 1 and xi.k < 2 and not poly and members_n:

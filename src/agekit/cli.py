@@ -86,8 +86,33 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
+# flags that count points, arities or levels: each must be at least 1
+_POSITIVE_FLAGS = (("--k", "k"), ("--realize-cap", "realize_cap"),
+                   ("--arity-cap", "arity_cap"), ("--ap-cap", "ap_cap"),
+                   ("--n", "expand_arity"), ("--query-arity", "query_arity"),
+                   ("--max-size", "max_size"))
+
+
+def _check_positive_flags(args: argparse.Namespace) -> None:
+    for flag, dest in _POSITIVE_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            raise InputError(f"{flag} must be >= 1, got {value}")
+
+
+def _level(args: argparse.Namespace, *inputs) -> int:
+    """--k, or by default the largest arity of the inputs, which --k must cover."""
+    level = default_level(*inputs)
+    if args.k is None:
+        return level
+    if args.k < level:
+        raise InputError(f"--k must be >= {level} for these inputs, got {args.k}")
+    return args.k
+
+
 def run(args: argparse.Namespace) -> tuple[int, str]:
     """Dispatch parsed arguments; returns (exit code, report text)."""
+    _check_positive_flags(args)
     handler = {
         "check": _run_check,
         "orbits": _run_orbits,
@@ -153,7 +178,7 @@ def _run_behaviours(args: argparse.Namespace) -> tuple[int, str]:
     cat = _load(args.files)
     src = cat.bounded_class(args.source or cat.sole_class().name)
     tgt = cat.bounded_class(args.target or src.name)
-    level = args.k if args.k is not None else max(default_level(src), default_level(tgt))
+    level = _level(args, src, tgt)
     bs = enumerate_behaviours(src, tgt, level, realize_cap=args.realize_cap)
     eff = args.realize_cap if args.realize_cap is not None else (
         default_realize_cap(bs[0]) if bs else None)
@@ -170,14 +195,12 @@ def _run_behaviours(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_probe(args: argparse.Namespace) -> tuple[int, str]:
-    if args.max_size < 1:
-        raise InputError(f"--max-size must be >= 1, got {args.max_size}")
     if args.trials < 0:
         raise InputError(f"--trials must be >= 0, got {args.trials}")
     cat = _load(args.files)
     src = cat.bounded_class(args.source or cat.sole_class().name)
     tgt = cat.bounded_class(args.target or src.name)
-    level = args.k if args.k is not None else max(default_level(src), default_level(tgt))
+    level = _level(args, src, tgt)
     bs = enumerate_behaviours(src, tgt, level, realize_cap=args.realize_cap)
     rep = Report("probe")
     rep.line(f"source: {src.name}  target: {tgt.name}")
@@ -200,7 +223,7 @@ def _run_probe(args: argparse.Namespace) -> tuple[int, str]:
 def _run_core(args: argparse.Namespace) -> tuple[int, str]:
     cat = _load(args.files)
     c = cat.reduct(args.reduct)
-    p = compute_core(c, args.k, args.realize_cap)
+    p = compute_core(c, _level(args, c), args.realize_cap)
     optimal, _ = is_optimally_presented(p.reduct_out, p.k, args.realize_cap)
     rep = Report("core")
     rep.line(f"input: {c.name} over {c.base.name}")
@@ -264,6 +287,7 @@ def _query_union(args: argparse.Namespace, p) -> OrbitUnion:
 def _run_definable(args: argparse.Namespace) -> tuple[int, str]:
     cat = _load(args.files)
     c = cat.reduct(args.reduct)
+    _level(args, c)
     query = _query_arity(args, c.base.signature)
     if query is None:
         n = args.expand_arity if args.expand_arity is not None else c.max_arity
@@ -313,6 +337,7 @@ def _run_definable(args: argparse.Namespace) -> tuple[int, str]:
 def _run_decide(args: argparse.Namespace) -> tuple[int, str]:
     cat = _load(args.files)
     c, d = (cat.reduct(name) for name in args.reducts)
+    _level(args, c, d)
     if args.command == "bidef":
         verdict = decide_bidef(c, d, args.mode, args.k, args.expand_arity,
                                args.realize_cap, args.arity_cap)

@@ -129,6 +129,11 @@ def partitions_rgs(k: int):
     yield from rec(1, 0) if k > 1 else iter([(0,)])
 
 
+# labelled age structures are only built on point counts with at most this
+# many atom slots in all: the enumeration grows with 2**slots at worst
+TYPE_SLOT_LIMIT = 20
+
+
 @lru_cache(maxsize=None)
 def _labeled_age_structures(k: BoundedClass, n: int) -> tuple[FinStructure, ...]:
     """All labelled structures on n points that lie in the age, in atom-mask order.
@@ -138,7 +143,7 @@ def _labeled_age_structures(k: BoundedClass, n: int) -> tuple[FinStructure, ...]
     atom mask (bit j set iff slot j, in symbol-major tuple-lex order, holds).
     """
     sig = k.signature
-    if sum(max(n, 0) ** arity for _, arity in sig.symbols) > 20:
+    if sum(max(n, 0) ** arity for _, arity in sig.symbols) > TYPE_SLOT_LIMIT:
         raise InputError("type enumeration: relation space too large at this level")
     if n <= 0:
         return tuple(s for s in (structure(sig, n),) if _in_age(k, s))

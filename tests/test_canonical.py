@@ -2,7 +2,7 @@
 image structures, composition, range-rigidity, the extension probe."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -18,11 +18,14 @@ from agekit.canonical import (
     is_coherent,
     is_range_rigid,
     is_realizable,
+    local_realize_bound,
     random_age_member,
     serialize_behaviour,
 )
+from agekit import ktypes
 from agekit.errors import IncoherentBehaviourError, InputError
-from agekit.ktypes import enumerate_types, type_of_raw
+from agekit.ktypes import KType, enumerate_types, type_index, type_of_raw
+from agekit.parser import Catalog, parse_input
 from agekit.structures import Signature, canonical_form, induced, structure
 from conftest import compose, is_compatible, is_identity, parse_behaviour
 
@@ -112,6 +115,131 @@ class TestRealizability:
     def test_part_collapse_on_bipartite_realizable(self, bipartite):
         part = Behaviour(bipartite, bipartite, 2, (0, 0, 2))
         assert is_realizable(part)
+
+
+# Test-only classes for the local realizability bound max(3, r + 1, b).
+# unary: one unary symbol, no bounds (r + 1 = 2, b = 0).  k4free: K4-free
+# graphs (b = 4).  mutual: loopless digraphs whose mutual arcs form an
+# equivalence.  ternary: a ternary symbol holding on injective tuples only,
+# forced by bounds on at most 2 points (r + 1 = 4, b = 2).
+LOCAL_CLASSES = """
+class unary
+  sig P/1
+end
+
+class k4free
+  sig E/2
+  bound size=1: E(0,0)
+  bound size=2: E(0,1)
+  bound size=4: E(0,1) E(0,2) E(0,3) E(1,0) E(1,2) E(1,3) E(2,0) E(2,1) E(2,3) E(3,0) E(3,1) E(3,2)
+end
+
+class mutual
+  sig R/2
+  bound size=1: R(0,0)
+  bound size=3: R(0,1) R(1,0) R(1,2) R(2,1)
+  bound size=3: R(0,1) R(1,0) R(1,2) R(2,1) R(0,2)
+end
+"""
+
+MIXED_SLOTS = [t for t in product(range(2), repeat=3) if len(set(t)) == 2]
+
+
+def _ternary_text():
+    lines = ["class ternary", "  sig T/3", "  bound size=1: T(0,0,0)"]
+    for mask in range(1, 1 << len(MIXED_SLOTS)):
+        atoms = " ".join(f"T({a},{b},{c})" for g, (a, b, c) in enumerate(MIXED_SLOTS)
+                         if mask >> g & 1)
+        lines.append(f"  bound size=2: {atoms}")
+    return "\n".join(lines + ["end", ""])
+
+
+@pytest.fixture(scope="module")
+def local_classes(monkeypatch_module):
+    # the ternary class has 27 atom slots on 3 points, above the default
+    # slot guard; its bounds leave 6 of them free
+    monkeypatch_module.setattr(ktypes, "TYPE_SLOT_LIMIT", 27)
+    cat = Catalog()
+    parse_input(LOCAL_CLASSES + _ternary_text(), cat)
+    return cat
+
+
+@pytest.fixture(scope="module")
+def monkeypatch_module():
+    mp = pytest.MonkeyPatch()
+    yield mp
+    mp.undo()
+
+
+def _table_by_types(source, target, k, value):
+    """The arity-1 table sending each source k-type p to value(p)."""
+    index = type_index(target, k)
+    return Behaviour(source, target, k,
+                     tuple(index[value(p)] for p in enumerate_types(source, k)))
+
+
+def _rgs(keys):
+    """Block labels in first-occurrence order for a list of class keys."""
+    order = list(dict.fromkeys(keys))
+    return tuple(order.index(c) for c in keys)
+
+
+class TestLocalRealizeBound:
+    """One table per term of max(3, r + 1, b) that passes below the bound
+    and fails at it, with that term strictly the largest: lowering any term
+    makes is_realizable stop before the failure."""
+
+    @staticmethod
+    def check_tight(xi, bound):
+        assert local_realize_bound(xi.target) == bound
+        assert default_realize_cap(xi) > bound
+        assert is_compatible(xi) and is_coherent(xi)
+        assert is_realizable(xi, bound - 1)
+        assert not is_realizable(xi, bound)
+        assert not is_realizable(xi)
+
+    def test_three_term_intransitive_collapse(self, graphs, local_classes):
+        # edges collapse, non-edges do not: intransitive on a path of 3
+        unary = local_classes.bounded_class("unary")
+        usig = unary.signature
+
+        def value(p):
+            collapsed = p.nblocks == 1 or (0, 1) in p.quotient.table("E")
+            return (KType(2, (0, 0), structure(usig, 1)) if collapsed
+                    else KType(2, (0, 1), structure(usig, 2)))
+
+        self.check_tight(_table_by_types(graphs, unary, 2, value), 3)
+
+    def test_bound_term_k4_free_target(self, graphs, local_classes):
+        # graphs into K4-free graphs by the identity on types: every 3 points
+        # map into the target age, K4 does not
+        k4free = local_classes.bounded_class("k4free")
+        self.check_tight(_table_by_types(graphs, k4free, 3, lambda p: p), 4)
+
+    def test_arity_term_ternary_target(self, local_classes):
+        # mutual arcs collapse; T(a, b, c) holds on three classes when the
+        # representative of a has an arc to that of b.  Two representatives
+        # of a with different arcs to b disagree only with a third class
+        # present: on 4 points, never on 3
+        mutual = local_classes.bounded_class("mutual")
+        ternary = local_classes.bounded_class("ternary")
+        tsig = ternary.signature
+
+        def value(p):
+            arcs = p.quotient.table("R")
+            cls = [min(q for q in range(3) if p.blocks[q] == p.blocks[i]
+                       or ((p.blocks[i], p.blocks[q]) in arcs
+                           and (p.blocks[q], p.blocks[i]) in arcs))
+                   for i in range(3)]
+            blocks = _rgs(cls)
+            atoms = []
+            if max(blocks) == 2:
+                atoms = [("T", (blocks[a], blocks[b], blocks[c]))
+                         for a, b, c in permutations(range(3))
+                         if (p.blocks[a], p.blocks[b]) in arcs]
+            return KType(3, blocks, structure(tsig, max(blocks) + 1, atoms))
+
+        self.check_tight(_table_by_types(mutual, ternary, 3, value), 4)
 
 
 class TestImageStructure:

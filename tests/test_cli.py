@@ -148,6 +148,14 @@ class TestSubcommands:
              "--trials", "40", "--seed", "3"], capsys)
         assert code == 1 and out == golden.read_text()
 
+    def test_behaviours_graphs_k4_matches_golden(self, capsys):
+        # realizability stops at 3 points, not at 2k = 8, and reports the
+        # same behaviours and caps as the check to 8 points
+        golden = Path(__file__).parent / "golden" / "behaviours_graphs_k4.txt"
+        code, out = run_cli(["behaviours", catalog_path("graphs.cls"), "--k", "4"],
+                            capsys)
+        assert code == 0 and out == golden.read_text()
+
     def test_bidef_yes_then_verify(self, tmp_path, capsys):
         w = tmp_path / "w"
         code, _ = run_cli(
@@ -316,6 +324,35 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert named in captured.err and "internal error" not in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv,named", [
+        (["probe", "graphs.cls", "--realize-cap", "0"], "--realize-cap must be >= 1"),
+        (["behaviours", "graphs.cls", "--realize-cap", "-1"], "--realize-cap must be >= 1"),
+        (["check", "trifree.cls", "--ap-cap", "0"], "--ap-cap must be >= 1"),
+        (["definable", "linord.cls", "--reduct", "Qlt", "--mode", "pp",
+          "--arity-cap", "0"], "--arity-cap must be >= 1"),
+        (["orbits", "graphs.cls", "--k", "-1"], "--k must be >= 1"),
+        (["behaviours", "graphs.cls", "--k", "0"], "--k must be >= 1"),
+        (["probe", "graphs.cls", "--k", "1"], "--k must be >= 2"),
+        (["core", "linord.cls", "--reduct", "Qlt", "--k", "1"], "--k must be >= 2"),
+        (["bidef", "linord.cls", "--reducts", "Qlt", "QltRev", "--k", "1"],
+         "--k must be >= 2"),
+        (["definable", "linord.cls", "--reduct", "Qlt", "--n", "0"], "--n must be >= 1"),
+        (["definable", "linord.cls", "--reduct", "Qlt", "--query", "x0=x0",
+          "--query-arity", "0"], "--query-arity must be >= 1"),
+    ], ids=["probe-realize-cap-0", "behaviours-realize-cap-negative", "check-ap-cap-0",
+            "definable-arity-cap-0", "orbits-k-negative", "behaviours-k-0",
+            "probe-k-below-arity", "core-k-below-arity", "bidef-k-below-arity",
+            "definable-n-0", "definable-query-arity-0"])
+    def test_numeric_flag_out_of_range(self, capsys, argv, named):
+        # checked before any engine call: the message names the flag, never
+        # the engine function the value would have reached
+        code = main([argv[0], catalog_path(argv[1]), *argv[2:]])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert named in captured.err
+        assert not re.search(r"\b[a-z]+_[a-z_]+:", captured.err)
         assert "Traceback" not in captured.err
 
     def test_probe_zero_trials_is_valid(self, capsys):

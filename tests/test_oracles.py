@@ -13,7 +13,8 @@ every rooted bound.  decide_bidef's forced signature matching is checked
 against the search over every arity-preserving matching.  The pinned
 search for relation-preserving behaviours, and the definability expansions
 built on it, are checked against filtering every realizable behaviour,
-and is_realizable's verdict cache against building every image.  Work
+and is_realizable's verdict cache and its local bound against building
+every image up to the full realize cap.  Work
 guards count canonical forms and searches, age-membership tests, amalgam
 tests, per-tuple KTypes and domain propagations, so a silent fallback to
 the slow path fails without any timing.
@@ -49,6 +50,7 @@ from agekit.canonical import (
     is_coherent,
     is_range_rigid,
     is_realizable,
+    local_realize_bound,
     random_age_member,
     serialize_behaviour,
 )
@@ -698,6 +700,43 @@ class TestBehaviourSearch:
                     verdicts.add((arity, is_coherent(xi)))
                     assert is_coherent(xi) == self.coherent_by_types(xi), (arity, row)
         assert verdicts == {(1, True), (1, False), (2, True), (2, False)}
+
+
+class TestLocalRealizability:
+    """is_realizable stops arity-1 checks at local_realize_bound, below
+    default_realize_cap; the verdict must equal building every image up to
+    default_realize_cap.  Every compatible, coherent table is checked at
+    k = 2 (where some fail) and k = 3 (where level-3 coherence leaves none
+    that fails); at k = 4, pairs whose sources have few members up to 8
+    points."""
+
+    @staticmethod
+    def verdicts(source, target, k):
+        out = set()
+        for xi in enumerate_behaviours(source, target, k, check_realizable=False):
+            cap = default_realize_cap(xi)
+            assert local_realize_bound(target) < cap
+            got = is_realizable(xi)
+            assert got == TestBehaviourSearch.realizable_image_by_image(xi, cap), (
+                source.name, target.name, xi.table)
+            out.add(got)
+        return out
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_catalog_pair(self, catalog, k):
+        verdicts = set()
+        for s, t in product(CLASSES, repeat=2):
+            verdicts |= self.verdicts(catalog.bounded_class(s),
+                                      catalog.bounded_class(t), k)
+        assert verdicts == ({False, True} if k == 2 else {True})
+
+    @pytest.mark.parametrize("source,target", [("linord", "trifree"),
+                                               ("maxdeg1", "graphs"),
+                                               ("bipartite", "maxdeg1")])
+    def test_sampled_pairs_at_k4(self, catalog, source, target):
+        assert self.verdicts(catalog.bounded_class(source),
+                             catalog.bounded_class(target), 4) == {True}
+
 
 # -- anchored bound checks --------------------------------------------------------
 
