@@ -7,7 +7,6 @@ is never materialized; every computation runs on its age.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -25,40 +24,49 @@ from .structures import (
     find_embedding,
     sort_key,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class BoundedClass:
+class BoundedClass(Value):
     """A finitely bounded homogeneous class, represented by its bounds.
 
     Bounds are normalized on construction: canonicalized, deduplicated and
     minimized (a bound into which another bound embeds is dropped).
     """
 
-    name: str
-    signature: Signature
-    bounds: tuple[FinStructure, ...]
-    homogeneous_asserted: bool = False
-    ramsey_asserted: bool = False
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    __slots__ = ("name", "signature", "bounds", "homogeneous_asserted",
+                 "ramsey_asserted", "_hash")
 
-    def __post_init__(self):
-        for b in self.bounds:
-            if b.signature != self.signature:
-                raise InputError(f"bound signature mismatch in class {self.name}")
+    def __init__(self, name: str, signature: Signature, bounds: tuple[FinStructure, ...],
+                 homogeneous_asserted: bool = False, ramsey_asserted: bool = False):
+        for b in bounds:
+            if b.signature != signature:
+                raise InputError(f"bound signature mismatch in class {name}")
             if b.size < 1:
-                raise InputError(f"class {self.name}: bound sizes must be >= 1")
+                raise InputError(f"class {name}: bound sizes must be >= 1")
         normalized = []
-        for b in sorted({canonical_form(b) for b in self.bounds}, key=sort_key):
+        for b in sorted({canonical_form(b) for b in bounds}, key=sort_key):
             if not any(embeds(prev, b) for prev in normalized):
                 normalized.append(b)
-        object.__setattr__(self, "bounds", tuple(normalized))
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.name, self.signature, self.bounds,
-                  self.homogeneous_asserted, self.ramsey_asserted)),
-        )
+        bounds = tuple(normalized)
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "signature", signature)
+        init(self, "bounds", bounds)
+        init(self, "homogeneous_asserted", homogeneous_asserted)
+        init(self, "ramsey_asserted", ramsey_asserted)
+        init(self, "_hash", hash((name, signature, bounds,
+                                  homogeneous_asserted, ramsey_asserted)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.name == other.name
+                and self.signature == other.signature and self.bounds == other.bounds
+                and self.homogeneous_asserted == other.homogeneous_asserted
+                and self.ramsey_asserted == other.ramsey_asserted)
 
     def __hash__(self) -> int:
         return self._hash
@@ -216,13 +224,20 @@ def default_ap_cap(k: BoundedClass) -> int:
     return max(2, 2 * k.max_bound_size)
 
 
-@dataclass(frozen=True)
-class AmalgamationResult:
-    ok: bool
-    strong: bool
-    cap: int
-    diagrams_checked: int
-    counterexample: tuple[FinStructure, FinStructure, FinStructure] | None
+class AmalgamationResult(Value):
+    __slots__ = ("ok", "strong", "cap", "diagrams_checked", "counterexample")
+
+    def __init__(self, ok: bool, strong: bool, cap: int, diagrams_checked: int,
+                 counterexample: tuple[FinStructure, FinStructure, FinStructure] | None):
+        init = object.__setattr__
+        init(self, "ok", ok)
+        init(self, "strong", strong)
+        init(self, "cap", cap)
+        init(self, "diagrams_checked", diagrams_checked)
+        init(self, "counterexample", counterexample)
+
+    def _key(self) -> tuple:
+        return (self.ok, self.strong, self.cap, self.diagrams_checked, self.counterexample)
 
 
 def check_amalgamation(k: BoundedClass, cap: int | None = None,

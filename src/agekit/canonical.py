@@ -13,7 +13,6 @@ bound on concrete age members.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -31,6 +30,7 @@ from .ktypes import (
     type_indices,
 )
 from .structures import FinStructure, embeds, empty_structure, induced
+from .value import Value
 
 
 def _flat_rows(values, base: int, arity: int) -> list[int]:
@@ -42,30 +42,37 @@ def _flat_rows(values, base: int, arity: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Behaviour:
+class Behaviour(Value):
     """table[i] is the target k-type index assigned to the i-th tuple of
     `arity` source k-types, flattened with the first argument most significant."""
 
-    source: BoundedClass
-    target: BoundedClass
-    k: int
-    table: tuple[int, ...]
-    arity: int = 1
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
-    _levels: dict = field(init=False, repr=False, compare=False, default=None)
+    __slots__ = ("source", "target", "k", "table", "arity", "_hash", "_levels")
 
-    def __post_init__(self):
-        nrows = len(enumerate_types(self.source, self.k)) ** self.arity
-        if len(self.table) != nrows:
+    def __init__(self, source: BoundedClass, target: BoundedClass, k: int,
+                 table: tuple[int, ...], arity: int = 1):
+        nrows = len(enumerate_types(source, k)) ** arity
+        if len(table) != nrows:
             raise InputError(f"behaviour table must have {nrows} rows")
-        nt = len(enumerate_types(self.target, self.k))
-        if any(not (0 <= v < nt) for v in self.table):
+        nt = len(enumerate_types(target, k))
+        if table and (min(table) < 0 or max(table) >= nt):
             raise InputError("behaviour table value out of range")
-        object.__setattr__(
-            self, "_hash",
-            hash((self.source, self.target, self.k, self.table, self.arity)))
-        object.__setattr__(self, "_levels", {self.k: self.table})
+        init = object.__setattr__
+        init(self, "source", source)
+        init(self, "target", target)
+        init(self, "k", k)
+        init(self, "table", table)
+        init(self, "arity", arity)
+        init(self, "_hash", hash((source, target, k, table, arity)))
+        init(self, "_levels", {k: table})
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.table == other.table
+                and self.k == other.k and self.arity == other.arity
+                and self.source == other.source and self.target == other.target)
 
     def __hash__(self) -> int:
         return self._hash
@@ -433,12 +440,18 @@ def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,
 
 # -- randomized extension probe ------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbeReport:
-    trials: int
-    max_size: int
-    seed: int
-    failures: tuple[str, ...]
+class ProbeReport(Value):
+    __slots__ = ("trials", "max_size", "seed", "failures")
+
+    def __init__(self, trials: int, max_size: int, seed: int, failures: tuple[str, ...]):
+        init = object.__setattr__
+        init(self, "trials", trials)
+        init(self, "max_size", max_size)
+        init(self, "seed", seed)
+        init(self, "failures", failures)
+
+    def _key(self) -> tuple:
+        return (self.trials, self.max_size, self.seed, self.failures)
 
     @property
     def ok(self) -> bool:

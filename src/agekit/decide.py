@@ -10,8 +10,6 @@ candidate order, whose inverse is realizable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ages import check_amalgamation, default_ap_cap
 from .canonical import (
     Behaviour,
@@ -24,17 +22,25 @@ from .definability import expand
 from .errors import InputError
 from .ktypes import default_level, enumerate_types, type_index
 from .reducts import Reduct, compiled_unions
+from .value import Value
 
 MODES = ("fo", "ep", "pp")
 
 
-@dataclass(frozen=True)
-class Caps:
-    k: int
-    expand_arity: int
-    realize_cap: int | None = None
-    arity_cap: int | None = None
-    ap_cap: int | None = None
+class Caps(Value):
+    __slots__ = ("k", "expand_arity", "realize_cap", "arity_cap", "ap_cap")
+
+    def __init__(self, k: int, expand_arity: int, realize_cap: int | None = None,
+                 arity_cap: int | None = None, ap_cap: int | None = None):
+        init = object.__setattr__
+        init(self, "k", k)
+        init(self, "expand_arity", expand_arity)
+        init(self, "realize_cap", realize_cap)
+        init(self, "arity_cap", arity_cap)
+        init(self, "ap_cap", ap_cap)
+
+    def _key(self) -> tuple:
+        return (self.k, self.expand_arity, self.realize_cap, self.arity_cap, self.ap_cap)
 
     def as_dict(self) -> dict:
         return {
@@ -46,25 +52,46 @@ class Caps:
         }
 
 
-@dataclass(frozen=True)
-class Witness:
-    matching: tuple[tuple[str, str], ...]
-    xi: Behaviour
-    eta: Behaviour
+class Witness(Value):
+    __slots__ = ("matching", "xi", "eta")
+
+    def __init__(self, matching: tuple[tuple[str, str], ...], xi: Behaviour,
+                 eta: Behaviour):
+        init = object.__setattr__
+        init(self, "matching", matching)
+        init(self, "xi", xi)
+        init(self, "eta", eta)
+
+    def _key(self) -> tuple:
+        return (self.matching, self.xi, self.eta)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    answer: str  # YES | NO | PRECONDITION-FAILED
-    mode: str
-    caps: Caps
-    witness: Witness | None = None
-    reason: str = ""
-    core_c: CorePresentation | None = None
-    core_d: CorePresentation | None = None
-    expanded_c: Reduct | None = None
-    expanded_d: Reduct | None = None
-    cap_relative: bool = False
+class Verdict(Value):
+    __slots__ = ("answer", "mode", "caps", "witness", "reason", "core_c", "core_d",
+                 "expanded_c", "expanded_d", "cap_relative")
+
+    def __init__(self, answer: str, mode: str, caps: Caps,
+                 witness: Witness | None = None, reason: str = "",
+                 core_c: CorePresentation | None = None,
+                 core_d: CorePresentation | None = None,
+                 expanded_c: Reduct | None = None, expanded_d: Reduct | None = None,
+                 cap_relative: bool = False):
+        init = object.__setattr__
+        init(self, "answer", answer)  # YES | NO | PRECONDITION-FAILED
+        init(self, "mode", mode)
+        init(self, "caps", caps)
+        init(self, "witness", witness)
+        init(self, "reason", reason)
+        init(self, "core_c", core_c)
+        init(self, "core_d", core_d)
+        init(self, "expanded_c", expanded_c)
+        init(self, "expanded_d", expanded_d)
+        init(self, "cap_relative", cap_relative)
+
+    def _key(self) -> tuple:
+        return (self.answer, self.mode, self.caps, self.witness, self.reason,
+                self.core_c, self.core_d, self.expanded_c, self.expanded_d,
+                self.cap_relative)
 
     @property
     def exit_code(self) -> int:

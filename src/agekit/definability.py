@@ -15,7 +15,6 @@ wrong where such maps miss an endomorphism that breaks the union.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .ages import BoundedClass
@@ -24,15 +23,24 @@ from .core import CorePresentation, preserving_behaviours, preserving_domains, u
 from .errors import InputError
 from .ktypes import enumerate_types
 from .reducts import OrbitsDef, OrbitUnion, Reduct, Relation, compiled_unions
+from .value import Value
 
 
-@dataclass(frozen=True)
-class DefinableVerdict:
-    definable: bool
-    relation: OrbitUnion
-    witness: Behaviour | None
-    arity_cap: int
-    realize_cap: int
+class DefinableVerdict(Value):
+    __slots__ = ("definable", "relation", "witness", "arity_cap", "realize_cap")
+
+    def __init__(self, definable: bool, relation: OrbitUnion, witness: Behaviour | None,
+                 arity_cap: int, realize_cap: int):
+        init = object.__setattr__
+        init(self, "definable", definable)
+        init(self, "relation", relation)
+        init(self, "witness", witness)
+        init(self, "arity_cap", arity_cap)
+        init(self, "realize_cap", realize_cap)
+
+    def _key(self) -> tuple:
+        return (self.definable, self.relation, self.witness, self.arity_cap,
+                self.realize_cap)
 
     @property
     def label(self) -> str:

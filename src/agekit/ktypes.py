@@ -8,7 +8,6 @@ the same orbit of a homogeneous structure iff they have the same k-type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -22,26 +21,35 @@ from .structures import (
     render_literal,
     structure,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class KType:
-    """k positions, partition as a restricted-growth string, quotient on blocks."""
+class KType(Value):
+    """k positions, partition as a restricted-growth string, quotient on blocks.
 
-    k: int
-    blocks: tuple[int, ...]
-    quotient: FinStructure
+    Built unchecked: the engine derives blocks and quotient from valid
+    types and structures, and parse_type checks types read from input.
+    """
 
-    def __post_init__(self):
-        if self.k < 1 or len(self.blocks) != self.k:
-            raise InputError(f"bad type length: k={self.k}, blocks={self.blocks}")
-        top = -1
-        for b in self.blocks:
-            if b > top + 1 or b < 0:
-                raise InputError(f"partition not in first-occurrence order: {self.blocks}")
-            top = max(top, b)
-        if self.quotient.size != top + 1:
-            raise InputError("quotient size does not match number of blocks")
+    __slots__ = ("k", "blocks", "quotient", "_hash")
+
+    def __init__(self, k: int, blocks: tuple[int, ...], quotient: FinStructure):
+        init = object.__setattr__
+        init(self, "k", k)
+        init(self, "blocks", blocks)
+        init(self, "quotient", quotient)
+        init(self, "_hash", hash((k, blocks, quotient)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.blocks == other.blocks
+                and self.quotient == other.quotient and self.k == other.k)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def nblocks(self) -> int:
@@ -71,14 +79,22 @@ def parse_type(sig, text: str) -> KType:
     assign: dict[int, int] = {}
     for b, group in enumerate(part[1:-1].split("}{")):
         for tok in group.split(","):
-            if tok == "":
+            if not tok.isdecimal():
                 raise InputError(f"bad partition block in type: {part!r}")
             assign[int(tok)] = b
     k = len(assign)
     if sorted(assign) != list(range(k)):
         raise InputError(f"partition does not cover 0..{k - 1}: {part!r}")
     blocks = tuple(assign[i] for i in range(k))
-    return KType(k, blocks, parse_literal(sig, lit))
+    top = -1
+    for b in blocks:
+        if b > top + 1:
+            raise InputError(f"partition not in first-occurrence order: {blocks}")
+        top = max(top, b)
+    quotient = parse_literal(sig, lit)
+    if quotient.size != top + 1:
+        raise InputError("quotient size does not match number of blocks")
+    return KType(k, blocks, quotient)
 
 
 def type_of_raw(s: FinStructure, tup) -> KType:
@@ -114,24 +130,34 @@ def restrict_type(p: KType, sigma) -> KType:
     return KType(len(sigma), tuple(blocks), induced(p.quotient, reps))
 
 
-def partitions_rgs(k: int):
-    """Restricted-growth strings of length k in lexicographic order."""
+def partitions_rgs(k: int, blocks: int | None = None):
+    """Restricted-growth strings of length k with at most `blocks` blocks (any
+    number by default), in lexicographic order."""
+    most = k if blocks is None else blocks
     rgs = [0] * k
-
-    def rec(i: int, top: int):
-        if i == k:
-            yield tuple(rgs)
+    top = [0] * k  # top[i] = max(rgs[:i + 1])
+    while True:
+        yield tuple(rgs)
+        i = k - 1
+        while i >= 1 and (rgs[i] > top[i - 1] or rgs[i] + 1 >= most):
+            i -= 1
+        if i < 1:
             return
-        for b in range(top + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(top, b))
+        rgs[i] += 1
+        top[i] = max(top[i - 1], rgs[i])
+        for j in range(i + 1, k):
+            rgs[j] = 0
+            top[j] = top[i]
 
-    yield from rec(1, 0) if k > 1 else iter([(0,)])
+
+# the most labelled age members on one point count, and the most types at
+# one level, that are built before a level is refused as too large; every
+# partition enumerated yields a type, so the guard bounds the work too
+TYPE_LIMIT = 1 << 16
 
 
-# labelled age structures are only built on point counts with at most this
-# many atom slots in all: the enumeration grows with 2**slots at worst
-TYPE_SLOT_LIMIT = 20
+def _too_many(what: str) -> InputError:
+    return InputError(f"type enumeration: more than {TYPE_LIMIT:,} {what}; lower --k")
 
 
 @lru_cache(maxsize=None)
@@ -143,12 +169,13 @@ def _labeled_age_structures(k: BoundedClass, n: int) -> tuple[FinStructure, ...]
     atom mask (bit j set iff slot j, in symbol-major tuple-lex order, holds).
     """
     sig = k.signature
-    if sum(max(n, 0) ** arity for _, arity in sig.symbols) > TYPE_SLOT_LIMIT:
-        raise InputError("type enumeration: relation space too large at this level")
     if n <= 0:
         return tuple(s for s in (structure(sig, n),) if _in_age(k, s))
-    out = [e for base in _labeled_age_structures(k, n - 1)
-           for e in age_extensions(k, base)]
+    out: list[FinStructure] = []
+    for base in _labeled_age_structures(k, n - 1):
+        out.extend(age_extensions(k, base))
+        if len(out) > TYPE_LIMIT:
+            raise _too_many(f"labelled age members on {n} points")
     out.sort(key=lambda s: atom_mask(sig, s.tables, range(n)))
     return tuple(out)
 
@@ -158,11 +185,19 @@ def enumerate_types(k: BoundedClass, level: int) -> tuple[KType, ...]:
     """All k-types at the given level: partitions x labelled age members on blocks."""
     if level < 1:
         raise InputError("enumerate_types: level must be >= 1")
+    if level > TYPE_LIMIT:
+        raise InputError(f"type enumeration: level {level} above {TYPE_LIMIT:,}; lower --k")
+    # by heredity, the age has members on 1..most points and on no more
+    most = 0
+    while most < level and _labeled_age_structures(k, most + 1):
+        most += 1
     out = []
-    for rgs in partitions_rgs(level):
+    for rgs in partitions_rgs(level, most):
         nblocks = max(rgs) + 1
         for q in _labeled_age_structures(k, nblocks):
             out.append(KType(level, rgs, q))
+        if len(out) > TYPE_LIMIT:
+            raise _too_many(f"types at level {level}")
     return tuple(out)
 
 

@@ -4,7 +4,6 @@ that emit byte-stable files the parser round-trips."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .ages import BoundedClass
 from .errors import InputError, ParseError
@@ -28,18 +27,31 @@ from .structures import (
     parse_literal,
     render_literal,
 )
+from .value import Value
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _VAR = re.compile(r"x(\d+)$")
 
 
-@dataclass
-class Catalog:
-    """Parsed contents of one or more input files, in declaration order."""
+class Catalog(Value):
+    """Parsed contents of one or more input files, in declaration order.
 
-    classes: dict[str, BoundedClass] = field(default_factory=dict)
-    reducts: dict[str, Reduct] = field(default_factory=dict)
-    order: list = field(default_factory=list)
+    The fields are fixed, their dicts and list grow as files are parsed;
+    a catalog compares by content and has no hash.
+    """
+
+    __slots__ = ("classes", "reducts", "order")
+    __hash__ = None
+
+    def __init__(self, classes: dict[str, BoundedClass] | None = None,
+                 reducts: dict[str, Reduct] | None = None, order: list | None = None):
+        init = object.__setattr__
+        init(self, "classes", {} if classes is None else classes)
+        init(self, "reducts", {} if reducts is None else reducts)
+        init(self, "order", [] if order is None else order)
+
+    def _key(self) -> tuple:
+        return (self.classes, self.reducts, self.order)
 
     def bounded_class(self, name: str) -> BoundedClass:
         if name not in self.classes:
@@ -107,7 +119,7 @@ def _parse_class(lines, i, name, cat) -> int:
             symbols = []
             for token in rest.split():
                 sym, _, ar = token.partition("/")
-                if not _IDENT.match(sym) or not ar.isdigit():
+                if not _IDENT.match(sym) or not ar.isdecimal():
                     raise ParseError(f"bad symbol {token!r}", lineno, 1)
                 symbols.append((sym, int(ar)))
             if not symbols:
@@ -171,7 +183,7 @@ def _parse_reduct(lines, i, name, base_name, cat) -> int:
         if not sep:
             raise ParseError("rel line needs ':='", lineno, 1)
         rname, _, ar = decl.strip().partition("/")
-        if not _IDENT.match(rname) or not ar.isdigit() or int(ar) < 1:
+        if not _IDENT.match(rname) or not ar.isdecimal() or int(ar) < 1:
             raise ParseError(f"bad relation declaration {decl.strip()!r}", lineno, 1)
         arity = int(ar)
         body = body.strip()

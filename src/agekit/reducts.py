@@ -7,7 +7,6 @@ currency of relation preservation throughout the core and decision modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -21,26 +20,43 @@ from .structures import (
     render_formula,
     validate_formula,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FormulaDef:
-    formula: QfFormula
+class FormulaDef(Value):
+    __slots__ = ("formula",)
+
+    def __init__(self, formula: QfFormula):
+        object.__setattr__(self, "formula", formula)
+
+    def _key(self) -> tuple:
+        return (self.formula,)
 
 
-@dataclass(frozen=True)
-class OrbitsDef:
-    members: tuple[KType, ...]
+class OrbitsDef(Value):
+    __slots__ = ("members",)
+
+    def __init__(self, members: tuple[KType, ...]):
+        object.__setattr__(self, "members", members)
+
+    def _key(self) -> tuple:
+        return (self.members,)
 
 
 RelDef = FormulaDef | OrbitsDef
 
 
-@dataclass(frozen=True)
-class Relation:
-    name: str
-    arity: int
-    definition: RelDef
+class Relation(Value):
+    __slots__ = ("name", "arity", "definition")
+
+    def __init__(self, name: str, arity: int, definition: RelDef):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "arity", arity)
+        init(self, "definition", definition)
+
+    def _key(self) -> tuple:
+        return (self.name, self.arity, self.definition)
 
 
 def validate_relation(r: Relation, sig: Signature) -> None:
@@ -56,23 +72,30 @@ def validate_relation(r: Relation, sig: Signature) -> None:
                     f"relation {r.name}: orbit literal at wrong level {t.k}")
 
 
-@dataclass(frozen=True)
-class Reduct:
-    name: str
-    base: BoundedClass
-    relations: tuple[Relation, ...]
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
-    _by_name: dict = field(init=False, repr=False, compare=False, default=None)
+class Reduct(Value):
+    __slots__ = ("name", "base", "relations", "_hash", "_by_name")
 
-    def __post_init__(self):
-        by_name = {r.name: r for r in self.relations}
-        if len(by_name) != len(self.relations):
-            raise InputError(f"reduct {self.name}: duplicate relation names")
-        for r in self.relations:
-            validate_relation(r, self.base.signature)
-        object.__setattr__(self, "_by_name", by_name)
+    def __init__(self, name: str, base: BoundedClass, relations: tuple[Relation, ...]):
+        by_name = {r.name: r for r in relations}
+        if len(by_name) != len(relations):
+            raise InputError(f"reduct {name}: duplicate relation names")
+        for r in relations:
+            validate_relation(r, base.signature)
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "base", base)
+        init(self, "relations", relations)
+        init(self, "_by_name", by_name)
         # reducts key lru_caches; hashing every relation's types each lookup is costly
-        object.__setattr__(self, "_hash", hash((self.name, self.base, self.relations)))
+        init(self, "_hash", hash((name, base, relations)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.name == other.name
+                and self.base == other.base and self.relations == other.relations)
 
     def __hash__(self) -> int:
         return self._hash
@@ -87,10 +110,25 @@ class Reduct:
         return max((r.arity for r in self.relations), default=1)
 
 
-@dataclass(frozen=True)
-class OrbitUnion:
-    arity: int
-    members: frozenset[KType]
+class OrbitUnion(Value):
+    __slots__ = ("arity", "members", "_hash")
+
+    def __init__(self, arity: int, members: frozenset[KType]):
+        init = object.__setattr__
+        init(self, "arity", arity)
+        init(self, "members", members)
+        init(self, "_hash", hash((arity, members)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.arity == other.arity
+                and self.members == other.members)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sorted_members(self) -> tuple[KType, ...]:
         return tuple(sorted(self.members, key=serialize_type))

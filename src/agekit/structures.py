@@ -39,26 +39,47 @@ enumerate_structures and ages.enumerate_age both generate this way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
 from .errors import InputError
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Signature:
+# one-point extensions search every subset of the atom slots a new point
+# adds, so at most this many; a second point alone gets 2**arity - 1 slots of
+# a symbol, and a symbol of higher arity than this is refused outright
+EXTENSION_SLOT_LIMIT = 24
+
+
+class Signature(Value):
     """Ordered list of (name, arity); the ordering is part of identity."""
 
-    symbols: tuple[tuple[str, int], ...]
+    __slots__ = ("symbols", "_hash")
 
-    def __post_init__(self):
-        names = [n for n, _ in self.symbols]
+    def __init__(self, symbols: tuple[tuple[str, int], ...]):
+        names = [n for n, _ in symbols]
         if len(set(names)) != len(names):
             raise InputError(f"duplicate symbol names in signature: {names}")
-        for name, arity in self.symbols:
+        for name, arity in symbols:
             if arity < 1:
                 raise InputError(f"symbol {name} has arity {arity} < 1")
+            if arity > EXTENSION_SLOT_LIMIT:
+                raise InputError(
+                    f"symbol {name} has arity {arity} > {EXTENSION_SLOT_LIMIT}")
+        init = object.__setattr__
+        init(self, "symbols", symbols)
+        init(self, "_hash", hash((symbols,)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.symbols):
@@ -74,23 +95,32 @@ class Signature:
         return max((a for _, a in self.symbols), default=0)
 
 
-@dataclass(frozen=True, eq=True)
-class FinStructure:
+class FinStructure(Value):
     """A finite structure: size n and one tuple-set per signature symbol."""
 
-    signature: Signature
-    size: int
-    tables: tuple[frozenset[tuple[int, ...]], ...]
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    __slots__ = ("signature", "size", "tables", "_hash")
 
-    def __post_init__(self):
+    def __init__(self, signature: Signature, size: int,
+                 tables: tuple[frozenset[tuple[int, ...]], ...]):
         # Tuples are not checked here: the engine builds structures from
         # tables that are already valid, and structure() checks input atoms.
-        if self.size < 0:
+        if size < 0:
             raise InputError("structure size must be >= 0")
-        if len(self.tables) != len(self.signature.symbols):
+        if len(tables) != len(signature.symbols):
             raise InputError("one table per signature symbol required")
-        object.__setattr__(self, "_hash", hash((self.signature, self.size, self.tables)))
+        init = object.__setattr__
+        init(self, "signature", signature)
+        init(self, "size", size)
+        init(self, "tables", tables)
+        init(self, "_hash", hash((signature, size, tables)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.size == other.size
+                and self.tables == other.tables and self.signature == other.signature)
 
     def __hash__(self) -> int:
         return self._hash
@@ -373,10 +403,13 @@ def atom_mask(sig: Signature, tables, points) -> int:
 
 def extension_slots(sig: Signature, new: int) -> tuple:
     """The (symbol, tuple) slots a new point `new` adds, in slot-bit order."""
-    slots = _check_slots(sig, new + 1)[new]
-    if len(slots) > 24:
-        raise InputError("one_point_extensions: relation space too large")
-    return slots
+    # counted before any slot is built
+    count = sum((new + 1) ** arity - new ** arity for _, arity in sig.symbols)
+    if count > EXTENSION_SLOT_LIMIT:
+        raise InputError(
+            f"relation space too large: a point added to {new} points has "
+            f"{count} atom slots, more than {EXTENSION_SLOT_LIMIT}")
+    return _check_slots(sig, new + 1)[new]
 
 
 def one_point_extensions(s: FinStructure):
@@ -532,31 +565,56 @@ def parse_literal(sig: Signature, text: str) -> FinStructure:
 
 # -- quantifier-free formulas --------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
-    symbol: str
-    vars: tuple[int, ...]
+class Atom(Value):
+    __slots__ = ("symbol", "vars")
+
+    def __init__(self, symbol: str, vars: tuple[int, ...]):
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "vars", vars)
+
+    def _key(self) -> tuple:
+        return (self.symbol, self.vars)
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: int
-    right: int
+class Eq(Value):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: int, right: int):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def _key(self) -> tuple:
+        return (self.left, self.right)
 
 
-@dataclass(frozen=True)
-class Not:
-    inner: "QfFormula"
+class Not(Value):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: QfFormula):
+        object.__setattr__(self, "inner", inner)
+
+    def _key(self) -> tuple:
+        return (self.inner,)
 
 
-@dataclass(frozen=True)
-class And:
-    parts: tuple["QfFormula", ...]
+class And(Value):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[QfFormula, ...]):
+        object.__setattr__(self, "parts", parts)
+
+    def _key(self) -> tuple:
+        return (self.parts,)
 
 
-@dataclass(frozen=True)
-class Or:
-    parts: tuple["QfFormula", ...]
+class Or(Value):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[QfFormula, ...]):
+        object.__setattr__(self, "parts", parts)
+
+    def _key(self) -> tuple:
+        return (self.parts,)
 
 
 QfFormula = Atom | Eq | Not | And | Or

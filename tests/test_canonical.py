@@ -22,7 +22,6 @@ from agekit.canonical import (
     random_age_member,
     serialize_behaviour,
 )
-from agekit import ktypes
 from agekit.errors import IncoherentBehaviourError, InputError
 from agekit.ktypes import KType, enumerate_types, type_index, type_of_raw
 from agekit.parser import Catalog, parse_input
@@ -155,20 +154,11 @@ def _ternary_text():
 
 
 @pytest.fixture(scope="module")
-def local_classes(monkeypatch_module):
-    # the ternary class has 27 atom slots on 3 points, above the default
-    # slot guard; its bounds leave 6 of them free
-    monkeypatch_module.setattr(ktypes, "TYPE_SLOT_LIMIT", 27)
+def local_classes():
+    # the ternary class has 27 atom slots on 3 points; its bounds leave 6 free
     cat = Catalog()
     parse_input(LOCAL_CLASSES + _ternary_text(), cat)
     return cat
-
-
-@pytest.fixture(scope="module")
-def monkeypatch_module():
-    mp = pytest.MonkeyPatch()
-    yield mp
-    mp.undo()
 
 
 def _table_by_types(source, target, k, value):

@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -117,6 +118,12 @@ class TestSubcommands:
             ["orbits", catalog_path("linord.cls"), "--k", "2"], capsys)
         assert code == 0
         assert "orbit count at level 2: 3" in out
+
+    @pytest.mark.parametrize("name,count", [("linord", 541), ("graphs", 1895)])
+    def test_orbits_at_level_5(self, capsys, name, count):
+        # Fubini number 541; sum of S(5,b) * 2^(b(b-1)/2) is 1,895
+        code, out = run_cli(["orbits", catalog_path(f"{name}.cls"), "--k", "5"], capsys)
+        assert code == 0 and f"orbit count at level 5: {count}\n" in out
 
     def test_behaviours(self, capsys):
         code, out = run_cli(
@@ -389,7 +396,12 @@ class TestExitCodes:
         ("  bound size=2: E(0,1,1)\n", "wrong arity"),
         ("end\nreduct r over a\n  rel R/2 := orbits [ [{0}{1}|size=2: E(1,2)] ]\n",
          "out of range"),
-    ], ids=["bound-out-of-range", "bound-wrong-arity", "orbit-literal-out-of-range"])
+        ("end\nreduct r over a\n  rel R/2 := orbits [ [{a}{1}|size=2:] ]\n",
+         "bad partition block"),
+        ("end\nreduct r over a\n  rel R/2 := orbits [ [{0}{1}|size=3:] ]\n",
+         "quotient size does not match"),
+    ], ids=["bound-out-of-range", "bound-wrong-arity", "orbit-literal-out-of-range",
+            "orbit-literal-bad-position", "orbit-literal-wrong-size"])
     def test_bad_literal_atom(self, tmp_path, body, message):
         # structures are checked where literals are parsed, not where built
         bad = tmp_path / "bad.cls"
@@ -398,6 +410,42 @@ class TestExitCodes:
                            capture_output=True, text=True, timeout=60)
         assert r.returncode == 3 and r.stdout == ""
         assert message in r.stderr and "Traceback" not in r.stderr
+
+    def test_huge_arity(self, tmp_path):
+        # refused with the signature, before any slot count or tuple is built
+        bad = tmp_path / "huge.cls"
+        bad.write_text("class c\n  sig E/99999999999\nend\n")
+        r = subprocess.run([sys.executable, "-m", "agekit.cli", "orbits", str(bad),
+                            "--k", "2"], capture_output=True, text=True, timeout=60)
+        assert r.returncode == 3 and r.stdout == ""
+        assert "line 2" in r.stderr and "arity 99999999999" in r.stderr
+        assert "Traceback" not in r.stderr and "internal error" not in r.stderr
+
+    @pytest.mark.parametrize("sig,k,limit,named", [
+        ("E/2", "2", 10, "labelled age members on 2 points"),
+        ("U/1", "3", 20, "types at level 3"),
+    ], ids=["members", "types"])
+    def test_type_enumeration_guard(self, tmp_path, monkeypatch, capsys,
+                                    sig, k, limit, named):
+        # U/1 at level 3 builds 2 + 4 + 8 members, then 22 types
+        from agekit import ktypes
+        monkeypatch.setattr(ktypes, "TYPE_LIMIT", limit)
+        path = tmp_path / "guard.cls"
+        path.write_text(f"class guard_{sig[0]}\n  sig {sig}\nend\n")
+        code = main(["orbits", str(path), "--k", k])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert named in captured.err and "lower --k" in captured.err
+
+    def test_one_point_class_at_high_levels(self, capsys):
+        # one type at every level: only the one-block partition is enumerated,
+        # not all Bell(40) of them; the level itself is capped
+        code, out = run_cli(["orbits", catalog_path("point.cls"), "--k", "40"], capsys)
+        assert code == 0 and "orbit count at level 40: 1\n" in out
+        code = main(["orbits", catalog_path("point.cls"), "--k", "99999999999"])
+        captured = capsys.readouterr()
+        assert code == 3 and "level 99999999999" in captured.err
+        assert "internal error" not in captured.err
 
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["core", "--help"]])
     def test_help_and_version_exit_0(self, argv):
@@ -442,6 +490,98 @@ class TestProbeFlagFuzz:
         err = err.getvalue()
         assert code in (0, 1, 3)
         assert "Traceback" not in err and "internal error" not in err
+
+
+# grammar fuzz: catalog files with tokens, sizes, arities and rel lines changed
+_TOKENS = ("class", "reduct", "over", "end", "sig", "bound", "assert", "rel", ":=",
+           "orbits", "[", "]", "homogeneous", "ramsey", "E/2", "R/3", "U/1", "E/0",
+           "size=0:", "size=2:", "size=-1:", "E(0,1)", "E(0)", "E(0,5)", "lt(1,0)",
+           "x0=x1", "E(x0,x1)", "!", "&", "|", "(", ")", "#", "x9", "linord", "{1}{0}",
+           "[{0}{1}|size=2: E(0,1)]", "[{0,1}|size=1:]", "[{a}|size=1:]")
+_REL_LINES = ("  rel R/2 := E(x0,x1) | x0=x1", "  rel S/1 := !E(x0,x0)",
+              "  rel T/2 := lt(x0,x1) & !(x0=x1)", "  rel Q/2 := F(x0,x1)",
+              "  rel W/0 := x0=x0", "  rel V/3 := E(x0,x3)",
+              "  rel O/2 := orbits [ [{0}{1}|size=2: E(0,1)] ]",
+              "  rel P/2 := orbits [ [{0}{1}|size=3:] ]", "  rel Z/2 := orbits [ ]")
+_NUMBERS = st.one_of(st.integers(-2, 9), st.sampled_from((25, 99999999999)))
+# the catalog files declare relations by formulas only
+_ORBIT_REDUCT = """reduct Lit over linord
+  rel lt/2 := orbits [ [{0}{1}|size=2: lt(0,1)] ]
+  rel neq/2 := orbits [ [{0}{1}|size=2: lt(0,1)], [{0}{1}|size=2: lt(1,0)] ]
+  rel le3/3 := orbits [ [{0,2}{1}|size=2: lt(0,1)] ]
+end
+"""
+_SEEDS = tuple(catalog_text(name) for name in CATALOG_FILES) + (
+    catalog_text("linord.cls") + _ORBIT_REDUCT,)
+
+
+@st.composite
+def mutated_catalog_text(draw):
+    lines = [line for line in draw(st.sampled_from(_SEEDS)).splitlines()
+             if line.strip() and not line.startswith("#")]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("token", "char", "number", "arity", "rel", "line")))
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        if kind == "token" and lines:
+            tokens = lines[i].split()
+            j = draw(st.integers(0, len(tokens)))
+            tokens[j:j + draw(st.integers(0, 1))] = [draw(st.sampled_from(_TOKENS))]
+            lines[i] = "  " + " ".join(tokens)
+        elif kind == "char" and lines and lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            lines[i] = lines[i][:j] + draw(st.sampled_from("a{}[]|,()=:!x0-/ ")) + lines[i][j + 1:]
+        elif kind == "number" and lines:
+            spans = [m.span() for m in re.finditer(r"\d+", lines[i])]
+            if spans:
+                a, b = draw(st.sampled_from(spans))
+                lines[i] = lines[i][:a] + str(draw(_NUMBERS)) + lines[i][b:]
+        elif kind == "arity":
+            sigs = [j for j, line in enumerate(lines) if line.strip().startswith("sig")]
+            if sigs:
+                j = draw(st.sampled_from(sigs))
+                arity = draw(st.sampled_from((0, 1, 2, 3, 25, 99999999999)))
+                lines[j] = re.sub(r"/\d+", f"/{arity}", lines[j], count=1)
+        elif kind == "rel":
+            # next to a rel line, which sits inside a reduct block
+            rels = [j for j, line in enumerate(lines) if line.strip().startswith("rel")]
+            j = draw(st.sampled_from(rels)) if rels else i
+            op = draw(st.sampled_from(("insert", "delete", "duplicate", "arity")))
+            if op == "insert" or not rels:
+                lines.insert(j, draw(st.sampled_from(_REL_LINES)))
+            elif op == "delete":
+                del lines[j]
+            elif op == "duplicate":
+                lines.insert(j, lines[j])
+            else:
+                lines[j] = re.sub(r"/\d+", f"/{draw(_NUMBERS)}", lines[j], count=1)
+        elif lines:
+            if draw(st.booleans()):
+                del lines[i]
+            else:
+                lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+class TestGrammarFuzz:
+    """A mutated catalog file is an answer or an input error, never an
+    engine failure; the checks the value classes' constructors used to make
+    now sit at the input boundary."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(text=mutated_catalog_text())
+    def test_exit_code_and_no_traceback(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.cls"
+            path.write_text(text)
+            for argv in (["check", str(path), "--ap-cap", "1"],
+                         ["orbits", str(path), "--k", "2"]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    code = main(argv)
+                err = err.getvalue()
+                assert code in (0, 1, 2, 3), (argv, text, err)
+                assert "Traceback" not in err and "internal error" not in err, (text, err)
 
 
 class TestDeterminism:
