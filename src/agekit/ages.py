@@ -220,6 +220,11 @@ def age_extensions(k: BoundedClass, base: FinStructure) -> tuple[FinStructure, .
     return tuple(out)
 
 
+# the most amalgam tests one check may need before it is refused: diagrams
+# times candidate amalgams per diagram, summed over the base sizes
+AMALGAM_LIMIT = 1 << 22
+
+
 def default_ap_cap(k: BoundedClass) -> int:
     return max(2, 2 * k.max_bound_size)
 
@@ -256,16 +261,29 @@ def check_amalgamation(k: BoundedClass, cap: int | None = None,
     diagram are built once per B0: one working copy of B0's tables, and
     each extension's atoms on its new point, both as B1's (point |B0|)
     and as B2's (point |B0| + 1).
+
+    Before the diagrams of a B0 are tested, their number times the
+    2^(free slots) candidate amalgams of each, summed with those of the
+    bases before, is held to AMALGAM_LIMIT; past it the check is refused
+    with an InputError that names --ap-cap.
     """
     if cap is None:
         cap = default_ap_cap(k)
     if cap < 1:
         raise InputError("check_amalgamation: cap must be >= 1")
     checked = 0
+    tests = 0
     for s in range(0, cap):
-        free = _amalgam_free_slots(k.signature, s)
+        # counted before they are listed: a symbol of high arity has too many to list
+        nfree = sum((s + 2) ** a - 2 * (s + 1) ** a + s ** a for _, a in k.signature.symbols)
         for b0 in enumerate_age(k, s):
             exts = age_extensions(k, b0)
+            tests += len(exts) ** 2 << min(nfree, 64)
+            if tests > AMALGAM_LIMIT:
+                raise InputError(
+                    f"amalgamation check too large: bases on {s} points need more "
+                    f"than {AMALGAM_LIMIT:,} amalgam tests; lower --ap-cap")
+            free = _amalgam_free_slots(k.signature, s)
             own = [[(si, t) for si, table in enumerate(e.tables) for t in table if s in t]
                    for e in exts]
             moved = [[(si, tuple(s + 1 if v == s else v for v in t)) for si, t in atoms]

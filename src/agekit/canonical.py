@@ -24,12 +24,13 @@ from .ktypes import (
     enumerate_types,
     first_m_index_map,
     pad_index_map,
+    read_type_indices,
     restrict_index_map,
     serialized_types,
     symbol_holds,
     type_indices,
 )
-from .structures import FinStructure, embeds, empty_structure, induced
+from .structures import FinStructure, empty_structure, induced
 from .value import Value
 
 
@@ -536,13 +537,14 @@ def greedy_extension_probe(behaviours, max_size: int, trials: int,
 
     Draws random source age members of size <= max_size and checks, for
     every behaviour, that the images of the member's prefixes (its points
-    in a random order) land in the target age and extend point by point.
-    The draws depend only on the source class, max_size, trials and seed,
-    so the behaviours must share their source: each member and its
-    prefixes are built once and checked for every behaviour, and each
-    report is the one a probe of its behaviour alone would give.  Any
-    failure falsifies the bounded check's completeness on that behaviour
-    and is reported verbatim.
+    in a random order) are coherent and land in the target age.  The draws
+    depend only on the source class, max_size, trials and seed, so the
+    behaviours must share their source: each member is relabelled by its
+    order once, so that prefix i is the structure induced on range(i), its
+    tuple-type indices are read once per level and shared by every
+    behaviour, and each report is the one a probe of its behaviour alone
+    would give.  Any failure falsifies the bounded check's completeness on
+    that behaviour and is reported verbatim.
     """
     behaviours = tuple(behaviours)
     if not behaviours:
@@ -559,49 +561,107 @@ def greedy_extension_probe(behaviours, max_size: int, trials: int,
             continue
         order = list(range(s.size))
         rng.shuffle(order)
-        parts = [induced(s, order[:i]) for i in range(1, s.size + 1)]
+        s = induced(s, order)
+        levels: dict[int, tuple[int, ...]] = {}
+
+        def types(m: int) -> tuple[int, ...]:
+            if m not in levels:
+                levels[m] = read_type_indices(source, s, m)
+            return levels[m]
+
         for xi, out in zip(behaviours, failures):
-            failure = _prefix_failure(xi, parts)
+            failure = _prefix_failure(xi, s.size, types)
             if failure is not None:
                 out.append(f"trial {trial}: {failure}")
     return tuple(ProbeReport(trials, max_size, seed, tuple(f)) for f in failures)
 
 
-def _prefix_failure(xi: Behaviour, parts) -> str | None:
-    """The first way the images of the growing prefixes fail, or None.
+@lru_cache(maxsize=1 << 12)
+def _through(x: int, arity: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every arity-tuple over range(x + 1) that contains x, in tuple-lex
+    order, with its flat index among the arity-tuples over range(n)."""
+    out = []
+    for t in product(range(x + 1), repeat=arity):
+        if x in t:
+            flat = 0
+            for v in t:
+                flat = flat * n + v
+            out.append((t, flat))
+    return tuple(out)
 
-    Image points are numbered by their first preimage, so each image is
-    expected to be the previous one with at most one point added.  That is
-    tested, not assumed; when it holds, the natural map embeds the
-    previous image, and the new image lies in the target age iff it is the
-    previous image or no bound embeds through its new point (by heredity,
-    as the previous image passed).  Otherwise the full age test and an
-    embedding search decide.
+
+def _prefix_failure(xi: Behaviour, n: int, types) -> str | None:
+    """The first way the images of the prefixes range(1), .., range(n) of a
+    member fail, or None; ``types(m)`` lists the source m-type index of
+    every m-tuple over range(n), in tuple-lex order.
+
+    The image of an induced sub-member is the induced sub-image (see
+    is_realizable), so the prefix images are nested, with image points
+    numbered by first preimage.  The image is grown one point x at a time
+    from the previous one, which passed, and only tuples through x are
+    read.  x either joins exactly one class (its collapse row is that
+    class) or opens a new class; any other collapse row breaks a law,
+    which _equivalence_failure names on the whole prefix, as the full
+    image would.  Atoms through x must agree with the image (or, for a new
+    class, with each other), and a new class lies in the target age iff no
+    bound embeds through it, by heredity.  A one-point prefix reads no
+    pair, so point 0's reflexive pair is first judged at size 2.
     """
-    prev = None
-    for i, part in enumerate(parts, 1):
-        try:
-            img = image_structure(xi, part)
-        except IncoherentBehaviourError as exc:
-            return f"incoherent image at size {i}: {exc}"
-        natural = prev is not None and _extends_naturally(prev, img)
-        if natural:
-            in_target = img.size == prev.size or _in_age_through(
-                xi.target, img.tables, img.size, (img.size - 1,))
+    target = xi.target
+    symbols = [(si, arity, symbol_holds(target, si))
+               for si, (_, arity) in enumerate(target.signature.symbols)]
+    rows: dict[int, list[int]] = {}
+
+    def row(m: int) -> list[int]:
+        if m not in rows:
+            lvl = xi.level_map(m)
+            rows[m] = [lvl[f] for f in types(m)]
+        return rows[m]
+
+    image: list[set] = [set() for _ in symbols]  # tuples over the classes
+    class_of: list[int] = []
+    members: list[list[int]] = []  # the points of each class
+    for x in range(n):
+        size = x + 1
+        if x == 0:
+            c = 0
         else:
-            in_target = _in_age(xi.target, img)
-        if not in_target:
-            return f"image outside target age at size {i}"
-        if not natural and prev is not None and not embeds(prev, img):
-            return f"image does not extend at size {i}"
-        prev = img
+            if x == 1 and xi.k < 2:
+                raise InputError("image_structure needs level >= 2 to resolve collapsing")
+            degenerate = degenerate_pairs(target)
+            pairs = row(2)
+            collapses = [degenerate[pairs[x * n + y]] for y in range(size)]
+            joined = [y for y in range(x) if collapses[y]]
+            c = class_of[joined[0]] if joined else len(members)
+            if (not collapses[x] or (x == 1 and not degenerate[pairs[0]])
+                    or any(degenerate[pairs[y * n + x]] != collapses[y] for y in range(x))
+                    or (joined and joined != members[c])):
+                collapse = [[degenerate[pairs[a * n + b]] for b in range(size)]
+                            for a in range(size)]
+                return f"incoherent image at size {size}: {_equivalence_failure(collapse)}"
+        class_of.append(c)
+        opened = c == len(members)
+        if opened:
+            members.append([x])
+        else:
+            members[c].append(x)
+        seen: dict[tuple, bool] = {}  # (symbol, class tuple) -> atom, for a new class
+        for si, arity, holds in symbols:
+            values = row(arity)
+            table = image[si]
+            for t, flat in _through(x, arity, n):
+                h = holds[values[flat]]
+                ct = tuple([class_of[v] for v in t])
+                known = seen.get((si, ct)) if opened else ct in table
+                if known is not None and known != h:
+                    return (f"incoherent image at size {size}: "
+                            "relation atoms disagree across representatives")
+                if opened:
+                    seen[si, ct] = h
+        if opened:
+            for (si, ct), h in seen.items():
+                if h:
+                    image[si].add(ct)
+            if not _in_age_through(target, image, len(members), (c,)):
+                return f"image outside target age at size {size}"
     return None
-
-
-def _extends_naturally(prev: FinStructure, img: FinStructure) -> bool:
-    """Whether img is prev with at most one point added: on prev's points,
-    img induces prev."""
-    m = prev.size
-    return img.size - m in (0, 1) and all(
-        small == {t for t in big if max(t) < m}
-        for small, big in zip(prev.tables, img.tables))

@@ -213,17 +213,25 @@ def _type_lookup(k: BoundedClass, level: int) -> dict[tuple, int]:
             for i, p in enumerate(enumerate_types(k, level))}
 
 
-# bounded: the extension probe maps a stream of fresh random members
+# bounded: realizability checks read every member of the source age up to its cap
 @lru_cache(maxsize=1 << 14)
 def type_indices(k: BoundedClass, s: FinStructure, level: int) -> tuple[int, ...]:
     """The type index of every level-tuple of an age member, in tuple-lex order.
 
     Equal to ``type_index(k, level)[type_of_raw(s, t)]`` for each t in
     ``product(range(s.size), repeat=level)``, read off s.tables with no
-    KType or induced structure built.
+    KType or induced structure built.  Raises InputError for a structure
+    outside the age.
     """
     if not in_age(k, s):
         raise InputError("type_indices: structure outside the age")
+    return read_type_indices(k, s, level)
+
+
+def read_type_indices(k: BoundedClass, s: FinStructure, level: int) -> tuple[int, ...]:
+    """type_indices for a structure known to lie in the age, with no age
+    test and no cache: the extension probe reads each of its fresh random
+    draws once per level."""
     lookup = _type_lookup(k, level)
     masks: dict[tuple[int, ...], int] = {}
     out = []

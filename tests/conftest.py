@@ -114,7 +114,7 @@ def reference_probe(xi: Behaviour, max_size: int, trials: int,
     """The randomized extension probe of one behaviour on its own draws,
     with the full age test and an embedding search for every prefix image:
     the reference for the one pass over the draws that checks every
-    behaviour and tries the natural map between images first."""
+    behaviour and grows each prefix image by its new point."""
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):

@@ -3,6 +3,7 @@ one-point amalgamation diagnostics."""
 
 import pytest
 
+from agekit import ages
 from agekit.ages import (
     BoundedClass,
     check_amalgamation,
@@ -138,3 +139,11 @@ class TestAmalgamation:
     def test_reports_diagram_count(self, linord):
         result = check_amalgamation(linord, 4, strong=True)
         assert result.ok and result.diagrams_checked > 0
+
+    def test_work_guard_counts_every_amalgam_test(self, trifree, monkeypatch):
+        # at cap 6: 5,295 diagrams, each with 2^2 candidate amalgams
+        monkeypatch.setattr(ages, "AMALGAM_LIMIT", 5295 * 4)
+        assert check_amalgamation(trifree, 6).ok
+        monkeypatch.setattr(ages, "AMALGAM_LIMIT", 5295 * 4 - 1)
+        with pytest.raises(InputError, match="lower --ap-cap"):
+            check_amalgamation(trifree, 6)

@@ -26,7 +26,7 @@ from agekit.errors import IncoherentBehaviourError, InputError
 from agekit.ktypes import KType, enumerate_types, type_index, type_of_raw
 from agekit.parser import Catalog, parse_input
 from agekit.structures import Signature, canonical_form, induced, structure
-from conftest import compose, is_compatible, is_identity, parse_behaviour
+from conftest import compose, is_compatible, is_identity, parse_behaviour, reference_probe
 
 SIG = Signature((("lt", 2),))
 GSIG = Signature((("E", 2),))
@@ -174,6 +174,32 @@ def _rgs(keys):
     return tuple(order.index(c) for c in keys)
 
 
+def _arcs_to_ternary(local_classes):
+    """mutual -> ternary at k=3: mutual arcs collapse; T(a, b, c) holds on
+    three classes when the representative of a has an arc to that of b.
+    Two representatives of a with different arcs to b disagree only with a
+    third class present: on 4 points, never on 3."""
+    mutual = local_classes.bounded_class("mutual")
+    ternary = local_classes.bounded_class("ternary")
+    tsig = ternary.signature
+
+    def value(p):
+        arcs = p.quotient.table("R")
+        cls = [min(q for q in range(3) if p.blocks[q] == p.blocks[i]
+                   or ((p.blocks[i], p.blocks[q]) in arcs
+                       and (p.blocks[q], p.blocks[i]) in arcs))
+               for i in range(3)]
+        blocks = _rgs(cls)
+        atoms = []
+        if max(blocks) == 2:
+            atoms = [("T", (blocks[a], blocks[b], blocks[c]))
+                     for a, b, c in permutations(range(3))
+                     if (p.blocks[a], p.blocks[b]) in arcs]
+        return KType(3, blocks, structure(tsig, max(blocks) + 1, atoms))
+
+    return _table_by_types(mutual, ternary, 3, value)
+
+
 class TestLocalRealizeBound:
     """One table per term of max(3, r + 1, b) that passes below the bound
     and fails at it, with that term strictly the largest: lowering any term
@@ -207,29 +233,7 @@ class TestLocalRealizeBound:
         self.check_tight(_table_by_types(graphs, k4free, 3, lambda p: p), 4)
 
     def test_arity_term_ternary_target(self, local_classes):
-        # mutual arcs collapse; T(a, b, c) holds on three classes when the
-        # representative of a has an arc to that of b.  Two representatives
-        # of a with different arcs to b disagree only with a third class
-        # present: on 4 points, never on 3
-        mutual = local_classes.bounded_class("mutual")
-        ternary = local_classes.bounded_class("ternary")
-        tsig = ternary.signature
-
-        def value(p):
-            arcs = p.quotient.table("R")
-            cls = [min(q for q in range(3) if p.blocks[q] == p.blocks[i]
-                       or ((p.blocks[i], p.blocks[q]) in arcs
-                           and (p.blocks[q], p.blocks[i]) in arcs))
-                   for i in range(3)]
-            blocks = _rgs(cls)
-            atoms = []
-            if max(blocks) == 2:
-                atoms = [("T", (blocks[a], blocks[b], blocks[c]))
-                         for a, b, c in permutations(range(3))
-                         if (p.blocks[a], p.blocks[b]) in arcs]
-            return KType(3, blocks, structure(tsig, max(blocks) + 1, atoms))
-
-        self.check_tight(_table_by_types(mutual, ternary, 3, value), 4)
+        self.check_tight(_arcs_to_ternary(local_classes), 4)
 
 
 class TestImageStructure:
@@ -382,6 +386,18 @@ class TestProbe:
         a = greedy_extension_probe((cliq,), 6, 50, 7)[0]
         b = greedy_extension_probe((cliq,), 6, 50, 7)[0]
         assert a == b
+
+    def test_atoms_read_through_every_new_point(self, local_classes):
+        # the disagreement shows once a prefix has 4 points or more, whether
+        # its last point opens a class or joins one: its atoms are read either way
+        xi = _arcs_to_ternary(local_classes)
+        for seed in (1, 2):
+            got = greedy_extension_probe((xi,), 6, 40, seed)[0]
+            assert got == reference_probe(xi, 6, 40, seed)
+            found = [f.split(" at size ")[1].split(": ") for f in got.failures]
+            assert found and all(int(size) >= 4 for size, _ in found)
+            assert {law for _, law in found} == {
+                "relation atoms disagree across representatives"}
 
     def test_random_members_live_in_the_age(self, catalog):
         rng = random.Random(0)

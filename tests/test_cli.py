@@ -362,6 +362,23 @@ class TestExitCodes:
         assert not re.search(r"\b[a-z]+_[a-z_]+:", captured.err)
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("text", [
+        "class a\n  sig E/3 F/3\nend\n",
+        "class b\n  sig E/4\n  bound size=1: E(0,0,0,0)\nend\n",
+    ], ids=["two-ternary", "quaternary"])
+    def test_amalgamation_too_large(self, capsys, tmp_path, text):
+        # a one-point base has 2^14 extensions: about 2^28 diagrams, each
+        # with 2^24 candidate amalgams, refused before the first is tested
+        path = tmp_path / "big.cls"
+        path.write_text(text)
+        start = time.monotonic()
+        code = main(["check", str(path)])
+        assert time.monotonic() - start < 5.0
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "lower --ap-cap" in captured.err
+        assert "Traceback" not in captured.err and "internal error" not in captured.err
+
     def test_probe_zero_trials_is_valid(self, capsys):
         code, out = run_cli(["probe", catalog_path("graphs.cls"), "--trials", "0"], capsys)
         assert code == 0 and "verdict: OK" in out

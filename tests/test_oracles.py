@@ -9,7 +9,9 @@ type-index tables and the image kernel are checked against a KType built
 per tuple.  The anchored bound checks (_in_age_through, the amalgamation
 scan without mirrored diagrams, random_age_member) are checked against the
 full _in_age search, and _in_age_through's root index against searching
-every rooted bound.  decide_bidef's forced signature matching is checked
+every rooted bound.  The extension probe, which grows each prefix image
+by its new point, is checked against building every prefix image whole
+(reference_probe).  decide_bidef's forced signature matching is checked
 against the search over every arity-preserving matching.  The pinned
 search for relation-preserving behaviours, and the definability expansions
 built on it, are checked against filtering every realizable behaviour,
@@ -934,9 +936,10 @@ def count_calls(monkeypatch, module, name) -> list[int]:
 
 
 class TestOnePassProbe:
-    """greedy_extension_probe draws each member once for all behaviours and
-    tries the natural map between prefix images first; reference_probe
-    draws per behaviour and searches every embedding."""
+    """greedy_extension_probe draws each member once for all behaviours,
+    reads its type tables once per level and grows each prefix image from
+    the previous one by its new point; reference_probe draws per behaviour,
+    builds every prefix image whole and searches every embedding."""
 
     @pytest.mark.parametrize("name", CLASSES)
     def test_reports_equal_reference(self, catalog, name):
@@ -958,35 +961,42 @@ class TestOnePassProbe:
                           for r in got for f in r.failures}
         assert kinds == {"incoherent image", "image outside target age"}
 
-    def test_relabelled_images_take_the_fallback(self, catalog, monkeypatch):
-        # image points in reverse order: the natural map mostly misses, so
-        # the full age test and the embedding search decide
-        real = canonical._image_from_types
+    def test_probe_builds_no_image(self, catalog, monkeypatch):
+        # each prefix image is grown from the previous one by its new point:
+        # no image is built whole, and no age test searches a full embedding
+        runs = [enumerate_behaviours(catalog.bounded_class(name),
+                                     catalog.bounded_class(name), 2, realize_cap=cap)
+                for name in ("graphs", "trifree", "maxdeg1") for cap in (None, 2)]
+        images = count_calls(monkeypatch, canonical, "image_structure")
+        kernels = count_calls(monkeypatch, canonical, "_image_from_types")
+        searches = [count_calls(monkeypatch, module, "embeds")
+                    for module in (structures, ages)]
+        reports = [r for bs in runs for r in greedy_extension_probe(bs, 8, 30, 4)]
+        assert any(r.failures for r in reports)
+        assert images[0] == kernels[0] == 0
+        assert [c[0] for c in searches] == [0, 0]
 
-        def reversed_points(target, n, images):
-            img = real(target, n, images)
-            return apply_perm(img, list(range(img.size))[::-1])
-
-        runs = []
+    def test_one_type_table_per_level_and_draw(self, catalog, monkeypatch):
+        # one level (2, the only arity) per draw, shared by every behaviour
+        calls = count_calls(monkeypatch, canonical, "read_type_indices")
         for name in ("graphs", "trifree", "maxdeg1"):
             k = catalog.bounded_class(name)
             for cap in (None, 2):
                 bs = enumerate_behaviours(k, k, 2, realize_cap=cap)
-                runs.append((bs, tuple(reference_probe(xi, 8, 30, 5) for xi in bs)))
-        monkeypatch.setattr(canonical, "_image_from_types", reversed_points)
-        searches = count_calls(monkeypatch, canonical, "embeds")
-        for bs, want in runs:
-            assert greedy_extension_probe(bs, 8, 30, 5) == want
-        assert searches[0] > 100
+                assert len(bs) > 1
+                calls[0] = 0
+                greedy_extension_probe(bs, 8, 30, 4)
+                assert 0 < calls[0] <= 30
 
-    def test_natural_map_spares_embedding_search(self, catalog, monkeypatch):
-        calls = count_calls(monkeypatch, canonical, "embeds")
-        for name in ("graphs", "trifree"):
-            k = catalog.bounded_class(name)
-            for cap in (None, 2):
-                greedy_extension_probe(enumerate_behaviours(k, k, 2, realize_cap=cap),
-                                       8, 30, 4)
-        assert calls[0] == 0
+    def test_reflexive_pair_first_judged_at_size_2(self, graphs):
+        # the pair (x, x) goes to a non-edge of two points: a one-point
+        # image reads no pair, so only draws of two or more points fail
+        xi = Behaviour(graphs, graphs, 2, (1, 1, 2))
+        got = greedy_extension_probe((xi,), 3, 40, 0)
+        assert got == (reference_probe(xi, 3, 40, 0),)
+        assert 0 < len(got[0].failures) < 40
+        assert {f.split(": ", 1)[1] for f in got[0].failures} == {
+            "incoherent image at size 2: reflexive pair does not collapse"}
 
     def test_behaviours_share_one_source(self, trifree, graphs):
         # the graphs identity could run on trifree's draws, but its own
