@@ -81,6 +81,8 @@ def parse_type(sig, text: str) -> KType:
         for tok in group.split(","):
             if not tok.isdecimal():
                 raise InputError(f"bad partition block in type: {part!r}")
+            if int(tok) in assign:
+                raise InputError(f"position {tok} listed twice in type: {text!r}")
             assign[int(tok)] = b
     k = len(assign)
     if sorted(assign) != list(range(k)):
@@ -280,9 +282,7 @@ def pad_index_map(k: BoundedClass, m: int, level: int) -> tuple[int, ...]:
     """m-type index -> level-type index via the repeat-last-position padding."""
     if m > level:
         raise InputError("pad_index_map: m must be <= level")
-    sigma = tuple(min(i, m - 1) for i in range(level))
-    idx = type_index(k, level)
-    return tuple(idx[restrict_type(p, sigma)] for p in enumerate_types(k, m))
+    return restrict_index_map(k, m, tuple(min(i, m - 1) for i in range(level)))
 
 
 @lru_cache(maxsize=None)

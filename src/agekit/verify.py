@@ -4,12 +4,18 @@ Re-checks every claim a certificate makes using only the primitives of the
 structures module (plus the shared file grammar): its own type enumeration,
 its own restriction via representative tuples, its own image construction
 and age scan.  It deliberately shares no checking logic with the searcher.
+
+One table checker serves every certificate kind: behaviours (one argument
+column) and polymorphism tables (`witness_arity` columns) alike are parsed
+against the class's types, every argument and value column included, and
+checked for compatibility, realizability up to the recorded cap and the
+relations they carry.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .errors import AgekitError, InputError
 from .parser import Catalog, parse_input, split_type_columns
@@ -20,10 +26,12 @@ from .structures import (
     canonical_form,
     embeds,
     empty_structure,
+    enumerate_structures,
     eval_qf,
     induced,
     one_point_extensions,
     parse_literal,
+    render_literal,
     sort_key,
 )
 
@@ -46,6 +54,8 @@ def _vtype_of(s: FinStructure, tup) -> VType:
     return tuple(blocks), induced(s, reps)
 
 
+# every table check restricts the same few types through the same few maps
+@lru_cache(maxsize=None)
 def _vrestrict(p: VType, sigma) -> VType:
     """Restriction through a concrete representative tuple of the type."""
     blocks, quotient = p
@@ -54,7 +64,6 @@ def _vrestrict(p: VType, sigma) -> VType:
 
 def _vserialize(p: VType) -> str:
     blocks, quotient = p
-    from .structures import render_literal
     parts = []
     for b in range(quotient.size):
         members = ",".join(str(i) for i in range(len(blocks)) if blocks[i] == b)
@@ -105,7 +114,8 @@ def _v_labeled(sig: Signature, bounds, n: int):
     return out
 
 
-def _v_types(sig: Signature, bounds, k: int) -> list[VType]:
+@lru_cache(maxsize=None)
+def _v_types(sig: Signature, bounds, k: int) -> tuple[VType, ...]:
     def partitions(prefix, top):
         if len(prefix) == k:
             yield tuple(prefix)
@@ -117,7 +127,7 @@ def _v_types(sig: Signature, bounds, k: int) -> list[VType]:
     for rgs in partitions([0], 0):
         for q in _v_labeled(sig, bounds, max(rgs) + 1):
             out.append((rgs, q))
-    return out
+    return tuple(out)
 
 
 # once per (signature, bounds, size): every behaviour of a certificate scans
@@ -136,66 +146,82 @@ def _v_age(sig: Signature, bounds, n: int) -> tuple[FinStructure, ...]:
 
 # -- behaviour checks ------------------------------------------------------------
 
+def _vrow(args) -> str:
+    return " | ".join(_vserialize(p) for p in args)
+
+
 class _VBehaviour:
-    """A parsed behaviour table over verifier-local types."""
+    """A parsed table over verifier-local types: `arity` argument columns of
+    source k-types, one value column of a target k-type.  Arity 1 is a
+    behaviour; a higher arity is a polymorphism table, applied componentwise.
+    """
 
     def __init__(self, src_class, tgt_class, k: int, lines: str,
-                 field: str = "behaviour"):
+                 field: str = "behaviour", arity: int = 1):
         self.k = k
+        self.arity = arity
         self.src = src_class
         self.tgt = tgt_class
         self.types_src = _v_types(src_class.signature, src_class.bounds, k)
-        self.types_tgt = _v_types(tgt_class.signature, tgt_class.bounds, k)
         src_set = set(self.types_src)
-        tgt_set = set(self.types_tgt)
-        self.table: dict[VType, VType] = {}
+        tgt_set = set(_v_types(tgt_class.signature, tgt_class.bounds, k))
+        self.table: dict[tuple[VType, ...], VType] = {}
         for raw in lines.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             left, sep, right = line.partition("->")
-            if not sep:
+            columns = split_type_columns(left)
+            if not sep or len(columns) != arity:
                 raise VerificationFailure(f"bad behaviour line {line!r}")
-            p = _vparse_type(src_class.signature, left, field)
+            args = tuple(_vparse_type(src_class.signature, c, field) for c in columns)
             q = _vparse_type(tgt_class.signature, right, field)
-            if p not in src_set:
-                raise VerificationFailure(f"{_vserialize(p)} is not a source type")
+            for p in args:
+                if p not in src_set:
+                    raise VerificationFailure(f"{_vserialize(p)} is not a source type")
             if q not in tgt_set:
                 raise VerificationFailure(f"{_vserialize(q)} is not a target type")
-            if p in self.table:
-                raise VerificationFailure(f"duplicate row for {_vserialize(p)}")
-            self.table[p] = q
-        if len(self.table) != len(self.types_src):
+            if args in self.table:
+                raise VerificationFailure(f"duplicate row for {_vrow(args)}")
+            self.table[args] = q
+        if len(self.table) != len(self.types_src) ** arity:
             raise VerificationFailure("behaviour table is not total")
 
-    def apply(self, p: VType) -> VType:
-        """Apply at any level m <= k via padding with the last position."""
-        m = len(p[0])
+    def apply(self, *args: VType) -> VType:
+        """Apply componentwise at any level m <= k via padding with the last position."""
+        m = len(args[0][0])
         if m == self.k:
-            return self.table[p]
+            return self.table[args]
         if m > self.k:
             raise VerificationFailure(f"level k={self.k} is below the arity {m} it is applied at")
         pad = tuple(min(i, m - 1) for i in range(self.k))
-        return _vrestrict(self.table[_vrestrict(p, pad)], tuple(range(m)))
+        padded = tuple(_vrestrict(p, pad) for p in args)
+        return _vrestrict(self.table[padded], tuple(range(m)))
 
     def check_compatible(self):
         for sigma in product(range(self.k), repeat=self.k):
-            for p in self.types_src:
-                if self.table[_vrestrict(p, sigma)] != _vrestrict(self.table[p], sigma):
+            for args in product(self.types_src, repeat=self.arity):
+                restricted = tuple(_vrestrict(p, sigma) for p in args)
+                if self.table[restricted] != _vrestrict(self.table[args], sigma):
                     raise VerificationFailure(
                         f"behaviour not compatible at sigma={sigma}, "
-                        f"type {_vserialize(p)}")
+                        f"type {_vrow(args)}")
 
-    def image(self, s: FinStructure) -> FinStructure:
-        n = s.size
+    def carries(self, src, tgt) -> bool:
+        """Whether every tuple of `arity` types from src is applied into tgt."""
+        return all(self.apply(*args) in tgt for args in product(src, repeat=self.arity))
+
+    def image(self, members) -> FinStructure:
+        """The image of `arity` age members on one index set, applied pointwise."""
+        n = members[0].size
         tgt_sig = self.tgt.signature
         if n == 0:
             return empty_structure(tgt_sig)
-        collapse = [[False] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                q = self.apply(_vtype_of(s, (x, y)))
-                collapse[x][y] = q[0] == (0, 0)
+
+        def value(t) -> VType:
+            return self.apply(*(_vtype_of(s, t) for s in members))
+
+        collapse = [[value((x, y))[0] == (0, 0) for y in range(n)] for x in range(n)]
         for x in range(n):
             if not collapse[x][x]:
                 raise VerificationFailure("image: reflexive pair does not collapse")
@@ -217,7 +243,7 @@ class _VBehaviour:
         for si, (_, arity) in enumerate(tgt_sig.symbols):
             seen: dict[tuple[int, ...], bool] = {}
             for t in product(range(n), repeat=arity):
-                blocks, quotient = self.apply(_vtype_of(s, t))
+                blocks, quotient = value(t)
                 holds = tuple(blocks[j] for j in range(arity)) in quotient.tables[si]
                 ct = tuple(class_of[v] for v in t)
                 if ct in seen and seen[ct] != holds:
@@ -228,20 +254,21 @@ class _VBehaviour:
 
     def check_realizable(self, cap: int):
         for n in range(1, cap + 1):
-            for s in _v_age(self.src.signature, self.src.bounds, n):
-                img = self.image(s)
-                if not _bounds_allow(self.tgt.bounds, img):
+            age_n = _v_age(self.src.signature, self.src.bounds, n)
+            for members in product(age_n, repeat=self.arity):
+                if not _bounds_allow(self.tgt.bounds, self.image(members)):
                     raise VerificationFailure(
                         f"image of a size-{n} age member leaves the target age")
 
 
-def _v_union(reduct, name: str, types_by_arity) -> set[VType]:
+def _v_union(reduct, name: str) -> set[VType]:
     rel = reduct.relation(name)
     if isinstance(rel.definition, OrbitsDef):
         return {(t.blocks, t.quotient) for t in rel.definition.members}
     phi = rel.definition.formula
+    base = reduct.base
     return {
-        (blocks, q) for blocks, q in types_by_arity[rel.arity]
+        (blocks, q) for blocks, q in _v_types(base.signature, base.bounds, rel.arity)
         if eval_qf(phi, q, blocks)
     }
 
@@ -349,36 +376,31 @@ def _verify_bidef(cert: dict) -> list[str]:
     notes.append("behaviours are compatible tables")
 
     for p in xi.types_src:
-        if eta.table[xi.table[p]] != p:
+        if eta.apply(xi.apply(p)) != p:
             raise VerificationFailure("eta o xi is not the identity on source types")
     for q in eta.types_src:
-        if xi.table[eta.table[q]] != q:
+        if xi.apply(eta.apply(q)) != q:
             raise VerificationFailure("xi o eta is not the identity on target types")
     notes.append("compositions are identities")
 
-    for p, q in xi.table.items():
+    for (p,), q in xi.table.items():
         if p[0] != q[0]:
             raise VerificationFailure("behaviour collapses or splits a partition")
     notes.append("behaviours are injective (partition-preserving)")
 
-    xi_cap = _count(cert, "witness.xi_realize_cap", 0)
-    eta_cap = _count(cert, "witness.eta_realize_cap", 0)
+    xi_cap = _count(cert, "witness.xi_realize_cap", 1)
+    eta_cap = _count(cert, "witness.eta_realize_cap", 1)
     xi.check_realizable(xi_cap)
     eta.check_realizable(eta_cap)
     notes.append(f"behaviours realizable up to caps {xi_cap}/{eta_cap}")
 
-    arities_c = {r.arity for r in exp_c.relations}
-    types_c = {m: _v_types(base_c.signature, base_c.bounds, m) for m in arities_c}
-    types_d = {m: _v_types(base_d.signature, base_d.bounds, m) for m in arities_c}
     for cn, dn in matching:
-        uc = _v_union(exp_c, cn, types_c)
-        ud = _v_union(exp_d, dn, types_d)
-        for p in uc:
-            if xi.apply(p) not in ud:
-                raise VerificationFailure(f"xi does not carry {cn} into {dn}")
-        for q in ud:
-            if eta.apply(q) not in uc:
-                raise VerificationFailure(f"eta does not carry {dn} back into {cn}")
+        uc = _v_union(exp_c, cn)
+        ud = _v_union(exp_d, dn)
+        if not xi.carries(uc, ud):
+            raise VerificationFailure(f"xi does not carry {cn} into {dn}")
+        if not eta.carries(ud, uc):
+            raise VerificationFailure(f"eta does not carry {dn} back into {cn}")
     notes.append("all matched relations carried both ways")
     return notes
 
@@ -392,29 +414,26 @@ def _verify_core(cert: dict) -> list[str]:
 
     xi = _VBehaviour(base, base, k, _field(cert, "core.witness", str), "core.witness")
     xi.check_compatible()
-    xi.check_realizable(_count(cert, "core.witness_realize_cap", 0))
-    for p, q in xi.table.items():
-        if xi.table[q] != q:
+    xi.check_realizable(_count(cert, "core.witness_realize_cap", 1))
+    for q in xi.table.values():
+        if xi.apply(q) != q:
             raise VerificationFailure("witness is not range-rigid")
     notes.append("witness is a compatible, realizable, range-rigid behaviour")
 
-    arities = {r.arity for r in reduct.relations}
-    types_by_arity = {m: _v_types(base.signature, base.bounds, m) for m in arities}
     for r in reduct.relations:
-        u = _v_union(reduct, r.name, types_by_arity)
-        for p in u:
-            if xi.apply(p) not in u:
-                raise VerificationFailure(f"witness does not preserve {r.name}")
+        u = _v_union(reduct, r.name)
+        if not xi.carries(u, u):
+            raise VerificationFailure(f"witness does not preserve {r.name}")
     notes.append("witness preserves every declared relation")
 
-    image = {xi.table[p] for p in xi.types_src}
+    image = set(xi.table.values())
     stated = {_vparse_type(base.signature, t, "core.image_types")
               for t in _strings(cert, "core.image_types")}
     if image != stated:
         raise VerificationFailure("stated image types differ from the witness's")
     notes.append("image types match the witness")
 
-    cap = _count(cert, "core.scan_cap", 0)
+    cap = _count(cert, "core.scan_cap", 1)
 
     def member(s: FinStructure) -> bool:
         if not _bounds_allow(base.bounds, s):
@@ -425,8 +444,6 @@ def _verify_core(cert: dict) -> list[str]:
         ) if s.size else True
 
     expected = set()
-    from itertools import combinations
-    from .structures import enumerate_structures
     for size in range(1, cap + 1):
         for s in enumerate_structures(base.signature, size):
             if member(s):
@@ -466,115 +483,32 @@ def _verify_definable(cert: dict) -> list[str]:
         notes.append("verdict DEFINABLE is cap-relative; nothing further to verify")
         return notes
 
-    levels = {len(p[0]) for p in members if len(p[0]) <= k}
-    if not members <= {t for m in levels for t in _v_types(base.signature, base.bounds, m)}:
+    levels = {len(p[0]) for p in members}
+    if len(levels) > 1:
+        raise VerificationFailure(
+            "certificate field relation.members holds types of different levels")
+    if not members <= {t for m in levels if m <= k
+                       for t in _v_types(base.signature, base.bounds, m)}:
         raise VerificationFailure(
             "certificate field relation.members holds a type that is not a type "
             "of the core at a level up to core.k")
     arity = _count(cert, "witness_arity", 1)
-    types_k = _v_types(base.signature, base.bounds, k)
-    type_set = set(types_k)
-    table: dict[tuple[VType, ...], VType] = {}
-    for raw in _field(cert, "witness", str).splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        left, sep, right = line.partition("->")
-        if not sep:
-            raise VerificationFailure(f"bad witness line {line!r}")
-        args = tuple(_vparse_type(base.signature, c, "witness")
-                     for c in split_type_columns(left))
-        if len(args) != arity or any(a not in type_set for a in args):
-            raise VerificationFailure(f"bad argument columns in {line!r}")
-        table[args] = _vparse_type(base.signature, right, "witness")
-    if len(table) != len(types_k) ** arity:
-        raise VerificationFailure("witness table is not total")
+    poly = _VBehaviour(base, base, k, _field(cert, "witness", str), "witness", arity)
     notes.append("witness parses as a total table")
-
-    def apply_args(args):
-        m = len(args[0][0])
-        if m == k:
-            return table[args]
-        if m > k:
-            raise VerificationFailure(f"level k={k} is below the arity {m} it is applied at")
-        pad = tuple(min(i, m - 1) for i in range(k))
-        padded = tuple(_vrestrict(a, pad) for a in args)
-        return _vrestrict(table[padded], tuple(range(m)))
-
-    for sigma in product(range(k), repeat=k):
-        for args in product(types_k, repeat=arity):
-            lhs = table[tuple(_vrestrict(a, sigma) for a in args)]
-            rhs = _vrestrict(table[args], sigma)
-            if lhs != rhs:
-                raise VerificationFailure("witness is not componentwise compatible")
+    poly.check_compatible()
     notes.append("witness is componentwise compatible")
 
-    cap = _count(cert, "caps.realize_cap", 0)
-    for n in range(1, cap + 1):
-        age_n = _v_age(base.signature, base.bounds, n)
-        for members_tuple in product(age_n, repeat=arity):
-            img = _poly_image(base, table, apply_args, members_tuple)
-            if not _bounds_allow(base.bounds, img):
-                raise VerificationFailure(
-                    f"witness image of size-{n} members leaves the age")
+    cap = _count(cert, "caps.realize_cap", 1)
+    poly.check_realizable(cap)
     notes.append(f"witness realizable up to cap {cap}")
 
-    arities = {r.arity for r in reduct_out.relations}
-    types_by_arity = {m: _v_types(base.signature, base.bounds, m) for m in arities}
     for r in reduct_out.relations:
-        u = _v_union(reduct_out, r.name, types_by_arity)
-        for args in product(sorted(u, key=_vserialize), repeat=arity):
-            if apply_args(args) not in u:
-                raise VerificationFailure(f"witness does not preserve {r.name}")
+        u = _v_union(reduct_out, r.name)
+        if not poly.carries(u, u):
+            raise VerificationFailure(f"witness does not preserve {r.name}")
     notes.append("witness preserves the core's declared relations")
 
-    violated = any(
-        apply_args(args) not in members
-        for args in product(sorted(members, key=_vserialize), repeat=arity)
-    )
-    if not violated:
+    if poly.carries(members, members):
         raise VerificationFailure("witness does not violate the queried relation")
     notes.append("witness violates the queried relation")
     return notes
-
-
-def _poly_image(base, table, apply_args, members_tuple):
-    n = members_tuple[0].size
-    sig = base.signature
-    if n == 0:
-        return empty_structure(sig)
-    collapse = [[False] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            q = apply_args(tuple(_vtype_of(s, (x, y)) for s in members_tuple))
-            collapse[x][y] = q[0] == (0, 0)
-    for x in range(n):
-        if not collapse[x][x]:
-            raise VerificationFailure("poly image: reflexive pair does not collapse")
-        for y in range(n):
-            if collapse[x][y] != collapse[y][x]:
-                raise VerificationFailure("poly image: collapse not symmetric")
-            for z in range(n):
-                if collapse[x][y] and collapse[y][z] and not collapse[x][z]:
-                    raise VerificationFailure("poly image: collapse not transitive")
-    class_of = [-1] * n
-    nclasses = 0
-    for x in range(n):
-        if class_of[x] == -1:
-            for y in range(x, n):
-                if collapse[x][y]:
-                    class_of[y] = nclasses
-            nclasses += 1
-    tables = []
-    for si, (_, arity) in enumerate(sig.symbols):
-        seen: dict[tuple[int, ...], bool] = {}
-        for t in product(range(n), repeat=arity):
-            blocks, quotient = apply_args(
-                tuple(_vtype_of(s, t) for s in members_tuple))
-            holds = tuple(blocks[j] for j in range(arity)) in quotient.tables[si]
-            ct = tuple(class_of[v] for v in t)
-            if ct in seen and seen[ct] != holds:
-                raise VerificationFailure("poly image: atoms disagree across reps")
-            seen[ct] = holds
-        tables.append(frozenset(ct for ct, h in seen.items() if h))
-    return FinStructure(sig, nclasses, tuple(tables))

@@ -666,6 +666,8 @@ class TestMalformedCertificates:
         ("core", lambda c: c.pop("core")),
         ("core.image_types", lambda c: c["core"].update(image_types=["[{0,x,2}|size=1:]"])),
         ("core.witness", lambda c: c["core"].update(witness=5)),
+        ("core.witness_realize_cap", lambda c: c["core"].update(witness_realize_cap=0)),
+        ("core.scan_cap", lambda c: c["core"].update(scan_cap=0)),
     ])
     def test_rejected_with_field_name(self, core_cert, tmp_path, field, edit):
         cert = copy.deepcopy(core_cert)

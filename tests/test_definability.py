@@ -216,3 +216,18 @@ class TestWitnessVerification:
             serialize_type(t) for t in union_of(p.base_out, 2, 1).sorted_members()]
         with pytest.raises(VerificationFailure):
             verify_certificate(cert)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.update(witness=c["witness"] + "\n" + c["witness"].splitlines()[0]),
+         "duplicate row"),
+        (lambda c: c["relation"]["members"].append("[{0}|size=1:]"),
+         "types of different levels"),
+    ])
+    def test_malformed_witness_fails_verification(self, catalog, edit, message):
+        from agekit.verify import VerificationFailure
+        c = catalog.reduct("Qlt")
+        p = compute_core(c)
+        cert = definable_certificate(c, p, definable(p, union_of(p.base_out, 2, 1, 2), "pp"))
+        edit(cert)
+        with pytest.raises(VerificationFailure, match=message):
+            verify_certificate(cert)

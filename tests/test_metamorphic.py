@@ -3,8 +3,9 @@
 A catalog class with every symbol renamed and its bound and rel lines in
 reverse order gets the same verdict lines from check, orbits, behaviours,
 core and bidef.  A YES certificate of bidef or biint with one row of ξ or
-η sent to another type is rejected by verify, while the certificate as
-written verifies.
+η sent to another type, or a NOT-DEFINABLE certificate with one row of
+its polymorphism table sent to another type, is rejected by verify, while
+the certificate as written verifies.
 """
 
 import contextlib
@@ -116,57 +117,89 @@ def test_renamed_and_reordered_keep_every_verdict(name, tmp_path):
     assert answers == {"verdict: OK"} | {f"verdict: {v}" for v in BIDEF[name][1]}
 
 
-# -- tampered YES certificates --------------------------------------------------
+# -- tampered witness certificates ------------------------------------------------
 
-YES_QUERIES = {
-    "bidef-fo": ["bidef", "--reducts", "Qlt", "QltRev", "--mode", "fo"],
-    "biint-pp": ["biint", "--reducts", "Qlt", "QltRev", "--mode", "pp"],
+# name: (query after the catalog file, exit code, verdict, rows of its witness tables)
+WITNESS_QUERIES = {
+    "bidef-fo": (["bidef", "--reducts", "Qlt", "QltRev", "--mode", "fo"], 0, "YES", 6),
+    "biint-pp": (["biint", "--reducts", "Qlt", "QltRev", "--mode", "pp"], 0, "YES", 6),
+    "definable-pp": (["definable", "--reduct", "Qlt", "--mode", "pp", "--query", "!(x0=x1)",
+                      "--query-arity", "2"], 1, "NOT-DEFINABLE", 9),
 }
 
 
 @pytest.fixture(scope="module")
-def yes_certificates(tmp_path_factory):
+def witness_certificates(tmp_path_factory):
     certs = {}
-    for name, (command, *flags) in YES_QUERIES.items():
+    for name, ((command, *flags), expected, verdict, _) in WITNESS_QUERIES.items():
         out = tmp_path_factory.mktemp(name)
         code, stdout, _ = run([command, catalog_path("linord.cls"), *flags,
                                "--witness-out", out])
-        assert code == 0 and "verdict: YES" in stdout
+        assert code == expected and f"verdict: {verdict}" in stdout
         certs[name] = json.loads((out / "certificate.json").read_text())
     return certs
 
 
-def tampered(cert):
-    """(label, copy of cert) for every row of ξ and η, with the row's value
-    moved to the type of the next index in its target's type order."""
+def witness_tables(cert):
+    """(object, key, target core block) of each witness table in cert: ξ and η
+    of a bidef or biint certificate, or the polymorphism table of a
+    definable one, whose witness is a string over the core."""
     witness = cert["witness"]
-    for table, target in (("xi", "core_d"), ("eta", "core_c")):
-        if not witness.get(table):
+    if isinstance(witness, str):
+        return [(cert, "witness", "core")]
+    return [(witness, "xi", "core_d"), (witness, "eta", "core_c")]
+
+
+def tampered(cert):
+    """(label, copy of cert) for every row of every witness table, with the
+    row's value moved to the type of the next index in its target's type order."""
+    for t, (holder, table, target) in enumerate(witness_tables(cert)):
+        if not holder[table]:
             continue
         base = parse_input(cert[target]["base"]).sole_class()
         types = serialized_types(base, cert[target]["k"])
-        rows = witness[table].splitlines()
+        rows = holder[table].splitlines()
         for i, row in enumerate(rows):
             left, value = row.split(" -> ")
             moved = types[(types.index(value) + 1) % len(types)]
             edited = json.loads(json.dumps(cert))
-            edited["witness"][table] = "\n".join(
-                rows[:i] + [f"{left} -> {moved}"] + rows[i + 1:])
+            copy, _, _ = witness_tables(edited)[t]
+            copy[table] = "\n".join(rows[:i] + [f"{left} -> {moved}"] + rows[i + 1:])
             yield f"{table} row {i}", edited
 
 
-@pytest.mark.parametrize("name", sorted(YES_QUERIES))
-def test_tampered_certificate_rejected(name, yes_certificates, tmp_path):
-    cert = yes_certificates[name]
+def verify_rejects(cert, directory, label):
+    (directory / "certificate.json").write_text(json.dumps(cert))
+    code, out, err = run(["verify", directory])
+    assert code == 1 and "FAILED:" in out, (label, out)
+    assert "Traceback" not in out + err, label
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_QUERIES))
+def test_tampered_certificate_rejected(name, witness_certificates, tmp_path):
+    cert = witness_certificates[name]
     (tmp_path / "certificate.json").write_text(json.dumps(cert))
     code, out, err = run(["verify", tmp_path])
     assert code == 0 and "verdict: CERTIFICATE-OK" in out
     labels = []
     for label, edited in tampered(cert):
-        (tmp_path / "certificate.json").write_text(json.dumps(edited))
-        code, out, err = run(["verify", tmp_path])
-        assert code == 1 and "FAILED:" in out, (label, out)
-        assert "Traceback" not in out + err, label
+        verify_rejects(edited, tmp_path, label)
         labels.append(label)
-    # ξ and η both, one label per row of the 3 types at k=2
-    assert len(labels) == 6
+    # one label per row: ξ and η over the 3 types at k=2, or the 3 x 3
+    # argument pairs of the binary polymorphism table
+    assert len(labels) == WITNESS_QUERIES[name][3]
+
+
+def test_polymorphism_value_outside_the_core_rejected(witness_certificates, tmp_path):
+    """Two unordered points are no 2-type of (Q,<). The realizability check
+    never reads the rows (x<y, y<x) and (y<x, x<y), so only the check that
+    every value is a type of the core rejects them there."""
+    cert = json.loads(json.dumps(witness_certificates["definable-pp"]))
+    lt, gt = "[{0}{1}|size=2: lt(0,1)]", "[{0}{1}|size=2: lt(1,0)]"
+    rows = cert["witness"].splitlines()
+    edited = [f"{row.split(' -> ')[0]} -> [{{0}}{{1}}|size=2:]"
+              if row.startswith((f"{lt} | {gt} ->", f"{gt} | {lt} ->")) else row
+              for row in rows]
+    assert sum(a != b for a, b in zip(rows, edited)) == 2
+    cert["witness"] = "\n".join(edited)
+    verify_rejects(cert, tmp_path, "unordered value")

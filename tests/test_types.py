@@ -138,3 +138,7 @@ class TestSerialization:
     def test_bad_partition_rejected(self, linord):
         with pytest.raises(InputError):
             parse_type(SIG, "[{1}{0}|size=2: lt(0,1)]")
+
+    def test_position_listed_twice_rejected(self, linord):
+        with pytest.raises(InputError, match="listed twice"):
+            parse_type(SIG, "[{0,0}|size=1:]")
