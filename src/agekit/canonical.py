@@ -13,6 +13,7 @@ bound on concrete age members.
 from __future__ import annotations
 
 import random
+from collections import deque
 from functools import lru_cache
 from itertools import product
 
@@ -23,9 +24,11 @@ from .ktypes import (
     degenerate_pairs,
     enumerate_types,
     first_m_index_map,
+    monoid_generators,
     pad_index_map,
     read_type_indices,
     restrict_index_map,
+    restriction_maps,
     serialized_types,
     symbol_holds,
     type_indices,
@@ -36,9 +39,10 @@ from .value import Value
 
 def _flat_rows(values, base: int, arity: int) -> list[int]:
     """Flattened index of (values[a1], .., values[am]) for every argument
-    tuple (a1, .., am) in product order, first argument most significant."""
-    out = [0]
-    for _ in range(arity):
+    tuple (a1, .., am) in product order, first argument most significant
+    (arity >= 1)."""
+    out = list(values)
+    for _ in range(arity - 1):
         out = [f * base + v for f in out for v in values]
     return out
 
@@ -353,48 +357,136 @@ def _sigma_constraints(source: BoundedClass, target: BoundedClass, k: int,
 
     checks[i] holds triples (p, j, rt) meaning: once rows p and j = p∘sigma
     (sigma applied to every argument) are both assigned (max(p, j) == i),
-    require table[j] == rt[table[p]].
+    require table[j] == rt[table[p]].  There is one triple per row for each
+    self-map sigma of range(k) but the identity, in product order of sigma,
+    with rt the target's restriction map of sigma (restriction_maps); a
+    triple that an earlier sigma already gave is dropped.  Equal target maps
+    are one object, so only sigmas that share one can repeat a triple.
     """
     nk = len(enumerate_types(source, k))
-    checks: list[list] = [[] for _ in range(nk ** arity)]
-    for sigma in product(range(k), repeat=k):
-        if sigma == tuple(range(k)):
-            continue
-        rs = restrict_index_map(source, k, sigma)
-        rt = restrict_index_map(target, k, sigma)
-        for p, j in enumerate(_flat_rows(rs, nk, arity)):
-            checks[max(p, j)].append((p, j, rt))
+    src = restriction_maps(source, k)
+    tgt = restriction_maps(target, k)
+    identity = tuple(range(k))
+    sigmas = [s for s in product(range(k), repeat=k) if s != identity]
+    sharing: dict[int, int] = {}
+    for sigma in sigmas:
+        sharing[id(tgt[sigma])] = sharing.get(id(tgt[sigma]), 0) + 1
+    rows = list(range(nk ** arity))  # one int object per row, shared by its triples
+    checks: list[list] = [[] for _ in rows]
+    seen: dict[int, set[int]] = {}
+    for sigma in sigmas:
+        rt = tgt[sigma]
+        flat = _flat_rows(src[sigma], nk, arity)
+        done = seen.setdefault(id(rt), set()) if sharing[id(rt)] > 1 else None
+        for p in rows:
+            j = rows[flat[p]]
+            if done is not None:
+                key = p * len(rows) + j
+                if key in done:
+                    continue
+                done.add(key)
+            checks[p if p > j else j].append((p, j, rt))
     return tuple(tuple(c) for c in checks)
+
+
+def _mask_of(values, size: int) -> int:
+    """The bitmask of a set of values below size."""
+    bits = bytearray(b"0" * size)
+    for v in values:
+        bits[v] = 49  # "1"
+    bits.reverse()
+    return int(bits, 2)
+
+
+def _mask_values(mask: int, size: int) -> list[int]:
+    """The values of a bitmask below size, in increasing order."""
+    return [v for v, b in enumerate(format(mask, f"0{size}b")[::-1]) if b == "1"]
 
 
 def _propagate_domains(source: BoundedClass, target: BoundedClass, k: int,
                        arity: int, pins: dict[int, frozenset[int]]):
-    """Arc consistency over the σ-constraints, starting from per-row pins.
+    """Arc consistency over the σ-constraints (AC-3), starting from per-row pins.
+
+    Revising a constraint (p, j, rt) of _sigma_constraints keeps the values
+    of row j that rt takes on row p's domain, then the values of row p that
+    rt sends into row j's, so it leaves the domains unchanged exactly when
+    D[j] == rt(D[p]).  Those equalities compose as the restriction maps do:
+    if they hold for sigma at row p and for g at row p∘sigma, they hold for
+    sigma∘g at row p.  So domains that the constraints of the three
+    monoid_generators leave unchanged are left unchanged by every
+    σ-constraint, and the greatest such domains below the pins are the
+    same for both sets of constraints, whatever the order of revisions.
+    Only the generators' constraints are revised, from a worklist of rows
+    that starts with every row: taking a row off revises the constraints
+    that read it, and a row whose domain shrinks goes back on.  Domains are
+    bitmasks; images and preimages are memoised by generator and mask,
+    since many rows keep the same domains.
 
     Sound: every compatible table respecting the pins stays inside the
     returned per-row domains.  Returns None when some domain empties.
     """
+    nk = len(enumerate_types(source, k))
     nvals = len(enumerate_types(target, k))
-    nrows = len(enumerate_types(source, k)) ** arity
-    allowed = [set(range(nvals)) for _ in range(nrows)]
+    nrows = nk ** arity
+    src = restriction_maps(source, k)
+    tgt = restriction_maps(target, k)
+    gens = []  # (row map, value map, rows the row map sends to each row)
+    for g in monoid_generators(k):
+        rs = _flat_rows(src[g], nk, arity)
+        into: list[list[int]] = [[] for _ in range(nrows)]
+        for p, j in enumerate(rs):
+            into[j].append(p)
+        gens.append((rs, tgt[g], into))
+    dom = [(1 << nvals) - 1] * nrows
     for row, vals in pins.items():
-        allowed[row] &= vals
-    changed = True
-    while changed:
-        changed = False
-        for checks in _sigma_constraints(source, target, k, arity):
-            for p, j, r in checks:
-                image = {r[v] for v in allowed[p]}
-                if not allowed[j] <= image:
-                    allowed[j] &= image
-                    changed = True
-                back = {v for v in allowed[p] if r[v] in allowed[j]}
-                if len(back) != len(allowed[p]):
-                    allowed[p] = back
-                    changed = True
-    if any(not a for a in allowed):
+        dom[row] &= _mask_of(vals, nvals)
+    if not all(dom):
         return None
-    return allowed
+    images: dict[tuple[int, int], int] = {}
+    preimages: dict[tuple[int, int], int] = {}
+    queued = [True] * nrows
+    queue = deque(range(nrows))
+
+    def revise(gi: int, p: int, j: int, rt) -> bool:
+        """Revise (p, j, rt), queueing the rows that shrink; False when a
+        domain empties."""
+        img = images.get((gi, dom[p]))
+        if img is None:
+            img = images[gi, dom[p]] = _mask_of(
+                [rt[v] for v in _mask_values(dom[p], nvals)], nvals)
+        dj = dom[j] & img
+        if dj != dom[j]:
+            if not dj:
+                return False
+            dom[j] = dj
+            if not queued[j]:
+                queued[j] = True
+                queue.append(j)
+        pre = preimages.get((gi, dj))
+        if pre is None:
+            want = set(_mask_values(dj, nvals))
+            pre = preimages[gi, dj] = _mask_of(
+                [v for v, w in enumerate(rt) if w in want], nvals)
+        dp = dom[p] & pre
+        if dp != dom[p]:
+            if not dp:
+                return False
+            dom[p] = dp
+            if not queued[p]:
+                queued[p] = True
+                queue.append(p)
+        return True
+
+    while queue:
+        row = queue.popleft()
+        queued[row] = False
+        for gi, (rs, rt, into) in enumerate(gens):
+            if not revise(gi, row, rs[row], rt):
+                return None
+            for p in into[row]:
+                if not revise(gi, p, row, rt):
+                    return None
+    return [set(_mask_values(d, nvals)) for d in dom]
 
 
 def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,

@@ -277,6 +277,42 @@ def restrict_index_map(k: BoundedClass, level: int, sigma: tuple[int, ...]) -> t
     return tuple(idx[restrict_type(p, sigma)] for p in enumerate_types(k, level))
 
 
+def monoid_generators(level: int) -> tuple[tuple[int, ...], ...]:
+    """A transposition, the level-cycle and one merge, without repeats:
+    under composition they generate every self-map of range(level)."""
+    if level < 2:
+        return ()
+    identity = tuple(range(level))
+    rest = identity[2:]
+    return tuple(dict.fromkeys(((1, 0) + rest, identity[1:] + (0,), (0, 0) + rest)))
+
+
+@lru_cache(maxsize=None)
+def restriction_maps(k: BoundedClass, level: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """restrict_index_map(k, level, sigma) for every self-map sigma of
+    range(level), keyed by sigma; equal maps are one object.
+
+    Only the monoid_generators are restricted type by type.  Every other map
+    is composed from theirs breadth first as an integer array: restricting
+    along sigma and then along g restricts along sigma∘g, so
+    map(sigma∘g)[p] = map(g)[map(sigma)[p]].
+    """
+    identity = tuple(range(level))
+    gens = [(g, restrict_index_map(k, level, g)) for g in monoid_generators(level)]
+    maps = {identity: tuple(range(len(enumerate_types(k, level))))}
+    interned = {m: m for m in maps.values()}
+    walk = [identity]
+    for sigma in walk:
+        m = maps[sigma]
+        for g, mg in gens:
+            tau = tuple([sigma[x] for x in g])
+            if tau not in maps:
+                composed = tuple([mg[p] for p in m])
+                maps[tau] = interned.setdefault(composed, composed)
+                walk.append(tau)
+    return maps
+
+
 @lru_cache(maxsize=None)
 def pad_index_map(k: BoundedClass, m: int, level: int) -> tuple[int, ...]:
     """m-type index -> level-type index via the repeat-last-position padding."""

@@ -9,8 +9,8 @@ Canonical form and the bit-encoding it minimizes
 A structure of size n is encoded as one bit string: for each symbol in
 signature order, for each tuple over {0,..,n-1}^arity in lexicographic
 order, one bit (1 iff the tuple is in the relation); earlier bits are more
-significant.  canonical_form returns the relabelling (n <= 8) whose
-encoding is lexicographically least.  It finds it by branch and bound over
+significant.  canonical_form returns the relabelling whose encoding is
+lexicographically least.  It finds it by branch and bound over
 partial labellings: labels 0, 1, .. are handed out one at a time, a tuple's
 bit is known once all its points are labelled, and a partial labelling
 whose lower bound exceeds the best complete encoding is cut.  The encoding
@@ -260,7 +260,7 @@ def find_embedding(sig: Signature, p_tables, n: int, s_tables, m: int,
 
 @lru_cache(maxsize=1 << 18)
 def canonical_form(s: FinStructure) -> FinStructure:
-    """The relabelling with lexicographically least bit-encoding (n <= 8)."""
+    """The relabelling with lexicographically least bit-encoding."""
     if s.size <= 1:
         return s
     return apply_perm(s, _least_labelling(s)[0])
@@ -295,8 +295,6 @@ def _least_labelling(s: FinStructure) -> tuple[tuple[int, ...], tuple[tuple[int,
     the same structure, so the result is the brute-force lex-least one.
     """
     n = s.size
-    if n > 8:
-        raise InputError(f"canonical_form limited to size <= 8, got {n}")
     # incident[v]: (prefix, last point, high, v in prefix) per tuple on v,
     # high being the bit of its symbol's rank 0.  A tuple is pending while
     # its prefix is labelled and its last point is not; pending[b] counts

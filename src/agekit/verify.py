@@ -28,6 +28,7 @@ from .structures import (
     empty_structure,
     enumerate_structures,
     eval_qf,
+    find_embedding,
     induced,
     one_point_extensions,
     parse_literal,
@@ -130,6 +131,14 @@ def _v_types(sig: Signature, bounds, k: int) -> tuple[VType, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _rooted(bounds) -> tuple[FinStructure, ...]:
+    """Each bound relabelled once per point, that point first."""
+    return tuple(dict.fromkeys(
+        induced(b, (r,) + tuple(x for x in range(b.size) if x != r))
+        for b in bounds for r in range(b.size)))
+
+
 # once per (signature, bounds, size): every behaviour of a certificate scans
 # the same ages, and each size is built from the one below it
 @lru_cache(maxsize=None)
@@ -139,7 +148,10 @@ def _v_age(sig: Signature, bounds, n: int) -> tuple[FinStructure, ...]:
     seen = set()
     for base in _v_age(sig, bounds, n - 1):
         for ext in one_point_extensions(base):
-            if _bounds_allow(bounds, ext):
+            # the base lies in the age, so only a bound through the new point
+            # n - 1 can embed: pin each bound point to it in turn
+            if all(find_embedding(sig, b.tables, b.size, ext.tables, n, (n - 1,)) is None
+                   for b in _rooted(bounds)):
                 seen.add(canonical_form(ext))
     return tuple(sorted(seen, key=sort_key))
 
@@ -162,10 +174,7 @@ class _VBehaviour:
         self.arity = arity
         self.src = src_class
         self.tgt = tgt_class
-        self.types_src = _v_types(src_class.signature, src_class.bounds, k)
-        src_set = set(self.types_src)
-        tgt_set = set(_v_types(tgt_class.signature, tgt_class.bounds, k))
-        self.table: dict[tuple[VType, ...], VType] = {}
+        rows = []
         for raw in lines.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -176,6 +185,19 @@ class _VBehaviour:
                 raise VerificationFailure(f"bad behaviour line {line!r}")
             args = tuple(_vparse_type(src_class.signature, c, field) for c in columns)
             q = _vparse_type(tgt_class.signature, right, field)
+            for p in args + (q,):
+                if len(p[0]) != k:
+                    raise VerificationFailure(
+                        f"certificate field {field}: type {_vserialize(p)} has "
+                        f"{len(p[0])} positions, not the level {k}")
+            rows.append((args, q))
+        # the rows are read before the types are enumerated, whose work grows
+        # steeply with k
+        self.types_src = _v_types(src_class.signature, src_class.bounds, k)
+        src_set = set(self.types_src)
+        tgt_set = set(_v_types(tgt_class.signature, tgt_class.bounds, k))
+        self.table: dict[tuple[VType, ...], VType] = {}
+        for args, q in rows:
             for p in args:
                 if p not in src_set:
                     raise VerificationFailure(f"{_vserialize(p)} is not a source type")

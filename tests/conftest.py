@@ -2,7 +2,9 @@
 helpers that only the tests need."""
 
 import random
+from functools import lru_cache
 from importlib import resources
+from itertools import product
 
 import pytest
 
@@ -10,8 +12,8 @@ from agekit.ages import BoundedClass, _in_age, enumerate_age, in_age
 from agekit.canonical import (
     Behaviour,
     ProbeReport,
+    _flat_rows,
     _image_from_types,
-    _sigma_constraints,
     _value_rows,
     image_structure,
     is_coherent,
@@ -23,11 +25,21 @@ from agekit.ktypes import (
     degenerate_pairs,
     enumerate_types,
     parse_type,
+    restrict_type,
     type_index,
     type_of_raw,
 )
 from agekit.parser import Catalog, parse_input, split_type_columns
-from agekit.structures import FinStructure, embeds, empty_structure, induced
+from agekit.structures import (
+    FinStructure,
+    Signature,
+    canonical_form,
+    embeds,
+    empty_structure,
+    induced,
+    one_point_extensions,
+    sort_key,
+)
 
 CATALOG_FILES = ("linord.cls", "graphs.cls", "trifree.cls", "bipartite.cls",
                  "maxdeg1.cls", "point.cls")
@@ -70,11 +82,67 @@ def apply_types(xi: Behaviour, ptypes) -> KType:
     return enumerate_types(xi.target, level)[v]
 
 
+@lru_cache(maxsize=None)
+def reference_sigma_constraints(source: BoundedClass, target: BoundedClass,
+                                k: int, arity: int = 1):
+    """The σ-constraints built one sigma at a time, with a restrict_type per
+    type and sigma and duplicates kept: the reference for the maps
+    canonical._sigma_constraints composes from generators.
+
+    checks[i] holds triples (p, j, rt) meaning: once rows p and j = p∘sigma
+    (sigma applied to every argument) are both assigned (max(p, j) == i),
+    require table[j] == rt[table[p]].
+    """
+    def restrict_map(cls):
+        idx = type_index(cls, k)
+        return tuple(idx[restrict_type(p, sigma)] for p in enumerate_types(cls, k))
+
+    nk = len(enumerate_types(source, k))
+    checks: list[list] = [[] for _ in range(nk ** arity)]
+    for sigma in product(range(k), repeat=k):
+        if sigma == tuple(range(k)):
+            continue
+        rs = restrict_map(source)
+        rt = restrict_map(target)
+        for p, j in enumerate(_flat_rows(rs, nk, arity)):
+            checks[max(p, j)].append((p, j, rt))
+    return tuple(tuple(c) for c in checks)
+
+
+def reference_propagate_domains(source: BoundedClass, target: BoundedClass, k: int,
+                                arity: int, pins: dict[int, frozenset[int]]):
+    """Arc consistency by full sweeps over every reference σ-constraint until
+    nothing changes: the reference for the worklist of
+    canonical._propagate_domains.  None when some domain empties."""
+    nvals = len(enumerate_types(target, k))
+    nrows = len(enumerate_types(source, k)) ** arity
+    allowed = [set(range(nvals)) for _ in range(nrows)]
+    for row, vals in pins.items():
+        allowed[row] &= vals
+    changed = True
+    while changed:
+        changed = False
+        for checks in reference_sigma_constraints(source, target, k, arity):
+            for p, j, r in checks:
+                image = {r[v] for v in allowed[p]}
+                if not allowed[j] <= image:
+                    allowed[j] &= image
+                    changed = True
+                back = {v for v in allowed[p] if r[v] in allowed[j]}
+                if len(back) != len(allowed[p]):
+                    allowed[p] = back
+                    changed = True
+    if any(not a for a in allowed):
+        return None
+    return allowed
+
+
 def is_compatible(xi: Behaviour) -> bool:
     """Restricting every argument along a self-map of positions restricts the value."""
     table = xi.table
     return all(table[j] == rt[table[p]]
-               for checks in _sigma_constraints(xi.source, xi.target, xi.k, xi.arity)
+               for checks in reference_sigma_constraints(
+                   xi.source, xi.target, xi.k, xi.arity)
                for p, j, rt in checks)
 
 
@@ -140,6 +208,21 @@ def reference_probe(xi: Behaviour, max_size: int, trials: int,
                 break
             prev_img = img
     return ProbeReport(trials, max_size, seed, tuple(failures))
+
+
+@lru_cache(maxsize=None)
+def reference_v_age(sig: Signature, bounds, n: int) -> tuple[FinStructure, ...]:
+    """The verifier's age scan with every bound tested against the whole
+    extension: the reference for verify._v_age, which only searches
+    embeddings through the new point."""
+    if n == 0:
+        return (empty_structure(sig),)
+    seen = set()
+    for base in reference_v_age(sig, bounds, n - 1):
+        for ext in one_point_extensions(base):
+            if not any(embeds(b, ext) for b in bounds):
+                seen.add(canonical_form(ext))
+    return tuple(sorted(seen, key=sort_key))
 
 
 def parse_behaviour(text: str, source: BoundedClass, target: BoundedClass,

@@ -173,6 +173,16 @@ class TestSubcommands:
         code, out = run_cli(["verify", str(w)], capsys)
         assert code == 0 and "CERTIFICATE-OK" in out
 
+    def test_core_with_cap_above_8_then_verify(self, tmp_path, capsys):
+        # the verifier canonicalizes age members up to the recorded cap 9
+        w = tmp_path / "w"
+        code, _ = run_cli(["core", catalog_path("linord.cls"), "--reduct", "Qleq",
+                           "--k", "3", "--realize-cap", "9", "--witness-out", str(w)],
+                          capsys)
+        assert code == 0
+        code, out = run_cli(["verify", str(w)], capsys)
+        assert code == 0 and "CERTIFICATE-OK" in out
+
     def test_bidef_no_exit_code(self, capsys):
         code, out = run_cli(
             ["bidef", catalog_path("linord.cls"), catalog_path("linord.cls"),
@@ -668,13 +678,16 @@ class TestMalformedCertificates:
         ("core.witness", lambda c: c["core"].update(witness=5)),
         ("core.witness_realize_cap", lambda c: c["core"].update(witness_realize_cap=0)),
         ("core.scan_cap", lambda c: c["core"].update(scan_cap=0)),
+        # rows of 2 positions read before any type on 12 positions is built
+        pytest.param("core.witness", lambda c: c["core"].update(k=12),
+                     id="core.witness-level"),
     ])
     def test_rejected_with_field_name(self, core_cert, tmp_path, field, edit):
         cert = copy.deepcopy(core_cert)
         edit(cert)
         (tmp_path / "certificate.json").write_text(json.dumps(cert))
         r = subprocess.run([sys.executable, "-m", "agekit.cli", "verify", str(tmp_path)],
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, timeout=20)
         assert r.returncode == 1
         assert re.search(rf"FAILED: certificate field {re.escape(field)}[ :]", r.stdout)
         assert "Traceback" not in r.stderr

@@ -44,6 +44,7 @@ from agekit.ages import (
 from agekit.canonical import (
     Behaviour,
     inverse,
+    _propagate_domains,
     _sigma_constraints,
     default_realize_cap,
     enumerate_behaviours,
@@ -56,11 +57,18 @@ from agekit.canonical import (
     random_age_member,
     serialize_behaviour,
 )
-from agekit.core import compute_core, is_optimally_presented, qualifying_behaviours
+from agekit.core import (
+    compute_core,
+    is_optimally_presented,
+    preserving_domains,
+    qualifying_behaviours,
+    union_rows,
+)
 from agekit.definability import expand
 from agekit.errors import IncoherentBehaviourError, InputError
 from agekit.ktypes import (
     _labeled_age_structures,
+    default_level,
     enumerate_types,
     restrict_type,
     serialize_type,
@@ -84,7 +92,16 @@ from agekit.structures import (
 )
 from agekit.parser import parse_input
 from agekit.reducts import OrbitUnion, behaviour_preserves_relation, compiled_unions
-from conftest import CATALOG_FILES, apply_types, poly_image_structure, reference_probe
+from agekit.verify import _v_age
+from conftest import (
+    CATALOG_FILES,
+    apply_types,
+    poly_image_structure,
+    reference_probe,
+    reference_propagate_domains,
+    reference_sigma_constraints,
+    reference_v_age,
+)
 
 CLASSES = [name[:-len(".cls")] for name in CATALOG_FILES]
 
@@ -413,7 +430,7 @@ def compatible_tables(source, target, k):
     """Every table commuting with restriction, by a plain row-by-row search."""
     nrows = len(enumerate_types(source, k))
     nvals = len(enumerate_types(target, k))
-    checks = _sigma_constraints(source, target, k)
+    checks = reference_sigma_constraints(source, target, k)
     table, out = [-1] * nrows, []
 
     def rec(i):
@@ -432,7 +449,7 @@ def compatible_tables(source, target, k):
 
 def compatible_poly_tables(k, level, arity):
     t = len(enumerate_types(k, level))
-    checks = _sigma_constraints(k, k, level, arity)
+    checks = reference_sigma_constraints(k, k, level, arity)
     table, out = [-1] * t ** arity, []
 
     def rec(i):
@@ -1247,3 +1264,83 @@ class TestDefinabilityOracle:
         expand(p, 3, "fo")
         assert calls == [(p.base_out, 3, 1)]
 
+
+# -- σ-constraints ------------------------------------------------------------------
+
+# (arity, level) grid of the σ-layer comparisons
+SIGMA_LEVELS = [(1, k) for k in (1, 2, 3, 4)] + [(2, k) for k in (1, 2, 3)]
+
+
+def constraint_rows(checks):
+    """Each row's constraints as a set of (p, j, target map) triples."""
+    return [{(p, j, tuple(rt)) for p, j, rt in cs} for cs in checks]
+
+
+class TestSigmaLayer:
+    """The σ-constraints composed from generator maps, deduplicated, and
+    propagated over the generators' constraints by a worklist, against one
+    restrict_type per type and sigma and full sweeps over every constraint."""
+
+    @pytest.mark.parametrize("arity, k", SIGMA_LEVELS)
+    def test_constraints_and_domains_match_reference(self, catalog, arity, k):
+        for name in CLASSES:
+            c = catalog.bounded_class(name)
+            if k < c.signature.max_arity:
+                continue
+            got = _sigma_constraints(c, c, k, arity)
+            want = reference_sigma_constraints(c, c, k, arity)
+            assert constraint_rows(got) == constraint_rows(want), (name, arity, k)
+            # no triple is kept twice
+            assert [len(cs) for cs in got] == [len(s) for s in constraint_rows(got)]
+            assert (_propagate_domains(c, c, k, arity, {})
+                    == reference_propagate_domains(c, c, k, arity, {})), (name, arity, k)
+
+    @pytest.mark.parametrize("arity, k", SIGMA_LEVELS)
+    def test_pinned_domains_match_reference(self, catalog, arity, k):
+        cat = parse_input(THOMAS, catalog)
+        for name in REDUCTS + ("Betw", "Cyc"):
+            c = cat.reduct(name)
+            if k < default_level(c):
+                continue
+            pins = {}
+            for _, u in compiled_unions(c):
+                rows, keep = union_rows(c.base, u, arity, k)
+                for flat in rows:
+                    pins[flat] = pins.get(flat, keep) & keep
+            want = reference_propagate_domains(c.base, c.base, k, arity, pins)
+            assert preserving_domains(c, arity, k) == want, (name, arity, k)
+
+    def test_duplicates_dropped(self, trifree, graphs):
+        assert sum(map(len, _sigma_constraints(trifree, trifree, 3, 2))) == 2940
+        assert sum(map(len, reference_sigma_constraints(trifree, trifree, 3, 2))) == 5096
+        assert sum(map(len, _sigma_constraints(graphs, graphs, 4))) == 26670
+        assert sum(map(len, reference_sigma_constraints(graphs, graphs, 4))) == 32385
+
+    def test_one_restriction_per_generator(self, linord, monkeypatch):
+        # the maps of all 5**5 sigmas come from three restrict_index_map calls
+        real = ktypes.restrict_index_map
+        calls = []
+
+        def counting(k, level, sigma):
+            calls.append(sigma)
+            return real(k, level, sigma)
+
+        monkeypatch.setattr(ktypes, "restrict_index_map", counting)
+        ktypes.restriction_maps.cache_clear()
+        try:
+            maps = ktypes.restriction_maps(linord, 5)
+        finally:
+            ktypes.restriction_maps.cache_clear()
+        assert len(maps) == 5 ** 5
+        assert sorted(calls) == sorted(ktypes.monoid_generators(5))
+
+
+class TestVerifierAge:
+    def test_rooted_scan_matches_whole_scan(self, catalog):
+        # the verifier's age scan only searches bound embeddings through the
+        # new point; scanning the whole extension finds the same members
+        for name in CLASSES:
+            c = catalog.bounded_class(name)
+            for n in range(6):
+                assert _v_age(c.signature, c.bounds, n) == \
+                    reference_v_age(c.signature, c.bounds, n), (name, n)

@@ -163,6 +163,17 @@ class TestCanonicalForm:
                 [("E", (perm[a], perm[b])) for a, b in base.table("E")])
             assert canonical_form(relabeled) == canonical_form(base)
 
+    def test_nine_points_relabelling_invariant(self):
+        rng = random.Random(9)
+        s = structure(GSIG, 9, [("E", (a, b)) for a in range(9) for b in range(9)
+                                if a != b and rng.random() < 0.4])
+        for _ in range(5):
+            perm = list(range(9))
+            rng.shuffle(perm)
+            relabelled = structure(GSIG, 9, [("E", (perm[a], perm[b]))
+                                             for a, b in s.table("E")])
+            assert canonical_form(relabelled) == canonical_form(s)
+
     def test_single_edge_orientations_agree(self):
         e1 = structure(GSIG, 2, [("E", (0, 1)), ("E", (1, 0))])
         e2 = structure(GSIG, 2, [("E", (1, 0)), ("E", (0, 1))])
