@@ -4,16 +4,15 @@ A behaviour of arity m is a total map from m-tuples of k-types of the
 source class to k-types of the target class.  Arity 1 stands in for a
 canonical function, arity m > 1 with source == target for a canonical
 polymorphism: the function itself lives on an infinite domain and is never
-materialized.  Candidate tables are searched over arc-consistent domains
-with incremental compatibility pruning and kept only if they pass a bounded
-realizability check; the randomized extension probe cross-checks that
-bound on concrete age members.
+materialized.  Candidate tables are searched over domains kept
+arc-consistent after every choice, which leaves only compatible tables,
+and kept only if they pass a bounded realizability check; the randomized
+extension probe cross-checks that bound on concrete age members.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from functools import lru_cache
 from itertools import product
 
@@ -28,7 +27,6 @@ from .ktypes import (
     pad_index_map,
     read_type_indices,
     restrict_index_map,
-    restriction_maps,
     serialized_types,
     symbol_holds,
     type_indices,
@@ -350,45 +348,6 @@ def _image_in_age(target: BoundedClass, n: int, poly: bool, rows: tuple) -> bool
     return _in_age(target, img)
 
 
-@lru_cache(maxsize=None)
-def _sigma_constraints(source: BoundedClass, target: BoundedClass, k: int,
-                       arity: int = 1):
-    """Per-row constraint lists for incremental compatibility pruning.
-
-    checks[i] holds triples (p, j, rt) meaning: once rows p and j = p∘sigma
-    (sigma applied to every argument) are both assigned (max(p, j) == i),
-    require table[j] == rt[table[p]].  There is one triple per row for each
-    self-map sigma of range(k) but the identity, in product order of sigma,
-    with rt the target's restriction map of sigma (restriction_maps); a
-    triple that an earlier sigma already gave is dropped.  Equal target maps
-    are one object, so only sigmas that share one can repeat a triple.
-    """
-    nk = len(enumerate_types(source, k))
-    src = restriction_maps(source, k)
-    tgt = restriction_maps(target, k)
-    identity = tuple(range(k))
-    sigmas = [s for s in product(range(k), repeat=k) if s != identity]
-    sharing: dict[int, int] = {}
-    for sigma in sigmas:
-        sharing[id(tgt[sigma])] = sharing.get(id(tgt[sigma]), 0) + 1
-    rows = list(range(nk ** arity))  # one int object per row, shared by its triples
-    checks: list[list] = [[] for _ in rows]
-    seen: dict[int, set[int]] = {}
-    for sigma in sigmas:
-        rt = tgt[sigma]
-        flat = _flat_rows(src[sigma], nk, arity)
-        done = seen.setdefault(id(rt), set()) if sharing[id(rt)] > 1 else None
-        for p in rows:
-            j = rows[flat[p]]
-            if done is not None:
-                key = p * len(rows) + j
-                if key in done:
-                    continue
-                done.add(key)
-            checks[p if p > j else j].append((p, j, rt))
-    return tuple(tuple(c) for c in checks)
-
-
 def _mask_of(values, size: int) -> int:
     """The bitmask of a set of values below size."""
     bits = bytearray(b"0" * size)
@@ -403,90 +362,116 @@ def _mask_values(mask: int, size: int) -> list[int]:
     return [v for v, b in enumerate(format(mask, f"0{size}b")[::-1]) if b == "1"]
 
 
+@lru_cache(maxsize=None)
+def _arcs(source: BoundedClass, target: BoundedClass, k: int, arity: int):
+    """The compatibility constraints of tables of the arity at level k, one
+    per monoid generator g and row p: table[p∘g] == rt[table[p]], with p∘g
+    the row g sends p to (g applied to every argument) and rt the target's
+    restriction map of g.
+
+    Returns the numbers of values and rows, and per generator the row map,
+    rt, for each row the rows whose constraint reads it (itself and the
+    rows sent to it), and the images and preimages under rt of the bitmask
+    domains met so far.
+    """
+    nk = len(enumerate_types(source, k))
+    nrows = nk ** arity
+    gens = []
+    for g in monoid_generators(k):
+        rows = _flat_rows(restrict_index_map(source, k, g), nk, arity)
+        reads = [[p] for p in range(nrows)]
+        for p, j in enumerate(rows):
+            if j != p:
+                reads[j].append(p)
+        gens.append((rows, restrict_index_map(target, k, g), reads, {}, {}))
+    return len(enumerate_types(target, k)), nrows, tuple(gens)
+
+
+def _make_consistent(arcs, dom: list[int], rows) -> bool:
+    """Narrow the nonempty bitmask domains in place to the greatest
+    arc-consistent ones below them (AC-3), revising first the constraints
+    that read the given rows; False when some domain empties.
+
+    Revising the constraint of g at row p keeps the values of row j = p∘g
+    that rt takes on row p's domain, then the values of row p that rt sends
+    into row j's; a row whose domain shrinks goes back on the work stack.
+    The domains must be arc-consistent already at every constraint that
+    reads no given row.
+    """
+    nvals, nrows, gens = arcs
+    stack = list(rows)
+    queued = bytearray(nrows)
+    for row in stack:
+        queued[row] = 1
+    while stack:
+        row = stack.pop()
+        queued[row] = 0
+        for row_map, rt, reads, images, preimages in gens:
+            for p in reads[row]:
+                j = row_map[p]
+                dp = dom[p]
+                img = images.get(dp)
+                if img is None:
+                    img = images[dp] = _mask_of(
+                        [rt[v] for v in _mask_values(dp, nvals)], nvals)
+                dj = dom[j] & img
+                if dj != dom[j]:
+                    if not dj:
+                        return False
+                    dom[j] = dj
+                    if not queued[j]:
+                        queued[j] = 1
+                        stack.append(j)
+                pre = preimages.get(dj)
+                if pre is None:
+                    pre = preimages[dj] = _mask_of(
+                        [v for v, w in enumerate(rt) if dj >> w & 1], nvals)
+                # dj is nonempty and inside rt's image of dp: so is dp & pre.
+                # When j == p this may widen dom[p] back past dj, but never
+                # past dp, and p is queued again either way
+                if dp & pre != dp:
+                    dom[p] = dp & pre
+                    if not queued[p]:
+                        queued[p] = 1
+                        stack.append(p)
+    return True
+
+
+def _pinned_domains(arcs, pins) -> list[int] | None:
+    """The greatest arc-consistent bitmask domains inside the per-row pins
+    (sets of values), or None when some domain empties."""
+    nvals, nrows, _ = arcs
+    dom = [(1 << nvals) - 1] * nrows
+    for row, vals in pins.items():
+        dom[row] &= _mask_of(vals, nvals)
+    if not all(dom) or not _make_consistent(arcs, dom, range(nrows)):
+        return None
+    return dom
+
+
 def _propagate_domains(source: BoundedClass, target: BoundedClass, k: int,
                        arity: int, pins: dict[int, frozenset[int]]):
-    """Arc consistency over the σ-constraints (AC-3), starting from per-row pins.
+    """Arc consistency over the generators' constraints, from per-row pins.
 
-    Revising a constraint (p, j, rt) of _sigma_constraints keeps the values
-    of row j that rt takes on row p's domain, then the values of row p that
-    rt sends into row j's, so it leaves the domains unchanged exactly when
-    D[j] == rt(D[p]).  Those equalities compose as the restriction maps do:
-    if they hold for sigma at row p and for g at row p∘sigma, they hold for
-    sigma∘g at row p.  So domains that the constraints of the three
-    monoid_generators leave unchanged are left unchanged by every
-    σ-constraint, and the greatest such domains below the pins are the
-    same for both sets of constraints, whatever the order of revisions.
-    Only the generators' constraints are revised, from a worklist of rows
-    that starts with every row: taking a row off revises the constraints
-    that read it, and a row whose domain shrinks goes back on.  Domains are
-    bitmasks; images and preimages are memoised by generator and mask,
-    since many rows keep the same domains.
+    A table is compatible when it commutes with restriction along every
+    self-map σ of range(k): D[p∘σ] == rt_σ(D[p]) for singleton domains.
+    Revising a constraint leaves the domains unchanged exactly when D[p∘g]
+    == rt_g(D[p]), and those equalities compose as the restriction maps
+    do: if they hold for σ at row p and for g at row p∘σ, they hold for
+    σ∘g at row p.  The three monoid_generators generate every σ, so
+    domains that their constraints leave unchanged are left unchanged by
+    every σ's, and the greatest such domains below the pins are the same
+    for both sets of constraints; with singleton domains, they are the
+    compatible tables.
 
     Sound: every compatible table respecting the pins stays inside the
     returned per-row domains.  Returns None when some domain empties.
     """
-    nk = len(enumerate_types(source, k))
-    nvals = len(enumerate_types(target, k))
-    nrows = nk ** arity
-    src = restriction_maps(source, k)
-    tgt = restriction_maps(target, k)
-    gens = []  # (row map, value map, rows the row map sends to each row)
-    for g in monoid_generators(k):
-        rs = _flat_rows(src[g], nk, arity)
-        into: list[list[int]] = [[] for _ in range(nrows)]
-        for p, j in enumerate(rs):
-            into[j].append(p)
-        gens.append((rs, tgt[g], into))
-    dom = [(1 << nvals) - 1] * nrows
-    for row, vals in pins.items():
-        dom[row] &= _mask_of(vals, nvals)
-    if not all(dom):
+    arcs = _arcs(source, target, k, arity)
+    dom = _pinned_domains(arcs, pins)
+    if dom is None:
         return None
-    images: dict[tuple[int, int], int] = {}
-    preimages: dict[tuple[int, int], int] = {}
-    queued = [True] * nrows
-    queue = deque(range(nrows))
-
-    def revise(gi: int, p: int, j: int, rt) -> bool:
-        """Revise (p, j, rt), queueing the rows that shrink; False when a
-        domain empties."""
-        img = images.get((gi, dom[p]))
-        if img is None:
-            img = images[gi, dom[p]] = _mask_of(
-                [rt[v] for v in _mask_values(dom[p], nvals)], nvals)
-        dj = dom[j] & img
-        if dj != dom[j]:
-            if not dj:
-                return False
-            dom[j] = dj
-            if not queued[j]:
-                queued[j] = True
-                queue.append(j)
-        pre = preimages.get((gi, dj))
-        if pre is None:
-            want = set(_mask_values(dj, nvals))
-            pre = preimages[gi, dj] = _mask_of(
-                [v for v, w in enumerate(rt) if w in want], nvals)
-        dp = dom[p] & pre
-        if dp != dom[p]:
-            if not dp:
-                return False
-            dom[p] = dp
-            if not queued[p]:
-                queued[p] = True
-                queue.append(p)
-        return True
-
-    while queue:
-        row = queue.popleft()
-        queued[row] = False
-        for gi, (rs, rt, into) in enumerate(gens):
-            if not revise(gi, row, rs[row], rt):
-                return None
-            for p in into[row]:
-                if not revise(gi, p, row, rt):
-                    return None
-    return [set(_mask_values(d, nvals)) for d in dom]
+    return [set(_mask_values(d, arcs[0])) for d in dom]
 
 
 def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,
@@ -494,39 +479,44 @@ def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,
                          domains: list[set[int]] | None = None,
                          check_realizable: bool = True) -> tuple[Behaviour, ...]:
     """Every compatible, coherent (and by default realizable) behaviour of
-    the arity at level k, sorted by serialization.
+    the arity at level k, inside the given per-row domains if any, sorted
+    by serialization.
 
-    Tables are searched row by row over arc-consistent per-row domains
-    (given, or propagated from the σ-constraints alone) with fail-fast
-    compatibility pruning.  Each full table is judged for coherence and
-    then by the (most expensive) realizability check.
+    A depth-first search over arc-consistent bitmask domains, on an
+    explicit stack of (domains, row, value) branches: it branches on the
+    first row with more than one value, in ascending order, and makes the
+    domains arc-consistent again from that row (_make_consistent), dropping
+    the branch when one empties.  When every domain is a singleton the
+    table is compatible (see _propagate_domains); it is judged for
+    coherence and then by the (most expensive) realizability check.
     """
     if k < max(source.signature.max_arity, target.signature.max_arity):
         raise InputError("enumerate_behaviours: k below a signature arity")
-    checks = _sigma_constraints(source, target, k, arity)
-    if domains is None:
-        domains = _propagate_domains(source, target, k, arity, {})
-    if domains is None:
-        return ()
-    domains = [sorted(d) for d in domains]
-    nrows = len(domains)
-    table = [-1] * nrows
+    arcs = _arcs(source, target, k, arity)
+    nvals, nrows, _ = arcs
     out = []
+    stack = []
 
-    def rec(i: int):
-        if i == nrows:
-            xi = Behaviour(source, target, k, tuple(table), arity)
-            if is_coherent(xi) and (not check_realizable
-                                    or is_realizable(xi, realize_cap)):
-                out.append(xi)
+    def expand(dom: list[int], start: int):
+        """Branch on the first row from start with more than one value, or
+        judge the table when there is none."""
+        row = next((i for i in range(start, nrows) if dom[i] & (dom[i] - 1)), None)
+        if row is not None:
+            stack.extend((dom, row, v) for v in reversed(_mask_values(dom[row], nvals)))
             return
-        for v in domains[i]:
-            table[i] = v
-            if all(table[j] == rt[table[p]] for p, j, rt in checks[i]):
-                rec(i + 1)
-        table[i] = -1
+        xi = Behaviour(source, target, k, tuple(d.bit_length() - 1 for d in dom), arity)
+        if is_coherent(xi) and (not check_realizable or is_realizable(xi, realize_cap)):
+            out.append(xi)
 
-    rec(0)
+    dom = _pinned_domains(arcs, {} if domains is None else dict(enumerate(domains)))
+    if dom is not None:
+        expand(dom, 0)
+    while stack:
+        parent, row, v = stack.pop()
+        dom = parent.copy()
+        dom[row] = 1 << v
+        if _make_consistent(arcs, dom, (row,)):
+            expand(dom, row + 1)
     out.sort(key=serialize_behaviour)
     return tuple(out)
 

@@ -289,6 +289,9 @@ def _run_definable(args: argparse.Namespace) -> tuple[int, str]:
     c = cat.reduct(args.reduct)
     _level(args, c)
     query = _query_arity(args, c.base.signature)
+    if query is None and args.witness_out:
+        raise InputError("--witness-out needs --query or --query-orbits: "
+                         "only a query verdict has a certificate")
     if query is None:
         n = args.expand_arity if args.expand_arity is not None else c.max_arity
     else:
@@ -421,43 +424,41 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, files="+"):
-        if files:
-            p.add_argument("files", nargs=files, help="input class/reduct files")
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--realize-cap", type=int, default=None, dest="realize_cap")
-        p.add_argument("--arity-cap", type=int, default=None, dest="arity_cap")
-        p.add_argument("--ap-cap", type=int, default=None, dest="ap_cap")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--witness-out", default=None, dest="witness_out")
+    def command(name: str, summary: str, *flags: str):
+        """A subcommand over input files with the --format flag and the
+        named shared flags, and no other: a flag it would ignore is refused."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("files", nargs="+", help="input class/reduct files")
+        for flag in flags:
+            if flag == "witness-out":
+                p.add_argument("--witness-out", default=None)
+            else:  # --k, --seed and the caps
+                p.add_argument(f"--{flag}", type=int, default=0 if flag == "seed" else None)
         p.add_argument("--format", choices=("text", "json"), default="text",
                        dest="fmt")
+        return p
 
-    p = sub.add_parser("check", help="validate classes and probe amalgamation")
-    common(p)
+    command("check", "validate classes and probe amalgamation", "ap-cap")
 
-    p = sub.add_parser("orbits", help="enumerate k-types of a class")
-    common(p)
+    p = command("orbits", "enumerate k-types of a class", "k")
     p.add_argument("--class", dest="class_name", default=None)
 
-    p = sub.add_parser("behaviours", help="enumerate realizable behaviours")
-    common(p)
+    p = command("behaviours", "enumerate realizable behaviours", "k", "realize-cap")
     p.add_argument("--source", default=None)
     p.add_argument("--target", default=None)
 
-    p = sub.add_parser("probe", help="randomized extension probe of behaviours")
-    common(p)
+    p = command("probe", "randomized extension probe of behaviours",
+                "k", "realize-cap", "seed")
     p.add_argument("--source", default=None)
     p.add_argument("--target", default=None)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--max-size", type=int, default=8, dest="max_size")
 
-    p = sub.add_parser("core", help="compute the model-complete core")
-    common(p)
+    p = command("core", "compute the model-complete core", "k", "realize-cap", "witness-out")
     p.add_argument("--reduct", required=True)
 
-    p = sub.add_parser("definable", help="definability expansion / queries")
-    common(p)
+    p = command("definable", "definability expansion / queries",
+                "k", "realize-cap", "arity-cap", "witness-out")
     p.add_argument("--reduct", required=True)
     p.add_argument("--mode", choices=("ep", "pp"), default="ep")
     p.add_argument("--n", type=int, default=None, dest="expand_arity")
@@ -467,9 +468,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-orbits", default=None, dest="query_orbits",
                    help="pipe-separated type serializations")
 
-    for cmd in ("bidef", "biint"):
-        p = sub.add_parser(cmd, help=f"decide {cmd} of two reducts")
-        common(p)
+    for cmd, caps in (("bidef", ()), ("biint", ("ap-cap",))):
+        p = command(cmd, f"decide {cmd} of two reducts",
+                    "k", "realize-cap", "arity-cap", *caps, "witness-out")
         p.add_argument("--reducts", nargs=2, required=True, metavar=("C", "D"))
         p.add_argument("--mode", choices=("fo", "ep", "pp"), default="fo")
         p.add_argument("--n", type=int, default=None, dest="expand_arity")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb, factorial
 
 from .errors import AgekitError, InputError
 from .parser import Catalog, parse_input, split_type_columns
@@ -98,7 +99,8 @@ def _bounds_allow(bounds, s: FinStructure) -> bool:
     return not any(embeds(b, s) for b in bounds)
 
 
-def _v_labeled(sig: Signature, bounds, n: int):
+@lru_cache(maxsize=None)
+def _v_labeled(sig: Signature, bounds, n: int) -> tuple[FinStructure, ...]:
     slots = []
     for si, (_, arity) in enumerate(sig.symbols):
         for t in product(range(n), repeat=arity):
@@ -112,7 +114,13 @@ def _v_labeled(sig: Signature, bounds, n: int):
         s = FinStructure(sig, n, tuple(frozenset(t) for t in tables))
         if _bounds_allow(bounds, s):
             out.append(s)
-    return out
+    return tuple(out)
+
+
+def _stirling2(k: int, b: int) -> int:
+    """The partitions of k positions into b blocks, by inclusion-exclusion
+    over the blocks left empty (b pows, no recursion on k)."""
+    return sum((-1) ** j * comb(b, j) * (b - j) ** k for j in range(b + 1)) // factorial(b)
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +200,17 @@ class _VBehaviour:
                         f"{len(p[0])} positions, not the level {k}")
             rows.append((args, q))
         # the rows are read before the types are enumerated, whose work grows
-        # steeply with k
+        # steeply with k: the types are S(k, b) times the labelled members on
+        # b points, summed over b, and the members on b points are built only
+        # while the types counted so far leave the table room to be total
+        count = 0
+        for b in range(1, k + 1):
+            if count ** arity > len(rows):
+                raise VerificationFailure("behaviour table is not total")
+            members = len(_v_labeled(src_class.signature, src_class.bounds, b))
+            if not members:  # the age is hereditary: none on more points either
+                break
+            count += _stirling2(k, b) * members
         self.types_src = _v_types(src_class.signature, src_class.bounds, k)
         src_set = set(self.types_src)
         tgt_set = set(_v_types(tgt_class.signature, tgt_class.bounds, k))

@@ -86,8 +86,8 @@ def apply_types(xi: Behaviour, ptypes) -> KType:
 def reference_sigma_constraints(source: BoundedClass, target: BoundedClass,
                                 k: int, arity: int = 1):
     """The σ-constraints built one sigma at a time, with a restrict_type per
-    type and sigma and duplicates kept: the reference for the maps
-    canonical._sigma_constraints composes from generators.
+    type and sigma and duplicates kept: the reference for the compatibility
+    that canonical enforces through the three generators' constraints.
 
     checks[i] holds triples (p, j, rt) meaning: once rows p and j = p∘sigma
     (sigma applied to every argument) are both assigned (max(p, j) == i),

@@ -2,7 +2,9 @@
 image structures, composition, range-rigidity, the extension probe."""
 
 import random
+import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +85,29 @@ class TestEnumerateBehaviours:
         assert a == b
         keys = [serialize_behaviour(x) for x in a]
         assert keys == sorted(keys)
+
+    def test_search_depth_does_not_grow_with_rows(self, graphs):
+        # 127 rows at level 4, searched with 50 frames to spare: no frame
+        # per row, and the behaviours of the k=4 golden report
+        golden = (Path(__file__).parent / "golden" / "behaviours_graphs_k4.txt").read_text()
+        want, block = [], None
+        for line in golden.splitlines():
+            if line.startswith("behaviour "):
+                block = []
+                want.append(block)
+            elif block is not None:
+                block.append(line[2:])
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            got = enumerate_behaviours(graphs, graphs, 4)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(enumerate_types(graphs, 4)) == 127
+        assert [serialize_behaviour(xi) for xi in got] == ["\n".join(b) for b in want]
 
     def test_filter_prunes_before_realizability(self, linord):
         only_id = [xi for xi in enumerate_behaviours(linord, linord, 2)

@@ -163,6 +163,14 @@ class TestSubcommands:
                             capsys)
         assert code == 0 and out == golden.read_text()
 
+    def test_behaviours_linord_k5_matches_golden(self, capsys):
+        # 541 rows at level 5, written before the row search was rebuilt on
+        # arc consistency alone
+        golden = Path(__file__).parent / "golden" / "behaviours_linord_k5.txt"
+        code, out = run_cli(["behaviours", catalog_path("linord.cls"), "--k", "5"],
+                            capsys)
+        assert code == 0 and out == golden.read_text()
+
     def test_bidef_yes_then_verify(self, tmp_path, capsys):
         w = tmp_path / "w"
         code, _ = run_cli(
@@ -480,6 +488,45 @@ class TestExitCodes:
                            capture_output=True, text=True)
         assert r.returncode == 0 and r.stdout and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["orbits", "linord.cls", "--seed", "5"], "--seed"),
+        (["orbits", "linord.cls", "--witness-out", "D"], "--witness-out"),
+        (["orbits", "linord.cls", "--realize-cap", "7"], "--realize-cap"),
+        (["check", "trifree.cls", "--k", "3"], "--k"),
+        (["check", "trifree.cls", "--realize-cap", "3"], "--realize-cap"),
+        (["check", "trifree.cls", "--seed", "1"], "--seed"),
+        (["behaviours", "graphs.cls", "--witness-out", "D"], "--witness-out"),
+        (["behaviours", "graphs.cls", "--arity-cap", "2"], "--arity-cap"),
+        (["probe", "graphs.cls", "--ap-cap", "2"], "--ap-cap"),
+        (["core", "linord.cls", "--reduct", "Qlt", "--arity-cap", "2"], "--arity-cap"),
+        (["definable", "linord.cls", "--reduct", "Qlt", "--seed", "1"], "--seed"),
+        (["definable", "linord.cls", "--reduct", "Qlt", "--ap-cap", "2"], "--ap-cap"),
+        (["bidef", "linord.cls", "--reducts", "Qlt", "QltRev", "--ap-cap", "2"],
+         "--ap-cap"),
+        (["biint", "linord.cls", "--reducts", "Qlt", "QltRev", "--seed", "2"], "--seed"),
+        (["verify", "linord.cls", "--k", "3"], "--k"),
+    ], ids=["orbits-seed", "orbits-witness-out", "orbits-realize-cap", "check-k",
+            "check-realize-cap", "check-seed", "behaviours-witness-out",
+            "behaviours-arity-cap", "probe-ap-cap", "core-arity-cap", "definable-seed",
+            "definable-ap-cap", "bidef-ap-cap", "biint-seed", "verify-k"])
+    def test_unread_flag_refused(self, capsys, argv, flag):
+        # a subcommand declares only the flags its handler reads
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], catalog_path(argv[1]), *argv[2:]])
+        captured = capsys.readouterr()
+        assert exc.value.code == 3 and captured.out == ""
+        assert "unrecognized arguments" in captured.err and flag in captured.err
+
+    def test_definable_certificate_needs_query(self, capsys, tmp_path):
+        # an expansion has no certificate: --witness-out without a query is
+        # an input error, not a silently unwritten directory
+        out = tmp_path / "D"
+        code = main(["definable", catalog_path("linord.cls"), "--reduct", "Qlt",
+                     "--n", "2", "--witness-out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not out.exists()
+        assert "--witness-out needs --query" in captured.err
+
     @pytest.mark.parametrize("failure,message", [
         (None, "internal error: no qualifying behaviour"),
         (RecursionError("maximum recursion depth exceeded"), "internal error: RecursionError"),
@@ -690,4 +737,18 @@ class TestMalformedCertificates:
                            capture_output=True, text=True, timeout=20)
         assert r.returncode == 1
         assert re.search(rf"FAILED: certificate field {re.escape(field)}[ :]", r.stdout)
+        assert "Traceback" not in r.stderr
+
+    def test_empty_witness_at_high_level_rejected_quickly(self, core_cert, tmp_path):
+        # no rows, types on 12 positions: the types are counted block count
+        # by block count and the table refused before members on 2 points
+        cert = copy.deepcopy(core_cert)
+        cert["core"].update(witness="", k=12)
+        (tmp_path / "certificate.json").write_text(json.dumps(cert))
+        start = time.monotonic()
+        r = subprocess.run([sys.executable, "-m", "agekit.cli", "verify", str(tmp_path)],
+                           capture_output=True, text=True, timeout=20)
+        assert time.monotonic() - start < 5.0
+        assert r.returncode == 1
+        assert "FAILED: behaviour table is not total" in r.stdout
         assert "Traceback" not in r.stderr

@@ -45,7 +45,6 @@ from agekit.canonical import (
     Behaviour,
     inverse,
     _propagate_domains,
-    _sigma_constraints,
     default_realize_cap,
     enumerate_behaviours,
     greedy_extension_probe,
@@ -1271,27 +1270,18 @@ class TestDefinabilityOracle:
 SIGMA_LEVELS = [(1, k) for k in (1, 2, 3, 4)] + [(2, k) for k in (1, 2, 3)]
 
 
-def constraint_rows(checks):
-    """Each row's constraints as a set of (p, j, target map) triples."""
-    return [{(p, j, tuple(rt)) for p, j, rt in cs} for cs in checks]
-
-
 class TestSigmaLayer:
-    """The σ-constraints composed from generator maps, deduplicated, and
-    propagated over the generators' constraints by a worklist, against one
-    restrict_type per type and sigma and full sweeps over every constraint."""
+    """Arc consistency over the generators' constraints, by a worklist,
+    against full sweeps over the constraints of every sigma, each map built
+    with one restrict_type per type and sigma."""
 
     @pytest.mark.parametrize("arity, k", SIGMA_LEVELS)
     def test_constraints_and_domains_match_reference(self, catalog, arity, k):
+        # the generators' constraints narrow the domains as every sigma's do
         for name in CLASSES:
             c = catalog.bounded_class(name)
             if k < c.signature.max_arity:
                 continue
-            got = _sigma_constraints(c, c, k, arity)
-            want = reference_sigma_constraints(c, c, k, arity)
-            assert constraint_rows(got) == constraint_rows(want), (name, arity, k)
-            # no triple is kept twice
-            assert [len(cs) for cs in got] == [len(s) for s in constraint_rows(got)]
             assert (_propagate_domains(c, c, k, arity, {})
                     == reference_propagate_domains(c, c, k, arity, {})), (name, arity, k)
 
@@ -1310,29 +1300,25 @@ class TestSigmaLayer:
             want = reference_propagate_domains(c.base, c.base, k, arity, pins)
             assert preserving_domains(c, arity, k) == want, (name, arity, k)
 
-    def test_duplicates_dropped(self, trifree, graphs):
-        assert sum(map(len, _sigma_constraints(trifree, trifree, 3, 2))) == 2940
-        assert sum(map(len, reference_sigma_constraints(trifree, trifree, 3, 2))) == 5096
-        assert sum(map(len, _sigma_constraints(graphs, graphs, 4))) == 26670
-        assert sum(map(len, reference_sigma_constraints(graphs, graphs, 4))) == 32385
-
     def test_one_restriction_per_generator(self, linord, monkeypatch):
-        # the maps of all 5**5 sigmas come from three restrict_index_map calls
-        real = ktypes.restrict_index_map
+        # propagation at level 5 restricts types along the three generators
+        # only, once in the source and once in the target, not along all
+        # 5**5 sigmas
+        real = canonical.restrict_index_map
         calls = []
 
         def counting(k, level, sigma):
-            calls.append(sigma)
+            calls.append((level, sigma))
             return real(k, level, sigma)
 
-        monkeypatch.setattr(ktypes, "restrict_index_map", counting)
-        ktypes.restriction_maps.cache_clear()
+        monkeypatch.setattr(canonical, "restrict_index_map", counting)
+        canonical._arcs.cache_clear()
         try:
-            maps = ktypes.restriction_maps(linord, 5)
+            domains = _propagate_domains(linord, linord, 5, 1, {})
         finally:
-            ktypes.restriction_maps.cache_clear()
-        assert len(maps) == 5 ** 5
-        assert sorted(calls) == sorted(ktypes.monoid_generators(5))
+            canonical._arcs.cache_clear()
+        assert len(domains) == 541
+        assert sorted(calls) == sorted((5, g) for g in ktypes.monoid_generators(5) * 2)
 
 
 class TestVerifierAge:
