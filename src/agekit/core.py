@@ -3,7 +3,9 @@
 The core of a reduct is found by searching the realizable relation-preserving
 range-rigid endo-behaviours of its base class, selecting one whose set of hit
 types is inclusion-minimal, and carving the sub-age of members all of whose
-k-types are hit.  The new age is presented by freshly scanned minimal bounds.
+k-types are hit.  The new age is presented by its minimal bounds, found by
+growing the carved age one point at a time (`carve_bounds`) rather than by
+scanning every structure of the signature.
 `preserving_behaviours` is the one search for relation-preserving behaviours
 of a reduct; the core search and the definability oracle both read it.
 """
@@ -34,7 +36,13 @@ from .ktypes import (
     type_indices,
 )
 from .reducts import OrbitsDef, OrbitUnion, Reduct, Relation, compiled_unions
-from .structures import canonical_form, enumerate_structures, induced, sort_key
+from .structures import (
+    augment,
+    canonical_form,
+    empty_structure,
+    induced,
+    one_point_extensions,
+)
 from .value import Value
 
 
@@ -123,25 +131,41 @@ def scan_cap_for(c: Reduct, k: int) -> int:
 
 def carve_bounds(base: BoundedClass, image_types: frozenset[KType], k: int,
                  cap: int) -> tuple:
-    """Minimal structures outside the carved age, scanned up to the cap."""
+    """Minimal structures outside the carved age, up to the cap, sorted by sort_key.
+
+    The carved age A' holds the members of base's age all of whose k-types
+    are in image_types.  It is grown level by level from the empty
+    structure: the candidates of size n are augment's one-point extensions
+    of the members of size n - 1; a candidate in A' is a member, and one
+    outside it is a bound iff n = 1 or each of its (n - 1)-point induced
+    substructures is a member.  This finds every member and every bound,
+    because A' is hereditary (a substructure's k-types are some of the
+    structure's): a member, and a minimal non-member of size n >= 2, lose
+    any one point to a member of size n - 1, in particular a point of
+    greatest profile, which augment's gate lets through.  A non-member
+    with a non-member below it may be missed, and it is not a bound.
+    """
     idx = type_index(base, k)
     hit = frozenset(idx[p] for p in image_types)
 
     def member(s) -> bool:
         return in_age(base, s) and hit.issuperset(type_indices(base, s, k))
 
+    members = (empty_structure(base.signature),)
     bounds = []
     for size in range(1, cap + 1):
-        for s in enumerate_structures(base.signature, size):
+        below = set(members)
+        grown = []
+        for s in augment(members, one_point_extensions):
             if member(s):
-                continue
-            if size > 1 and not all(
-                member(induced(s, sub))
-                for sub in combinations(range(size), size - 1)
-            ):
-                continue
-            bounds.append(canonical_form(s))
-    return tuple(sorted(bounds, key=sort_key))
+                grown.append(s)
+            elif size == 1 or all(
+                    canonical_form(induced(s, sub)) in below
+                    for sub in combinations(range(size), size - 1)):
+                bounds.append(s)
+        members = tuple(grown)
+    # augment yields each size's structures in canonical form and encoding order
+    return tuple(bounds)
 
 
 @lru_cache(maxsize=None)

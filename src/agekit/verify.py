@@ -29,9 +29,9 @@ from .structures import (
     empty_structure,
     enumerate_structures,
     eval_qf,
+    extension_slots,
     find_embedding,
     induced,
-    one_point_extensions,
     parse_literal,
     render_literal,
     sort_key,
@@ -140,27 +140,67 @@ def _v_types(sig: Signature, bounds, k: int) -> tuple[VType, ...]:
 
 
 @lru_cache(maxsize=None)
-def _rooted(bounds) -> tuple[FinStructure, ...]:
-    """Each bound relabelled once per point, that point first."""
-    return tuple(dict.fromkeys(
-        induced(b, (r,) + tuple(x for x in range(b.size) if x != r))
-        for b in bounds for r in range(b.size)))
+def _pinned_bounds(bounds) -> tuple[tuple[FinStructure, ...], tuple[FinStructure, ...]]:
+    """The bounds on one point, and each bound on more points relabelled once
+    per ordered pair of distinct points, that pair first."""
+    ones = tuple(b for b in bounds if b.size == 1)
+    pairs = tuple(dict.fromkeys(
+        induced(b, (r, s) + tuple(x for x in range(b.size) if x not in (r, s)))
+        for b in bounds for r in range(b.size) for s in range(b.size) if r != s))
+    return ones, pairs
 
 
 # once per (signature, bounds, size): every behaviour of a certificate scans
 # the same ages, and each size is built from the one below it
 @lru_cache(maxsize=None)
 def _v_age(sig: Signature, bounds, n: int) -> tuple[FinStructure, ...]:
+    """One canonical form per isomorphism class of the structures of size n
+    into which no bound embeds, sorted by sort_key.
+
+    Each member of size n - 1 gets a new point, whose slots are decided in
+    stages: first those on the new point alone, then those against old
+    point 0, old point 1, and so on.  A branch is dropped as soon as a bound
+    embeds into the structure induced on the new point and the old points
+    decided so far; that is exact, since such an embedding is one into every
+    extension the branch leads to.  Only embeddings through the new point
+    and the old point just decided are searched: the member lies in the
+    age, and the step before kept the structure without that old point.
+    So stage 0 tests the bounds on one point, and each later stage the
+    bounds pinned at an ordered pair of their points.
+
+    The branches share one working table set, with the new point labelled 0
+    and old point x labelled x + 1, so the structure induced on the new point
+    and old points 0..i-1 is the working set on i + 1 points.
+    """
     if n == 0:
         return (empty_structure(sig),)
+    ones, pairs = _pinned_bounds(bounds)
+    # stages[i]: the new point's slots whose largest old point is i - 1
+    stages: list[list] = [[] for _ in range(n)]
+    for si, t in extension_slots(sig, n - 1):
+        t = tuple(0 if v == n - 1 else v + 1 for v in t)
+        stages[max(t)].append((si, t))
     seen = set()
+
+    def decide(work: list, i: int) -> None:
+        pinned, through = (pairs, (0, i)) if i else (ones, (0,))
+        group = stages[i]
+        for bits in range(1 << len(group)):
+            chosen = [slot for j, slot in enumerate(group) if bits >> j & 1]
+            for si, t in chosen:
+                work[si].add(t)
+            if all(find_embedding(sig, b.tables, b.size, work, i + 1, through) is None
+                   for b in pinned):
+                if i == n - 1:
+                    seen.add(canonical_form(
+                        FinStructure(sig, n, tuple(frozenset(t) for t in work))))
+                else:
+                    decide(work, i + 1)
+            for si, t in chosen:
+                work[si].discard(t)
+
     for base in _v_age(sig, bounds, n - 1):
-        for ext in one_point_extensions(base):
-            # the base lies in the age, so only a bound through the new point
-            # n - 1 can embed: pin each bound point to it in turn
-            if all(find_embedding(sig, b.tables, b.size, ext.tables, n, (n - 1,)) is None
-                   for b in _rooted(bounds)):
-                seen.add(canonical_form(ext))
+        decide([{tuple(v + 1 for v in t) for t in table} for table in base.tables], 0)
     return tuple(sorted(seen, key=sort_key))
 
 
@@ -453,6 +493,15 @@ def _verify_core(cert: dict) -> list[str]:
     notes.append("input and output presentations parse")
 
     xi = _VBehaviour(base, base, k, _field(cert, "core.witness", str), "core.witness")
+    # the bounds are re-derived up to the cap the input fixes, checked before
+    # any age is scanned: a lower cap would leave larger bounds unchecked, a
+    # higher one scan needlessly
+    cap = max([b.size for b in base.bounds] + [a for _, a in base.signature.symbols] + [k])
+    stated_cap = _field(cert, "core.scan_cap", int)
+    if stated_cap != cap:
+        raise VerificationFailure(
+            f"certificate field core.scan_cap is {stated_cap}, not {cap}, the largest "
+            f"of the input class's bound sizes, its arities and core.k")
     xi.check_compatible()
     xi.check_realizable(_count(cert, "core.witness_realize_cap", 1))
     for q in xi.table.values():
@@ -472,8 +521,6 @@ def _verify_core(cert: dict) -> list[str]:
     if image != stated:
         raise VerificationFailure("stated image types differ from the witness's")
     notes.append("image types match the witness")
-
-    cap = _count(cert, "core.scan_cap", 1)
 
     def member(s: FinStructure) -> bool:
         if not _bounds_allow(base.bounds, s):

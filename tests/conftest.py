@@ -4,7 +4,7 @@ helpers that only the tests need."""
 import random
 from functools import lru_cache
 from importlib import resources
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -27,6 +27,7 @@ from agekit.ktypes import (
     parse_type,
     restrict_type,
     type_index,
+    type_indices,
     type_of_raw,
 )
 from agekit.parser import Catalog, parse_input, split_type_columns
@@ -36,6 +37,7 @@ from agekit.structures import (
     canonical_form,
     embeds,
     empty_structure,
+    enumerate_structures,
     induced,
     one_point_extensions,
     sort_key,
@@ -212,9 +214,11 @@ def reference_probe(xi: Behaviour, max_size: int, trials: int,
 
 @lru_cache(maxsize=None)
 def reference_v_age(sig: Signature, bounds, n: int) -> tuple[FinStructure, ...]:
-    """The verifier's age scan with every bound tested against the whole
-    extension: the reference for verify._v_age, which only searches
-    embeddings through the new point."""
+    """The verifier's age scan with every labelled one-point extension built
+    and every bound tested against the whole of it: the reference for
+    verify._v_age, which decides the new point's slots one old point at a
+    time and only searches embeddings through the new point and that old
+    point."""
     if n == 0:
         return (empty_structure(sig),)
     seen = set()
@@ -223,6 +227,32 @@ def reference_v_age(sig: Signature, bounds, n: int) -> tuple[FinStructure, ...]:
             if not any(embeds(b, ext) for b in bounds):
                 seen.add(canonical_form(ext))
     return tuple(sorted(seen, key=sort_key))
+
+
+def reference_carve_bounds(base: BoundedClass, image_types, k: int,
+                           cap: int) -> tuple[FinStructure, ...]:
+    """The minimal structures outside the carved age, found by testing every
+    structure of the signature up to the cap and each of its one-point-smaller
+    induced substructures: the reference for core.carve_bounds, which grows
+    the carved age by one-point extension."""
+    idx = type_index(base, k)
+    hit = frozenset(idx[p] for p in image_types)
+
+    def member(s) -> bool:
+        return in_age(base, s) and hit.issuperset(type_indices(base, s, k))
+
+    bounds = []
+    for size in range(1, cap + 1):
+        for s in enumerate_structures(base.signature, size):
+            if member(s):
+                continue
+            if size > 1 and not all(
+                member(induced(s, sub))
+                for sub in combinations(range(size), size - 1)
+            ):
+                continue
+            bounds.append(canonical_form(s))
+    return tuple(sorted(bounds, key=sort_key))
 
 
 def parse_behaviour(text: str, source: BoundedClass, target: BoundedClass,

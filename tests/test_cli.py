@@ -707,6 +707,28 @@ class TestCertificateFiles:
                              base_cat.bounded_class("bipartite"), 2)
         assert xi.table == (0, 0, 2)
 
+    def test_every_benchmark_certificate_verifies(self, tmp_path, capsys):
+        # the certificate queries of perfbench/queries.py, and a core of the
+        # Henson graph
+        linord = catalog_path("linord.cls")
+        queries = {
+            "core-Qleq": ["core", linord, "--reduct", "Qleq", "--k", "3"],
+            "bidef-fo": ["bidef", linord, "--reducts", "Qlt", "QltRev", "--mode", "fo",
+                         "--k", "3"],
+            "biint-pp": ["biint", linord, "--reducts", "Qlt", "QltRev", "--mode", "pp"],
+            "bidef-Tf-pp": ["bidef", catalog_path("trifree.cls"), "--reducts", "Tf", "Tf",
+                            "--mode", "pp"],
+            "definable-neq-pp": ["definable", linord, "--reduct", "Qlt", "--mode", "pp",
+                                 "--query", "!(x0=x1)", "--query-arity", "2"],
+            "core-Tf": ["core", catalog_path("trifree.cls"), "--reduct", "Tf", "--k", "3"],
+        }
+        for name, argv in queries.items():
+            out = tmp_path / name
+            code, _ = run_cli(argv + ["--witness-out", str(out)], capsys)
+            assert code in (0, 1) and (out / "certificate.json").exists(), name
+            code, report = run_cli(["verify", str(out)], capsys)
+            assert code == 0 and "verdict: CERTIFICATE-OK" in report, (name, report)
+
 
 class TestMalformedCertificates:
     """A malformed certificate.json is rejected with the field's name, not a traceback."""
@@ -725,6 +747,14 @@ class TestMalformedCertificates:
         ("core.witness", lambda c: c["core"].update(witness=5)),
         ("core.witness_realize_cap", lambda c: c["core"].update(witness_realize_cap=0)),
         ("core.scan_cap", lambda c: c["core"].update(scan_cap=0)),
+        # a cap of 1 would re-derive a base with one bound, the loop, which
+        # presents every loopless digraph
+        pytest.param("core.scan_cap", lambda c: c["core"].update(
+            scan_cap=1, base=re.sub(r"(  bound .*\n)+", "  bound size=1: lt(0,0)\n",
+                                    c["core"]["base"])), id="core.scan_cap-lowered"),
+        # a cap of 6 would scan every digraph on up to 6 points
+        pytest.param("core.scan_cap", lambda c: c["core"].update(scan_cap=6),
+                     id="core.scan_cap-raised"),
         # rows of 2 positions read before any type on 12 positions is built
         pytest.param("core.witness", lambda c: c["core"].update(k=12),
                      id="core.witness-level"),

@@ -16,7 +16,10 @@ against the search over every arity-preserving matching.  The pinned
 search for relation-preserving behaviours, and the definability expansions
 built on it, are checked against filtering every realizable behaviour,
 and is_realizable's verdict cache and its local bound against building
-every image up to the full realize cap.  Work
+every image up to the full realize cap.  carve_bounds, which grows the
+carved age, is checked against testing every structure of the signature,
+and the verifier's staged age scan against filtering every one-point
+extension.  Work
 guards count canonical forms and searches, age-membership tests, amalgam
 tests, per-tuple KTypes and domain propagations, so a silent fallback to
 the slow path fails without any timing.
@@ -31,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agekit import ages, canonical, core, decide, ktypes, structures
+from agekit import ages, canonical, core, decide, ktypes, structures, verify
 from agekit.ages import (
     BoundedClass,
     _in_age,
@@ -57,10 +60,12 @@ from agekit.canonical import (
     serialize_behaviour,
 )
 from agekit.core import (
+    carve_bounds,
     compute_core,
     is_optimally_presented,
     preserving_domains,
     qualifying_behaviours,
+    scan_cap_for,
     union_rows,
 )
 from agekit.definability import expand
@@ -96,6 +101,7 @@ from conftest import (
     CATALOG_FILES,
     apply_types,
     poly_image_structure,
+    reference_carve_bounds,
     reference_probe,
     reference_propagate_domains,
     reference_sigma_constraints,
@@ -1321,12 +1327,101 @@ class TestSigmaLayer:
         assert sorted(calls) == sorted((5, g) for g in ktypes.monoid_generators(5) * 2)
 
 
+class TestCarveBounds:
+    """The carve grown from the carved age against scanning every structure
+    of the signature up to the cap."""
+
+    @pytest.fixture(scope="class")
+    def reducts(self, catalog):
+        cat = parse_input(THOMAS, catalog)
+        return [catalog.reduct(name) for name in REDUCTS] + \
+            [cat.reduct(name) for name in ("Betw", "Cyc")]
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_cores_carve_the_scanned_bounds(self, reducts, k):
+        for c in reducts:
+            if k < default_level(c):
+                continue
+            p = compute_core(c, k)
+            cap = scan_cap_for(c, k)
+            assert carve_bounds(c.base, p.image_types, k, cap) == \
+                reference_carve_bounds(c.base, p.image_types, k, cap), (c.name, k)
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_drawn_type_sets(self, catalog, data):
+        # any set of types carves a hereditary class, image of a behaviour or not
+        for name in ("linord", "graphs"):
+            base = catalog.bounded_class(name)
+            image = frozenset(data.draw(st.sets(st.sampled_from(enumerate_types(base, 3)))))
+            cap = max(base.max_bound_size, base.signature.max_arity, 3)
+            assert carve_bounds(base, image, 3, cap) == \
+                reference_carve_bounds(base, image, 3, cap), (name, image)
+
+
+# a unary and a binary symbol, and a ternary one; each class has a bound on
+# one point and one on four
+MIXED_CLASSES = """
+class labelled_graphs
+  sig P/1 E/2
+  bound size=1: E(0,0)
+  bound size=1: P(0) E(0,0)
+  bound size=2: E(0,1)
+  bound size=2: P(0) E(0,1)
+  bound size=2: P(1) E(0,1)
+  bound size=2: P(0) P(1) E(0,1)
+  bound size=2: P(0) P(1)
+  bound size=4: P(0) E(0,1) E(1,0) E(1,2) E(2,1) E(2,3) E(3,2)
+end
+
+class ternary
+  sig R/3
+  bound size=1: R(0,0,0)
+  bound size=2: R(0,0,1) R(0,1,1)
+  bound size=4: R(0,1,2) R(1,2,3)
+end
+"""
+
+
 class TestVerifierAge:
     def test_rooted_scan_matches_whole_scan(self, catalog):
-        # the verifier's age scan only searches bound embeddings through the
-        # new point; scanning the whole extension finds the same members
+        # the verifier's age scan decides the new point's slots one old point
+        # at a time; filtering every whole extension finds the same members
         for name in CLASSES:
             c = catalog.bounded_class(name)
             for n in range(6):
                 assert _v_age(c.signature, c.bounds, n) == \
                     reference_v_age(c.signature, c.bounds, n), (name, n)
+
+    def test_mixed_arities(self):
+        cat = parse_input(MIXED_CLASSES)
+        # a new point has 19 slots among two ternary old points, so the
+        # reference builds 2^19 extensions per member, and 37 slots, past
+        # EXTENSION_SLOT_LIMIT, among three
+        for name, top in (("labelled_graphs", 5), ("ternary", 2)):
+            c = cat.bounded_class(name)
+            for n in range(top + 1):
+                assert _v_age(c.signature, c.bounds, n) == \
+                    reference_v_age(c.signature, c.bounds, n), (name, n)
+        c = cat.bounded_class("ternary")
+        with pytest.raises(InputError, match="relation space too large"):
+            _v_age(c.signature, c.bounds, 4)
+
+    def test_embedding_searches_pinned_to_the_decided_pair(self, linord, monkeypatch):
+        # filtering every one-point extension made 4,543 embedding searches
+        # for the linear orders up to 6 points
+        real = verify.find_embedding
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "find_embedding", counting)
+        verify._v_age.cache_clear()
+        try:
+            members = _v_age(linord.signature, linord.bounds, 6)
+        finally:
+            verify._v_age.cache_clear()
+        assert len(members) == 1
+        assert len(calls) < 4543 // 10
