@@ -27,6 +27,7 @@ from .ktypes import (
     pad_index_map,
     read_type_indices,
     restrict_index_map,
+    serialization_order,
     serialized_types,
     symbol_holds,
     type_indices,
@@ -121,13 +122,48 @@ def serialize_behaviour(xi: Behaviour) -> str:
 
 
 @lru_cache(maxsize=None)
+def _key_tables(source: BoundedClass, target: BoundedClass, k: int,
+                arity: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rows of a table in the order of their source serialization, and
+    the rank of each target type in the order of its serialization."""
+    rows = _flat_rows(serialization_order(source, k), len(enumerate_types(source, k)), arity)
+    rank = [0] * len(enumerate_types(target, k))
+    for r, v in enumerate(serialization_order(target, k)):
+        rank[v] = r
+    return tuple(rows), tuple(rank)
+
+
+def behaviour_key(xi: Behaviour) -> tuple[int, ...]:
+    """An integer sort key that orders the behaviours of one source, target,
+    level and arity as serialize_behaviour's strings do.
+
+    Lemma: a type serialization has its only "]" at its end (symbol names
+    are identifiers), so none is a proper prefix of another, and two
+    strings of serializations joined by fixed separators compare as the
+    first serializations where they differ.  The lines of serialize_behaviour
+    are therefore sorted by their rows' source serializations alone, in a
+    row order shared by every table, and two tables' strings first differ
+    at the first row, in that order, whose values differ, where they compare
+    as the values' serializations.  The key lists the serialization rank of
+    each value in that row order.
+    """
+    rows, rank = _key_tables(xi.source, xi.target, xi.k, xi.arity)
+    table = xi.table
+    return tuple([rank[table[r]] for r in rows])
+
+
+@lru_cache(maxsize=None)
 def identity_behaviour(k: BoundedClass, level: int) -> Behaviour:
     n = len(enumerate_types(k, level))
     return Behaviour(k, k, level, tuple(range(n)))
 
 
 def is_coherent(xi: Behaviour) -> bool:
-    """Pairwise collapsing inside every image type is an equivalence on its positions."""
+    """Pairwise collapsing inside every image type is an equivalence on its positions.
+
+    Every compatible table is coherent (see enumerate_behaviours), so the
+    row search does not call this; it is the reference its tables are
+    checked against."""
     k = xi.k
     if k < 2:
         return True
@@ -439,18 +475,18 @@ def _make_consistent(arcs, dom: list[int], rows) -> bool:
 
 def _pinned_domains(arcs, pins) -> list[int] | None:
     """The greatest arc-consistent bitmask domains inside the per-row pins
-    (sets of values), or None when some domain empties."""
+    (bitmasks of values), or None when some domain empties."""
     nvals, nrows, _ = arcs
     dom = [(1 << nvals) - 1] * nrows
     for row, vals in pins.items():
-        dom[row] &= _mask_of(vals, nvals)
+        dom[row] &= vals
     if not all(dom) or not _make_consistent(arcs, dom, range(nrows)):
         return None
     return dom
 
 
 def _propagate_domains(source: BoundedClass, target: BoundedClass, k: int,
-                       arity: int, pins: dict[int, frozenset[int]]):
+                       arity: int, pins: dict[int, int]) -> list[int] | None:
     """Arc consistency over the generators' constraints, from per-row pins.
 
     A table is compatible when it commutes with restriction along every
@@ -464,31 +500,38 @@ def _propagate_domains(source: BoundedClass, target: BoundedClass, k: int,
     for both sets of constraints; with singleton domains, they are the
     compatible tables.
 
-    Sound: every compatible table respecting the pins stays inside the
-    returned per-row domains.  Returns None when some domain empties.
+    Pins and domains are bitmasks of values, bit v for value v.  Sound:
+    every compatible table respecting the pins stays inside the returned
+    per-row domains.  Returns None when some domain empties.
     """
-    arcs = _arcs(source, target, k, arity)
-    dom = _pinned_domains(arcs, pins)
-    if dom is None:
-        return None
-    return [set(_mask_values(d, arcs[0])) for d in dom]
+    return _pinned_domains(_arcs(source, target, k, arity), pins)
 
 
 def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,
                          realize_cap: int | None = None, arity: int = 1,
-                         domains: list[set[int]] | None = None,
+                         domains: list[int] | None = None,
                          check_realizable: bool = True) -> tuple[Behaviour, ...]:
-    """Every compatible, coherent (and by default realizable) behaviour of
-    the arity at level k, inside the given per-row domains if any, sorted
-    by serialization.
+    """Every compatible (hence coherent) and by default realizable behaviour
+    of the arity at level k, inside the given per-row bitmask domains if
+    any, sorted by serialization (behaviour_key).
 
     A depth-first search over arc-consistent bitmask domains, on an
     explicit stack of (domains, row, value) branches: it branches on the
     first row with more than one value, in ascending order, and makes the
     domains arc-consistent again from that row (_make_consistent), dropping
     the branch when one empties.  When every domain is a singleton the
-    table is compatible (see _propagate_domains); it is judged for
-    coherence and then by the (most expensive) realizability check.
+    table is compatible (see _propagate_domains), and it is judged by the
+    (most expensive) realizability check alone.
+
+    Lemma: a compatible table is coherent (is_coherent).  At k < 2 every
+    table is.  At k >= 2, take a row (p_1, .., p_m) and positions i, j, and
+    sigma = (i, j, j, .., j).  is_coherent reads the level-2 value of the
+    row restricted to (i, j), which is the table's value on that restriction
+    padded back to level k by repeating its last position: the row
+    restricted along sigma, argument by argument.  Compatibility makes that
+    value the restriction along sigma of the value v of the row itself, so
+    positions i and j collapse iff v identifies them.  The collapse relation
+    of the row is thus that of the single k-type v, an equivalence.
     """
     if k < max(source.signature.max_arity, target.signature.max_arity):
         raise InputError("enumerate_behaviours: k below a signature arity")
@@ -505,7 +548,7 @@ def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,
             stack.extend((dom, row, v) for v in reversed(_mask_values(dom[row], nvals)))
             return
         xi = Behaviour(source, target, k, tuple(d.bit_length() - 1 for d in dom), arity)
-        if is_coherent(xi) and (not check_realizable or is_realizable(xi, realize_cap)):
+        if not check_realizable or is_realizable(xi, realize_cap):
             out.append(xi)
 
     dom = _pinned_domains(arcs, {} if domains is None else dict(enumerate(domains)))
@@ -517,7 +560,7 @@ def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,
         dom[row] = 1 << v
         if _make_consistent(arcs, dom, (row,)):
             expand(dom, row + 1)
-    out.sort(key=serialize_behaviour)
+    out.sort(key=behaviour_key)
     return tuple(out)
 
 

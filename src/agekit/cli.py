@@ -30,12 +30,14 @@ from .certs import (
 )
 from .core import compute_core, is_optimally_presented
 from .decide import decide_bidef, decide_biint, default_caps
-from .definability import definable, expand
+from .definability import definable, definable_unions, expansion
 from .errors import AgekitError, InputError, InternalError
-from .ktypes import default_level, enumerate_types, parse_type, serialize_type
+from .ktypes import (default_level, enumerate_types, parse_type, serialize_type,
+                     serialized_types)
 from .parser import (Catalog, parse_formula, parse_input, render_class,
                      render_reduct, split_type_columns)
-from .reducts import OrbitUnion, compile_orbit_union, Reduct, Relation, FormulaDef
+from .reducts import (OrbitUnion, Reduct, Relation, FormulaDef, compile_orbit_union,
+                      mask_members)
 from .structures import render_literal
 from .verify import VerificationFailure, verify_certificate
 
@@ -325,15 +327,15 @@ def _run_definable(args: argparse.Namespace) -> tuple[int, str]:
         code = EXIT_YES if verdict.definable else EXIT_NO
         return code, rep.emit(args.fmt)
 
-    expanded = expand(p, n, args.mode, args.arity_cap, args.realize_cap)
-    added = expanded.relations[len(p.reduct_out.relations):]
+    added = definable_unions(p, n, args.mode, args.arity_cap, args.realize_cap)
     rep.line(f"caps: {_caps_line(k=p.k, realize_cap=args.realize_cap, arity_cap=args.arity_cap)} expand-arity={n}")
     rep.line(f"added relations: {len(added)}", "added", len(added))
-    for r in added:
-        u = compile_orbit_union(expanded, r.name)
-        body = ", ".join(serialize_type(t) for t in u.sorted_members())
-        rep.line(f"  {r.name}/{r.arity} = {{{body}}}")
-    rep.data["expanded"] = render_reduct(expanded)
+    for name, arity, mask in added:
+        serialized = serialized_types(p.base_out, arity)
+        body = ", ".join(serialized[i] for i in mask_members(p.base_out, arity, mask))
+        rep.line(f"  {name}/{arity} = {{{body}}}")
+    if args.fmt == "json":
+        rep.data["expanded"] = render_reduct(expansion(p, n, args.mode, added))
     return EXIT_YES, rep.emit(args.fmt)
 
 

@@ -19,11 +19,12 @@ from .ages import BoundedClass, in_age
 from .canonical import (
     Behaviour,
     _flat_rows,
+    _mask_values,
     _propagate_domains,
+    behaviour_key,
     enumerate_behaviours,
     is_range_rigid,
     is_realizable,
-    serialize_behaviour,
 )
 from .errors import InputError, InternalError
 from .ktypes import (
@@ -35,7 +36,7 @@ from .ktypes import (
     type_index,
     type_indices,
 )
-from .reducts import OrbitsDef, OrbitUnion, Reduct, Relation, compiled_unions
+from .reducts import OrbitsDef, Reduct, Relation, compiled_unions, union_mask
 from .structures import (
     augment,
     canonical_form,
@@ -74,31 +75,42 @@ def require_core_flags(c: Reduct) -> None:
             f"class {c.base.name} must assert homogeneous and ramsey for core search")
 
 
-def union_rows(base: BoundedClass, u: OrbitUnion, arity: int,
-               level: int) -> tuple[list[int], frozenset[int]]:
-    """The table rows whose arguments all pad members of an orbit union, and
+@lru_cache(maxsize=None)
+def _union_tables(base: BoundedClass, arity: int,
+                  level: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per type index at the arity: its padding to the level, and the
+    bitmask of the level types that restrict to it on the first positions."""
+    fibres = [0] * len(enumerate_types(base, arity))
+    for v, a in enumerate(first_m_index_map(base, level, arity)):
+        fibres[a] |= 1 << v
+    return pad_index_map(base, arity, level), tuple(fibres)
+
+
+def union_rows(base: BoundedClass, union_arity: int, mask: int, arity: int,
+               level: int) -> tuple[list[int], int]:
+    """The table rows whose arguments all pad members of an orbit union,
+    given as a bitmask over type indices (union_mask), and the bitmask of
     the level values whose restriction to the union's arity is a member.
 
     A behaviour of the arity preserves the union iff every such row holds a
-    value of the second set.
+    value of the second mask.
     """
-    t = len(enumerate_types(base, level))
-    idx = type_index(base, u.arity)
-    pad = pad_index_map(base, u.arity, level)
-    back = first_m_index_map(base, level, u.arity)
-    member_idx = sorted(idx[p] for p in u.members)
-    members = set(member_idx)
-    keep = frozenset(v for v in range(t) if back[v] in members)
-    return _flat_rows([pad[a] for a in member_idx], t, arity), keep
+    pad, fibres = _union_tables(base, union_arity, level)
+    members = _mask_values(mask, len(pad))
+    keep = 0
+    for a in members:
+        keep |= fibres[a]
+    rows = _flat_rows([pad[a] for a in members], len(enumerate_types(base, level)), arity)
+    return rows, keep
 
 
 @lru_cache(maxsize=None)
 def preserving_domains(c: Reduct, arity: int, level: int):
-    """Arc-consistent per-row domains of the behaviours of the arity that
-    preserve every relation of c, or None when no such table exists."""
-    pins: dict[int, frozenset[int]] = {}
+    """Arc-consistent per-row bitmask domains of the behaviours of the arity
+    that preserve every relation of c, or None when no such table exists."""
+    pins: dict[int, int] = {}
     for _, u in compiled_unions(c):
-        rows, keep = union_rows(c.base, u, arity, level)
+        rows, keep = union_rows(c.base, u.arity, union_mask(c.base, u), arity, level)
         for flat in rows:
             pins[flat] = pins.get(flat, keep) & keep
     return _propagate_domains(c.base, c.base, level, arity, pins)
@@ -106,8 +118,8 @@ def preserving_domains(c: Reduct, arity: int, level: int):
 
 @lru_cache(maxsize=None)
 def preserving_behaviours(c: Reduct, arity: int, level: int) -> tuple[Behaviour, ...]:
-    """Compatible, coherent behaviours of the arity at the level that preserve
-    every relation of c, sorted by serialization.
+    """Compatible behaviours of the arity at the level that preserve every
+    relation of c, sorted by serialization.
 
     Realizability is left to the caller, which often needs it on few of them.
     """
@@ -185,7 +197,7 @@ def compute_core(c: Reduct, k: int | None = None,
         xi for xi, s in zip(qualifying, image_sets)
         if not any(other < s for other in image_sets)
     ]
-    witness = min(minimal, key=serialize_behaviour)
+    witness = min(minimal, key=behaviour_key)
     image_types = witness.image_types()
 
     cap = scan_cap_for(c, k)

@@ -20,8 +20,8 @@ from .canonical import (
 from .core import CorePresentation, compute_core, require_core_flags
 from .definability import expand
 from .errors import InputError
-from .ktypes import default_level, enumerate_types, type_index
-from .reducts import Reduct, compiled_unions
+from .ktypes import default_level, enumerate_types
+from .reducts import Reduct, compiled_unions, union_mask
 from .value import Value
 
 MODES = ("fo", "ep", "pp")
@@ -104,12 +104,8 @@ def _check_mode(mode: str) -> None:
 
 
 def _masks(r: Reduct) -> list[tuple[int, int]]:
-    """(arity, bitmask of the orbit union over type indices) per relation."""
-    out = []
-    for _, u in compiled_unions(r):
-        idx = type_index(r.base, u.arity)
-        out.append((u.arity, sum(1 << idx[p] for p in u.members)))
-    return out
+    """(arity, union_mask) per relation."""
+    return [(u.arity, union_mask(r.base, u)) for _, u in compiled_unions(r)]
 
 
 def _forced_positions(xi: Behaviour, c_masks, d_index) -> tuple[int, ...] | None:

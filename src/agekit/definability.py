@@ -11,6 +11,9 @@ union NOT-DEFINABLE and re-verifies; without one the union is DEFINABLE
 relative to the level k, the arity cap and the realizability cap.  The
 self-maps searched carry no constants, so an fo/ep DEFINABLE can still be
 wrong where such maps miss an endomorphism that breaks the union.
+
+Unions are searched as bitmasks over type indices (`reducts.union_mask`);
+`expansion` builds types back only for the relations it adds.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ from .canonical import Behaviour, default_realize_cap, identity_behaviour, is_re
 from .core import CorePresentation, preserving_behaviours, preserving_domains, union_rows
 from .errors import InputError
 from .ktypes import enumerate_types
-from .reducts import OrbitsDef, OrbitUnion, Reduct, Relation, compiled_unions
+from .reducts import (
+    OrbitsDef,
+    OrbitUnion,
+    Reduct,
+    Relation,
+    compiled_unions,
+    mask_members,
+    union_mask,
+)
 from .value import Value
 
 
@@ -55,28 +66,42 @@ def _realizable_cached(xi: Behaviour, cap: int) -> bool:
     return is_realizable(xi, cap)
 
 
-def find_violation(p: CorePresentation, r: OrbitUnion, arities,
+def find_violation(p: CorePresentation, arity: int, mask: int, arities,
                    realize_cap: int) -> Behaviour | None:
     """The first realizable relation-preserving behaviour, by arity and then
-    by serialization, that moves a member tuple of r outside r, or None.
+    by serialization, that moves a member tuple of the orbit union of the
+    arity given by its union_mask outside it, or None.
 
     An arity is skipped without any table search when the propagated
-    domains keep every row of r's member tuples inside r.
+    domains keep every row of the union's member tuples inside it.
     """
-    if len(r.members) == len(enumerate_types(p.base_out, r.arity)):
-        return None  # r holds every tuple: nothing can leave it
+    if mask == (1 << len(enumerate_types(p.base_out, arity))) - 1:
+        return None  # the union holds every tuple: nothing can leave it
     for m in arities:
         domains = preserving_domains(p.reduct_out, m, p.k)
         if domains is None:
             continue
-        rows, keep = union_rows(p.base_out, r, m, p.k)
-        if all(domains[flat] <= keep for flat in rows):
+        rows, keep = union_rows(p.base_out, arity, mask, m, p.k)
+        if not any(domains[flat] & ~keep for flat in rows):
             continue
         for xi in preserving_behaviours(p.reduct_out, m, p.k):
-            if (any(xi.table[flat] not in keep for flat in rows)
+            table = xi.table
+            if (any(not keep >> table[flat] & 1 for flat in rows)
                     and _realizable_cached(xi, realize_cap)):
                 return xi
     return None
+
+
+def _caps(p: CorePresentation, mode: str, arity_cap: int | None,
+          realize_cap: int | None) -> tuple[int | None, int]:
+    """The arity cap (None: the union's size) and the realizability cap."""
+    if mode != "pp":
+        arity_cap = 1
+    if arity_cap is not None and arity_cap < 1:
+        raise InputError("definable: arity cap must be >= 1")
+    cap = realize_cap if realize_cap is not None else default_realize_cap(
+        identity_behaviour(p.base_out, p.k))
+    return arity_cap, cap
 
 
 def definable(p: CorePresentation, r: OrbitUnion, mode: str,
@@ -86,46 +111,52 @@ def definable(p: CorePresentation, r: OrbitUnion, mode: str,
     with a violating behaviour; DEFINABLE is relative to the caps."""
     if not r.members:
         raise InputError("definable: empty orbit union")
-    if mode != "pp":
-        arity_cap = 1
-    elif arity_cap is None:
+    arity_cap, cap = _caps(p, mode, arity_cap, realize_cap)
+    if arity_cap is None:
         arity_cap = len(r.members)
-    if arity_cap < 1:
-        raise InputError("definable: arity cap must be >= 1")
-    cap = realize_cap if realize_cap is not None else default_realize_cap(
-        identity_behaviour(p.base_out, p.k))
-    witness = find_violation(p, r, range(1, arity_cap + 1), cap)
+    witness = find_violation(p, r.arity, union_mask(p.base_out, r),
+                             range(1, arity_cap + 1), cap)
     return DefinableVerdict(witness is None, r, witness, arity_cap, cap)
 
 
 def _fresh_unions(base: BoundedClass, existing: Reduct, max_arity: int):
-    """All nonempty orbit unions of arity <= max_arity not yet declared,
-    paired with deterministic fresh names."""
-    declared: dict[int, set[frozenset]] = {}
-    for name, u in compiled_unions(existing):
-        declared.setdefault(u.arity, set()).add(u.members)
-    out = []
+    """(name, arity, union_mask) of every nonempty orbit union of arity <=
+    max_arity not yet declared, with a deterministic fresh name."""
+    declared = {(u.arity, union_mask(base, u)) for _, u in compiled_unions(existing)}
     for m in range(1, max_arity + 1):
-        types = enumerate_types(base, m)
-        counter = 0
-        for mask in range(1, 1 << len(types)):
-            members = frozenset(types[i] for i in range(len(types)) if mask >> i & 1)
-            counter += 1
-            if members in declared.get(m, set()):
-                continue
-            out.append((f"U{m}_{counter}", OrbitUnion(m, members)))
-    return out
+        for mask in range(1, 1 << len(enumerate_types(base, m))):
+            if (m, mask) not in declared:
+                yield f"U{m}_{mask}", m, mask
+
+
+def definable_unions(p: CorePresentation, n: int, mode: str,
+                     arity_cap: int | None = None,
+                     realize_cap: int | None = None) -> tuple[tuple[str, int, int], ...]:
+    """(name, arity, union_mask) of every fresh orbit union of arity <= n
+    that is definable in the mode: the relations expand adds, in order."""
+    if n < 1:
+        raise InputError("expand: arity bound must be >= 1")
+    arity_cap, cap = _caps(p, mode, arity_cap, realize_cap)
+    return tuple(
+        (name, arity, mask) for name, arity, mask in _fresh_unions(p.base_out, p.reduct_out, n)
+        if find_violation(p, arity, mask, range(1, (arity_cap or mask.bit_count()) + 1),
+                          cap) is None)
+
+
+def expansion(p: CorePresentation, n: int, mode: str, unions) -> Reduct:
+    """The core expanded by the given (name, arity, union_mask) relations;
+    fo and ep share the `_ep{n}` name."""
+    relations = list(p.reduct_out.relations)
+    for name, arity, mask in unions:
+        types = enumerate_types(p.base_out, arity)
+        members = tuple(types[i] for i in mask_members(p.base_out, arity, mask))
+        relations.append(Relation(name, arity, OrbitsDef(members)))
+    suffix = "pp" if mode == "pp" else "ep"
+    return Reduct(f"{p.reduct_out.name}_{suffix}{n}", p.base_out, tuple(relations))
 
 
 def expand(p: CorePresentation, n: int, mode: str, arity_cap: int | None = None,
            realize_cap: int | None = None) -> Reduct:
     """The core expanded by every fresh orbit union of arity <= n that is
-    definable in the mode; fo and ep share the `_ep{n}` name."""
-    if n < 1:
-        raise InputError("expand: arity bound must be >= 1")
-    relations = list(p.reduct_out.relations)
-    for name, u in _fresh_unions(p.base_out, p.reduct_out, n):
-        if definable(p, u, mode, arity_cap, realize_cap).definable:
-            relations.append(Relation(name, u.arity, OrbitsDef(u.sorted_members())))
-    suffix = "pp" if mode == "pp" else "ep"
-    return Reduct(f"{p.reduct_out.name}_{suffix}{n}", p.base_out, tuple(relations))
+    definable in the mode."""
+    return expansion(p, n, mode, definable_unions(p, n, mode, arity_cap, realize_cap))

@@ -271,6 +271,13 @@ def serialized_types(k: BoundedClass, level: int) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
+def serialization_order(k: BoundedClass, level: int) -> tuple[int, ...]:
+    """The type indices at the level, sorted by serialize_type."""
+    serialized = serialized_types(k, level)
+    return tuple(sorted(range(len(serialized)), key=serialized.__getitem__))
+
+
+@lru_cache(maxsize=None)
 def restrict_index_map(k: BoundedClass, level: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
     """Index form of restrict_type: level-`level` types to level-`len(sigma)` types."""
     idx = type_index(k, len(sigma))

@@ -12,7 +12,7 @@ from itertools import product
 
 from .ages import BoundedClass
 from .errors import InputError
-from .ktypes import KType, enumerate_types, serialize_type, type_index
+from .ktypes import KType, enumerate_types, serialization_order, serialize_type, type_index
 from .structures import (
     QfFormula,
     Signature,
@@ -158,6 +158,27 @@ def compile_orbit_union(c: Reduct, name: str) -> OrbitUnion:
 @lru_cache(maxsize=None)
 def compiled_unions(c: Reduct) -> tuple[tuple[str, OrbitUnion], ...]:
     return tuple((r.name, compile_orbit_union(c, r.name)) for r in c.relations)
+
+
+def union_mask(base: BoundedClass, u: OrbitUnion) -> int:
+    """The orbit union as a bitmask over the base's type indices at its
+    arity: bit i is set iff the i-th type (enumerate_types) is a member.
+
+    The definability oracle and the decider search and compare unions in
+    this form; mask_members turns one back into types for a report or a
+    certificate.
+    """
+    idx = type_index(base, u.arity)
+    mask = 0
+    for p in u.members:
+        mask |= 1 << idx[p]
+    return mask
+
+
+def mask_members(base: BoundedClass, arity: int, mask: int) -> tuple[int, ...]:
+    """The type indices of a union_mask, sorted by serialization, the order
+    of OrbitUnion.sorted_members."""
+    return tuple(i for i in serialization_order(base, arity) if mask >> i & 1)
 
 
 def behaviour_preserves_relation(xi, src: OrbitUnion, tgt: OrbitUnion) -> bool:

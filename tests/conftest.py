@@ -15,10 +15,14 @@ from agekit.canonical import (
     _flat_rows,
     _image_from_types,
     _value_rows,
+    default_realize_cap,
+    identity_behaviour,
     image_structure,
     is_coherent,
+    is_realizable,
     random_age_member,
 )
+from agekit.core import CorePresentation, preserving_behaviours
 from agekit.errors import IncoherentBehaviourError, InputError
 from agekit.ktypes import (
     KType,
@@ -31,6 +35,14 @@ from agekit.ktypes import (
     type_of_raw,
 )
 from agekit.parser import Catalog, parse_input, split_type_columns
+from agekit.reducts import (
+    OrbitsDef,
+    OrbitUnion,
+    Reduct,
+    Relation,
+    behaviour_preserves_relation,
+    compiled_unions,
+)
 from agekit.structures import (
     FinStructure,
     Signature,
@@ -253,6 +265,44 @@ def reference_carve_bounds(base: BoundedClass, image_types, k: int,
                 continue
             bounds.append(canonical_form(s))
     return tuple(sorted(bounds, key=sort_key))
+
+
+def reference_expand(p: CorePresentation, n: int, mode: str) -> Reduct:
+    """expand with orbit unions as frozensets of KTypes: every union of
+    arity <= n that the core does not declare, named U<arity>_<mask>, is
+    added unless a realizable behaviour of core.preserving_behaviours, of
+    arity 1 (fo, ep) or 1 up to the union's size (pp), sends a tuple of its
+    members outside it, as behaviour_preserves_relation reads the types.
+    The reference for the bitmask unions of definability.expand; the
+    preserving behaviours themselves are checked in test_oracles against
+    filtering every table."""
+    base = p.base_out
+    declared = {u for _, u in compiled_unions(p.reduct_out)}
+    cap = default_realize_cap(identity_behaviour(base, p.k))
+    realizable: dict[Behaviour, bool] = {}
+
+    def moves(xi: Behaviour, u: OrbitUnion) -> bool:
+        if behaviour_preserves_relation(xi, u, u):
+            return False
+        if xi not in realizable:
+            realizable[xi] = is_realizable(xi, cap)
+        return realizable[xi]
+
+    relations = list(p.reduct_out.relations)
+    for m in range(1, n + 1):
+        types = enumerate_types(base, m)
+        for mask in range(1, 1 << len(types)):
+            u = OrbitUnion(m, frozenset(t for i, t in enumerate(types) if mask >> i & 1))
+            if u in declared:
+                continue
+            arities = range(1, (len(u.members) if mode == "pp" else 1) + 1)
+            # a union of every type is kept by every behaviour
+            if len(u.members) == len(types) or not any(
+                    moves(xi, u) for a in arities
+                    for xi in preserving_behaviours(p.reduct_out, a, p.k)):
+                relations.append(Relation(f"U{m}_{mask}", m, OrbitsDef(u.sorted_members())))
+    suffix = "pp" if mode == "pp" else "ep"
+    return Reduct(f"{p.reduct_out.name}_{suffix}{n}", base, tuple(relations))
 
 
 def parse_behaviour(text: str, source: BoundedClass, target: BoundedClass,

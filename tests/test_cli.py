@@ -171,6 +171,31 @@ class TestSubcommands:
                             capsys)
         assert code == 0 and out == golden.read_text()
 
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    def test_definable_expansion_matches_golden(self, fmt, suffix, capsys):
+        # 2,054 added relations, written while orbit unions were frozensets
+        # of types; the json report also renders the expanded reduct
+        golden = Path(__file__).parent / "golden" / "definable_M1_ep_n3" / f"report.{suffix}"
+        code, out = run_cli(
+            ["definable", catalog_path("maxdeg1.cls"), "--reduct", "M1", "--mode", "ep",
+             "--n", "3", "--format", fmt], capsys)
+        assert code == 0 and out == golden.read_text()
+
+    def test_bidef_tf_pp_matches_golden(self, tmp_path, monkeypatch, capsys):
+        # the report and every certificate file of a pp expansion, written
+        # while orbit unions were frozensets of types
+        golden = Path(__file__).parent / "golden" / "bidef_Tf_Tf_pp"
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(
+            ["bidef", catalog_path("trifree.cls"), "--reducts", "Tf", "Tf", "--mode", "pp",
+             "--witness-out", "cert"], capsys)
+        assert code == 0 and out == (golden / "report.txt").read_text()
+        written = sorted(path.name for path in (tmp_path / "cert").iterdir())
+        assert written == sorted(path.name for path in golden.iterdir()
+                                 if path.name != "report.txt")
+        for name in written:
+            assert (tmp_path / "cert" / name).read_bytes() == (golden / name).read_bytes(), name
+
     def test_bidef_yes_then_verify(self, tmp_path, capsys):
         w = tmp_path / "w"
         code, _ = run_cli(

@@ -48,6 +48,7 @@ from agekit.canonical import (
     Behaviour,
     inverse,
     _propagate_domains,
+    behaviour_key,
     default_realize_cap,
     enumerate_behaviours,
     greedy_extension_probe,
@@ -63,6 +64,7 @@ from agekit.core import (
     carve_bounds,
     compute_core,
     is_optimally_presented,
+    preserving_behaviours,
     preserving_domains,
     qualifying_behaviours,
     scan_cap_for,
@@ -95,13 +97,19 @@ from agekit.structures import (
     structure,
 )
 from agekit.parser import parse_input
-from agekit.reducts import OrbitUnion, behaviour_preserves_relation, compiled_unions
+from agekit.reducts import (
+    OrbitUnion,
+    behaviour_preserves_relation,
+    compiled_unions,
+    union_mask,
+)
 from agekit.verify import _v_age
 from conftest import (
     CATALOG_FILES,
     apply_types,
     poly_image_structure,
     reference_carve_bounds,
+    reference_expand,
     reference_probe,
     reference_propagate_domains,
     reference_sigma_constraints,
@@ -705,6 +713,48 @@ class TestBehaviourSearch:
         assert enumerate_behaviours(linord, linord, 2, arity=2) == want
 
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_key_orders_as_serialization(self, catalog, k):
+        # behaviour_key against serialize_behaviour on random tables of
+        # every catalog pair, each with variants that differ from it in one
+        # or two rows, so that many pairs of strings share a long prefix;
+        # arity 1, and arity 2 for the endo pairs at k = 2
+        rng = random.Random(k)
+        for s, t in product(CLASSES, repeat=2):
+            source, target = catalog.bounded_class(s), catalog.bounded_class(t)
+            nv = len(enumerate_types(target, k))
+            for arity in (1, 2) if k == 2 and s == t else (1,):
+                nrows = len(enumerate_types(source, k)) ** arity
+                tables = []
+                for _ in range(6):
+                    table = [rng.randrange(nv) for _ in range(nrows)]
+                    tables.append(tuple(table))
+                    for _ in range(5):
+                        for _ in range(rng.randint(1, 2)):
+                            table[rng.randrange(nrows)] = rng.randrange(nv)
+                        tables.append(tuple(table))
+                xis = [Behaviour(source, target, k, table, arity) for table in tables]
+                assert (sorted(xis, key=behaviour_key)
+                        == sorted(xis, key=serialize_behaviour)), (s, t, arity)
+
+    def test_every_searched_table_is_coherent(self, catalog):
+        # the search judges no table's coherence: a compatible table is
+        # coherent (the lemma of enumerate_behaviours), so every table it
+        # returns, realizable or not, passes is_coherent
+        count = 0
+        searches = [(s, t, k, 1) for s, t in product(CLASSES, repeat=2) for k in (2, 3)]
+        searches += [(s, s, 2, 2) for s in CLASSES]
+        for s, t, k, arity in searches:
+            for xi in enumerate_behaviours(catalog.bounded_class(s), catalog.bounded_class(t),
+                                           k, arity=arity, check_realizable=False):
+                assert is_coherent(xi), (s, t, k, arity, xi.table)
+                count += 1
+        for c in catalog.reducts.values():
+            for xi in preserving_behaviours(c, 2, default_level(c)):
+                assert is_coherent(xi), (c.name, xi.table)
+                count += 1
+        assert count > 10_000
+
     @pytest.mark.parametrize("name", ["linord", "trifree"])
     def test_coherence_of_perturbed_tables(self, catalog, name):
         # every compatible level-3 table is coherent here, so flip single
@@ -1231,6 +1281,15 @@ class TestDefinabilityOracle:
         want = [(n, u) for n, u in fresh_unions(p, 2) if not violated(u)]
         assert added(expand(p, 2, "pp"), p) == want
 
+    @pytest.mark.parametrize("name, k, n, mode", [("M1", 3, 3, "ep"), ("Tf", 2, 2, "pp"),
+                                                  ("Qlt", 3, 2, "pp"), ("QltRev", 3, 2, "pp")])
+    def test_expand_matches_ktype_reference(self, catalog, name, k, n, mode):
+        # the bitmask unions against frozensets of KTypes, on the expansions
+        # that `definable M1 --n 3` and the Tf and Qlt/QltRev pp bidef
+        # queries make
+        p = compute_core(catalog.reduct(name), k)
+        assert expand(p, n, mode) == reference_expand(p, n, mode)
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_core_search(self, catalog, k):
         cat = parse_input(THOMAS, catalog)
@@ -1272,6 +1331,31 @@ class TestDefinabilityOracle:
 
 # -- σ-constraints ------------------------------------------------------------------
 
+def mask_sets(domains):
+    """Bitmask domains as sets of values, the form of the references."""
+    if domains is None:
+        return None
+    return [{v for v in range(d.bit_length()) if d >> v & 1} for d in domains]
+
+
+def reference_union_rows(base, u, arity, k):
+    """union_rows from KTypes: the sorted flat rows whose arguments are
+    members of u padded to level k, and the level-k types whose first
+    u.arity positions have a member's type."""
+    idx = type_index(base, k)
+    pad = tuple(min(i, u.arity - 1) for i in range(k))
+    padded = [idx[restrict_type(t, pad)] for t in u.members]
+    rows = []
+    for args in product(padded, repeat=arity):
+        flat = 0
+        for a in args:
+            flat = flat * len(idx) + a
+        rows.append(flat)
+    keep = {v for v, t in enumerate(enumerate_types(base, k))
+            if restrict_type(t, range(u.arity)) in u.members}
+    return sorted(rows), keep
+
+
 # (arity, level) grid of the σ-layer comparisons
 SIGMA_LEVELS = [(1, k) for k in (1, 2, 3, 4)] + [(2, k) for k in (1, 2, 3)]
 
@@ -1288,7 +1372,7 @@ class TestSigmaLayer:
             c = catalog.bounded_class(name)
             if k < c.signature.max_arity:
                 continue
-            assert (_propagate_domains(c, c, k, arity, {})
+            assert (mask_sets(_propagate_domains(c, c, k, arity, {}))
                     == reference_propagate_domains(c, c, k, arity, {})), (name, arity, k)
 
     @pytest.mark.parametrize("arity, k", SIGMA_LEVELS)
@@ -1300,11 +1384,14 @@ class TestSigmaLayer:
                 continue
             pins = {}
             for _, u in compiled_unions(c):
-                rows, keep = union_rows(c.base, u, arity, k)
+                rows, keep = union_rows(c.base, u.arity, union_mask(c.base, u), arity, k)
+                assert (sorted(rows), mask_sets([keep])[0]) == reference_union_rows(
+                    c.base, u, arity, k), (name, arity, k)
                 for flat in rows:
                     pins[flat] = pins.get(flat, keep) & keep
+            pins = dict(zip(pins, mask_sets(pins.values())))
             want = reference_propagate_domains(c.base, c.base, k, arity, pins)
-            assert preserving_domains(c, arity, k) == want, (name, arity, k)
+            assert mask_sets(preserving_domains(c, arity, k)) == want, (name, arity, k)
 
     def test_one_restriction_per_generator(self, linord, monkeypatch):
         # propagation at level 5 restricts types along the three generators
