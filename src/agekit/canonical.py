@@ -5,9 +5,9 @@ source class to k-types of the target class.  Arity 1 stands in for a
 canonical function, arity m > 1 with source == target for a canonical
 polymorphism: the function itself lives on an infinite domain and is never
 materialized.  Candidate tables are searched over domains kept
-arc-consistent after every choice, which leaves only compatible tables,
-and kept only if they pass a bounded realizability check; the randomized
-extension probe cross-checks that bound on concrete age members.
+arc-consistent after every choice, which leaves only compatible tables;
+callers keep those that pass the bounded realizability check, and the
+randomized extension probe cross-checks that bound on concrete age members.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def serialize_behaviour(xi: Behaviour) -> str:
 
 
 @lru_cache(maxsize=None)
-def _key_tables(source: BoundedClass, target: BoundedClass, k: int,
-                arity: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _search_order(source: BoundedClass, target: BoundedClass, k: int,
+                  arity: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The rows of a table in the order of their source serialization, and
     the rank of each target type in the order of its serialization."""
     rows = _flat_rows(serialization_order(source, k), len(enumerate_types(source, k)), arity)
@@ -131,25 +131,6 @@ def _key_tables(source: BoundedClass, target: BoundedClass, k: int,
     for r, v in enumerate(serialization_order(target, k)):
         rank[v] = r
     return tuple(rows), tuple(rank)
-
-
-def behaviour_key(xi: Behaviour) -> tuple[int, ...]:
-    """An integer sort key that orders the behaviours of one source, target,
-    level and arity as serialize_behaviour's strings do.
-
-    Lemma: a type serialization has its only "]" at its end (symbol names
-    are identifiers), so none is a proper prefix of another, and two
-    strings of serializations joined by fixed separators compare as the
-    first serializations where they differ.  The lines of serialize_behaviour
-    are therefore sorted by their rows' source serializations alone, in a
-    row order shared by every table, and two tables' strings first differ
-    at the first row, in that order, whose values differ, where they compare
-    as the values' serializations.  The key lists the serialization rank of
-    each value in that row order.
-    """
-    rows, rank = _key_tables(xi.source, xi.target, xi.k, xi.arity)
-    table = xi.table
-    return tuple([rank[table[r]] for r in rows])
 
 
 @lru_cache(maxsize=None)
@@ -473,18 +454,6 @@ def _make_consistent(arcs, dom: list[int], rows) -> bool:
     return True
 
 
-def _pinned_domains(arcs, pins) -> list[int] | None:
-    """The greatest arc-consistent bitmask domains inside the per-row pins
-    (bitmasks of values), or None when some domain empties."""
-    nvals, nrows, _ = arcs
-    dom = [(1 << nvals) - 1] * nrows
-    for row, vals in pins.items():
-        dom[row] &= vals
-    if not all(dom) or not _make_consistent(arcs, dom, range(nrows)):
-        return None
-    return dom
-
-
 def _propagate_domains(source: BoundedClass, target: BoundedClass, k: int,
                        arity: int, pins: dict[int, int]) -> list[int] | None:
     """Arc consistency over the generators' constraints, from per-row pins.
@@ -504,63 +473,86 @@ def _propagate_domains(source: BoundedClass, target: BoundedClass, k: int,
     every compatible table respecting the pins stays inside the returned
     per-row domains.  Returns None when some domain empties.
     """
-    return _pinned_domains(_arcs(source, target, k, arity), pins)
+    arcs = _arcs(source, target, k, arity)
+    nvals, nrows, _ = arcs
+    dom = [(1 << nvals) - 1] * nrows
+    for row, vals in pins.items():
+        dom[row] &= vals
+    if not all(dom) or not _make_consistent(arcs, dom, range(nrows)):
+        return None
+    return dom
 
 
 def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,
-                         realize_cap: int | None = None, arity: int = 1,
-                         domains: list[int] | None = None,
-                         check_realizable: bool = True) -> tuple[Behaviour, ...]:
-    """Every compatible (hence coherent) and by default realizable behaviour
-    of the arity at level k, inside the given per-row bitmask domains if
-    any, sorted by serialization (behaviour_key).
+                         arity: int = 1,
+                         domains: list[int] | None = None) -> tuple[Behaviour, ...]:
+    """Every compatible (hence coherent) behaviour of the arity at level k,
+    inside the given per-row bitmask domains if any, in the order of
+    serialize_behaviour.  The domains must be arc-consistent, as
+    _propagate_domains returns them; realizability is the caller's filter.
 
     A depth-first search over arc-consistent bitmask domains, on an
-    explicit stack of (domains, row, value) branches: it branches on the
-    first row with more than one value, in ascending order, and makes the
-    domains arc-consistent again from that row (_make_consistent), dropping
-    the branch when one empties.  When every domain is a singleton the
-    table is compatible (see _propagate_domains), and it is judged by the
-    (most expensive) realizability check alone.
+    explicit stack of (domains, position, value) branches.  It branches on
+    the first row, in the rows' source-serialization order, with more than
+    one value, trying its values in ascending target-serialization order,
+    and makes the domains arc-consistent again from that row
+    (_make_consistent), dropping the branch when one empties.  When every
+    domain is a singleton the table is compatible (see _propagate_domains).
 
-    Lemma: a compatible table is coherent (is_coherent).  At k < 2 every
-    table is.  At k >= 2, take a row (p_1, .., p_m) and positions i, j, and
-    sigma = (i, j, j, .., j).  is_coherent reads the level-2 value of the
-    row restricted to (i, j), which is the table's value on that restriction
-    padded back to level k by repeating its last position: the row
-    restricted along sigma, argument by argument.  Compatibility makes that
-    value the restriction along sigma of the value v of the row itself, so
-    positions i and j collapse iff v identifies them.  The collapse relation
-    of the row is thus that of the single k-type v, an equivalence.
+    Lemma (order): the tables come out sorted by serialize_behaviour.  A
+    type serialization has its only "]" at its end (symbol names are
+    identifiers), so none is a proper prefix of another, and two strings of
+    serializations joined by fixed separators compare as the first
+    serializations where they differ.  The lines of serialize_behaviour are
+    therefore sorted by their rows' source serializations alone, in a row
+    order shared by every table, and two tables' strings compare at the
+    first row, in that order, whose values differ, as the values'
+    serializations do.  At a branch every earlier row is a singleton, the
+    same for all sibling branches, so the siblings' tables first differ at
+    the branching row, and their subtrees come out in the order of its
+    values.
+
+    Lemma (coherence): a compatible table is coherent (is_coherent).  At
+    k < 2 every table is.  At k >= 2, take a row (p_1, .., p_m) and
+    positions i, j, and sigma = (i, j, j, .., j).  is_coherent reads the
+    level-2 value of the row restricted to (i, j), which is the table's
+    value on that restriction padded back to level k by repeating its last
+    position: the row restricted along sigma, argument by argument.
+    Compatibility makes that value the restriction along sigma of the value
+    v of the row itself, so positions i and j collapse iff v identifies
+    them.  The collapse relation of the row is thus that of the single
+    k-type v, an equivalence.
     """
     if k < max(source.signature.max_arity, target.signature.max_arity):
         raise InputError("enumerate_behaviours: k below a signature arity")
     arcs = _arcs(source, target, k, arity)
-    nvals, nrows, _ = arcs
+    nvals = arcs[0]
+    rows, rank = _search_order(source, target, k, arity)
     out = []
     stack = []
 
     def expand(dom: list[int], start: int):
-        """Branch on the first row from start with more than one value, or
-        judge the table when there is none."""
-        row = next((i for i in range(start, nrows) if dom[i] & (dom[i] - 1)), None)
-        if row is not None:
-            stack.extend((dom, row, v) for v in reversed(_mask_values(dom[row], nvals)))
+        """Branch on the first row from position start with more than one
+        value, or emit the table when there is none."""
+        at = next((i for i in range(start, len(rows))
+                   if dom[rows[i]] & (dom[rows[i]] - 1)), None)
+        if at is None:
+            out.append(Behaviour(source, target, k,
+                                 tuple(d.bit_length() - 1 for d in dom), arity))
             return
-        xi = Behaviour(source, target, k, tuple(d.bit_length() - 1 for d in dom), arity)
-        if not check_realizable or is_realizable(xi, realize_cap):
-            out.append(xi)
+        values = sorted(_mask_values(dom[rows[at]], nvals), key=rank.__getitem__)
+        stack.extend((dom, at, v) for v in reversed(values))
 
-    dom = _pinned_domains(arcs, {} if domains is None else dict(enumerate(domains)))
-    if dom is not None:
-        expand(dom, 0)
+    if domains is None:
+        domains = _propagate_domains(source, target, k, arity, {})
+    if domains is not None:
+        expand(domains, 0)
     while stack:
-        parent, row, v = stack.pop()
+        parent, at, v = stack.pop()
         dom = parent.copy()
-        dom[row] = 1 << v
-        if _make_consistent(arcs, dom, (row,)):
-            expand(dom, row + 1)
-    out.sort(key=behaviour_key)
+        dom[rows[at]] = 1 << v
+        if _make_consistent(arcs, dom, (rows[at],)):
+            expand(dom, at + 1)
     return tuple(out)
 
 

@@ -19,6 +19,7 @@ from .canonical import (
     default_realize_cap,
     enumerate_behaviours,
     greedy_extension_probe,
+    is_realizable,
     serialize_behaviour,
 )
 from .certs import (
@@ -163,7 +164,7 @@ def _run_check(args: argparse.Namespace) -> tuple[int, str]:
 def _run_orbits(args: argparse.Namespace) -> tuple[int, str]:
     cat = _load(args.files)
     k = cat.bounded_class(args.class_name) if args.class_name else cat.sole_class()
-    level = args.k if args.k is not None else default_level(k)
+    level = args.k if args.k is not None else max(1, k.signature.max_arity)
     types = enumerate_types(k, level)
     rep = Report("orbits")
     rep.line(f"class: {k.name}")
@@ -181,7 +182,8 @@ def _run_behaviours(args: argparse.Namespace) -> tuple[int, str]:
     src = cat.bounded_class(args.source or cat.sole_class().name)
     tgt = cat.bounded_class(args.target or src.name)
     level = _level(args, src, tgt)
-    bs = enumerate_behaviours(src, tgt, level, realize_cap=args.realize_cap)
+    bs = [xi for xi in enumerate_behaviours(src, tgt, level)
+          if is_realizable(xi, args.realize_cap)]
     eff = args.realize_cap if args.realize_cap is not None else (
         default_realize_cap(bs[0]) if bs else None)
     rep = Report("behaviours")
@@ -203,7 +205,8 @@ def _run_probe(args: argparse.Namespace) -> tuple[int, str]:
     src = cat.bounded_class(args.source or cat.sole_class().name)
     tgt = cat.bounded_class(args.target or src.name)
     level = _level(args, src, tgt)
-    bs = enumerate_behaviours(src, tgt, level, realize_cap=args.realize_cap)
+    bs = [xi for xi in enumerate_behaviours(src, tgt, level)
+          if is_realizable(xi, args.realize_cap)]
     rep = Report("probe")
     rep.line(f"source: {src.name}  target: {tgt.name}")
     rep.line(f"caps: {_caps_line(k=level, realize_cap=args.realize_cap)} "

@@ -21,7 +21,6 @@ from .canonical import (
     _flat_rows,
     _mask_values,
     _propagate_domains,
-    behaviour_key,
     enumerate_behaviours,
     is_range_rigid,
     is_realizable,
@@ -126,8 +125,7 @@ def preserving_behaviours(c: Reduct, arity: int, level: int) -> tuple[Behaviour,
     domains = preserving_domains(c, arity, level)
     if domains is None:
         return ()
-    return enumerate_behaviours(c.base, c.base, level, arity=arity, domains=domains,
-                                check_realizable=False)
+    return enumerate_behaviours(c.base, c.base, level, arity=arity, domains=domains)
 
 
 def qualifying_behaviours(c: Reduct, k: int,
@@ -197,7 +195,7 @@ def compute_core(c: Reduct, k: int | None = None,
         xi for xi, s in zip(qualifying, image_sets)
         if not any(other < s for other in image_sets)
     ]
-    witness = min(minimal, key=behaviour_key)
+    witness = minimal[0]  # the first by serialization
     image_types = witness.image_types()
 
     cap = scan_cap_for(c, k)

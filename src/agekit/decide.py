@@ -1,11 +1,11 @@
 """Top-level deciders: bi-definability and the bi-interpretability wrapper.
 
 Both inputs are taken to their model-complete cores and expanded by all
-mode-definable relations of bounded arity.  On cores, a bijective realizable
+mode-definable relations of bounded arity.  On cores, a bijective
 behaviour xi forces the signature matching: the relation with orbit union U
 goes to the relation with union xi(U), the lowest unused one among duplicate
 declarations.  The witness is the first xi, by matched positions and then by
-candidate order, whose inverse is realizable.
+serialization, that is realizable and whose inverse is realizable.
 """
 
 from __future__ import annotations
@@ -188,14 +188,13 @@ def decide_bidef(c: Reduct, d: Reduct, mode: str, k: int | None = None,
     for q, key in enumerate(_masks(dd)):
         d_index.setdefault(key, []).append(q)
 
-    candidates = [
-        xi for xi in enumerate_behaviours(pc.base_out, pd.base_out, caps.k,
-                                          realize_cap=caps.realize_cap)
-        if xi.is_bijective()
-    ]
+    candidates = [xi for xi in enumerate_behaviours(pc.base_out, pd.base_out, caps.k)
+                  if xi.is_bijective()]
     forced = sorted((positions, n, xi) for n, xi in enumerate(candidates)
                     if (positions := _forced_positions(xi, c_masks, d_index)) is not None)
     for positions, _, xi in forced:
+        if not is_realizable(xi, caps.realize_cap):
+            continue
         eta = inverse(xi)
         if is_realizable(eta, caps.realize_cap):
             tau = tuple(sorted((cc.relations[i].name, dd.relations[q].name)

@@ -309,8 +309,10 @@ def first_m_index_map(k: BoundedClass, level: int, m: int) -> tuple[int, ...]:
 
 
 def default_level(*reducts_or_classes) -> int:
-    """Max over all signatures and declared relation arities."""
-    level = 1
+    """The least behaviour level for the inputs: every signature and declared
+    relation arity, and 2, the level at which a behaviour tells which points
+    it collapses."""
+    level = 2
     for obj in reducts_or_classes:
         if isinstance(obj, BoundedClass):
             level = max(level, obj.signature.max_arity)

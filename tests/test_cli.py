@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from agekit.cli import main
 from agekit.errors import ParseError
-from agekit.parser import Catalog, parse_input, render_class, render_reduct
+from agekit.parser import Catalog, parse_formula, parse_input, render_class, render_reduct
 from conftest import CATALOG_FILES, catalog_path, catalog_text
 
 
@@ -71,6 +71,12 @@ end
     def test_arity_mismatch_in_bound(self):
         with pytest.raises(ParseError):
             parse_input("class a\n  sig E/2\n  bound size=1: E(0)\nend\n")
+
+    def test_formula_whitespace_ignored(self):
+        assert parse_formula("lt(x0,x1) ") == parse_formula("lt(x0,x1)")
+        assert parse_formula(" \tlt( x0 , x1 )\n") == parse_formula("lt(x0,x1)")
+        with pytest.raises(ParseError, match="ended unexpectedly"):
+            parse_formula("  ")
 
     def test_comments_and_blanks_ignored(self):
         cat = parse_input("# nothing\n\n" + catalog_text("point.cls"))
@@ -263,6 +269,8 @@ class TestSubcommands:
         code, out = run_cli(
             base + ["--query", "lt(x0,x1)", "--query-arity", "2"], capsys)
         assert code == 0 and "verdict: DEFINABLE" in out
+        assert run_cli(base + ["--query", "lt(x0,x1) ", "--query-arity", "2"],
+                       capsys) == (code, out)
 
     def test_json_format(self, capsys):
         code, out = run_cli(
@@ -574,6 +582,65 @@ class TestExitCodes:
         assert message in captured.err and "bug" in captured.err
         assert "Traceback" not in captured.err
 
+UNARY = """class U
+  sig P/1
+  assert homogeneous ramsey
+end
+
+reduct Up over U
+  rel p/1 := P(x0)
+end
+"""
+
+
+class TestUnarySignature:
+    """With unary symbols alone, behaviours still need level 2 to tell which
+    points they collapse: that is their default level, and --k 1 is refused
+    at the boundary; orbits keeps level 1."""
+
+    @pytest.fixture
+    def unary(self, tmp_path):
+        path = tmp_path / "unary.cls"
+        path.write_text(UNARY)
+        return str(path)
+
+    @pytest.mark.parametrize("argv,lines", [
+        (["behaviours"], ["caps: k=2 realize_cap=4", "realizable behaviours: 18"]),
+        (["probe", "--trials", "20"], ["caps: k=2 ", "verdict: OK"]),
+        (["core", "--reduct", "Up"], ["caps: k=2 ", "image types: 1 of 6"]),
+        (["definable", "--reduct", "Up"], ["caps: k=2 ", "added relations: 0"]),
+        (["bidef", "--reducts", "Up", "Up"], ["caps: k=2 ", "verdict: YES"]),
+        (["biint", "--reducts", "Up", "Up"], ["caps: k=2 ", "verdict: PRECONDITION-FAILED"]),
+        (["orbits"], ["caps: k=1", "orbit count at level 1: 2"]),
+    ], ids=["behaviours", "probe", "core", "definable", "bidef", "biint", "orbits"])
+    def test_default_level(self, unary, capsys, argv, lines):
+        code, out = run_cli([argv[0], unary, *argv[1:]], capsys)
+        assert code in (0, 2)
+        for line in lines:
+            assert line in out
+
+    @pytest.mark.parametrize("argv", [
+        ["behaviours"], ["probe"], ["core", "--reduct", "Up"],
+        ["definable", "--reduct", "Up"],
+        ["definable", "--reduct", "Up", "--query", "P(x0)", "--query-arity", "1"],
+        ["bidef", "--reducts", "Up", "Up"], ["biint", "--reducts", "Up", "Up"],
+    ], ids=["behaviours", "probe", "core", "definable", "definable-query", "bidef",
+            "biint"])
+    def test_level_1_refused(self, unary, capsys, argv):
+        code = main([argv[0], unary, *argv[1:], "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "--k must be >= 2 for these inputs, got 1" in captured.err
+
+    def test_bidef_witness_verifies(self, unary, tmp_path, capsys):
+        out = tmp_path / "cert"
+        code, _ = run_cli(["bidef", unary, "--reducts", "Up", "Up", "--k", "2",
+                           "--witness-out", str(out)], capsys)
+        assert code == 0
+        code, text = run_cli(["verify", str(out)], capsys)
+        assert code == 0 and "verdict: CERTIFICATE-OK" in text
+
+
 class TestProbeFlagFuzz:
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(name=st.sampled_from(("linord", "graphs")),
@@ -681,6 +748,44 @@ class TestGrammarFuzz:
                 err = err.getvalue()
                 assert code in (0, 1, 2, 3), (argv, text, err)
                 assert "Traceback" not in err and "internal error" not in err, (text, err)
+
+
+# formula fuzz: --query strings built as formulas with whitespace between
+# their parts, or glued from formula fragments
+_FORMULA_PIECES = ("lt(", "E(", "x0", "x1", "x2", "x9", ",", "(", ")", "!", "&", "|",
+                   "=", " ", "\t", "lt(x0,x1)", "x0=x1", "lt(x1,x0)")
+_SPACE = st.sampled_from(("", "", " ", "  ", "\t"))
+_VAR = st.integers(0, 1)
+_ATOMS = st.builds("{}lt({}x{},{}x{}{}){}".format, _SPACE, _SPACE, _VAR, _SPACE, _VAR,
+                   _SPACE, _SPACE) | st.builds("{}x{}{}={}x{}{}".format, _SPACE, _VAR,
+                                               _SPACE, _SPACE, _VAR, _SPACE)
+_FORMULAS = st.recursive(_ATOMS, lambda inner: st.builds(
+    "{}!{}".format, _SPACE, inner) | st.builds(
+    "{}({}{}{}){}".format, _SPACE, inner, st.sampled_from("&|"), inner, _SPACE),
+    max_leaves=4)
+
+
+class TestFormulaFuzz:
+    """A --query formula is an answer or an input error, never an engine
+    failure, and whitespace around it changes nothing."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(text=_FORMULAS | st.lists(st.sampled_from(_FORMULA_PIECES), max_size=12).map(
+               "".join),
+           arity=st.sampled_from((2, 2, 1)), mode=st.sampled_from(("ep", "pp")))
+    def test_exit_code_and_no_traceback(self, text, arity, mode):
+        runs = []
+        for query in (text, f" {text}\t "):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["definable", catalog_path("linord.cls"), "--reduct", "Qlt",
+                             "--mode", mode, "--query", query,
+                             "--query-arity", str(arity)])
+            err = err.getvalue()
+            assert code in (0, 1, 2, 3), (query, err)
+            assert "Traceback" not in err and "internal error" not in err, (query, err)
+            runs.append((code, out.getvalue()))
+        assert runs[0] == runs[1], text
 
 
 class TestDeterminism:

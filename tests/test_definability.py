@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from agekit.canonical import (
-    enumerate_behaviours,
     is_coherent,
     is_realizable,
     serialize_behaviour,
@@ -18,7 +17,7 @@ from agekit.errors import InputError
 from agekit.ktypes import enumerate_types, serialize_type
 from agekit.reducts import OrbitUnion, behaviour_preserves_relation, compile_orbit_union
 from agekit.verify import verify_certificate
-from conftest import apply_types, is_compatible, parse_behaviour
+from conftest import apply_types, is_compatible, parse_behaviour, realizable_behaviours
 
 
 def union_of(cls, level, *indices):
@@ -84,26 +83,26 @@ class TestEpExpand:
 class TestPolymorphismBehaviours:
     def test_unary_polys_match_behaviours(self, linord):
         # arity-1 polymorphism behaviours are plain behaviours
-        got = enumerate_behaviours(linord, linord, 2, arity=1)
+        got = realizable_behaviours(linord, linord, 2, arity=1)
         assert {tuple(xi.table) for xi in got} == \
-            {b.table for b in enumerate_behaviours(linord, linord, 2)}
+            {b.table for b in realizable_behaviours(linord, linord, 2)}
 
     def test_projections_always_present(self, linord):
         types = enumerate_types(linord, 2)
         t = len(types)
-        got = enumerate_behaviours(linord, linord, 2, arity=2)
+        got = realizable_behaviours(linord, linord, 2, arity=2)
         proj0 = tuple(a for a, b in product(range(t), repeat=2))
         proj1 = tuple(b for a, b in product(range(t), repeat=2))
         tables = {xi.table for xi in got}
         assert proj0 in tables and proj1 in tables
 
     def test_compatibility_and_coherence_checks(self, linord):
-        got = enumerate_behaviours(linord, linord, 2, arity=2)
+        got = realizable_behaviours(linord, linord, 2, arity=2)
         for xi in got:
             assert is_compatible(xi) and is_coherent(xi)
 
     def test_serialization_round_trip(self, linord):
-        for xi in enumerate_behaviours(linord, linord, 2, arity=2)[:5]:
+        for xi in realizable_behaviours(linord, linord, 2, arity=2)[:5]:
             assert parse_behaviour(serialize_behaviour(xi), linord, linord, 2, arity=2) == xi
 
 

@@ -48,7 +48,6 @@ from agekit.canonical import (
     Behaviour,
     inverse,
     _propagate_domains,
-    behaviour_key,
     default_realize_cap,
     enumerate_behaviours,
     greedy_extension_probe,
@@ -110,6 +109,7 @@ from conftest import (
     poly_image_structure,
     reference_carve_bounds,
     reference_expand,
+    realizable_behaviours,
     reference_probe,
     reference_propagate_domains,
     reference_sigma_constraints,
@@ -508,7 +508,7 @@ class TestTypeIndices:
                 image_structure(xi, s)
 
     def test_serialized_tables_equal_per_type_serialization(self, linord, trifree):
-        for xi in enumerate_behaviours(trifree, trifree, 3):
+        for xi in realizable_behaviours(trifree, trifree, 3):
             src = enumerate_types(xi.source, xi.k)
             tgt = enumerate_types(xi.target, xi.k)
             assert serialize_behaviour(xi) == "\n".join(sorted(
@@ -617,12 +617,12 @@ class TestNoTypePerTuple:
         return count
 
     def test_enumerate_behaviours(self, calls, graphs):
-        assert len(enumerate_behaviours(graphs, graphs, 3)) == 5
+        assert len(realizable_behaviours(graphs, graphs, 3)) == 5
         assert type_indices.cache_info().misses > 0
         assert calls[0] == 0
 
     def test_probe(self, calls, graphs):
-        for xi in enumerate_behaviours(graphs, graphs, 2):
+        for xi in realizable_behaviours(graphs, graphs, 2):
             assert greedy_extension_probe((xi,), 6, 20, 1)[0].ok
         assert calls[0] == 0
 
@@ -635,9 +635,10 @@ class TestNoTypePerTuple:
 
 
 class TestBehaviourSearch:
-    """enumerate_behaviours (arc-consistent domains, tables judged at the
-    leaf) against the plain row-by-row search followed by a per-tuple KType
-    coherence check and realizability: same tables, same sorted order."""
+    """enumerate_behaviours (arc-consistent domains), filtered by
+    is_realizable, against the plain row-by-row search followed by a
+    per-tuple KType coherence check and realizability: same tables, same
+    sorted order."""
 
     @staticmethod
     def coherent_by_types(xi):
@@ -667,7 +668,7 @@ class TestBehaviourSearch:
         cls = catalog.bounded_class(name)
         want = self.reference(cls, k, 1)
         assert want
-        assert enumerate_behaviours(cls, cls, k) == want
+        assert realizable_behaviours(cls, cls, k) == want
 
     @staticmethod
     def realizable_image_by_image(xi, cap):
@@ -710,32 +711,30 @@ class TestBehaviourSearch:
     def test_arity_two(self, linord):
         want = self.reference(linord, 2, 2)
         assert len(want) > 2  # more than the two projections
-        assert enumerate_behaviours(linord, linord, 2, arity=2) == want
+        assert realizable_behaviours(linord, linord, 2, arity=2) == want
 
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_key_orders_as_serialization(self, catalog, k):
-        # behaviour_key against serialize_behaviour on random tables of
-        # every catalog pair, each with variants that differ from it in one
-        # or two rows, so that many pairs of strings share a long prefix;
-        # arity 1, and arity 2 for the endo pairs at k = 2
-        rng = random.Random(k)
-        for s, t in product(CLASSES, repeat=2):
-            source, target = catalog.bounded_class(s), catalog.bounded_class(t)
-            nv = len(enumerate_types(target, k))
-            for arity in (1, 2) if k == 2 and s == t else (1,):
-                nrows = len(enumerate_types(source, k)) ** arity
-                tables = []
-                for _ in range(6):
-                    table = [rng.randrange(nv) for _ in range(nrows)]
-                    tables.append(tuple(table))
-                    for _ in range(5):
-                        for _ in range(rng.randint(1, 2)):
-                            table[rng.randrange(nrows)] = rng.randrange(nv)
-                        tables.append(tuple(table))
-                xis = [Behaviour(source, target, k, table, arity) for table in tables]
-                assert (sorted(xis, key=behaviour_key)
-                        == sorted(xis, key=serialize_behaviour)), (s, t, arity)
+    def test_search_emits_serialization_order(self, catalog, k):
+        # the search branches on rows in source-serialization order and
+        # tries values in target-serialization order, so its tables come
+        # out sorted with no sort after it: every catalog pair at arity 1,
+        # the endo pairs at arity 2 for k = 2, and the reducts' preserving
+        # tables (searched inside pinned domains) at arities 1 and 2
+        searches = [(s, t, arity) for s, t in product(CLASSES, repeat=2)
+                    for arity in ((1, 2) if k == 2 and s == t else (1,))]
+        runs = [((s, t, arity), enumerate_behaviours(catalog.bounded_class(s),
+                                                     catalog.bounded_class(t), k, arity=arity))
+                for s, t, arity in searches]
+        runs += [((c.name, arity), preserving_behaviours(c, arity, k))
+                 for c in catalog.reducts.values() if default_level(c) <= k
+                 for arity in (1, 2)]
+        unsorted_by_index = 0
+        for name, got in runs:
+            assert list(got) == sorted(got, key=serialize_behaviour), name
+            unsorted_by_index += list(got) != sorted(got, key=lambda xi: xi.table)
+        # index order is not serialization order on many of them
+        assert unsorted_by_index >= 10
 
     def test_every_searched_table_is_coherent(self, catalog):
         # the search judges no table's coherence: a compatible table is
@@ -746,7 +745,7 @@ class TestBehaviourSearch:
         searches += [(s, s, 2, 2) for s in CLASSES]
         for s, t, k, arity in searches:
             for xi in enumerate_behaviours(catalog.bounded_class(s), catalog.bounded_class(t),
-                                           k, arity=arity, check_realizable=False):
+                                           k, arity=arity):
                 assert is_coherent(xi), (s, t, k, arity, xi.table)
                 count += 1
         for c in catalog.reducts.values():
@@ -787,7 +786,7 @@ class TestLocalRealizability:
     @staticmethod
     def verdicts(source, target, k):
         out = set()
-        for xi in enumerate_behaviours(source, target, k, check_realizable=False):
+        for xi in enumerate_behaviours(source, target, k):
             cap = default_realize_cap(xi)
             assert local_realize_bound(target) < cap
             got = is_realizable(xi)
@@ -1016,7 +1015,7 @@ class TestOnePassProbe:
     @pytest.mark.parametrize("name", CLASSES)
     def test_reports_equal_reference(self, catalog, name):
         k = catalog.bounded_class(name)
-        bs = enumerate_behaviours(k, k, 2)
+        bs = realizable_behaviours(k, k, 2)
         for seed in (1, 7, 12):
             assert greedy_extension_probe(bs, 8, 30, seed) == \
                 tuple(reference_probe(xi, 8, 30, seed) for xi in bs)
@@ -1025,7 +1024,7 @@ class TestOnePassProbe:
         kinds = set()
         for name in ("trifree", "bipartite", "maxdeg1"):
             k = catalog.bounded_class(name)
-            bs = enumerate_behaviours(k, k, 2, realize_cap=2)
+            bs = realizable_behaviours(k, k, 2, cap=2)
             for seed in (3, 11):
                 got = greedy_extension_probe(bs, 8, 30, seed)
                 assert got == tuple(reference_probe(xi, 8, 30, seed) for xi in bs)
@@ -1036,8 +1035,8 @@ class TestOnePassProbe:
     def test_probe_builds_no_image(self, catalog, monkeypatch):
         # each prefix image is grown from the previous one by its new point:
         # no image is built whole, and no age test searches a full embedding
-        runs = [enumerate_behaviours(catalog.bounded_class(name),
-                                     catalog.bounded_class(name), 2, realize_cap=cap)
+        runs = [realizable_behaviours(catalog.bounded_class(name),
+                                      catalog.bounded_class(name), 2, cap=cap)
                 for name in ("graphs", "trifree", "maxdeg1") for cap in (None, 2)]
         images = count_calls(monkeypatch, canonical, "image_structure")
         kernels = count_calls(monkeypatch, canonical, "_image_from_types")
@@ -1054,7 +1053,7 @@ class TestOnePassProbe:
         for name in ("graphs", "trifree", "maxdeg1"):
             k = catalog.bounded_class(name)
             for cap in (None, 2):
-                bs = enumerate_behaviours(k, k, 2, realize_cap=cap)
+                bs = realizable_behaviours(k, k, 2, cap=cap)
                 assert len(bs) > 1
                 calls[0] = 0
                 greedy_extension_probe(bs, 8, 30, 4)
@@ -1080,7 +1079,7 @@ class TestOnePassProbe:
 
     def test_one_draw_per_trial(self, graphs, monkeypatch):
         calls = count_calls(monkeypatch, canonical, "random_age_member")
-        bs = enumerate_behaviours(graphs, graphs, 2)
+        bs = realizable_behaviours(graphs, graphs, 2)
         assert len(bs) == 5
         reports = greedy_extension_probe(bs, 6, 40, 2)
         assert len(reports) == 5 and all(r.ok for r in reports)
@@ -1125,9 +1124,8 @@ def reference_bidef(c, d, mode, k=None):
     matchings = list(reference_matchings(cc.relations, dd.relations))
     if not matchings:
         return ("NO", "no arity-preserving signature matching", None, None, None)
-    candidates = [xi for xi in enumerate_behaviours(pc.base_out, pd.base_out, caps.k,
-                                                    realize_cap=caps.realize_cap)
-                  if xi.is_bijective()]
+    candidates = [xi for xi in enumerate_behaviours(pc.base_out, pd.base_out, caps.k)
+                  if xi.is_bijective() and is_realizable(xi, caps.realize_cap)]
     for tau in matchings:
         for xi in candidates:
             if not all(behaviour_preserves_relation(xi, c_unions[cn], d_unions[dn])
@@ -1246,7 +1244,7 @@ class TestDefinabilityOracle:
         kept_counts = {}
         for p in self.cores(catalog):
             n = p.reduct_out.max_arity
-            endos = [xi for xi in enumerate_behaviours(p.base_out, p.base_out, p.k)
+            endos = [xi for xi in realizable_behaviours(p.base_out, p.base_out, p.k)
                      if preserves_all(xi, p.reduct_out)]
             want = [(name, u) for name, u in fresh_unions(p, n)
                     if all(behaviour_preserves_relation(xi, u, u) for xi in endos)]
@@ -1268,7 +1266,7 @@ class TestDefinabilityOracle:
         def preserving(m):
             if m not in polys:
                 polys[m] = [xi for xi in enumerate_behaviours(
-                    p.base_out, p.base_out, p.k, arity=m, check_realizable=False)
+                    p.base_out, p.base_out, p.k, arity=m)
                     if preserves_all(xi, p.reduct_out)]
             return polys[m]
 
@@ -1296,7 +1294,7 @@ class TestDefinabilityOracle:
         names = REDUCTS + (("Betw", "Cyc") if k == 3 else ())
         for name in names:
             c = cat.reduct(name)
-            realizable = [xi for xi in enumerate_behaviours(c.base, c.base, k)
+            realizable = [xi for xi in realizable_behaviours(c.base, c.base, k)
                           if preserves_all(xi, c)]
             want = tuple(xi for xi in realizable if is_range_rigid(xi))
             assert qualifying_behaviours(c, k) == want, name

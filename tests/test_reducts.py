@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from agekit.canonical import enumerate_behaviours, identity_behaviour
+from agekit.canonical import identity_behaviour
 from agekit.errors import InputError
 from agekit.ktypes import enumerate_types, serialize_type
 from agekit.reducts import (
@@ -18,7 +18,7 @@ from agekit.reducts import (
     compiled_unions,
 )
 from agekit.structures import And, Atom, Eq, Not, Or
-from conftest import apply_types
+from conftest import apply_types, realizable_behaviours
 
 
 def names_of(union, cls):
@@ -85,13 +85,13 @@ class TestPreservation:
             assert behaviour_preserves_relation(ident, u, u)
 
     def test_reversal_breaks_lt(self, catalog, linord):
-        behaviours = enumerate_behaviours(linord, linord, 2)
+        behaviours = realizable_behaviours(linord, linord, 2)
         reversal = next(b for b in behaviours if b.table == (0, 2, 1))
         u = compile_orbit_union(catalog.reduct("Qlt"), "lt")
         assert not behaviour_preserves_relation(reversal, u, u)
 
     def test_clique_collapse_preserves_edges(self, graphs):
-        behaviours = enumerate_behaviours(graphs, graphs, 2)
+        behaviours = realizable_behaviours(graphs, graphs, 2)
         cliqueify = next(b for b in behaviours if b.table == (0, 2, 2))
         types = enumerate_types(graphs, 2)
         edge = OrbitUnion(2, frozenset({types[2]}))
@@ -110,7 +110,7 @@ class TestPaddingConvention:
         # the padding convention repeats the last position; any other
         # expansion of an m-type must give the same image on the first m slots
         from agekit.ktypes import restrict_type
-        for xi in enumerate_behaviours(linord, linord, 2):
+        for xi in realizable_behaviours(linord, linord, 2):
             for p in enumerate_types(linord, 1):
                 pads = [(0, 0)]
                 for sigma in pads:
