@@ -3,11 +3,13 @@
 A certificate directory holds `certificate.json` (the single source of
 truth for the verifier) plus the same content as re-loadable class, reduct
 and behaviour files for human consumption.
+
+`json` is imported by the two functions that read or write the file: every
+CLI query imports this module, and only a certificate needs `json`.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from . import __version__
@@ -115,6 +117,7 @@ def definable_certificate(c: Reduct, p: CorePresentation,
 
 
 def write_certificate(cert: dict, outdir: str | Path) -> Path:
+    import json
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "certificate.json"
@@ -137,6 +140,7 @@ def write_certificate(cert: dict, outdir: str | Path) -> Path:
 
 
 def load_certificate(path: str | Path) -> dict:
+    import json
     p = Path(path)
     if p.is_dir():
         p = p / "certificate.json"

@@ -8,7 +8,7 @@ perturb the determinism contract.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import sys
 import time
 from pathlib import Path
@@ -85,6 +85,7 @@ class Report:
 
     def emit(self, fmt: str) -> str:
         if fmt == "json":
+            import json  # off the start-up path: only --format json needs it
             return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
         return "\n".join(self.lines) + "\n"
 
@@ -116,18 +117,7 @@ def _level(args: argparse.Namespace, *inputs) -> int:
 def run(args: argparse.Namespace) -> tuple[int, str]:
     """Dispatch parsed arguments; returns (exit code, report text)."""
     _check_positive_flags(args)
-    handler = {
-        "check": _run_check,
-        "orbits": _run_orbits,
-        "behaviours": _run_behaviours,
-        "core": _run_core,
-        "definable": _run_definable,
-        "bidef": _run_decide,
-        "biint": _run_decide,
-        "verify": _run_verify,
-        "probe": _run_probe,
-    }[args.command]
-    return handler(args)
+    return _COMMANDS[args.command][2](args)
 
 
 def _run_check(args: argparse.Namespace) -> tuple[int, str]:
@@ -279,7 +269,11 @@ def _query_union(args: argparse.Namespace, p) -> OrbitUnion:
         phi = parse_formula(args.query)
         probe = Reduct("_query", p.base_out,
                        (Relation("q", args.query_arity, FormulaDef(phi)),))
-        return compile_orbit_union(probe, "q")
+        union = compile_orbit_union(probe, "q")
+        if not union.members:
+            raise InputError(f"--query holds on no {args.query_arity}-type of "
+                             f"the core base {p.base_out.name}")
+        return union
     members = [parse_type(p.base_out.signature, chunk)
                for chunk in split_type_columns(args.query_orbits)]
     universe = set(enumerate_types(p.base_out, members[0].k))
@@ -422,48 +416,52 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="agekit",
-        description="decision engine for finitely bounded homogeneous classes")
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
+def _add_inputs(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Input files, the named shared flags and --format: a subcommand
+    declares only the flags its handler reads, so a flag it would ignore is
+    refused."""
+    p.add_argument("files", nargs="+", help="input class/reduct files")
+    for flag in flags:
+        if flag == "witness-out":
+            p.add_argument("--witness-out", default=None)
+        else:  # --k, --seed and the caps
+            p.add_argument(f"--{flag}", type=int, default=0 if flag == "seed" else None)
+    p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
 
-    def command(name: str, summary: str, *flags: str):
-        """A subcommand over input files with the --format flag and the
-        named shared flags, and no other: a flag it would ignore is refused."""
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("files", nargs="+", help="input class/reduct files")
-        for flag in flags:
-            if flag == "witness-out":
-                p.add_argument("--witness-out", default=None)
-            else:  # --k, --seed and the caps
-                p.add_argument(f"--{flag}", type=int, default=0 if flag == "seed" else None)
-        p.add_argument("--format", choices=("text", "json"), default="text",
-                       dest="fmt")
-        return p
 
-    command("check", "validate classes and probe amalgamation", "ap-cap")
+def _add_source_target(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--source", default=None)
+    p.add_argument("--target", default=None)
 
-    p = command("orbits", "enumerate k-types of a class", "k")
+
+def _add_check(p: argparse.ArgumentParser) -> None:
+    _add_inputs(p, "ap-cap")
+
+
+def _add_orbits(p: argparse.ArgumentParser) -> None:
+    _add_inputs(p, "k")
     p.add_argument("--class", dest="class_name", default=None)
 
-    p = command("behaviours", "enumerate realizable behaviours", "k", "realize-cap")
-    p.add_argument("--source", default=None)
-    p.add_argument("--target", default=None)
 
-    p = command("probe", "randomized extension probe of behaviours",
-                "k", "realize-cap", "seed")
-    p.add_argument("--source", default=None)
-    p.add_argument("--target", default=None)
+def _add_behaviours(p: argparse.ArgumentParser) -> None:
+    _add_inputs(p, "k", "realize-cap")
+    _add_source_target(p)
+
+
+def _add_probe(p: argparse.ArgumentParser) -> None:
+    _add_inputs(p, "k", "realize-cap", "seed")
+    _add_source_target(p)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--max-size", type=int, default=8, dest="max_size")
 
-    p = command("core", "compute the model-complete core", "k", "realize-cap", "witness-out")
+
+def _add_core(p: argparse.ArgumentParser) -> None:
+    _add_inputs(p, "k", "realize-cap", "witness-out")
     p.add_argument("--reduct", required=True)
 
-    p = command("definable", "definability expansion / queries",
-                "k", "realize-cap", "arity-cap", "witness-out")
+
+def _add_definable(p: argparse.ArgumentParser) -> None:
+    _add_inputs(p, "k", "realize-cap", "arity-cap", "witness-out")
     p.add_argument("--reduct", required=True)
     p.add_argument("--mode", choices=("ep", "pp"), default="ep")
     p.add_argument("--n", type=int, default=None, dest="expand_arity")
@@ -473,22 +471,69 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-orbits", default=None, dest="query_orbits",
                    help="pipe-separated type serializations")
 
-    for cmd, caps in (("bidef", ()), ("biint", ("ap-cap",))):
-        p = command(cmd, f"decide {cmd} of two reducts",
-                    "k", "realize-cap", "arity-cap", *caps, "witness-out")
+
+def _add_decide(*caps: str):
+    def add(p: argparse.ArgumentParser) -> None:
+        _add_inputs(p, "k", "realize-cap", "arity-cap", *caps, "witness-out")
         p.add_argument("--reducts", nargs=2, required=True, metavar=("C", "D"))
         p.add_argument("--mode", choices=("fo", "ep", "pp"), default="fo")
         p.add_argument("--n", type=int, default=None, dest="expand_arity")
+    return add
 
-    p = sub.add_parser("verify", help="re-check a witness certificate")
+
+def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("files", nargs=1, help="certificate directory or file")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   dest="fmt")
+    p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
+
+
+# name: (summary, flag adder, handler), in the order --help lists them
+_COMMANDS = {
+    "check": ("validate classes and probe amalgamation", _add_check, _run_check),
+    "orbits": ("enumerate k-types of a class", _add_orbits, _run_orbits),
+    "behaviours": ("enumerate realizable behaviours", _add_behaviours, _run_behaviours),
+    "probe": ("randomized extension probe of behaviours", _add_probe, _run_probe),
+    "core": ("compute the model-complete core", _add_core, _run_core),
+    "definable": ("definability expansion / queries", _add_definable, _run_definable),
+    "bidef": ("decide bidef of two reducts", _add_decide(), _run_decide),
+    "biint": ("decide biint of two reducts", _add_decide("ap-cap"), _run_decide),
+    "verify": ("re-check a witness certificate", _add_verify, _run_verify),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv: every subcommand is listed with its summary, but
+    only the one argv names gets its flags, as a query parses no other and
+    each add_argument reads the terminal size.  The top level has no flag
+    that takes a value, so the first word of argv that is not a flag names
+    the subcommand."""
+    named = next((word for word in argv if not word.startswith("-")), None)
+    ap = _Parser(
+        prog="agekit",
+        description="decision engine for finitely bounded homogeneous classes")
+    ap.add_argument("--version", action="version", version=__version__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (summary, add_flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if name == named:
+            add_flags(p)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Runs one query and returns its exit code.
+
+    As the process entry point (argv None) it ends with gc.freeze(): the
+    interpreter's teardown then skips its last cyclic collection over
+    everything the query built, while streams are still flushed and atexit
+    handlers still run.  An in-process caller's heap is left as it was."""
+    code = _query(sys.argv[1:] if argv is None else argv)
+    if argv is None:
+        gc.freeze()
+    return code
+
+
+def _query(argv) -> int:
+    args = _build_parser(argv).parse_args(argv)
     start = time.monotonic()
     try:
         code, report = run(args)

@@ -3,8 +3,10 @@ exit codes, certificate paths, determinism."""
 
 import contextlib
 import copy
+import gc
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -550,6 +552,19 @@ class TestExitCodes:
         assert exc.value.code == 3 and captured.out == ""
         assert "unrecognized arguments" in captured.err and flag in captured.err
 
+    @pytest.mark.parametrize("mode", ["ep", "pp"])
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_unsatisfiable_query_names_the_flag(self, capsys, mode, arity):
+        # a formula no tuple satisfies names no orbit union: the flag is
+        # refused, not the library function that needs a nonempty union
+        code = main(["definable", catalog_path("linord.cls"), "--reduct", "Qlt",
+                     "--mode", mode, "--query", "!(x0=x0)",
+                     "--query-arity", str(arity)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert f"error: --query holds on no {arity}-type of the core base" in captured.err
+        assert "empty orbit union" not in captured.err
+
     def test_definable_certificate_needs_query(self, capsys, tmp_path):
         # an expansion has no certificate: --witness-out without a query is
         # an input error, not a silently unwritten directory
@@ -912,3 +927,194 @@ class TestMalformedCertificates:
         assert r.returncode == 1
         assert "FAILED: behaviour table is not total" in r.stdout
         assert "Traceback" not in r.stderr
+
+
+# parser goldens: written with Python 3.11's argparse before the parser
+# built only the named subcommand's flags; the file names are the keys below
+HELP = Path(__file__).parent / "golden" / "help"
+_REFUSED = {
+    "check": ["check", "x.cls", "--k", "3"],
+    "orbits": ["orbits", "x.cls", "--seed", "5"],
+    "behaviours": ["behaviours", "x.cls", "--witness-out", "D"],
+    "probe": ["probe", "x.cls", "--ap-cap", "2"],
+    "core": ["core", "x.cls", "--reduct", "Qlt", "--arity-cap", "2"],
+    "definable": ["definable", "x.cls", "--reduct", "Qlt", "--seed", "1"],
+    "bidef": ["bidef", "x.cls", "--reducts", "C", "D", "--ap-cap", "2"],
+    "biint": ["biint", "x.cls", "--reducts", "C", "D", "--seed", "2"],
+    "verify": ["verify", "x.cls", "--k", "3"],
+}
+# golden name: (argv, exit code, stream the golden holds)
+_PARSER_CASES = {
+    "agekit": (["--help"], 0, "out"),
+    "agekit.version": (["--version"], 0, "out"),
+    **{cmd: ([cmd, "--help"], 0, "out") for cmd in _REFUSED},
+    **{f"{cmd}.refused": (argv, 3, "err") for cmd, argv in _REFUSED.items()},
+    "agekit.missing": ([], 3, "err"),
+    "agekit.invalid": (["no-such-command", "x.cls"], 3, "err"),
+    "agekit.flag": (["--jobs", "4", "orbits", "x.cls"], 3, "err"),
+    "core.required": (["core", "x.cls"], 3, "err"),
+    "orbits.badint": (["orbits", "x.cls", "--k", "two"], 3, "err"),
+    "definable.choice": (["definable", "x.cls", "--reduct", "Qlt", "--mode", "fo"], 3, "err"),
+}
+
+
+class TestParserGoldens:
+    """Help, version and usage errors are byte-identical to the parser that
+    gave every subcommand its flags on every query."""
+
+    def test_every_golden_has_a_case(self):
+        assert sorted(path.stem for path in HELP.iterdir()) == sorted(_PARSER_CASES)
+
+    @pytest.mark.parametrize("name", sorted(_PARSER_CASES))
+    def test_matches_golden(self, name, monkeypatch, capsys):
+        argv, code, stream = _PARSER_CASES[name]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == code
+        text, other = (captured.out, captured.err) if stream == "out" else (
+            captured.err, captured.out)
+        assert other == "" and text == (HELP / f"{name}.txt").read_text()
+
+
+def _in_process(argv):
+    """Exit code, stdout and stderr of main(argv) in this interpreter."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _without_elapsed(err: str) -> str:
+    return "".join(line for line in err.splitlines(keepends=True)
+                   if not line.startswith("# elapsed:"))
+
+
+class TestProcessExit:
+    """A query run as its own process, which freezes the heap before the
+    interpreter's teardown, prints and exits exactly as main(argv) does in
+    process, which leaves the collector as it was."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+    # name: (argv, exit code); verify reads the certificate core wrote
+    QUERIES = {
+        "orbits": (["orbits", catalog_path("linord.cls"), "--k", "2"], 0),
+        "core": (["core", catalog_path("linord.cls"), "--reduct", "Qleq",
+                  "--witness-out", "cert"], 0),
+        "verify": (["verify", "cert"], 0),
+        "usage-error": (["orbits", catalog_path("linord.cls"), "--seed", "5"], 3),
+        "input-error": (["orbits", "no-such-file.cls"], 3),
+        "not-definable": (["definable", catalog_path("linord.cls"), "--reduct", "Qlt",
+                           "--mode", "pp", "--query", "!(x0=x1)", "--query-arity", "2"], 1),
+    }
+
+    def _env(self):
+        return dict(os.environ, PYTHONPATH=str(self.SRC), COLUMNS="80")
+
+    def test_process_matches_in_process(self, tmp_path, monkeypatch):
+        # each side writes its certificate under its own cwd and verifies
+        # it there, so the process's certificate verifies in a process
+        (tmp_path / "proc").mkdir()
+        (tmp_path / "inproc").mkdir()
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path / "inproc")
+        for name, (argv, expected) in self.QUERIES.items():
+            r = subprocess.run([sys.executable, "-m", "agekit.cli", *argv],
+                               cwd=tmp_path / "proc", env=self._env(),
+                               capture_output=True, text=True, timeout=60)
+            code, out, err = _in_process(argv)
+            assert r.returncode == code == expected, (name, r.stderr)
+            assert r.stdout == out, name
+            assert _without_elapsed(r.stderr) == _without_elapsed(err), name
+            assert "Traceback" not in r.stderr
+        written = sorted(p.name for p in (tmp_path / "proc" / "cert").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "inproc" / "cert").iterdir())
+        for name in written:
+            assert ((tmp_path / "proc" / "cert" / name).read_bytes()
+                    == (tmp_path / "inproc" / "cert" / name).read_bytes()), name
+
+    def test_entry_point_freezes_the_heap(self):
+        # main() with no argv is what the console script and -m call
+        script = ("import gc, sys\nfrom agekit.cli import main\n"
+                  f"sys.argv = ['agekit', 'orbits', {catalog_path('linord.cls')!r}]\n"
+                  "code = main()\n"
+                  "print(code, gc.get_freeze_count() > 0, file=sys.stderr)\n")
+        r = subprocess.run([sys.executable, "-c", script], env=self._env(),
+                           capture_output=True, text=True, timeout=60)
+        assert r.stderr.splitlines()[-1] == "0 True", r.stderr
+
+    def test_in_process_main_never_freezes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = gc.get_freeze_count()
+        for argv, _ in self.QUERIES.values():
+            _in_process(argv)
+        assert gc.get_freeze_count() == before
+
+
+def _nodes(node, path=()):
+    """(path, value) of every value in a certificate, containers included."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _parent(cert, path):
+    for key in path[:-1]:
+        cert = cert[key]
+    return cert
+
+
+# a value of another JSON type than the one it replaces
+_RETYPED = (None, True, -1, 0, 3, 2.5, "", "x", [], [0], {}, {"k": 1})
+_STRINGS = st.text(alphabet="[]{}|,:=()!&x01lt- \n", max_size=12)
+
+
+class TestCertificateFuzz:
+    """A certificate with keys dropped, values retyped or strings replaced
+    is accepted, rejected or refused as input: never an engine failure."""
+
+    @pytest.fixture(scope="class")
+    def certs(self, tmp_path_factory):
+        linord = catalog_path("linord.cls")
+        out = {}
+        for name, argv in (("core", ["core", linord, "--reduct", "Qleq"]),
+                           ("bidef", ["bidef", linord, "--reducts", "Qlt", "QltRev",
+                                      "--mode", "fo"])):
+            path = tmp_path_factory.mktemp(name)
+            assert _in_process(argv + ["--witness-out", str(path)])[0] == 0
+            out[name] = json.loads((path / "certificate.json").read_text())
+        return out
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_verify_exit_code_and_no_traceback(self, certs, data):
+        cert = copy.deepcopy(certs[data.draw(st.sampled_from(sorted(certs)))])
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(("drop", "retype", "string")))
+            paths = [path for path, value in _nodes(cert)
+                     if path and (kind != "string" or isinstance(value, str))]
+            if not paths:
+                continue
+            path = data.draw(st.sampled_from(paths))
+            parent, key = _parent(cert, path), path[-1]
+            if kind == "drop":
+                del parent[key]
+            elif kind == "retype":
+                old = parent[key]
+                parent[key] = data.draw(st.sampled_from(
+                    [v for v in _RETYPED if type(v) is not type(old)]))
+            else:
+                others = [value for _, value in _nodes(cert) if isinstance(value, str)]
+                parent[key] = data.draw(st.sampled_from(others) | _STRINGS | st.builds(
+                    lambda s, i: s[:i], st.just(parent[key]), st.integers(0, 40)))
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "certificate.json").write_text(json.dumps(cert))
+            code, _, err = _in_process(["verify", tmp])
+        assert code in (0, 1, 3), err
+        assert "Traceback" not in err and "internal error" not in err, err

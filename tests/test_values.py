@@ -186,12 +186,13 @@ def test_level_map_memo():
 
 def test_cli_import_footprint():
     # a CLI query is a fresh interpreter: keep dataclasses (and the inspect,
-    # ast, dis and tokenize it pulls in) out of its start-up
+    # ast, dis and tokenize it pulls in) out of its start-up, and json, which
+    # only a certificate or a --format json report needs
     env = dict(os.environ, PYTHONPATH=str(SRC))
     r = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import agekit.cli, sys; "
-         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"],
+         "import agekit.cli, sys; print(sorted(m for m in "
+         "('dataclasses', 'inspect', 'json') if m in sys.modules))"],
         capture_output=True, text=True, env=env, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
