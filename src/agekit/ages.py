@@ -58,19 +58,6 @@ class BoundedClass(Value):
         init(self, "_hash", hash((name, signature, bounds,
                                   homogeneous_asserted, ramsey_asserted)))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.name == other.name
-                and self.signature == other.signature and self.bounds == other.bounds
-                and self.homogeneous_asserted == other.homogeneous_asserted
-                and self.ramsey_asserted == other.ramsey_asserted)
-
-    def __hash__(self) -> int:
-        return self._hash
-
     @property
     def max_bound_size(self) -> int:
         return max((b.size for b in self.bounds), default=0)
@@ -231,18 +218,6 @@ def default_ap_cap(k: BoundedClass) -> int:
 
 class AmalgamationResult(Value):
     __slots__ = ("ok", "strong", "cap", "diagrams_checked", "counterexample")
-
-    def __init__(self, ok: bool, strong: bool, cap: int, diagrams_checked: int,
-                 counterexample: tuple[FinStructure, FinStructure, FinStructure] | None):
-        init = object.__setattr__
-        init(self, "ok", ok)
-        init(self, "strong", strong)
-        init(self, "cap", cap)
-        init(self, "diagrams_checked", diagrams_checked)
-        init(self, "counterexample", counterexample)
-
-    def _key(self) -> tuple:
-        return (self.ok, self.strong, self.cap, self.diagrams_checked, self.counterexample)
 
 
 def check_amalgamation(k: BoundedClass, cap: int | None = None,

@@ -69,18 +69,6 @@ class Behaviour(Value):
         init(self, "_hash", hash((source, target, k, table, arity)))
         init(self, "_levels", {k: table})
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.table == other.table
-                and self.k == other.k and self.arity == other.arity
-                and self.source == other.source and self.target == other.target)
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def level_map(self, m: int) -> tuple[int, ...]:
         """The induced table on flattened tuples of m-types (m <= k), via the
         padding convention; computed once per level."""
@@ -560,16 +548,6 @@ def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,
 
 class ProbeReport(Value):
     __slots__ = ("trials", "max_size", "seed", "failures")
-
-    def __init__(self, trials: int, max_size: int, seed: int, failures: tuple[str, ...]):
-        init = object.__setattr__
-        init(self, "trials", trials)
-        init(self, "max_size", max_size)
-        init(self, "seed", seed)
-        init(self, "failures", failures)
-
-    def _key(self) -> tuple:
-        return (self.trials, self.max_size, self.seed, self.failures)
 
     @property
     def ok(self) -> bool:

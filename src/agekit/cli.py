@@ -532,8 +532,29 @@ def main(argv=None) -> int:
     return code
 
 
+def _unread_flag(args: argparse.Namespace) -> str | None:
+    """A usage error for a flag given where the mode or another flag leaves
+    it unread, or None: such a flag would be accepted and do nothing."""
+    if getattr(args, "arity_cap", None) is not None and args.mode != "pp":
+        return "argument --arity-cap: read only with --mode pp"
+    if args.command != "definable":
+        return None
+    if args.query is not None and args.query_orbits is not None:
+        return "argument --query-orbits: not allowed with argument --query"
+    if args.expand_arity is not None and (args.query is not None
+                                          or args.query_orbits is not None):
+        return "argument --n: not read with --query or --query-orbits"
+    if args.query_arity is not None and args.query is None:
+        return "argument --query-arity: read only with --query"
+    return None
+
+
 def _query(argv) -> int:
-    args = _build_parser(argv).parse_args(argv)
+    parser = _build_parser(argv)
+    args = parser.parse_args(argv)
+    unread = _unread_flag(args)
+    if unread is not None:
+        parser.error(unread)
     start = time.monotonic()
     try:
         code, report = run(args)

@@ -50,22 +50,6 @@ class CorePresentation(Value):
     __slots__ = ("base_out", "reduct_out", "witness", "image_types", "k",
                  "scan_cap", "realize_cap")
 
-    def __init__(self, base_out: BoundedClass, reduct_out: Reduct, witness: Behaviour,
-                 image_types: frozenset[KType], k: int, scan_cap: int,
-                 realize_cap: int | None):
-        init = object.__setattr__
-        init(self, "base_out", base_out)
-        init(self, "reduct_out", reduct_out)
-        init(self, "witness", witness)
-        init(self, "image_types", image_types)
-        init(self, "k", k)
-        init(self, "scan_cap", scan_cap)
-        init(self, "realize_cap", realize_cap)
-
-    def _key(self) -> tuple:
-        return (self.base_out, self.reduct_out, self.witness, self.image_types,
-                self.k, self.scan_cap, self.realize_cap)
-
 
 def require_core_flags(c: Reduct) -> None:
     """Core search needs the base class to assert homogeneity and Ramsey."""

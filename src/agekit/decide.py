@@ -29,69 +29,22 @@ MODES = ("fo", "ep", "pp")
 
 class Caps(Value):
     __slots__ = ("k", "expand_arity", "realize_cap", "arity_cap", "ap_cap")
-
-    def __init__(self, k: int, expand_arity: int, realize_cap: int | None = None,
-                 arity_cap: int | None = None, ap_cap: int | None = None):
-        init = object.__setattr__
-        init(self, "k", k)
-        init(self, "expand_arity", expand_arity)
-        init(self, "realize_cap", realize_cap)
-        init(self, "arity_cap", arity_cap)
-        init(self, "ap_cap", ap_cap)
-
-    def _key(self) -> tuple:
-        return (self.k, self.expand_arity, self.realize_cap, self.arity_cap, self.ap_cap)
+    _defaults = {"realize_cap": None, "arity_cap": None, "ap_cap": None}
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "expand_arity": self.expand_arity,
-            "realize_cap": self.realize_cap,
-            "arity_cap": self.arity_cap,
-            "ap_cap": self.ap_cap,
-        }
+        return dict(zip(self._fields, self._key()))
 
 
 class Witness(Value):
     __slots__ = ("matching", "xi", "eta")
 
-    def __init__(self, matching: tuple[tuple[str, str], ...], xi: Behaviour,
-                 eta: Behaviour):
-        init = object.__setattr__
-        init(self, "matching", matching)
-        init(self, "xi", xi)
-        init(self, "eta", eta)
-
-    def _key(self) -> tuple:
-        return (self.matching, self.xi, self.eta)
-
 
 class Verdict(Value):
+    # answer: YES | NO | PRECONDITION-FAILED
     __slots__ = ("answer", "mode", "caps", "witness", "reason", "core_c", "core_d",
                  "expanded_c", "expanded_d", "cap_relative")
-
-    def __init__(self, answer: str, mode: str, caps: Caps,
-                 witness: Witness | None = None, reason: str = "",
-                 core_c: CorePresentation | None = None,
-                 core_d: CorePresentation | None = None,
-                 expanded_c: Reduct | None = None, expanded_d: Reduct | None = None,
-                 cap_relative: bool = False):
-        init = object.__setattr__
-        init(self, "answer", answer)  # YES | NO | PRECONDITION-FAILED
-        init(self, "mode", mode)
-        init(self, "caps", caps)
-        init(self, "witness", witness)
-        init(self, "reason", reason)
-        init(self, "core_c", core_c)
-        init(self, "core_d", core_d)
-        init(self, "expanded_c", expanded_c)
-        init(self, "expanded_d", expanded_d)
-        init(self, "cap_relative", cap_relative)
-
-    def _key(self) -> tuple:
-        return (self.answer, self.mode, self.caps, self.witness, self.reason,
-                self.core_c, self.core_d, self.expanded_c, self.expanded_d,
-                self.cap_relative)
+    _defaults = {"witness": None, "reason": "", "core_c": None, "core_d": None,
+                 "expanded_c": None, "expanded_d": None, "cap_relative": False}
 
     @property
     def exit_code(self) -> int:
@@ -161,8 +114,14 @@ def decide_bidef(c: Reduct, d: Reduct, mode: str, k: int | None = None,
     require_core_flags(c)
     require_core_flags(d)
     caps = default_caps(c, d, k, expand_arity, realize_cap, arity_cap)
-    pc = compute_core(c, caps.k, caps.realize_cap)
-    pd = compute_core(d, caps.k, caps.realize_cap)
+    return _decide_cores(mode, caps, compute_core(c, caps.k, caps.realize_cap),
+                         compute_core(d, caps.k, caps.realize_cap))
+
+
+def _decide_cores(mode: str, caps: Caps, pc: CorePresentation,
+                  pd: CorePresentation) -> Verdict:
+    """Bi-definability of two core presentations under the caps, which the
+    verdict records as given."""
     cc = expand(pc, caps.expand_arity, mode, caps.arity_cap, caps.realize_cap)
     dd = expand(pd, caps.expand_arity, mode, caps.arity_cap, caps.realize_cap)
     relative = mode == "pp"
@@ -241,9 +200,4 @@ def decide_biint(c: Reduct, d: Reduct, mode: str, k: int | None = None,
                 reason=(f"{name} core base {pres.base_out.name} fails strong "
                         f"amalgamation (no-algebraicity proxy) at cap {cap}"))
 
-    verdict = decide_bidef(c, d, mode, caps.k, caps.expand_arity,
-                           caps.realize_cap, caps.arity_cap)
-    return Verdict(verdict.answer, mode=mode, caps=caps, witness=verdict.witness,
-                   reason=verdict.reason, core_c=pc, core_d=pd,
-                   expanded_c=verdict.expanded_c, expanded_d=verdict.expanded_d,
-                   cap_relative=verdict.cap_relative)
+    return _decide_cores(mode, caps, pc, pd)

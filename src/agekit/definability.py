@@ -40,19 +40,6 @@ from .value import Value
 class DefinableVerdict(Value):
     __slots__ = ("definable", "relation", "witness", "arity_cap", "realize_cap")
 
-    def __init__(self, definable: bool, relation: OrbitUnion, witness: Behaviour | None,
-                 arity_cap: int, realize_cap: int):
-        init = object.__setattr__
-        init(self, "definable", definable)
-        init(self, "relation", relation)
-        init(self, "witness", witness)
-        init(self, "arity_cap", arity_cap)
-        init(self, "realize_cap", realize_cap)
-
-    def _key(self) -> tuple:
-        return (self.definable, self.relation, self.witness, self.arity_cap,
-                self.realize_cap)
-
     @property
     def label(self) -> str:
         if self.definable:

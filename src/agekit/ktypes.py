@@ -40,17 +40,6 @@ class KType(Value):
         init(self, "quotient", quotient)
         init(self, "_hash", hash((k, blocks, quotient)))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.blocks == other.blocks
-                and self.quotient == other.quotient and self.k == other.k)
-
-    def __hash__(self) -> int:
-        return self._hash
-
     @property
     def nblocks(self) -> int:
         return self.quotient.size

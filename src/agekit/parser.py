@@ -45,13 +45,9 @@ class Catalog(Value):
 
     def __init__(self, classes: dict[str, BoundedClass] | None = None,
                  reducts: dict[str, Reduct] | None = None, order: list | None = None):
-        init = object.__setattr__
-        init(self, "classes", {} if classes is None else classes)
-        init(self, "reducts", {} if reducts is None else reducts)
-        init(self, "order", [] if order is None else order)
-
-    def _key(self) -> tuple:
-        return (self.classes, self.reducts, self.order)
+        super().__init__({} if classes is None else classes,
+                         {} if reducts is None else reducts,
+                         [] if order is None else order)
 
     def bounded_class(self, name: str) -> BoundedClass:
         if name not in self.classes:

@@ -14,7 +14,6 @@ from .ages import BoundedClass
 from .errors import InputError
 from .ktypes import KType, enumerate_types, serialization_order, serialize_type, type_index
 from .structures import (
-    QfFormula,
     Signature,
     eval_qf,
     render_formula,
@@ -26,21 +25,9 @@ from .value import Value
 class FormulaDef(Value):
     __slots__ = ("formula",)
 
-    def __init__(self, formula: QfFormula):
-        object.__setattr__(self, "formula", formula)
-
-    def _key(self) -> tuple:
-        return (self.formula,)
-
 
 class OrbitsDef(Value):
     __slots__ = ("members",)
-
-    def __init__(self, members: tuple[KType, ...]):
-        object.__setattr__(self, "members", members)
-
-    def _key(self) -> tuple:
-        return (self.members,)
 
 
 RelDef = FormulaDef | OrbitsDef
@@ -48,15 +35,6 @@ RelDef = FormulaDef | OrbitsDef
 
 class Relation(Value):
     __slots__ = ("name", "arity", "definition")
-
-    def __init__(self, name: str, arity: int, definition: RelDef):
-        init = object.__setattr__
-        init(self, "name", name)
-        init(self, "arity", arity)
-        init(self, "definition", definition)
-
-    def _key(self) -> tuple:
-        return (self.name, self.arity, self.definition)
 
 
 def validate_relation(r: Relation, sig: Signature) -> None:
@@ -89,17 +67,6 @@ class Reduct(Value):
         # reducts key lru_caches; hashing every relation's types each lookup is costly
         init(self, "_hash", hash((name, base, relations)))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.name == other.name
-                and self.base == other.base and self.relations == other.relations)
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def relation(self, name: str) -> Relation:
         if name not in self._by_name:
             raise InputError(f"reduct {self.name}: no relation named {name!r}")
@@ -118,17 +85,6 @@ class OrbitUnion(Value):
         init(self, "arity", arity)
         init(self, "members", members)
         init(self, "_hash", hash((arity, members)))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.arity == other.arity
-                and self.members == other.members)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def sorted_members(self) -> tuple[KType, ...]:
         return tuple(sorted(self.members, key=serialize_type))

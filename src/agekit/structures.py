@@ -71,16 +71,6 @@ class Signature(Value):
         init(self, "symbols", symbols)
         init(self, "_hash", hash((symbols,)))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and self.symbols == other.symbols
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.symbols):
             if n == name:
@@ -113,17 +103,6 @@ class FinStructure(Value):
         init(self, "size", size)
         init(self, "tables", tables)
         init(self, "_hash", hash((signature, size, tables)))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.size == other.size
-                and self.tables == other.tables and self.signature == other.signature)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def table(self, name: str) -> frozenset[tuple[int, ...]]:
         return self.tables[self.signature.index(name)]
@@ -564,55 +543,23 @@ def parse_literal(sig: Signature, text: str) -> FinStructure:
 # -- quantifier-free formulas --------------------------------------------------
 
 class Atom(Value):
-    __slots__ = ("symbol", "vars")
-
-    def __init__(self, symbol: str, vars: tuple[int, ...]):
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "vars", vars)
-
-    def _key(self) -> tuple:
-        return (self.symbol, self.vars)
+    __slots__ = ("symbol", "vars")  # str, tuple[int, ...]
 
 
 class Eq(Value):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: int, right: int):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def _key(self) -> tuple:
-        return (self.left, self.right)
+    __slots__ = ("left", "right")  # int, int
 
 
 class Not(Value):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: QfFormula):
-        object.__setattr__(self, "inner", inner)
-
-    def _key(self) -> tuple:
-        return (self.inner,)
+    __slots__ = ("inner",)  # QfFormula
 
 
 class And(Value):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[QfFormula, ...]):
-        object.__setattr__(self, "parts", parts)
-
-    def _key(self) -> tuple:
-        return (self.parts,)
+    __slots__ = ("parts",)  # tuple[QfFormula, ...]
 
 
 class Or(Value):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[QfFormula, ...]):
-        object.__setattr__(self, "parts", parts)
-
-    def _key(self) -> tuple:
-        return (self.parts,)
+    __slots__ = ("parts",)  # tuple[QfFormula, ...]
 
 
 QfFormula = Atom | Eq | Not | And | Or

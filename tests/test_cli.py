@@ -356,6 +356,9 @@ class TestDefinabilityVerdicts:
         assert code == 0 and "caps: k=3 " in out and "verdict: DEFINABLE" in out
 
 
+_UNKNOWN = "unrecognized arguments"  # the parser's refusal of a flag it never declares
+
+
 class TestExitCodes:
     """Usage errors exit 3 like input errors (2 is PRECONDITION-FAILED);
     an internal error exits 4 and says it is a bug."""
@@ -523,34 +526,61 @@ class TestExitCodes:
                            capture_output=True, text=True)
         assert r.returncode == 0 and r.stdout and "Traceback" not in r.stderr
 
-    @pytest.mark.parametrize("argv,flag", [
-        (["orbits", "linord.cls", "--seed", "5"], "--seed"),
-        (["orbits", "linord.cls", "--witness-out", "D"], "--witness-out"),
-        (["orbits", "linord.cls", "--realize-cap", "7"], "--realize-cap"),
-        (["check", "trifree.cls", "--k", "3"], "--k"),
-        (["check", "trifree.cls", "--realize-cap", "3"], "--realize-cap"),
-        (["check", "trifree.cls", "--seed", "1"], "--seed"),
-        (["behaviours", "graphs.cls", "--witness-out", "D"], "--witness-out"),
-        (["behaviours", "graphs.cls", "--arity-cap", "2"], "--arity-cap"),
-        (["probe", "graphs.cls", "--ap-cap", "2"], "--ap-cap"),
-        (["core", "linord.cls", "--reduct", "Qlt", "--arity-cap", "2"], "--arity-cap"),
-        (["definable", "linord.cls", "--reduct", "Qlt", "--seed", "1"], "--seed"),
-        (["definable", "linord.cls", "--reduct", "Qlt", "--ap-cap", "2"], "--ap-cap"),
+    @pytest.mark.parametrize("argv,flag,message", [
+        (["orbits", "linord.cls", "--seed", "5"], "--seed", _UNKNOWN),
+        (["orbits", "linord.cls", "--witness-out", "D"], "--witness-out", _UNKNOWN),
+        (["orbits", "linord.cls", "--realize-cap", "7"], "--realize-cap", _UNKNOWN),
+        (["check", "trifree.cls", "--k", "3"], "--k", _UNKNOWN),
+        (["check", "trifree.cls", "--realize-cap", "3"], "--realize-cap", _UNKNOWN),
+        (["check", "trifree.cls", "--seed", "1"], "--seed", _UNKNOWN),
+        (["behaviours", "graphs.cls", "--witness-out", "D"], "--witness-out", _UNKNOWN),
+        (["behaviours", "graphs.cls", "--arity-cap", "2"], "--arity-cap", _UNKNOWN),
+        (["probe", "graphs.cls", "--ap-cap", "2"], "--ap-cap", _UNKNOWN),
+        (["core", "linord.cls", "--reduct", "Qlt", "--arity-cap", "2"], "--arity-cap",
+         _UNKNOWN),
+        (["definable", "linord.cls", "--reduct", "Qlt", "--seed", "1"], "--seed", _UNKNOWN),
+        (["definable", "linord.cls", "--reduct", "Qlt", "--ap-cap", "2"], "--ap-cap",
+         _UNKNOWN),
         (["bidef", "linord.cls", "--reducts", "Qlt", "QltRev", "--ap-cap", "2"],
-         "--ap-cap"),
-        (["biint", "linord.cls", "--reducts", "Qlt", "QltRev", "--seed", "2"], "--seed"),
-        (["verify", "linord.cls", "--k", "3"], "--k"),
+         "--ap-cap", _UNKNOWN),
+        (["biint", "linord.cls", "--reducts", "Qlt", "QltRev", "--seed", "2"], "--seed",
+         _UNKNOWN),
+        (["verify", "linord.cls", "--k", "3"], "--k", _UNKNOWN),
+        (["bidef", "linord.cls", "--reducts", "Qlt", "QltRev", "--mode", "fo",
+          "--arity-cap", "5"], "--arity-cap", "read only with --mode pp"),
+        (["biint", "linord.cls", "--reducts", "Qlt", "QltRev", "--mode", "ep",
+          "--arity-cap", "2"], "--arity-cap", "read only with --mode pp"),
+        (["definable", "linord.cls", "--reduct", "Qlt", "--mode", "ep", "--n", "2",
+          "--arity-cap", "5"], "--arity-cap", "read only with --mode pp"),
+        (["definable", "linord.cls", "--reduct", "Qlt", "--query", "!(x0=x1)",
+          "--query-arity", "2", "--arity-cap", "2"], "--arity-cap",
+         "read only with --mode pp"),
+        (["definable", "linord.cls", "--reduct", "Qlt", "--mode", "pp", "--n", "3",
+          "--query", "!(x0=x1)", "--query-arity", "2"], "--n",
+         "not read with --query or --query-orbits"),
+        (["definable", "linord.cls", "--reduct", "Qlt", "--n", "3", "--query-orbits",
+          "[{0}{1}|size=2: lt(0,1)]"], "--n", "not read with --query or --query-orbits"),
+        (["definable", "linord.cls", "--reduct", "Qlt", "--n", "2", "--query-arity", "2"],
+         "--query-arity", "read only with --query"),
+        (["definable", "linord.cls", "--reduct", "Qlt", "--query", "!(x0=x1)",
+          "--query-arity", "2", "--query-orbits", "[{0}{1}|size=2: lt(0,1)]"],
+         "--query-orbits", "not allowed with argument --query"),
     ], ids=["orbits-seed", "orbits-witness-out", "orbits-realize-cap", "check-k",
             "check-realize-cap", "check-seed", "behaviours-witness-out",
             "behaviours-arity-cap", "probe-ap-cap", "core-arity-cap", "definable-seed",
-            "definable-ap-cap", "bidef-ap-cap", "biint-seed", "verify-k"])
-    def test_unread_flag_refused(self, capsys, argv, flag):
-        # a subcommand declares only the flags its handler reads
+            "definable-ap-cap", "bidef-ap-cap", "biint-seed", "verify-k",
+            "bidef-fo-arity-cap", "biint-ep-arity-cap", "definable-ep-arity-cap",
+            "definable-ep-query-arity-cap", "definable-query-n", "definable-query-orbits-n",
+            "definable-query-arity-without-query", "definable-query-and-query-orbits"])
+    def test_unread_flag_refused(self, capsys, argv, flag, message):
+        # a subcommand declares only the flags its handler reads, and a flag
+        # that its mode or another flag leaves unread is refused before any
+        # engine call
         with pytest.raises(SystemExit) as exc:
             main([argv[0], catalog_path(argv[1]), *argv[2:]])
         captured = capsys.readouterr()
         assert exc.value.code == 3 and captured.out == ""
-        assert "unrecognized arguments" in captured.err and flag in captured.err
+        assert message in captured.err and flag in captured.err
 
     @pytest.mark.parametrize("mode", ["ep", "pp"])
     @pytest.mark.parametrize("arity", [1, 2])
@@ -1118,3 +1148,75 @@ class TestCertificateFuzz:
             code, _, err = _in_process(["verify", tmp])
         assert code in (0, 1, 3), err
         assert "Traceback" not in err and "internal error" not in err, err
+
+
+def _mutate_rows(rows: list[str], kind: str, i: int, j: int) -> list[str]:
+    """The rows of a behaviour table after one mutation of row i (j picks
+    the second row or the character a mutation needs)."""
+    rows = list(rows)
+    if kind == "drop":
+        del rows[i]
+    elif kind == "duplicate":
+        rows.insert(j % (len(rows) + 1), rows[i])
+    elif kind == "arrow":
+        rows[i] = rows[i].replace("->", "|", 1)
+    elif kind == "bracket":
+        cuts = [n for n, ch in enumerate(rows[i]) if ch in "[]"]
+        if cuts:
+            cut = cuts[j % len(cuts)]
+            rows[i] = rows[i][:cut] + rows[i][cut + 1:]
+    else:  # move row i's value to row j
+        j %= len(rows)
+        rows[j] = rows[j].rpartition(" -> ")[0] + " -> " + rows[i].rpartition(" -> ")[2]
+    return rows
+
+
+class TestBehaviourTableFuzz:
+    """A behaviour or polymorphism table in a certificate with rows dropped,
+    duplicated, garbled or given another row's value never fails as an
+    engine error, and a table the verifier reads is accepted only when its
+    rows are unchanged as a set."""
+
+    # certificate, path of the table in it, whether the verifier reads it: a
+    # bidef check trusts its core blocks apart from their base classes
+    TABLES = (("bidef", ("witness", "xi"), True), ("bidef", ("witness", "eta"), True),
+              ("bidef", ("core_c", "witness"), False), ("core", ("core", "witness"), True),
+              ("definable", ("witness",), True))
+
+    @pytest.fixture(scope="class")
+    def certs(self, tmp_path_factory):
+        linord = catalog_path("linord.cls")
+        out = {}
+        for name, argv, code in (
+                ("bidef", ["bidef", linord, "--reducts", "Qlt", "QltRev", "--mode", "fo"], 0),
+                ("core", ["core", linord, "--reduct", "Qlt"], 0),
+                ("definable", ["definable", linord, "--reduct", "Qlt", "--mode", "pp",
+                               "--query", "!(x0=x1)", "--query-arity", "2"], 1)):
+            path = tmp_path_factory.mktemp(name)
+            assert _in_process(argv + ["--witness-out", str(path)])[0] == code
+            out[name] = json.loads((path / "certificate.json").read_text())
+        assert out["definable"]["witness_arity"] == 2
+        return out
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_verify_accepts_only_the_same_rows(self, certs, data):
+        name, path, read = data.draw(st.sampled_from(self.TABLES))
+        cert = copy.deepcopy(certs[name])
+        parent = _parent(cert, path)
+        rows = parent[path[-1]].split("\n")
+        mutated = rows
+        for _ in range(data.draw(st.integers(1, 3))):
+            if not mutated:
+                break
+            kind = data.draw(st.sampled_from(("drop", "duplicate", "arrow", "bracket",
+                                              "move")))
+            i = data.draw(st.integers(0, len(mutated) - 1))
+            mutated = _mutate_rows(mutated, kind, i, data.draw(st.integers(0, 99)))
+        parent[path[-1]] = "\n".join(mutated)
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "certificate.json").write_text(json.dumps(cert))
+            code, _, err = _in_process(["verify", tmp])
+        assert code in (0, 1, 3), err
+        assert "Traceback" not in err and "internal error" not in err, err
+        assert code != 0 or not read or set(mutated) == set(rows)

@@ -1,5 +1,6 @@
-"""Value classes: field-wise equality and hash, immutability, repr, the
-caches keyed by them, and the import footprint of a CLI query."""
+"""Value classes: construction from the fields in __slots__, field-wise
+equality and hash, immutability, repr, the caches keyed by them, and the
+import footprint of a CLI query."""
 
 import os
 import subprocess
@@ -131,6 +132,55 @@ class TestValueSemantics:
         a = make()
         body = ", ".join(f"{f}={getattr(a, f)!r}" for f in fields)
         assert repr(a) == f"{cls.__name__}({body})"
+
+    def test_fields_and_key_follow_the_slots(self, cls, fields, make):
+        a = make()
+        assert cls._fields == fields
+        assert a._key() == tuple(getattr(a, f) for f in fields)
+        if cls is not Catalog:  # the hash every set and dict order rests on
+            assert hash(a) == hash(a._key())
+
+    def test_bad_arguments_raise_type_error(self, cls, fields, make):
+        values = [getattr(make(), f) for f in fields]
+        with pytest.raises(TypeError):
+            cls(*values, None)  # one positional argument too many
+        with pytest.raises(TypeError):
+            cls(*values, extra=None)
+        with pytest.raises(TypeError):
+            cls(*values, **{fields[0]: values[0]})
+        if cls is not Catalog:  # every field of a catalog is optional
+            with pytest.raises(TypeError):
+                cls(**dict(zip(fields[1:], values[1:])))
+
+    def test_defaults_are_fields(self, cls, fields, make):
+        assert set(cls._defaults) <= set(fields)
+
+
+def test_every_value_class_has_a_case():
+    # the classes an agekit query can build, each held to the tests above
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    r = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import agekit.cli\n"
+         "from agekit.value import Value\n"
+         "todo, seen = [Value], set()\n"
+         "while todo:\n"
+         "    for c in todo.pop().__subclasses__():\n"
+         "        seen.add(c.__name__)\n"
+         "        todo.append(c)\n"
+         "print(' '.join(sorted(seen)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == sorted(IDS)
+
+
+def test_keywords_and_defaults_build_the_same_value():
+    assert Caps(k=3, expand_arity=2, ap_cap=4) == caps()
+    assert Atom(vars=(0, 1), symbol="E") == Atom("E", (0, 1))
+    with pytest.raises(TypeError, match="missing field 'expand_arity'"):
+        Caps(3)
+    with pytest.raises(TypeError, match="no field '_hash'"):
+        Eq(0, 1, _hash=0)
 
 
 def test_and_or_with_equal_parts_differ():
