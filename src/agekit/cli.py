@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .ages import check_amalgamation, default_ap_cap
+from .ages import check_amalgamation
 from .canonical import (
     default_realize_cap,
     enumerate_behaviours,
@@ -127,20 +127,21 @@ def _run_check(args: argparse.Namespace) -> tuple[int, str]:
     worst = EXIT_YES
     for name in sorted(cat.classes):
         k = cat.classes[name]
-        cap = args.ap_cap if args.ap_cap is not None else default_ap_cap(k)
         rep.line(f"class {name}: {len(k.bounds)} bounds "
                  f"(sizes {min((b.size for b in k.bounds), default=0)}"
                  f"..{k.max_bound_size})")
-        entry = {"bounds": len(k.bounds), "ap_cap": cap}
-        for strong in (False, True):
-            label = "strong" if strong else "weak"
-            result = check_amalgamation(k, cap, strong)
+        strong = check_amalgamation(k, args.ap_cap, strong=True)
+        # the weak scan tests a subset of the strong scan's diagrams, by the
+        # same amalgam test: a strong pass is a weak pass
+        weak = strong if strong.ok else check_amalgamation(k, args.ap_cap, strong=False)
+        entry = {"bounds": len(k.bounds), "ap_cap": strong.cap}
+        for label, result in (("weak", weak), ("strong", strong)):
             if result.ok:
-                rep.line(f"  amalgamation {label}: verified up to cap {cap}")
+                rep.line(f"  amalgamation {label}: verified up to cap {result.cap}")
                 entry[label] = "pass"
             else:
                 b0, b1, b2 = result.counterexample
-                rep.line(f"  amalgamation {label}: FAILS at cap {cap} with "
+                rep.line(f"  amalgamation {label}: FAILS at cap {result.cap} with "
                          f"B0 = {render_literal(b0)}; B1 = {render_literal(b1)}; "
                          f"B2 = {render_literal(b2)}")
                 entry[label] = "fail"
@@ -167,13 +168,19 @@ def _run_orbits(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_YES, rep.emit(args.fmt)
 
 
-def _run_behaviours(args: argparse.Namespace) -> tuple[int, str]:
+def _realizable_behaviours(args: argparse.Namespace) -> tuple:
+    """The source and target classes, the level, and the realizable
+    behaviours between them in serialization order."""
     cat = _load(args.files)
     src = cat.bounded_class(args.source or cat.sole_class().name)
     tgt = cat.bounded_class(args.target or src.name)
     level = _level(args, src, tgt)
-    bs = [xi for xi in enumerate_behaviours(src, tgt, level)
-          if is_realizable(xi, args.realize_cap)]
+    return src, tgt, level, [xi for xi in enumerate_behaviours(src, tgt, level)
+                             if is_realizable(xi, args.realize_cap)]
+
+
+def _run_behaviours(args: argparse.Namespace) -> tuple[int, str]:
+    src, tgt, level, bs = _realizable_behaviours(args)
     eff = args.realize_cap if args.realize_cap is not None else (
         default_realize_cap(bs[0]) if bs else None)
     rep = Report("behaviours")
@@ -191,12 +198,7 @@ def _run_behaviours(args: argparse.Namespace) -> tuple[int, str]:
 def _run_probe(args: argparse.Namespace) -> tuple[int, str]:
     if args.trials < 0:
         raise InputError(f"--trials must be >= 0, got {args.trials}")
-    cat = _load(args.files)
-    src = cat.bounded_class(args.source or cat.sole_class().name)
-    tgt = cat.bounded_class(args.target or src.name)
-    level = _level(args, src, tgt)
-    bs = [xi for xi in enumerate_behaviours(src, tgt, level)
-          if is_realizable(xi, args.realize_cap)]
+    src, tgt, level, bs = _realizable_behaviours(args)
     rep = Report("probe")
     rep.line(f"source: {src.name}  target: {tgt.name}")
     rep.line(f"caps: {_caps_line(k=level, realize_cap=args.realize_cap)} "
@@ -246,55 +248,53 @@ def _run_core(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_YES, rep.emit(args.fmt)
 
 
-def _query_arity(args: argparse.Namespace, sig) -> tuple[int, str] | None:
-    """The arity of the queried relation and the flag that sets it, or None
-    without a query; --query-orbits types are checked to share one level."""
+def _read_query(args: argparse.Namespace, sig) -> tuple[int, str, object] | None:
+    """The arity of the queried relation, the flag that sets it and the
+    query: the --query formula text, or the --query-orbits types, which are
+    parsed here and checked to share one level.  None without a query."""
     if args.query is not None:
         if args.query_arity is None:
             raise InputError("--query needs --query-arity")
-        return args.query_arity, "--query-arity"
+        return args.query_arity, "--query-arity", args.query
     if args.query_orbits is None:
         return None
-    levels = {parse_type(sig, chunk).k for chunk in split_type_columns(args.query_orbits)}
-    if not levels:
-        raise InputError("--query-orbits lists no types")
-    if len(levels) != 1:
+    # split_type_columns yields at least one chunk, and an empty one fails to parse
+    members = [parse_type(sig, chunk) for chunk in split_type_columns(args.query_orbits)]
+    if len({t.k for t in members}) != 1:
         raise InputError("--query-orbits types must share one level")
-    return levels.pop(), "--query-orbits level"
+    return members[0].k, "--query-orbits level", members
 
 
-def _query_union(args: argparse.Namespace, p) -> OrbitUnion:
-    """The queried relation as an orbit union of the core base."""
-    if args.query is not None:
-        phi = parse_formula(args.query)
+def _query_union(query: tuple[int, str, object], p) -> OrbitUnion:
+    """The relation _read_query read, as an orbit union of the core base."""
+    arity, _, spec = query
+    if isinstance(spec, str):
         probe = Reduct("_query", p.base_out,
-                       (Relation("q", args.query_arity, FormulaDef(phi)),))
+                       (Relation("q", arity, FormulaDef(parse_formula(spec))),))
         union = compile_orbit_union(probe, "q")
         if not union.members:
-            raise InputError(f"--query holds on no {args.query_arity}-type of "
+            raise InputError(f"--query holds on no {arity}-type of "
                              f"the core base {p.base_out.name}")
         return union
-    members = [parse_type(p.base_out.signature, chunk)
-               for chunk in split_type_columns(args.query_orbits)]
-    universe = set(enumerate_types(p.base_out, members[0].k))
-    for t in members:
+    universe = set(enumerate_types(p.base_out, arity))
+    for t in spec:
         if t not in universe:
             raise InputError(f"{serialize_type(t)} is not a type of the core base")
-    return OrbitUnion(members[0].k, frozenset(members))
+    return OrbitUnion(arity, frozenset(spec))
 
 
 def _run_definable(args: argparse.Namespace) -> tuple[int, str]:
     cat = _load(args.files)
     c = cat.reduct(args.reduct)
     _level(args, c)
-    query = _query_arity(args, c.base.signature)
+    query = _read_query(args, c.base.signature)
     if query is None and args.witness_out:
         raise InputError("--witness-out needs --query or --query-orbits: "
                          "only a query verdict has a certificate")
     if query is None:
         n = args.expand_arity if args.expand_arity is not None else c.max_arity
     else:
-        n, flag = query
+        n, flag, _ = query
         if args.k is not None and n > args.k:
             raise InputError(f"{flag} {n} exceeds --k {args.k}: the behaviour "
                              f"level must cover the query's arity")
@@ -306,7 +306,7 @@ def _run_definable(args: argparse.Namespace) -> tuple[int, str]:
     rep.line(f"mode: {args.mode}")
 
     if query is not None:
-        verdict = definable(p, _query_union(args, p), args.mode, args.arity_cap,
+        verdict = definable(p, _query_union(query, p), args.mode, args.arity_cap,
                             args.realize_cap)
         rep.line(f"caps: {_caps_line(k=p.k)} arity-cap={verdict.arity_cap} "
                  f"realize-cap={verdict.realize_cap}")
@@ -355,14 +355,11 @@ def _run_decide(args: argparse.Namespace) -> tuple[int, str]:
                                    arity_cap=caps.arity_cap, ap_cap=caps.ap_cap))
     rep.data["caps"] = caps.as_dict()
     rep.data["mode"] = verdict.mode
-    if verdict.core_c is not None:
-        rep.line(f"core of {c.name}: base {verdict.core_c.base_out.name} "
-                 f"({len(verdict.core_c.base_out.bounds)} bounds, "
-                 f"{len(verdict.core_c.image_types)} image types)")
-    if verdict.core_d is not None:
-        rep.line(f"core of {d.name}: base {verdict.core_d.base_out.name} "
-                 f"({len(verdict.core_d.base_out.bounds)} bounds, "
-                 f"{len(verdict.core_d.image_types)} image types)")
+    for r, core in ((c, verdict.core_c), (d, verdict.core_d)):
+        if core is not None:
+            rep.line(f"core of {r.name}: base {core.base_out.name} "
+                     f"({len(core.base_out.bounds)} bounds, "
+                     f"{len(core.image_types)} image types)")
     if verdict.expanded_c is not None:
         rep.line(f"expanded signatures: {len(verdict.expanded_c.relations)} vs "
                  f"{len(verdict.expanded_d.relations)} relations")

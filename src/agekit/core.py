@@ -88,9 +88,11 @@ def union_rows(base: BoundedClass, union_arity: int, mask: int, arity: int,
 
 
 @lru_cache(maxsize=None)
-def preserving_domains(c: Reduct, arity: int, level: int):
+def preserving_domains(c: Reduct, arity: int, level: int) -> list[int]:
     """Arc-consistent per-row bitmask domains of the behaviours of the arity
-    that preserve every relation of c, or None when no such table exists."""
+    that preserve every relation of c.  No domain empties, so the result is
+    never None: the table that sends each row to its first argument meets
+    every union pin and commutes with every restriction."""
     pins: dict[int, int] = {}
     for _, u in compiled_unions(c):
         rows, keep = union_rows(c.base, u.arity, union_mask(c.base, u), arity, level)
@@ -106,10 +108,8 @@ def preserving_behaviours(c: Reduct, arity: int, level: int) -> tuple[Behaviour,
 
     Realizability is left to the caller, which often needs it on few of them.
     """
-    domains = preserving_domains(c, arity, level)
-    if domains is None:
-        return ()
-    return enumerate_behaviours(c.base, c.base, level, arity=arity, domains=domains)
+    return enumerate_behaviours(c.base, c.base, level, arity=arity,
+                                domains=preserving_domains(c, arity, level))
 
 
 def qualifying_behaviours(c: Reduct, k: int,

@@ -10,7 +10,7 @@ serialization, that is realizable and whose inverse is realizable.
 
 from __future__ import annotations
 
-from .ages import check_amalgamation, default_ap_cap
+from .ages import check_amalgamation
 from .canonical import (
     Behaviour,
     enumerate_behaviours,
@@ -49,11 +49,6 @@ class Verdict(Value):
     @property
     def exit_code(self) -> int:
         return {"YES": 0, "NO": 1, "PRECONDITION-FAILED": 2}[self.answer]
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def _masks(r: Reduct) -> list[tuple[int, int]]:
@@ -110,12 +105,20 @@ def decide_bidef(c: Reduct, d: Reduct, mode: str, k: int | None = None,
     In pp mode a NO is relative to the arity and realizability caps (and the
     verdict says so); YES answers always carry a re-checkable witness.
     """
-    _check_mode(mode)
+    return _decide_cores(mode, *_caps_and_cores(c, d, mode, k, expand_arity,
+                                                realize_cap, arity_cap))
+
+
+def _caps_and_cores(c: Reduct, d: Reduct, mode: str, *caps_args) -> tuple:
+    """The set-up both deciders share: the checked mode and core flags, the
+    caps (from default_caps's arguments) and both core presentations."""
+    if mode not in MODES:
+        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     require_core_flags(c)
     require_core_flags(d)
-    caps = default_caps(c, d, k, expand_arity, realize_cap, arity_cap)
-    return _decide_cores(mode, caps, compute_core(c, caps.k, caps.realize_cap),
-                         compute_core(d, caps.k, caps.realize_cap))
+    caps = default_caps(c, d, *caps_args)
+    return (caps, compute_core(c, caps.k, caps.realize_cap),
+            compute_core(d, caps.k, caps.realize_cap))
 
 
 def _decide_cores(mode: str, caps: Caps, pc: CorePresentation,
@@ -173,31 +176,22 @@ def decide_biint(c: Reduct, d: Reduct, mode: str, k: int | None = None,
     strong-amalgamation proxy on their optimal presentations up to a cap;
     in pp mode additionally transitivity of both input base classes.
     """
-    _check_mode(mode)
-    require_core_flags(c)
-    require_core_flags(d)
-    caps = default_caps(c, d, k, expand_arity, realize_cap, arity_cap, ap_cap)
-    pc = compute_core(c, caps.k, caps.realize_cap)
-    pd = compute_core(d, caps.k, caps.realize_cap)
+    caps, pc, pd = _caps_and_cores(c, d, mode, k, expand_arity, realize_cap,
+                                   arity_cap, ap_cap)
+
+    def failed(reason: str) -> Verdict:
+        return Verdict("PRECONDITION-FAILED", mode=mode, caps=caps, core_c=pc,
+                       core_d=pd, reason=reason)
 
     if mode == "pp":
         for name, reduct in (("first", c), ("second", d)):
             n1 = len(enumerate_types(reduct.base, 1))
             if n1 != 1:
-                return Verdict(
-                    "PRECONDITION-FAILED", mode=mode, caps=caps,
-                    core_c=pc, core_d=pd,
-                    reason=(f"{name} input base {reduct.base.name} is not "
-                            f"transitive: {n1} 1-types"))
-
+                return failed(f"{name} input base {reduct.base.name} is not "
+                              f"transitive: {n1} 1-types")
     for name, pres in (("first", pc), ("second", pd)):
-        cap = caps.ap_cap if caps.ap_cap is not None else default_ap_cap(pres.base_out)
-        result = check_amalgamation(pres.base_out, cap, strong=True)
+        result = check_amalgamation(pres.base_out, caps.ap_cap, strong=True)
         if not result.ok:
-            return Verdict(
-                "PRECONDITION-FAILED", mode=mode, caps=caps,
-                core_c=pc, core_d=pd,
-                reason=(f"{name} core base {pres.base_out.name} fails strong "
-                        f"amalgamation (no-algebraicity proxy) at cap {cap}"))
-
+            return failed(f"{name} core base {pres.base_out.name} fails strong "
+                          f"amalgamation (no-algebraicity proxy) at cap {result.cap}")
     return _decide_cores(mode, caps, pc, pd)

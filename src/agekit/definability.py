@@ -66,8 +66,6 @@ def find_violation(p: CorePresentation, arity: int, mask: int, arities,
         return None  # the union holds every tuple: nothing can leave it
     for m in arities:
         domains = preserving_domains(p.reduct_out, m, p.k)
-        if domains is None:
-            continue
         rows, keep = union_rows(p.base_out, arity, mask, m, p.k)
         if not any(domains[flat] & ~keep for flat in rows):
             continue

@@ -36,18 +36,17 @@ _VAR = re.compile(r"x(\d+)$")
 class Catalog(Value):
     """Parsed contents of one or more input files, in declaration order.
 
-    The fields are fixed, their dicts and list grow as files are parsed;
-    a catalog compares by content and has no hash.
+    The fields are fixed, their dicts grow as files are parsed; a catalog
+    compares by content and has no hash.
     """
 
-    __slots__ = ("classes", "reducts", "order")
+    __slots__ = ("classes", "reducts")
     __hash__ = None
 
     def __init__(self, classes: dict[str, BoundedClass] | None = None,
-                 reducts: dict[str, Reduct] | None = None, order: list | None = None):
+                 reducts: dict[str, Reduct] | None = None):
         super().__init__({} if classes is None else classes,
-                         {} if reducts is None else reducts,
-                         [] if order is None else order)
+                         {} if reducts is None else reducts)
 
     def bounded_class(self, name: str) -> BoundedClass:
         if name not in self.classes:
@@ -97,17 +96,22 @@ def _strip(raw: str) -> str:
     return raw.split("#", 1)[0].strip()
 
 
+def _stanza(lines, i, what):
+    """The line number and text of each non-blank line from index i on, up
+    to the stanza's 'end', at which the caller stops: the number of the
+    'end' line is the index of the line after the stanza."""
+    for lineno in range(i + 1, len(lines) + 1):
+        line = _strip(lines[lineno - 1])
+        if line:
+            yield lineno, line
+    raise ParseError(f"{what}: missing 'end'", len(lines), 1)
+
+
 def _parse_class(lines, i, name, cat) -> int:
     sig: Signature | None = None
     bounds: list[FinStructure] = []
     homogeneous = ramsey = False
-    while True:
-        if i >= len(lines):
-            raise ParseError(f"class {name}: missing 'end'", len(lines), 1)
-        line, lineno = _strip(lines[i]), i + 1
-        i += 1
-        if not line:
-            continue
+    for lineno, line in _stanza(lines, i, f"class {name}"):
         if line == "end":
             break
         key, _, rest = line.partition(" ")
@@ -142,19 +146,18 @@ def _parse_class(lines, i, name, cat) -> int:
         else:
             raise ParseError(f"unknown class item {key!r}", lineno, 1)
     if sig is None:
-        raise ParseError(f"class {name}: missing sig", i, 1)
+        raise ParseError(f"class {name}: missing sig", lineno, 1)
     if name in cat.classes:
         if cat.classes[name] == BoundedClass(name, sig, tuple(bounds),
                                              homogeneous, ramsey):
-            return i
-        raise ParseError(f"class {name} redefined inconsistently", i, 1)
+            return lineno
+        raise ParseError(f"class {name} redefined inconsistently", lineno, 1)
     try:
         k = BoundedClass(name, sig, tuple(bounds), homogeneous, ramsey)
     except InputError as exc:
-        raise ParseError(str(exc), i, 1)
+        raise ParseError(str(exc), lineno, 1)
     cat.classes[name] = k
-    cat.order.append(k)
-    return i
+    return lineno
 
 
 def _parse_reduct(lines, i, name, base_name, cat) -> int:
@@ -163,13 +166,7 @@ def _parse_reduct(lines, i, name, base_name, cat) -> int:
                          i, 1)
     base = cat.classes[base_name]
     relations: list[Relation] = []
-    while True:
-        if i >= len(lines):
-            raise ParseError(f"reduct {name}: missing 'end'", len(lines), 1)
-        line, lineno = _strip(lines[i]), i + 1
-        i += 1
-        if not line:
-            continue
+    for lineno, line in _stanza(lines, i, f"reduct {name}"):
         if line == "end":
             break
         key, _, rest = line.partition(" ")
@@ -199,15 +196,14 @@ def _parse_reduct(lines, i, name, base_name, cat) -> int:
         relations.append(rel)
     if name in cat.reducts:
         if cat.reducts[name] == Reduct(name, base, tuple(relations)):
-            return i
-        raise ParseError(f"reduct {name} redefined inconsistently", i, 1)
+            return lineno
+        raise ParseError(f"reduct {name} redefined inconsistently", lineno, 1)
     try:
         reduct = Reduct(name, base, tuple(relations))
     except InputError as exc:
-        raise ParseError(str(exc), i, 1)
+        raise ParseError(str(exc), lineno, 1)
     cat.reducts[name] = reduct
-    cat.order.append(reduct)
-    return i
+    return lineno
 
 
 def _parse_orbit_list(sig, body, lineno):

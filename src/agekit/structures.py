@@ -191,13 +191,11 @@ def _check_slots(sig: Signature, upto: int) -> tuple:
     return tuple(out)
 
 
-def embeds(p: FinStructure, s: FinStructure, return_witness: bool = False):
-    """Injective map preserving and reflecting every relation, if one exists."""
+def embeds(p: FinStructure, s: FinStructure) -> bool:
+    """Whether an injective map preserves and reflects every relation."""
     if p.signature != s.signature:
         raise InputError("embeds: signature mismatch")
-    witness = find_embedding(p.signature, p.tables, p.size, s.tables, s.size)
-    found = witness is not None
-    return (found, witness) if return_witness else found
+    return find_embedding(p.signature, p.tables, p.size, s.tables, s.size) is not None
 
 
 def find_embedding(sig: Signature, p_tables, n: int, s_tables, m: int,

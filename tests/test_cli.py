@@ -288,6 +288,35 @@ class TestSubcommands:
         assert code == 0 and "verdict: OK" in out
 
 
+    def test_core_keeps_the_orbits_inside_the_core_base(self, capsys, tmp_path):
+        # the core of (Q,<=) is one point: of le's two orbits only the
+        # diagonal survives in the core base
+        path = tmp_path / "le.cls"
+        path.write_text("reduct Le over linord\n"
+                        "  rel le/2 := orbits [[{0,1}|size=1:], [{0}{1}|size=2: lt(0,1)]]\n"
+                        "end\n")
+        code, out = run_cli(["core", catalog_path("linord.cls"), str(path),
+                             "--reduct", "Le"], capsys)
+        assert code == 0 and "image types: 1 of 3" in out
+        assert "    rel le/2 := orbits [ [{0,1}|size=1:] ]\n" in out
+
+    def test_pp_no_notes_the_caps(self, capsys):
+        code, out = run_cli(["bidef", catalog_path("linord.cls"), "--reducts", "Qleq",
+                             "Qlt", "--mode", "pp", "--k", "3"], capsys)
+        assert code == 1
+        assert ("note: pp-mode NO is relative to the caps above\n"
+                "reason: type counts at k=3 differ: 1 vs 13\nverdict: NO\n") in out
+
+    def test_biint_pp_needs_transitive_bases(self, capsys, tmp_path):
+        path = tmp_path / "colored.cls"
+        path.write_text(UNARY.replace("class U", "class colored")
+                        .replace("over U", "over colored"))
+        code, out = run_cli(["biint", str(path), "--reducts", "Up", "Up",
+                             "--mode", "pp"], capsys)
+        assert code == 2
+        assert ("reason: first input base colored is not transitive: 2 1-types\n"
+                "verdict: PRECONDITION-FAILED\n") in out
+
 
 class TestExpansionScale:
     def test_arity_three_bidef_within_1gib(self):
@@ -354,6 +383,30 @@ class TestDefinabilityVerdicts:
         code, out = run_cli(base + ["--mode", "pp", "--query", "lt(x0,x1) & lt(x1,x2)",
                                     "--query-arity", "3"], capsys)
         assert code == 0 and "caps: k=3 " in out and "verdict: DEFINABLE" in out
+
+
+class TestQueryOrbits:
+    """--query-orbits names the queried relation by its types: serialized
+    types of one level, separated by |."""
+
+    BASE = ["definable", catalog_path("linord.cls"), "--reduct", "Qlt", "--mode", "pp"]
+
+    def test_disequality_as_a_type_list(self, capsys):
+        by_types = run_cli(self.BASE + ["--query-orbits", "[{0}{1}|size=2: lt(0,1)] | "
+                                        "[{0}{1}|size=2: lt(1,0)]"], capsys)
+        by_formula = run_cli(self.BASE + ["--query", "!(x0=x1)", "--query-arity", "2"],
+                             capsys)
+        assert by_types == by_formula and by_types[0] == 1
+
+    @pytest.mark.parametrize("orbits, message", [
+        ("[{0}|size=1:] | [{0}{1}|size=2: lt(0,1)]", "must share one level"),
+        ("[{0}{1}|size=2:]", "[{0}{1}|size=2:] is not a type of the core base"),
+        (" ", "bad type serialization: ''"),
+    ], ids=["mixed-levels", "not-a-type", "empty"])
+    def test_refused(self, capsys, orbits, message):
+        code = main(self.BASE + ["--query-orbits", orbits])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and message in captured.err
 
 
 _UNKNOWN = "unrecognized arguments"  # the parser's refusal of a flag it never declares
@@ -957,6 +1010,48 @@ class TestMalformedCertificates:
         assert r.returncode == 1
         assert "FAILED: behaviour table is not total" in r.stdout
         assert "Traceback" not in r.stderr
+
+
+class TestVerifierRejections:
+    """A fresh certificate with one field tampered fails the check that the
+    field feeds, with exit 1."""
+
+    @pytest.fixture(scope="class")
+    def certs(self, tmp_path_factory):
+        linord = catalog_path("linord.cls")
+        root = tmp_path_factory.mktemp("fresh")
+        out = {}
+        for name, argv in {
+            "core-Qleq": ["core", linord, "--reduct", "Qleq"],
+            "core-Qlt": ["core", linord, "--reduct", "Qlt", "--k", "3"],
+            "bidef-fo": ["bidef", linord, "--reducts", "Qlt", "QltRev", "--mode", "fo",
+                         "--k", "3"],
+        }.items():
+            assert _in_process(argv + ["--witness-out", str(root / name)])[0] == 0
+            out[name] = json.loads((root / name / "certificate.json").read_text())
+        code, text, _ = _in_process(["behaviours", linord, "--k", "3", "--format", "json"])
+        # in serialization order: the collapse, the identity and the reversal
+        out["collapse"], out["identity"], out["reversal"] = json.loads(text)["behaviours"]
+        return out
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("core-Qleq", lambda c, b: c["core"].update(
+            base=re.sub(r"  bound [^\n]*\n(  assert)", r"\1", c["core"]["base"])),
+         "output bounds differ from an independent scan"),
+        ("core-Qlt", lambda c, b: c["core"].update(witness=b["reversal"]),
+         "witness is not range-rigid"),
+        ("core-Qlt", lambda c, b: c["core"].update(witness=b["collapse"]),
+         "witness does not preserve lt"),
+        ("bidef-fo", lambda c, b: c["witness"].update(xi=b["identity"], eta=b["identity"]),
+         "xi does not carry "),
+    ], ids=["base-bound-dropped", "witness-reversal", "witness-collapse",
+            "xi-eta-identity"])
+    def test_rejected(self, certs, tmp_path, capsys, name, edit, message):
+        cert = copy.deepcopy(certs[name])
+        edit(cert, certs)
+        (tmp_path / "certificate.json").write_text(json.dumps(cert))
+        code, out = run_cli(["verify", str(tmp_path)], capsys)
+        assert code == 1 and f"FAILED: {message}" in out
 
 
 # parser goldens: written with Python 3.11's argparse before the parser

@@ -93,7 +93,7 @@ CASES = [
     (Verdict, ("answer", "mode", "caps", "witness", "reason", "core_c", "core_d",
                "expanded_c", "expanded_d", "cap_relative"),
      lambda: Verdict("NO", "fo", caps(), reason="none", core_c=core())),
-    (Catalog, ("classes", "reducts", "order"),
+    (Catalog, ("classes", "reducts"),
      lambda: parse_input(catalog_text("linord.cls"))),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
@@ -199,7 +199,7 @@ def test_reprs_read_as_before():
     assert repr(Not(Eq(0, 1))) == "Not(inner=Eq(left=0, right=1))"
     assert repr(caps()) == ("Caps(k=3, expand_arity=2, realize_cap=None, "
                             "arity_cap=None, ap_cap=4)")
-    assert repr(Catalog()) == "Catalog(classes={}, reducts={}, order=[])"
+    assert repr(Catalog()) == "Catalog(classes={}, reducts={})"
     assert repr(ProbeReport(0, 8, 1, ())) == (
         "ProbeReport(trials=0, max_size=8, seed=1, failures=())")
 
