@@ -75,7 +75,6 @@ def _in_age(k: BoundedClass, s: FinStructure) -> bool:
     return not any(embeds(b, s) for b in k.bounds)
 
 
-@lru_cache(maxsize=None)
 def _rooted_bounds(k: BoundedClass, m: int) -> tuple[FinStructure, ...]:
     """Each bound on >= m points, relabelled so that its points r_0..r_{m-1}
     come first, for every ordered choice of m distinct points r_i."""

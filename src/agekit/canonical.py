@@ -54,6 +54,8 @@ class Behaviour(Value):
 
     def __init__(self, source: BoundedClass, target: BoundedClass, k: int,
                  table: tuple[int, ...], arity: int = 1):
+        if k < 2:  # the level-2 types of a row say which points collapse
+            raise InputError(f"behaviour level must be >= 2, got {k}")
         nrows = len(enumerate_types(source, k)) ** arity
         if len(table) != nrows:
             raise InputError(f"behaviour table must have {nrows} rows")
@@ -109,7 +111,6 @@ def serialize_behaviour(xi: Behaviour) -> str:
         for row, v in zip(args, xi.table)))
 
 
-@lru_cache(maxsize=None)
 def _search_order(source: BoundedClass, target: BoundedClass, k: int,
                   arity: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The rows of a table in the order of their source serialization, and
@@ -121,7 +122,6 @@ def _search_order(source: BoundedClass, target: BoundedClass, k: int,
     return tuple(rows), tuple(rank)
 
 
-@lru_cache(maxsize=None)
 def identity_behaviour(k: BoundedClass, level: int) -> Behaviour:
     n = len(enumerate_types(k, level))
     return Behaviour(k, k, level, tuple(range(n)))
@@ -134,8 +134,6 @@ def is_coherent(xi: Behaviour) -> bool:
     row search does not call this; it is the reference its tables are
     checked against."""
     k = xi.k
-    if k < 2:
-        return True
     lvl2 = xi.level_map(2)
     n2 = len(enumerate_types(xi.source, 2))
     degenerate = degenerate_pairs(xi.target)
@@ -180,8 +178,6 @@ def image_structure(xi: Behaviour, s: FinStructure) -> FinStructure:
     n = s.size
     if n == 0:
         return empty_structure(xi.target.signature)
-    if xi.k < 2 and n > 1:
-        raise InputError("image_structure needs level >= 2 to resolve collapsing")
     return _image_from_types(xi.target, n, _value_rows(xi, (s,)))
 
 
@@ -327,8 +323,6 @@ def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
         n_cap = min(n_cap, local_realize_bound(xi.target))
     for n in range(1, n_cap + 1):
         members_n = enumerate_age(xi.source, n)
-        if n > 1 and xi.k < 2 and not poly and members_n:
-            raise InputError("image_structure needs level >= 2 to resolve collapsing")
         levels = sorted(arities | {2} if n > 1 or poly else arities)
         for members in product(members_n, repeat=xi.arity):
             images = _value_rows(xi, members)
@@ -500,19 +494,19 @@ def enumerate_behaviours(source: BoundedClass, target: BoundedClass, k: int,
     the branching row, and their subtrees come out in the order of its
     values.
 
-    Lemma (coherence): a compatible table is coherent (is_coherent).  At
-    k < 2 every table is.  At k >= 2, take a row (p_1, .., p_m) and
-    positions i, j, and sigma = (i, j, j, .., j).  is_coherent reads the
-    level-2 value of the row restricted to (i, j), which is the table's
-    value on that restriction padded back to level k by repeating its last
-    position: the row restricted along sigma, argument by argument.
-    Compatibility makes that value the restriction along sigma of the value
-    v of the row itself, so positions i and j collapse iff v identifies
-    them.  The collapse relation of the row is thus that of the single
-    k-type v, an equivalence.
+    Lemma (coherence): a compatible table is coherent (is_coherent).  Take
+    a row (p_1, .., p_m), positions i, j, and sigma = (i, j, j, .., j).
+    is_coherent reads the level-2 value of the row restricted to (i, j),
+    which is the table's value on that restriction padded back to level k
+    by repeating its last position: the row restricted along sigma,
+    argument by argument.  Compatibility makes that value the restriction
+    along sigma of the value v of the row itself, so positions i and j
+    collapse iff v identifies them.  The collapse relation of the row is
+    thus that of the single k-type v, an equivalence.
     """
-    if k < max(source.signature.max_arity, target.signature.max_arity):
-        raise InputError("enumerate_behaviours: k below a signature arity")
+    if k < max(2, source.signature.max_arity, target.signature.max_arity):
+        raise InputError("enumerate_behaviours: k must be >= 2 and no signature arity "
+                         "above it")
     arcs = _arcs(source, target, k, arity)
     nvals = arcs[0]
     rows, rank = _search_order(source, target, k, arity)
@@ -721,8 +715,6 @@ def _prefix_failure(xi: Behaviour, n: int, types) -> str | None:
         if x == 0:
             c = 0
         else:
-            if x == 1 and xi.k < 2:
-                raise InputError("image_structure needs level >= 2 to resolve collapsing")
             degenerate = degenerate_pairs(target)
             pairs = row(2)
             collapses = [degenerate[pairs[x * n + y]] for y in range(size)]

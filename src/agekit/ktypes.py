@@ -88,6 +88,18 @@ def parse_type(sig, text: str) -> KType:
     return KType(k, blocks, quotient)
 
 
+def _partition(tup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The partition of a tuple's positions by equal entries, as block
+    numbers in first-occurrence order, and the entry of each block."""
+    reps: list[int] = []
+    blocks = []
+    for v in tup:
+        if v not in reps:
+            reps.append(v)
+        blocks.append(reps.index(v))
+    return tuple(blocks), tuple(reps)
+
+
 def type_of_raw(s: FinStructure, tup) -> KType:
     """The type of a tuple of points of s (no age membership check)."""
     tup = tuple(tup)
@@ -95,13 +107,8 @@ def type_of_raw(s: FinStructure, tup) -> KType:
         raise InputError("type_of: tuple must be nonempty")
     if any(not (0 <= v < s.size) for v in tup):
         raise InputError(f"type_of: entry out of range: {tup}")
-    reps: list[int] = []
-    blocks = []
-    for v in tup:
-        if v not in reps:
-            reps.append(v)
-        blocks.append(reps.index(v))
-    return KType(len(tup), tuple(blocks), induced(s, reps))
+    blocks, reps = _partition(tup)
+    return KType(len(tup), blocks, induced(s, reps))
 
 
 def restrict_type(p: KType, sigma) -> KType:
@@ -111,14 +118,7 @@ def restrict_type(p: KType, sigma) -> KType:
         raise InputError("restrict_type: sigma must be nonempty")
     if any(not (0 <= v < p.k) for v in sigma):
         raise InputError(f"restrict_type: sigma out of range: {sigma}")
-    old = [p.blocks[v] for v in sigma]
-    reps: list[int] = []
-    blocks = []
-    for b in old:
-        if b not in reps:
-            reps.append(b)
-        blocks.append(reps.index(b))
-    return KType(len(sigma), tuple(blocks), induced(p.quotient, reps))
+    return type_of_raw(p.quotient, [p.blocks[v] for v in sigma])
 
 
 def partitions_rgs(k: int, blocks: int | None = None):
@@ -227,16 +227,10 @@ def read_type_indices(k: BoundedClass, s: FinStructure, level: int) -> tuple[int
     masks: dict[tuple[int, ...], int] = {}
     out = []
     for t in product(range(s.size), repeat=level):
-        reps: list[int] = []
-        blocks = []
-        for v in t:
-            if v not in reps:
-                reps.append(v)
-            blocks.append(reps.index(v))
-        key = tuple(reps)
+        blocks, key = _partition(t)
         if key not in masks:
             masks[key] = atom_mask(s.signature, s.tables, key)
-        out.append(lookup[tuple(blocks), masks[key]])
+        out.append(lookup[blocks, masks[key]])
     return tuple(out)
 
 
@@ -275,15 +269,13 @@ def restrict_index_map(k: BoundedClass, level: int, sigma: tuple[int, ...]) -> t
 
 def monoid_generators(level: int) -> tuple[tuple[int, ...], ...]:
     """A transposition, the level-cycle and one merge, without repeats:
-    under composition they generate every self-map of range(level)."""
-    if level < 2:
-        return ()
+    under composition they generate every self-map of range(level)
+    (level >= 2)."""
     identity = tuple(range(level))
     rest = identity[2:]
     return tuple(dict.fromkeys(((1, 0) + rest, identity[1:] + (0,), (0, 0) + rest)))
 
 
-@lru_cache(maxsize=None)
 def pad_index_map(k: BoundedClass, m: int, level: int) -> tuple[int, ...]:
     """m-type index -> level-type index via the repeat-last-position padding."""
     if m > level:
@@ -291,7 +283,6 @@ def pad_index_map(k: BoundedClass, m: int, level: int) -> tuple[int, ...]:
     return restrict_index_map(k, m, tuple(min(i, m - 1) for i in range(level)))
 
 
-@lru_cache(maxsize=None)
 def first_m_index_map(k: BoundedClass, level: int, m: int) -> tuple[int, ...]:
     """level-type index -> m-type index by restriction to the first m positions."""
     return restrict_index_map(k, level, tuple(range(m)))

@@ -4,6 +4,7 @@ that emit byte-stable files the parser round-trips."""
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 
 from .ages import BoundedClass
 from .errors import InputError, ParseError
@@ -211,44 +212,22 @@ def _parse_orbit_list(sig, body, lineno):
     if not (rest.startswith("[") and rest.endswith("]")):
         raise ParseError("orbits literal needs [ ... ]", lineno, 1)
     inner = rest[1:-1].strip()
-    members = []
-    for chunk in _split_bracketed(inner, lineno):
-        members.append(parse_type(sig, chunk))
+    if min(accumulate((ch == "[") - (ch == "]") for ch in inner), default=0) < 0:
+        raise ParseError("unbalanced brackets in orbits literal", lineno, 1)
+    members = [parse_type(sig, chunk) for chunk in split_type_columns(inner, ",") if chunk]
     return tuple(sorted(set(members), key=serialize_type))
 
 
-def _split_bracketed(inner: str, lineno: int):
-    """Split `[..], [..]` at top-level commas."""
-    out = []
-    depth = 0
-    cur = []
-    for ch in inner:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced brackets in orbits literal", lineno, 1)
-        if ch == "," and depth == 0:
-            out.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        out.append(tail)
-    return [c for c in out if c]
-
-
-def split_type_columns(line: str) -> list[str]:
-    """Split at pipes outside type brackets (types contain pipes internally)."""
+def split_type_columns(line: str, sep: str = "|") -> list[str]:
+    """Split at separators outside type brackets (types contain pipes and
+    commas internally); the chunks are stripped, empty ones kept."""
     out, depth, cur = [], 0, []
     for ch in line:
         if ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
-        if ch == "|" and depth == 0:
+        if ch == sep and depth == 0:
             out.append("".join(cur).strip())
             cur = []
         else:

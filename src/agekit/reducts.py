@@ -90,7 +90,6 @@ class OrbitUnion(Value):
         return tuple(sorted(self.members, key=serialize_type))
 
 
-@lru_cache(maxsize=None)
 def compile_orbit_union(c: Reduct, name: str) -> OrbitUnion:
     """The set of base types on which the relation's definition holds."""
     rel = c.relation(name)

@@ -80,6 +80,14 @@ class TestEnumerateBehaviours:
         with pytest.raises(InputError):
             enumerate_behaviours(linord, linord, 1)
 
+    def test_level_1_refused(self, linord):
+        # a behaviour reads collapsing off level-2 types, even on a unary class
+        with pytest.raises(InputError, match="level must be >= 2, got 1"):
+            Behaviour(linord, linord, 1, (0,))
+        unary = parse_input("class unary\n  sig P/1\nend\n").sole_class()
+        with pytest.raises(InputError, match="k must be >= 2"):
+            enumerate_behaviours(unary, unary, 1)
+
     def test_deterministic_and_sorted(self, graphs):
         a = enumerate_behaviours(graphs, graphs, 2)
         b = enumerate_behaviours(graphs, graphs, 2)

@@ -12,12 +12,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agekit import canonical
 from agekit.cli import main
 from agekit.errors import ParseError
 from agekit.parser import Catalog, parse_formula, parse_input, render_class, render_reduct
@@ -402,7 +404,11 @@ class TestQueryOrbits:
         ("[{0}|size=1:] | [{0}{1}|size=2: lt(0,1)]", "must share one level"),
         ("[{0}{1}|size=2:]", "[{0}{1}|size=2:] is not a type of the core base"),
         (" ", "bad type serialization: ''"),
-    ], ids=["mixed-levels", "not-a-type", "empty"])
+        ("|", "bad type serialization: ''"),
+        ("]|[", "bad type serialization: ']|['"),
+        ("[[{0}{1}|size=2: lt(0,1)]", "bad partition in type: '[{0}{1}'"),
+    ], ids=["mixed-levels", "not-a-type", "empty", "empty-columns", "close-before-open",
+            "open-twice"])
     def test_refused(self, capsys, orbits, message):
         code = main(self.BASE + ["--query-orbits", orbits])
         captured = capsys.readouterr()
@@ -536,6 +542,21 @@ class TestExitCodes:
                            capture_output=True, text=True, timeout=60)
         assert r.returncode == 3 and r.stdout == ""
         assert message in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("literal", [
+        "[ [{0}{1}|size=2: lt(0,1)]], [{0,1}|size=1:] ]",
+        "[ ] [ ]",
+        "[ ]] ]",
+    ], ids=["extra-close", "two-lists", "close-before-open"])
+    def test_unbalanced_orbit_literal(self, tmp_path, literal):
+        # a "]" that closes no "[" inside the outer brackets
+        bad = tmp_path / "bad.cls"
+        bad.write_text(catalog_text("linord.cls")
+                       + f"reduct r over linord\n  rel r/2 := orbits {literal}\nend\n")
+        r = subprocess.run([sys.executable, "-m", "agekit.cli", "orbits", str(bad)],
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 3 and r.stdout == ""
+        assert r.stderr.endswith("unbalanced brackets in orbits literal\n")
 
     def test_huge_arity(self, tmp_path):
         # refused with the signature, before any slot count or tuple is built
@@ -737,6 +758,42 @@ class TestUnarySignature:
         assert code == 0
         code, text = run_cli(["verify", str(out)], capsys)
         assert code == 0 and "verdict: CERTIFICATE-OK" in text
+
+
+def _hypergraph3_text():
+    """3-uniform hypergraphs: T holds on no tuple with a repeated point, and
+    on every order of a triple or on none."""
+    mixed = [t for t in product(range(2), repeat=3) if len(set(t)) == 2]
+    orders = list(permutations(range(3)))
+    lines = ["class hyper3", "  sig T/3", "  bound size=1: T(0,0,0)"]
+    for size, slots, masks in ((2, mixed, range(1, 1 << 6)),
+                               (3, orders, range(1, (1 << 6) - 1))):
+        for mask in masks:
+            atoms = " ".join(f"T({a},{b},{c})" for g, (a, b, c) in enumerate(slots)
+                             if mask >> g & 1)
+            lines.append(f"  bound size={size}: {atoms}")
+    return "\n".join(lines + ["end", ""])
+
+
+class TestTernaryProbe:
+    def test_draws_ternary_atoms(self, tmp_path, monkeypatch, capsys):
+        # an atom on 3 distinct points comes only from the probe's sampling
+        # of arity >= 3 slots: one-point and two-point patterns span fewer
+        path = tmp_path / "hyper3.cls"
+        path.write_text(_hypergraph3_text())
+        draw, drawn = canonical.random_age_member, []
+
+        def recording(k, n, rng):
+            drawn.append(draw(k, n, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(canonical, "random_age_member", recording)
+        # at most 3 points: a 4th point has 37 ternary slots, past the age
+        # scan's limit, and its 3 new triples are rarely all symmetric
+        code, out = run_cli(["probe", str(path), "--realize-cap", "3", "--max-size", "3",
+                             "--trials", "10", "--seed", "1"], capsys)
+        assert code == 0 and "verdict: OK" in out
+        assert any(len(set(t)) == 3 for s in drawn for t in s.tables[0])
 
 
 class TestProbeFlagFuzz:
@@ -1019,15 +1076,20 @@ class TestVerifierRejections:
     @pytest.fixture(scope="class")
     def certs(self, tmp_path_factory):
         linord = catalog_path("linord.cls")
+        definable = ["definable", linord, "--reduct", "Qlt", "--mode", "pp",
+                     "--query-arity", "2", "--query"]
         root = tmp_path_factory.mktemp("fresh")
         out = {}
-        for name, argv in {
-            "core-Qleq": ["core", linord, "--reduct", "Qleq"],
-            "core-Qlt": ["core", linord, "--reduct", "Qlt", "--k", "3"],
-            "bidef-fo": ["bidef", linord, "--reducts", "Qlt", "QltRev", "--mode", "fo",
-                         "--k", "3"],
+        for name, (argv, code) in {
+            "core-Qleq": (["core", linord, "--reduct", "Qleq"], 0),
+            "core-Qlt": (["core", linord, "--reduct", "Qlt", "--k", "3"], 0),
+            "core-Tf": (["core", catalog_path("trifree.cls"), "--reduct", "Tf", "--k", "2"], 0),
+            "bidef-fo": (["bidef", linord, "--reducts", "Qlt", "QltRev", "--mode", "fo",
+                          "--k", "3"], 0),
+            "definable-neq": (definable + ["!(x0=x1)"], 1),
+            "definable-gt": (definable + ["lt(x1,x0)"], 0),
         }.items():
-            assert _in_process(argv + ["--witness-out", str(root / name)])[0] == 0
+            assert _in_process(argv + ["--witness-out", str(root / name)])[0] == code
             out[name] = json.loads((root / name / "certificate.json").read_text())
         code, text, _ = _in_process(["behaviours", linord, "--k", "3", "--format", "json"])
         # in serialization order: the collapse, the identity and the reversal
@@ -1044,14 +1106,44 @@ class TestVerifierRejections:
          "witness does not preserve lt"),
         ("bidef-fo", lambda c, b: c["witness"].update(xi=b["identity"], eta=b["identity"]),
          "xi does not carry "),
+        # the first two pairs match U1_1/1 and U2_1/2 to their namesakes
+        ("bidef-fo", lambda c, b: c["witness"]["matching"][1].__setitem__(1, "U1_1"),
+         "matching is not a bijection onto the second signature"),
+        ("bidef-fo", lambda c, b: c["witness"].update(matching=[
+            ["U1_1", "U2_1"], ["U2_1", "U1_1"], *c["witness"]["matching"][2:]]),
+         "matching pairs U1_1 with U2_1 of different arity"),
+        ("core-Qleq", lambda c, b: c["core"].update(
+            reduct=c["core"]["reduct"].replace("rel leq/2", "rel le/2")),
+         "output reduct changes the relation list"),
+        ("core-Qlt", lambda c, b: c["core"].update(
+            reduct=c["core"]["reduct"].replace("lt(x0,x1)", "lt(x1,x0)")),
+         "relation lt: formula not carried verbatim"),
+        # non-edges to edges is compatible, but three independent points
+        # then have a triangle as image
+        ("core-Tf", lambda c, b: c["core"].update(witness=c["core"]["witness"].replace(
+            "[{0}{1}|size=2:] -> [{0}{1}|size=2:]",
+            "[{0}{1}|size=2:] -> [{0}{1}|size=2: E(0,1) E(1,0)]")),
+         "image of a size-3 age member leaves the target age"),
+        ("definable-neq", lambda c, b: c["relation"].update(
+            members=["[{0}{1}{2}|size=3: lt(0,1) lt(0,2) lt(1,2)]"]),
+         "certificate field relation.members holds a type that is not a type of the core "
+         "at a level up to core.k"),
     ], ids=["base-bound-dropped", "witness-reversal", "witness-collapse",
-            "xi-eta-identity"])
+            "xi-eta-identity", "matching-not-onto", "matching-arity",
+            "core-reduct-renamed", "core-formula-reversed", "core-witness-unrealizable",
+            "definable-member-above-k"])
     def test_rejected(self, certs, tmp_path, capsys, name, edit, message):
         cert = copy.deepcopy(certs[name])
         edit(cert, certs)
         (tmp_path / "certificate.json").write_text(json.dumps(cert))
         code, out = run_cli(["verify", str(tmp_path)], capsys)
         assert code == 1 and f"FAILED: {message}" in out
+
+    def test_definable_verdict_is_cap_relative(self, certs, tmp_path, capsys):
+        assert certs["definable-gt"]["verdict"] == "DEFINABLE"
+        (tmp_path / "certificate.json").write_text(json.dumps(certs["definable-gt"]))
+        code, out = run_cli(["verify", str(tmp_path)], capsys)
+        assert code == 0 and "verdict DEFINABLE is cap-relative" in out
 
 
 # parser goldens: written with Python 3.11's argparse before the parser
