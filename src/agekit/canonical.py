@@ -19,7 +19,6 @@ from itertools import product
 from .ages import BoundedClass, _in_age, _in_age_through, enumerate_age, in_age
 from .errors import IncoherentBehaviourError, InputError
 from .ktypes import (
-    KType,
     degenerate_pairs,
     enumerate_types,
     first_m_index_map,
@@ -97,9 +96,12 @@ class Behaviour(Value):
         tgt = enumerate_types(self.target, self.k)
         return len(set(self.table)) == len(self.table) == len(tgt)
 
-    def image_types(self) -> frozenset[KType]:
-        tgt = enumerate_types(self.target, self.k)
-        return frozenset(tgt[v] for v in set(self.table))
+    def image_types(self) -> int:
+        """The bitmask of the target type indices the table hits."""
+        mask = 0
+        for v in set(self.table):
+            mask |= 1 << v
+        return mask
 
 
 def serialize_behaviour(xi: Behaviour) -> str:
@@ -266,15 +268,16 @@ def _equivalence_failure(collapse) -> str | None:
     return None
 
 
-def default_realize_cap(xi: Behaviour) -> int:
-    """Bounded realizability cap: 2k to expose pairwise-collapse interaction,
-    plus the target's bound sizes and arities.
+def default_realize_cap(target: BoundedClass, k: int) -> int:
+    """Bounded realizability cap of a level-k behaviour into the target: 2k
+    to expose pairwise-collapse interaction, plus the target's bound sizes
+    and arities.
 
     This is the cap reports and certificates record.  For arity 1,
     is_realizable stops at the local bound max(3, r + 1, b) when that is
     smaller; its lemma shows the check to this cap is then implied.
     """
-    return max(2 * xi.k, xi.target.max_bound_size, xi.target.signature.max_arity)
+    return max(2 * k, target.max_bound_size, target.signature.max_arity)
 
 
 def local_realize_bound(target: BoundedClass) -> int:
@@ -316,7 +319,7 @@ def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
     such a tuple to S need not give a tuple of representatives, so the
     smaller checks do not cover the larger ones.
     """
-    n_cap = cap if cap is not None else default_realize_cap(xi)
+    n_cap = cap if cap is not None else default_realize_cap(xi.target, xi.k)
     arities = {a for _, a in xi.target.signature.symbols}
     poly = xi.arity > 1
     if not poly:

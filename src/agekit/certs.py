@@ -18,9 +18,8 @@ from .core import CorePresentation
 from .decide import Verdict
 from .definability import DefinableVerdict
 from .errors import InputError
-from .ktypes import serialize_type
 from .parser import render_class, render_reduct
-from .reducts import Reduct
+from .reducts import Reduct, serialize_mask
 
 FORMAT = "agekit-certificate/1"
 
@@ -31,8 +30,8 @@ def _core_block(p: CorePresentation) -> dict:
         "reduct": render_reduct(p.reduct_out),
         "witness": serialize_behaviour(p.witness),
         "witness_realize_cap": (p.realize_cap if p.realize_cap is not None
-                                else default_realize_cap(p.witness)),
-        "image_types": sorted(serialize_type(t) for t in p.image_types),
+                                else default_realize_cap(p.witness.target, p.k)),
+        "image_types": serialize_mask(p.witness.target, p.k, p.image_types),
         "k": p.k,
         "scan_cap": p.scan_cap,
     }
@@ -71,10 +70,10 @@ def bidef_certificate(kind: str, c: Reduct, d: Reduct, verdict: Verdict) -> dict
             "eta": serialize_behaviour(w.eta),
             "xi_realize_cap": (verdict.caps.realize_cap
                                if verdict.caps.realize_cap is not None
-                               else default_realize_cap(w.xi)),
+                               else default_realize_cap(w.xi.target, w.xi.k)),
             "eta_realize_cap": (verdict.caps.realize_cap
                                 if verdict.caps.realize_cap is not None
-                                else default_realize_cap(w.eta)),
+                                else default_realize_cap(w.eta.target, w.eta.k)),
         }
     return cert
 
@@ -106,8 +105,8 @@ def definable_certificate(c: Reduct, p: CorePresentation,
         "input": _input_block(c),
         "core": _core_block(p),
         "relation": {
-            "arity": verdict.relation.arity,
-            "members": [serialize_type(t) for t in verdict.relation.sorted_members()],
+            "arity": verdict.arity,
+            "members": serialize_mask(p.base_out, verdict.arity, verdict.mask),
         },
     }
     if verdict.witness is not None:

@@ -33,12 +33,10 @@ from .core import compute_core, is_optimally_presented
 from .decide import decide_bidef, decide_biint, default_caps
 from .definability import definable, definable_unions, expansion
 from .errors import AgekitError, InputError, InternalError
-from .ktypes import (default_level, enumerate_types, parse_type, serialize_type,
-                     serialized_types)
+from .ktypes import default_level, enumerate_types, parse_type, serialize_type, type_index
 from .parser import (Catalog, parse_formula, parse_input, render_class,
                      render_reduct, split_type_columns)
-from .reducts import (OrbitUnion, Reduct, Relation, FormulaDef, compile_orbit_union,
-                      mask_members)
+from .reducts import Reduct, Relation, FormulaDef, compile_orbit_union, serialize_mask
 from .structures import render_literal
 from .verify import VerificationFailure, verify_certificate
 
@@ -182,7 +180,7 @@ def _realizable_behaviours(args: argparse.Namespace) -> tuple:
 def _run_behaviours(args: argparse.Namespace) -> tuple[int, str]:
     src, tgt, level, bs = _realizable_behaviours(args)
     eff = args.realize_cap if args.realize_cap is not None else (
-        default_realize_cap(bs[0]) if bs else None)
+        default_realize_cap(tgt, level) if bs else None)
     rep = Report("behaviours")
     rep.line(f"source: {src.name}  target: {tgt.name}")
     rep.line(f"caps: {_caps_line(k=level, realize_cap=eff)}")
@@ -226,8 +224,8 @@ def _run_core(args: argparse.Namespace) -> tuple[int, str]:
     rep.line(f"input: {c.name} over {c.base.name}")
     rep.line(f"caps: {_caps_line(k=p.k, realize_cap=args.realize_cap)} "
              f"scan-cap={p.scan_cap} "
-             f"witness-realize-cap={args.realize_cap if args.realize_cap is not None else default_realize_cap(p.witness)}")
-    rep.line(f"image types: {len(p.image_types)} of "
+             f"witness-realize-cap={args.realize_cap if args.realize_cap is not None else default_realize_cap(c.base, p.k)}")
+    rep.line(f"image types: {p.image_types.bit_count()} of "
              f"{len(enumerate_types(c.base, p.k))}")
     rep.line(f"optimally presented: {'yes' if optimal else 'NO'}")
     rep.block("base_out:", render_class(p.base_out).rstrip("\n"))
@@ -239,7 +237,7 @@ def _run_core(args: argparse.Namespace) -> tuple[int, str]:
         "base_out": render_class(p.base_out),
         "reduct_out": render_reduct(p.reduct_out),
         "witness": serialize_behaviour(p.witness),
-        "image_types": sorted(serialize_type(t) for t in p.image_types),
+        "image_types": serialize_mask(c.base, p.k, p.image_types),
         "optimally_presented": bool(optimal),
     })
     if args.witness_out:
@@ -265,22 +263,25 @@ def _read_query(args: argparse.Namespace, sig) -> tuple[int, str, object] | None
     return members[0].k, "--query-orbits level", members
 
 
-def _query_union(query: tuple[int, str, object], p) -> OrbitUnion:
-    """The relation _read_query read, as an orbit union of the core base."""
+def _query_mask(query: tuple[int, str, object], p) -> int:
+    """The relation _read_query read, as a mask over the core base's type
+    indices at its arity."""
     arity, _, spec = query
     if isinstance(spec, str):
         probe = Reduct("_query", p.base_out,
                        (Relation("q", arity, FormulaDef(parse_formula(spec))),))
-        union = compile_orbit_union(probe, "q")
-        if not union.members:
+        mask = compile_orbit_union(probe, "q")
+        if not mask:
             raise InputError(f"--query holds on no {arity}-type of "
                              f"the core base {p.base_out.name}")
-        return union
-    universe = set(enumerate_types(p.base_out, arity))
+        return mask
+    idx = type_index(p.base_out, arity)
+    mask = 0
     for t in spec:
-        if t not in universe:
+        if t not in idx:
             raise InputError(f"{serialize_type(t)} is not a type of the core base")
-    return OrbitUnion(arity, frozenset(spec))
+        mask |= 1 << idx[t]
+    return mask
 
 
 def _run_definable(args: argparse.Namespace) -> tuple[int, str]:
@@ -306,11 +307,11 @@ def _run_definable(args: argparse.Namespace) -> tuple[int, str]:
     rep.line(f"mode: {args.mode}")
 
     if query is not None:
-        verdict = definable(p, _query_union(query, p), args.mode, args.arity_cap,
-                            args.realize_cap)
+        verdict = definable(p, query[0], _query_mask(query, p), args.mode,
+                            args.arity_cap, args.realize_cap)
         rep.line(f"caps: {_caps_line(k=p.k)} arity-cap={verdict.arity_cap} "
                  f"realize-cap={verdict.realize_cap}")
-        rep.line(f"relation: {{{', '.join(serialize_type(t) for t in verdict.relation.sorted_members())}}}")
+        rep.line(f"relation: {{{', '.join(serialize_mask(p.base_out, verdict.arity, verdict.mask))}}}")
         rep.line(f"verdict: {verdict.label}", "verdict",
                  "DEFINABLE" if verdict.definable else "NOT-DEFINABLE")
         rep.data["caps"] = {"k": p.k, "arity_cap": verdict.arity_cap,
@@ -328,9 +329,7 @@ def _run_definable(args: argparse.Namespace) -> tuple[int, str]:
     rep.line(f"caps: {_caps_line(k=p.k, realize_cap=args.realize_cap, arity_cap=args.arity_cap)} expand-arity={n}")
     rep.line(f"added relations: {len(added)}", "added", len(added))
     for name, arity, mask in added:
-        serialized = serialized_types(p.base_out, arity)
-        body = ", ".join(serialized[i] for i in mask_members(p.base_out, arity, mask))
-        rep.line(f"  {name}/{arity} = {{{body}}}")
+        rep.line(f"  {name}/{arity} = {{{', '.join(serialize_mask(p.base_out, arity, mask))}}}")
     if args.fmt == "json":
         rep.data["expanded"] = render_reduct(expansion(p, n, args.mode, added))
     return EXIT_YES, rep.emit(args.fmt)
@@ -359,7 +358,7 @@ def _run_decide(args: argparse.Namespace) -> tuple[int, str]:
         if core is not None:
             rep.line(f"core of {r.name}: base {core.base_out.name} "
                      f"({len(core.base_out.bounds)} bounds, "
-                     f"{len(core.image_types)} image types)")
+                     f"{core.image_types.bit_count()} image types)")
     if verdict.expanded_c is not None:
         rep.line(f"expanded signatures: {len(verdict.expanded_c.relations)} vs "
                  f"{len(verdict.expanded_d.relations)} relations")

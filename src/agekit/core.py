@@ -27,15 +27,13 @@ from .canonical import (
 )
 from .errors import InputError, InternalError
 from .ktypes import (
-    KType,
     default_level,
     enumerate_types,
     first_m_index_map,
     pad_index_map,
-    type_index,
     type_indices,
 )
-from .reducts import OrbitsDef, Reduct, Relation, compiled_unions, union_mask
+from .reducts import OrbitsDef, Reduct, Relation, compiled_unions
 from .structures import (
     augment,
     canonical_form,
@@ -72,8 +70,8 @@ def _union_tables(base: BoundedClass, arity: int,
 def union_rows(base: BoundedClass, union_arity: int, mask: int, arity: int,
                level: int) -> tuple[list[int], int]:
     """The table rows whose arguments all pad members of an orbit union,
-    given as a bitmask over type indices (union_mask), and the bitmask of
-    the level values whose restriction to the union's arity is a member.
+    given as a bitmask over type indices, and the bitmask of the level
+    values whose restriction to the union's arity is a member.
 
     A behaviour of the arity preserves the union iff every such row holds a
     value of the second mask.
@@ -94,8 +92,8 @@ def preserving_domains(c: Reduct, arity: int, level: int) -> list[int]:
     never None: the table that sends each row to its first argument meets
     every union pin and commutes with every restriction."""
     pins: dict[int, int] = {}
-    for _, u in compiled_unions(c):
-        rows, keep = union_rows(c.base, u.arity, union_mask(c.base, u), arity, level)
+    for _, union_arity, mask in compiled_unions(c):
+        rows, keep = union_rows(c.base, union_arity, mask, arity, level)
         for flat in rows:
             pins[flat] = pins.get(flat, keep) & keep
     return _propagate_domains(c.base, c.base, level, arity, pins)
@@ -123,27 +121,25 @@ def scan_cap_for(c: Reduct, k: int) -> int:
     return max(c.base.max_bound_size, c.base.signature.max_arity, k)
 
 
-def carve_bounds(base: BoundedClass, image_types: frozenset[KType], k: int,
+def carve_bounds(base: BoundedClass, image_types: int, k: int,
                  cap: int) -> tuple:
     """Minimal structures outside the carved age, up to the cap, sorted by sort_key.
 
     The carved age A' holds the members of base's age all of whose k-types
-    are in image_types.  It is grown level by level from the empty
-    structure: the candidates of size n are augment's one-point extensions
-    of the members of size n - 1; a candidate in A' is a member, and one
-    outside it is a bound iff n = 1 or each of its (n - 1)-point induced
-    substructures is a member.  This finds every member and every bound,
+    are in image_types, a bitmask over type indices.  It is grown level by
+    level from the empty structure: the candidates of size n are augment's
+    one-point extensions of the members of size n - 1; a candidate in A' is
+    a member, and one outside it is a bound iff n = 1 or each of its
+    (n - 1)-point induced substructures is a member.  This finds every member and every bound,
     because A' is hereditary (a substructure's k-types are some of the
     structure's): a member, and a minimal non-member of size n >= 2, lose
     any one point to a member of size n - 1, in particular a point of
     greatest profile, which augment's gate lets through.  A non-member
     with a non-member below it may be missed, and it is not a bound.
     """
-    idx = type_index(base, k)
-    hit = frozenset(idx[p] for p in image_types)
-
     def member(s) -> bool:
-        return in_age(base, s) and hit.issuperset(type_indices(base, s, k))
+        return in_age(base, s) and all(image_types >> i & 1
+                                       for i in type_indices(base, s, k))
 
     members = (empty_structure(base.signature),)
     bounds = []
@@ -175,9 +171,9 @@ def compute_core(c: Reduct, k: int | None = None,
     if not qualifying:
         raise InternalError("no qualifying behaviour; identity should qualify")
     image_sets = [xi.image_types() for xi in qualifying]
-    minimal = [
+    minimal = [  # no other image is a proper subset
         xi for xi, s in zip(qualifying, image_sets)
-        if not any(other < s for other in image_sets)
+        if not any(other != s and other & s == other for other in image_sets)
     ]
     witness = minimal[0]  # the first by serialization
     image_types = witness.image_types()

@@ -21,7 +21,7 @@ from .core import CorePresentation, compute_core, require_core_flags
 from .definability import expand
 from .errors import InputError
 from .ktypes import default_level, enumerate_types
-from .reducts import Reduct, compiled_unions, union_mask
+from .reducts import Reduct, compiled_unions
 from .value import Value
 
 MODES = ("fo", "ep", "pp")
@@ -49,11 +49,6 @@ class Verdict(Value):
     @property
     def exit_code(self) -> int:
         return {"YES": 0, "NO": 1, "PRECONDITION-FAILED": 2}[self.answer]
-
-
-def _masks(r: Reduct) -> list[tuple[int, int]]:
-    """(arity, union_mask) per relation."""
-    return [(u.arity, union_mask(r.base, u)) for _, u in compiled_unions(r)]
 
 
 def _forced_positions(xi: Behaviour, c_masks, d_index) -> tuple[int, ...] | None:
@@ -85,7 +80,7 @@ def default_caps(c: Reduct, d: Reduct, k: int | None = None,
     if expand_arity is None:
         expand_arity = n
     if expand_arity < n:
-        raise InputError(f"expansion arity must be >= {n}")
+        raise InputError(f"--n must be >= {n} for these inputs, got {expand_arity}")
     if k is None:
         k = max(level, expand_arity)
     if k < level:
@@ -142,13 +137,13 @@ def _decide_cores(mode: str, caps: Caps, pc: CorePresentation,
     if sorted(r.arity for r in cc.relations) != sorted(r.arity for r in dd.relations):
         return Verdict("NO", reason="no arity-preserving signature matching",
                        **base_kwargs)
-    c_masks = _masks(cc)
+    c_unions = compiled_unions(cc)
     # arities ascending, declaration order within one arity (sorted is stable)
-    c_order = sorted(range(len(c_masks)), key=lambda i: c_masks[i][0])
-    c_masks = [c_masks[i] for i in c_order]
+    c_order = sorted(range(len(c_unions)), key=lambda i: c_unions[i][1])
+    c_masks = [c_unions[i][1:] for i in c_order]
     d_index: dict[tuple[int, int], list[int]] = {}
-    for q, key in enumerate(_masks(dd)):
-        d_index.setdefault(key, []).append(q)
+    for q, (_, arity, mask) in enumerate(compiled_unions(dd)):
+        d_index.setdefault((arity, mask), []).append(q)
 
     candidates = [xi for xi in enumerate_behaviours(pc.base_out, pd.base_out, caps.k)
                   if xi.is_bijective()]

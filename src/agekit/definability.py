@@ -12,7 +12,7 @@ relative to the level k, the arity cap and the realizability cap.  The
 self-maps searched carry no constants, so an fo/ep DEFINABLE can still be
 wrong where such maps miss an endomorphism that breaks the union.
 
-Unions are searched as bitmasks over type indices (`reducts.union_mask`);
+Unions are bitmasks over type indices (`reducts.compile_orbit_union`);
 `expansion` builds types back only for the relations it adds.
 """
 
@@ -21,24 +21,16 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .ages import BoundedClass
-from .canonical import Behaviour, default_realize_cap, identity_behaviour, is_realizable
+from .canonical import Behaviour, default_realize_cap, is_realizable
 from .core import CorePresentation, preserving_behaviours, preserving_domains, union_rows
 from .errors import InputError
 from .ktypes import enumerate_types
-from .reducts import (
-    OrbitsDef,
-    OrbitUnion,
-    Reduct,
-    Relation,
-    compiled_unions,
-    mask_members,
-    union_mask,
-)
+from .reducts import OrbitsDef, Reduct, Relation, compiled_unions, mask_members
 from .value import Value
 
 
 class DefinableVerdict(Value):
-    __slots__ = ("definable", "relation", "witness", "arity_cap", "realize_cap")
+    __slots__ = ("definable", "arity", "mask", "witness", "arity_cap", "realize_cap")
 
     @property
     def label(self) -> str:
@@ -57,7 +49,7 @@ def find_violation(p: CorePresentation, arity: int, mask: int, arities,
                    realize_cap: int) -> Behaviour | None:
     """The first realizable relation-preserving behaviour, by arity and then
     by serialization, that moves a member tuple of the orbit union of the
-    arity given by its union_mask outside it, or None.
+    arity given by its mask outside it, or None.
 
     An arity is skipped without any table search when the propagated
     domains keep every row of the union's member tuples inside it.
@@ -84,30 +76,28 @@ def _caps(p: CorePresentation, mode: str, arity_cap: int | None,
         arity_cap = 1
     if arity_cap is not None and arity_cap < 1:
         raise InputError("definable: arity cap must be >= 1")
-    cap = realize_cap if realize_cap is not None else default_realize_cap(
-        identity_behaviour(p.base_out, p.k))
+    cap = realize_cap if realize_cap is not None else default_realize_cap(p.base_out, p.k)
     return arity_cap, cap
 
 
-def definable(p: CorePresentation, r: OrbitUnion, mode: str,
+def definable(p: CorePresentation, arity: int, mask: int, mode: str,
               arity_cap: int | None = None,
               realize_cap: int | None = None) -> DefinableVerdict:
-    """Is the orbit union fo/ep/pp-definable in the core?  NOT-DEFINABLE comes
-    with a violating behaviour; DEFINABLE is relative to the caps."""
-    if not r.members:
+    """Is the orbit union of the arity, a mask over the core base's type
+    indices, fo/ep/pp-definable in the core?  NOT-DEFINABLE comes with a
+    violating behaviour; DEFINABLE is relative to the caps."""
+    if not mask:
         raise InputError("definable: empty orbit union")
     arity_cap, cap = _caps(p, mode, arity_cap, realize_cap)
-    if arity_cap is None:
-        arity_cap = len(r.members)
-    witness = find_violation(p, r.arity, union_mask(p.base_out, r),
-                             range(1, arity_cap + 1), cap)
-    return DefinableVerdict(witness is None, r, witness, arity_cap, cap)
+    arity_cap = arity_cap or mask.bit_count()
+    witness = find_violation(p, arity, mask, range(1, arity_cap + 1), cap)
+    return DefinableVerdict(witness is None, arity, mask, witness, arity_cap, cap)
 
 
 def _fresh_unions(base: BoundedClass, existing: Reduct, max_arity: int):
-    """(name, arity, union_mask) of every nonempty orbit union of arity <=
+    """(name, arity, mask) of every nonempty orbit union of arity <=
     max_arity not yet declared, with a deterministic fresh name."""
-    declared = {(u.arity, union_mask(base, u)) for _, u in compiled_unions(existing)}
+    declared = {(arity, mask) for _, arity, mask in compiled_unions(existing)}
     for m in range(1, max_arity + 1):
         for mask in range(1, 1 << len(enumerate_types(base, m))):
             if (m, mask) not in declared:
@@ -117,7 +107,7 @@ def _fresh_unions(base: BoundedClass, existing: Reduct, max_arity: int):
 def definable_unions(p: CorePresentation, n: int, mode: str,
                      arity_cap: int | None = None,
                      realize_cap: int | None = None) -> tuple[tuple[str, int, int], ...]:
-    """(name, arity, union_mask) of every fresh orbit union of arity <= n
+    """(name, arity, mask) of every fresh orbit union of arity <= n
     that is definable in the mode: the relations expand adds, in order."""
     if n < 1:
         raise InputError("expand: arity bound must be >= 1")
@@ -129,7 +119,7 @@ def definable_unions(p: CorePresentation, n: int, mode: str,
 
 
 def expansion(p: CorePresentation, n: int, mode: str, unions) -> Reduct:
-    """The core expanded by the given (name, arity, union_mask) relations;
+    """The core expanded by the given (name, arity, mask) relations;
     fo and ep share the `_ep{n}` name."""
     relations = list(p.reduct_out.relations)
     for name, arity, mask in unions:

@@ -1,8 +1,9 @@
 """First-order reducts given by quantifier-free formulas or orbit-union literals.
 
 Each relation of a reduct compiles to an orbit union: the set of types of
-the base class on which the defining formula holds.  Orbit unions are the
-currency of relation preservation throughout the core and decision modules.
+the base class on which the defining formula holds, as a bitmask over type
+indices.  Such masks are the currency of relation preservation throughout
+the core, definability and decision modules.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from itertools import product
 
 from .ages import BoundedClass
 from .errors import InputError
-from .ktypes import KType, enumerate_types, serialization_order, serialize_type, type_index
+from .ktypes import enumerate_types, serialization_order, serialize_type, serialized_types, type_index
 from .structures import (
     Signature,
     eval_qf,
@@ -77,76 +78,61 @@ class Reduct(Value):
         return max((r.arity for r in self.relations), default=1)
 
 
-class OrbitUnion(Value):
-    __slots__ = ("arity", "members", "_hash")
+def compile_orbit_union(c: Reduct, name: str) -> int:
+    """The relation's orbit union as a bitmask over the base's type indices
+    at its arity: bit i is set iff the relation holds on the i-th type
+    (enumerate_types).
 
-    def __init__(self, arity: int, members: frozenset[KType]):
-        init = object.__setattr__
-        init(self, "arity", arity)
-        init(self, "members", members)
-        init(self, "_hash", hash((arity, members)))
-
-    def sorted_members(self) -> tuple[KType, ...]:
-        return tuple(sorted(self.members, key=serialize_type))
-
-
-def compile_orbit_union(c: Reduct, name: str) -> OrbitUnion:
-    """The set of base types on which the relation's definition holds."""
+    Every engine consumer reads a set of types in this form; mask_members
+    and serialize_mask turn one back into types for a report or a
+    certificate.
+    """
     rel = c.relation(name)
-    all_types = enumerate_types(c.base, rel.arity)
+    mask = 0
     if isinstance(rel.definition, OrbitsDef):
-        universe = set(all_types)
+        idx = type_index(c.base, rel.arity)
         for t in rel.definition.members:
-            if t not in universe:
+            if t not in idx:
                 raise InputError(
                     f"relation {name}: {serialize_type(t)} is not a type of {c.base.name}")
-        return OrbitUnion(rel.arity, frozenset(rel.definition.members))
+            mask |= 1 << idx[t]
+        return mask
     phi = rel.definition.formula
-    members = frozenset(
-        p for p in all_types if eval_qf(phi, p.quotient, p.blocks)
-    )
-    return OrbitUnion(rel.arity, members)
+    for i, p in enumerate(enumerate_types(c.base, rel.arity)):
+        if eval_qf(phi, p.quotient, p.blocks):
+            mask |= 1 << i
+    return mask
 
 
 # cached per reduct: an equal reduct from another side would otherwise be
 # compared with the cached one relation by relation on every name's lookup
 @lru_cache(maxsize=None)
-def compiled_unions(c: Reduct) -> tuple[tuple[str, OrbitUnion], ...]:
-    return tuple((r.name, compile_orbit_union(c, r.name)) for r in c.relations)
-
-
-def union_mask(base: BoundedClass, u: OrbitUnion) -> int:
-    """The orbit union as a bitmask over the base's type indices at its
-    arity: bit i is set iff the i-th type (enumerate_types) is a member.
-
-    The definability oracle and the decider search and compare unions in
-    this form; mask_members turns one back into types for a report or a
-    certificate.
-    """
-    idx = type_index(base, u.arity)
-    mask = 0
-    for p in u.members:
-        mask |= 1 << idx[p]
-    return mask
+def compiled_unions(c: Reduct) -> tuple[tuple[str, int, int], ...]:
+    """(name, arity, compile_orbit_union mask) per relation, in declaration order."""
+    return tuple((r.name, r.arity, compile_orbit_union(c, r.name)) for r in c.relations)
 
 
 def mask_members(base: BoundedClass, arity: int, mask: int) -> tuple[int, ...]:
-    """The type indices of a union_mask, sorted by serialization, the order
-    of OrbitUnion.sorted_members."""
+    """The type indices of a mask, sorted by serialization."""
     return tuple(i for i in serialization_order(base, arity) if mask >> i & 1)
 
 
-def behaviour_preserves_relation(xi, src: OrbitUnion, tgt: OrbitUnion) -> bool:
-    """True iff xi's induced map at the unions' arity sends every tuple of
-    src members (one per argument) into tgt."""
-    if src.arity != tgt.arity:
-        raise InputError("behaviour_preserves_relation: arity mismatch")
-    if src.arity > xi.k:
+def serialize_mask(base: BoundedClass, arity: int, mask: int) -> list[str]:
+    """The serializations of a mask's types, sorted: how reports and
+    certificates list a set of types."""
+    serialized = serialized_types(base, arity)
+    return [serialized[i] for i in mask_members(base, arity, mask)]
+
+
+def behaviour_preserves_relation(xi, arity: int, src_mask: int, tgt_mask: int) -> bool:
+    """True iff xi's induced map at the arity sends every tuple of src_mask
+    members (one per argument) into tgt_mask, both masks over type indices
+    at the arity, of xi's source and target."""
+    if arity > xi.k:
         raise InputError("behaviour_preserves_relation: behaviour level too small")
-    idx = type_index(xi.source, src.arity)
-    types = enumerate_types(xi.target, src.arity)
-    members = sorted(idx[p] for p in src.members)
-    return all(types[xi.value(args, src.arity)] in tgt.members
+    members = [i for i in range(len(enumerate_types(xi.source, arity)))
+               if src_mask >> i & 1]
+    return all(tgt_mask >> xi.value(args, arity) & 1
                for args in product(members, repeat=xi.arity))
 
 

@@ -17,7 +17,6 @@ from agekit.canonical import (
     _value_rows,
     default_realize_cap,
     enumerate_behaviours,
-    identity_behaviour,
     image_structure,
     is_coherent,
     is_realizable,
@@ -38,11 +37,11 @@ from agekit.ktypes import (
 from agekit.parser import Catalog, parse_input, split_type_columns
 from agekit.reducts import (
     OrbitsDef,
-    OrbitUnion,
     Reduct,
     Relation,
     behaviour_preserves_relation,
     compiled_unions,
+    mask_members,
 )
 from agekit.structures import (
     FinStructure,
@@ -95,6 +94,19 @@ def apply_types(xi: Behaviour, ptypes) -> KType:
     idx = type_index(xi.source, level)
     v = xi.value([idx[p] for p in ptypes], level)
     return enumerate_types(xi.target, level)[v]
+
+
+def mask_types(k: BoundedClass, arity: int, mask: int) -> frozenset[KType]:
+    """The types of a mask over k's type indices at the arity, read
+    through mask_members."""
+    types = enumerate_types(k, arity)
+    return frozenset(types[i] for i in mask_members(k, arity, mask))
+
+
+def types_mask(k: BoundedClass, arity: int, types) -> int:
+    """The mask over k's type indices at the arity that holds the types."""
+    idx = type_index(k, arity)
+    return sum(1 << idx[t] for t in set(types))
 
 
 @lru_cache(maxsize=None)
@@ -256,8 +268,7 @@ def reference_carve_bounds(base: BoundedClass, image_types, k: int,
     structure of the signature up to the cap and each of its one-point-smaller
     induced substructures: the reference for core.carve_bounds, which grows
     the carved age by one-point extension."""
-    idx = type_index(base, k)
-    hit = frozenset(idx[p] for p in image_types)
+    hit = frozenset(mask_members(base, k, image_types))
 
     def member(s) -> bool:
         return in_age(base, s) and hit.issuperset(type_indices(base, s, k))
@@ -277,21 +288,21 @@ def reference_carve_bounds(base: BoundedClass, image_types, k: int,
 
 
 def reference_expand(p: CorePresentation, n: int, mode: str) -> Reduct:
-    """expand with orbit unions as frozensets of KTypes: every union of
-    arity <= n that the core does not declare, named U<arity>_<mask>, is
-    added unless a realizable behaviour of core.preserving_behaviours, of
-    arity 1 (fo, ep) or 1 up to the union's size (pp), sends a tuple of its
-    members outside it, as behaviour_preserves_relation reads the types.
-    The reference for the bitmask unions of definability.expand; the
-    preserving behaviours themselves are checked in test_oracles against
-    filtering every table."""
+    """expand with each union checked tuple by tuple: every union of arity
+    <= n that the core does not declare, named U<arity>_<mask>, is added
+    unless a realizable behaviour of core.preserving_behaviours, of arity 1
+    (fo, ep) or 1 up to the union's size (pp), sends a tuple of its members
+    outside it, as behaviour_preserves_relation reads the behaviour's values.
+    The reference for the row pins of definability.expand; the preserving
+    behaviours themselves are checked in test_oracles against filtering
+    every table."""
     base = p.base_out
-    declared = {u for _, u in compiled_unions(p.reduct_out)}
-    cap = default_realize_cap(identity_behaviour(base, p.k))
+    declared = {(arity, mask) for _, arity, mask in compiled_unions(p.reduct_out)}
+    cap = default_realize_cap(base, p.k)
     realizable: dict[Behaviour, bool] = {}
 
-    def moves(xi: Behaviour, u: OrbitUnion) -> bool:
-        if behaviour_preserves_relation(xi, u, u):
+    def moves(xi: Behaviour, m: int, mask: int) -> bool:
+        if behaviour_preserves_relation(xi, m, mask, mask):
             return False
         if xi not in realizable:
             realizable[xi] = is_realizable(xi, cap)
@@ -301,15 +312,15 @@ def reference_expand(p: CorePresentation, n: int, mode: str) -> Reduct:
     for m in range(1, n + 1):
         types = enumerate_types(base, m)
         for mask in range(1, 1 << len(types)):
-            u = OrbitUnion(m, frozenset(t for i, t in enumerate(types) if mask >> i & 1))
-            if u in declared:
+            if (m, mask) in declared:
                 continue
-            arities = range(1, (len(u.members) if mode == "pp" else 1) + 1)
+            arities = range(1, (mask.bit_count() if mode == "pp" else 1) + 1)
             # a union of every type is kept by every behaviour
-            if len(u.members) == len(types) or not any(
-                    moves(xi, u) for a in arities
+            if mask.bit_count() == len(types) or not any(
+                    moves(xi, m, mask) for a in arities
                     for xi in preserving_behaviours(p.reduct_out, a, p.k)):
-                relations.append(Relation(f"U{m}_{mask}", m, OrbitsDef(u.sorted_members())))
+                members = tuple(types[i] for i in mask_members(base, m, mask))
+                relations.append(Relation(f"U{m}_{mask}", m, OrbitsDef(members)))
     suffix = "pp" if mode == "pp" else "ep"
     return Reduct(f"{p.reduct_out.name}_{suffix}{n}", base, tuple(relations))
 

@@ -142,7 +142,7 @@ class TestRealizability:
         bad = Behaviour(graphs, graphs, 2, (0, 0, 2))
         assert is_realizable(bad, 2)
         assert not is_realizable(bad, 3)
-        assert default_realize_cap(bad) >= 3
+        assert default_realize_cap(graphs, 2) >= 3
         assert not is_realizable(bad)
 
     def test_part_collapse_on_bipartite_realizable(self, bipartite):
@@ -242,7 +242,7 @@ class TestLocalRealizeBound:
     @staticmethod
     def check_tight(xi, bound):
         assert local_realize_bound(xi.target) == bound
-        assert default_realize_cap(xi) > bound
+        assert default_realize_cap(xi.target, xi.k) > bound
         assert is_compatible(xi) and is_coherent(xi)
         assert is_realizable(xi, bound - 1)
         assert not is_realizable(xi, bound)

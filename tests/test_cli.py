@@ -206,6 +206,42 @@ class TestSubcommands:
         for name in written:
             assert (tmp_path / "cert" / name).read_bytes() == (golden / name).read_bytes(), name
 
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    def test_definable_query_certificate_matches_golden(self, fmt, suffix, tmp_path,
+                                                        monkeypatch, capsys):
+        # the query relation's members and the core's image types, in the
+        # report and the certificate, written while orbit unions were
+        # frozensets of types
+        golden = Path(__file__).parent / "golden" / "definable_Qlt_pp_neq"
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(
+            ["definable", catalog_path("linord.cls"), "--reduct", "Qlt", "--mode", "pp",
+             "--query", "!(x0=x1)", "--query-arity", "2", "--witness-out", "cert",
+             "--format", fmt], capsys)
+        assert code == 1 and out == (golden / f"report.{suffix}").read_text()
+        written = sorted(path.name for path in (tmp_path / "cert").iterdir())
+        assert written == sorted(path.name for path in golden.iterdir()
+                                 if not path.name.startswith("report."))
+        for name in written:
+            assert (tmp_path / "cert" / name).read_bytes() == (golden / name).read_bytes(), name
+
+    def test_definable_query_orbits_matches_golden(self, capsys):
+        # a two-type union given in type-index order (non-edge, edge): the
+        # relation line lists its members in serialization order
+        golden = Path(__file__).parent / "golden" / "definable_Tf_ep_neq_orbits.txt"
+        code, out = run_cli(
+            ["definable", catalog_path("trifree.cls"), "--reduct", "Tf", "--mode", "ep",
+             "--query-orbits", "[{0}{1}|size=2:] | [{0}{1}|size=2: E(0,1) E(1,0)]"], capsys)
+        assert code == 0 and out == golden.read_text()
+
+    def test_core_json_matches_golden(self, capsys):
+        # image_types lists the 14 level-3 types the witness hits, sorted
+        golden = Path(__file__).parent / "golden" / "core_Tf_k3.json"
+        code, out = run_cli(
+            ["core", catalog_path("trifree.cls"), "--reduct", "Tf", "--k", "3",
+             "--format", "json"], capsys)
+        assert code == 0 and out == golden.read_text()
+
     def test_bidef_yes_then_verify(self, tmp_path, capsys):
         w = tmp_path / "w"
         code, _ = run_cli(
@@ -460,12 +496,17 @@ class TestExitCodes:
         (["core", "linord.cls", "--reduct", "Qlt", "--k", "1"], "--k must be >= 2"),
         (["bidef", "linord.cls", "--reducts", "Qlt", "QltRev", "--k", "1"],
          "--k must be >= 2"),
+        (["bidef", "linord.cls", "--reducts", "Qlt", "QltRev", "--n", "1"],
+         "--n must be >= 2 for these inputs, got 1"),
+        (["biint", "linord.cls", "--reducts", "Qlt", "QltRev", "--n", "1"],
+         "--n must be >= 2 for these inputs, got 1"),
         (["definable", "linord.cls", "--reduct", "Qlt", "--n", "0"], "--n must be >= 1"),
         (["definable", "linord.cls", "--reduct", "Qlt", "--query", "x0=x0",
           "--query-arity", "0"], "--query-arity must be >= 1"),
     ], ids=["probe-realize-cap-0", "behaviours-realize-cap-negative", "check-ap-cap-0",
             "definable-arity-cap-0", "orbits-k-negative", "behaviours-k-0",
             "probe-k-below-arity", "core-k-below-arity", "bidef-k-below-arity",
+            "bidef-n-below-arity", "biint-n-below-arity",
             "definable-n-0", "definable-query-arity-0"])
     def test_numeric_flag_out_of_range(self, capsys, argv, named):
         # checked before any engine call: the message names the flag, never

@@ -14,23 +14,29 @@ from agekit.certs import definable_certificate
 from agekit.core import compute_core
 from agekit.definability import definable, expand
 from agekit.errors import InputError
-from agekit.ktypes import enumerate_types, serialize_type
-from agekit.reducts import OrbitUnion, behaviour_preserves_relation, compile_orbit_union
+from agekit.ktypes import enumerate_types
+from agekit.reducts import behaviour_preserves_relation, compile_orbit_union, serialize_mask
 from agekit.verify import verify_certificate
-from conftest import apply_types, is_compatible, parse_behaviour, realizable_behaviours
+from conftest import (apply_types, is_compatible, mask_types, parse_behaviour,
+                      realizable_behaviours)
 
 
-def union_of(cls, level, *indices):
-    types = enumerate_types(cls, level)
-    return OrbitUnion(level, frozenset(types[i] for i in indices))
+def union_of(*indices):
+    """The mask of the types of the given indices."""
+    return sum(1 << i for i in indices)
+
+
+def relation_types(reduct):
+    """(arity, types) per relation of the reduct, read through mask_members."""
+    return [(r.arity, mask_types(reduct.base, r.arity, compile_orbit_union(reduct, r.name)))
+            for r in reduct.relations]
 
 
 def oracle_expected_additions(p, n):
     """Combinatorial oracle: nonempty unions per arity minus declared duplicates."""
     declared = {}
-    for r in p.reduct_out.relations:
-        u = compile_orbit_union(p.reduct_out, r.name)
-        declared.setdefault(u.arity, set()).add(u.members)
+    for arity, members in relation_types(p.reduct_out):
+        declared.setdefault(arity, set()).add(members)
     total = 0
     for m in range(1, n + 1):
         count = (1 << len(enumerate_types(p.base_out, m))) - 1
@@ -62,8 +68,7 @@ class TestEpExpand:
     def test_added_relations_compile_to_their_unions(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
         expanded = expand(p, 2, "ep")
-        unions = [compile_orbit_union(expanded, r.name) for r in expanded.relations]
-        binary = [u.members for u in unions if u.arity == 2]
+        binary = [members for arity, members in relation_types(expanded) if arity == 2]
         assert len(set(binary)) == len(binary)  # pairwise distinct
         universe = set()
         for members in binary:
@@ -109,56 +114,54 @@ class TestPolymorphismBehaviours:
 class TestPpDefinable:
     def test_atomic_lt_definable(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
-        verdict = definable(p, union_of(p.base_out, 2, 1), "pp")
+        verdict = definable(p, 2, union_of(1), "pp")
         assert verdict.definable
 
     def test_equality_definable(self, catalog):
         for name in ("Qlt", "Rg"):
             p = compute_core(catalog.reduct(name))
-            verdict = definable(p, union_of(p.base_out, 2, 0), "pp")
+            verdict = definable(p, 2, union_of(0), "pp")
             assert verdict.definable
 
     def test_disequality_not_definable_with_min_witness(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
         types = enumerate_types(p.base_out, 2)
-        neq = union_of(p.base_out, 2, 1, 2)
-        verdict = definable(p, neq, "pp", arity_cap=2)
+        neq = union_of(1, 2)
+        verdict = definable(p, 2, neq, "pp", arity_cap=2)
         assert not verdict.definable
         w = verdict.witness
         assert w.arity == 2
         # the componentwise-minimum signature: ((<),(>)) collapses to (=)
         assert apply_types(w, (types[1], types[2])) == types[0]
-        lt = union_of(p.base_out, 2, 1)
-        assert behaviour_preserves_relation(w, lt, lt)
-        assert not behaviour_preserves_relation(w, neq, neq)
+        lt = union_of(1)
+        assert behaviour_preserves_relation(w, 2, lt, lt)
+        assert not behaviour_preserves_relation(w, 2, neq, neq)
         assert is_realizable(w, verdict.realize_cap)
 
     def test_leq_not_definable_in_qlt_core(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
-        verdict = definable(p, union_of(p.base_out, 2, 0, 1), "pp")
+        verdict = definable(p, 2, union_of(0, 1), "pp")
         assert not verdict.definable
 
     def test_caps_recorded(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
-        verdict = definable(p, union_of(p.base_out, 2, 1), "pp")
+        verdict = definable(p, 2, union_of(1), "pp")
         assert verdict.arity_cap == 1 and verdict.realize_cap >= 2
         assert "up to arity" in verdict.label and "realize-cap" in verdict.label
 
     def test_empty_union_rejected(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
         with pytest.raises(InputError):
-            definable(p, OrbitUnion(2, frozenset()), "pp")
+            definable(p, 2, 0, "pp")
 
 
 class TestPpExpand:
     def test_qlt_core_adds_companions_but_not_disequality(self, catalog):
         p = compute_core(catalog.reduct("Qlt"))
         expanded = expand(p, 2, "pp", arity_cap=3)
-        unions = {r.name: compile_orbit_union(expanded, r.name)
-                  for r in expanded.relations}
         types = enumerate_types(p.base_out, 2)
-        members_sets = {frozenset(u.members) for u in unions.values()
-                        if u.arity == 2}
+        members_sets = {members for arity, members in relation_types(expanded)
+                        if arity == 2}
         assert frozenset({types[1]}) in members_sets            # {<} declared
         assert frozenset({types[0]}) in members_sets            # {=}
         assert frozenset({types[2]}) in members_sets            # {>}
@@ -170,10 +173,7 @@ class TestPpExpand:
         p = compute_core(catalog.reduct("Qleq"))
         ep = expand(p, 2, "ep")
         pp = expand(p, 2, "pp")
-        assert [(r.arity, compile_orbit_union(ep, r.name).members)
-                for r in ep.relations] == \
-               [(r.arity, compile_orbit_union(pp, r.name).members)
-                for r in pp.relations]
+        assert relation_types(ep) == relation_types(pp)
 
     def test_clique_core_all_binary_unions_definable(self, catalog):
         p = compute_core(catalog.reduct("Rg"))
@@ -184,12 +184,8 @@ class TestPpExpand:
     def test_pp_subset_of_ep_on_catalog(self, catalog):
         for name in ("Qlt", "Qleq", "Rg", "Kww", "Pt"):
             p = compute_core(catalog.reduct(name))
-            ep_unions = {(u.arity, u.members) for u in
-                         (compile_orbit_union(expand(p, 2, "ep"), r.name)
-                          for r in expand(p, 2, "ep").relations)}
-            pp_unions = {(u.arity, u.members) for u in
-                         (compile_orbit_union(expand(p, 2, "pp"), r.name)
-                          for r in expand(p, 2, "pp").relations)}
+            ep_unions = set(relation_types(expand(p, 2, "ep")))
+            pp_unions = set(relation_types(expand(p, 2, "pp")))
             assert pp_unions <= ep_unions
 
 
@@ -197,8 +193,8 @@ class TestWitnessVerification:
     def test_not_definable_witness_verifies_independently(self, catalog):
         c = catalog.reduct("Qlt")
         p = compute_core(c)
-        neq = union_of(p.base_out, 2, 1, 2)
-        verdict = definable(p, neq, "pp")
+        neq = union_of(1, 2)
+        verdict = definable(p, 2, neq, "pp")
         cert = definable_certificate(c, p, verdict)
         notes = verify_certificate(cert)
         assert any("violates" in n for n in notes)
@@ -207,12 +203,11 @@ class TestWitnessVerification:
         from agekit.verify import VerificationFailure
         c = catalog.reduct("Qlt")
         p = compute_core(c)
-        neq = union_of(p.base_out, 2, 1, 2)
-        verdict = definable(p, neq, "pp")
+        neq = union_of(1, 2)
+        verdict = definable(p, 2, neq, "pp")
         cert = definable_certificate(c, p, verdict)
         # break the table: swap the queried relation to one it preserves
-        cert["relation"]["members"] = [
-            serialize_type(t) for t in union_of(p.base_out, 2, 1).sorted_members()]
+        cert["relation"]["members"] = serialize_mask(p.base_out, 2, union_of(1))
         with pytest.raises(VerificationFailure):
             verify_certificate(cert)
 
@@ -226,7 +221,7 @@ class TestWitnessVerification:
         from agekit.verify import VerificationFailure
         c = catalog.reduct("Qlt")
         p = compute_core(c)
-        cert = definable_certificate(c, p, definable(p, union_of(p.base_out, 2, 1, 2), "pp"))
+        cert = definable_certificate(c, p, definable(p, 2, union_of(1, 2), "pp"))
         edit(cert)
         with pytest.raises(VerificationFailure, match=message):
             verify_certificate(cert)

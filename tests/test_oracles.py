@@ -96,16 +96,12 @@ from agekit.structures import (
     structure,
 )
 from agekit.parser import parse_input
-from agekit.reducts import (
-    OrbitUnion,
-    behaviour_preserves_relation,
-    compiled_unions,
-    union_mask,
-)
+from agekit.reducts import behaviour_preserves_relation, compiled_unions
 from agekit.verify import _v_age
 from conftest import (
     CATALOG_FILES,
     apply_types,
+    mask_types,
     poly_image_structure,
     reference_carve_bounds,
     reference_expand,
@@ -114,6 +110,7 @@ from conftest import (
     reference_propagate_domains,
     reference_sigma_constraints,
     reference_v_age,
+    types_mask,
 )
 
 CLASSES = [name[:-len(".cls")] for name in CATALOG_FILES]
@@ -530,7 +527,7 @@ class TestImageKernel:
         k = catalog.bounded_class(name)
         tables = compatible_tables(k, k, 3)
         assert tables
-        cap = default_realize_cap(Behaviour(k, k, 3, tables[0]))
+        cap = default_realize_cap(k, 3)
         self._check(k, [Behaviour(k, k, 3, t) for t in tables], cap)
 
     @pytest.mark.parametrize("name,second", [
@@ -702,7 +699,7 @@ class TestBehaviourSearch:
         verdicts = set()
         for t in tables:
             xi = Behaviour(cls, cls, k, t, arity)
-            for cap in (1, default_realize_cap(xi)):
+            for cap in (1, default_realize_cap(cls, k)):
                 got = is_realizable(xi, cap)
                 assert got == self.realizable_image_by_image(xi, cap), (t, cap)
                 verdicts.add(got)
@@ -787,7 +784,7 @@ class TestLocalRealizability:
     def verdicts(source, target, k):
         out = set()
         for xi in enumerate_behaviours(source, target, k):
-            cap = default_realize_cap(xi)
+            cap = default_realize_cap(target, k)
             assert local_realize_bound(target) < cap
             got = is_realizable(xi)
             assert got == TestBehaviourSearch.realizable_image_by_image(xi, cap), (
@@ -1119,8 +1116,9 @@ def reference_bidef(c, d, mode, k=None):
     if n_src != n_tgt:
         return ("NO", f"type counts at k={caps.k} differ: {n_src} vs {n_tgt}",
                 None, None, None)
-    c_unions = dict(compiled_unions(cc))
-    d_unions = dict(compiled_unions(dd))
+    # name: (arity, mask)
+    c_unions = {name: rest for name, *rest in compiled_unions(cc)}
+    d_unions = {name: rest for name, *rest in compiled_unions(dd)}
     matchings = list(reference_matchings(cc.relations, dd.relations))
     if not matchings:
         return ("NO", "no arity-preserving signature matching", None, None, None)
@@ -1128,13 +1126,13 @@ def reference_bidef(c, d, mode, k=None):
                   if xi.is_bijective() and is_realizable(xi, caps.realize_cap)]
     for tau in matchings:
         for xi in candidates:
-            if not all(behaviour_preserves_relation(xi, c_unions[cn], d_unions[dn])
+            if not all(behaviour_preserves_relation(xi, *c_unions[cn], d_unions[dn][1])
                        for cn, dn in tau):
                 continue
             eta = inverse(xi)
             if not is_realizable(eta, caps.realize_cap):
                 continue
-            if all(behaviour_preserves_relation(eta, d_unions[dn], c_unions[cn])
+            if all(behaviour_preserves_relation(eta, *d_unions[dn], c_unions[cn][1])
                    for cn, dn in tau):
                 return ("YES", "", tau, xi, eta)
     return ("NO", "no witness pair over any matching", None, None, None)
@@ -1208,26 +1206,23 @@ REDUCTS = ("Qlt", "Qleq", "QltRev", "Qneq", "Rg", "Tf", "Kww", "M1", "Pt")
 
 
 def preserves_all(xi, c) -> bool:
-    return all(behaviour_preserves_relation(xi, u, u) for _, u in compiled_unions(c))
+    return all(behaviour_preserves_relation(xi, arity, mask, mask)
+               for _, arity, mask in compiled_unions(c))
 
 
 def fresh_unions(p, n):
-    """(name, union) of every nonempty orbit union of arity <= n that the
-    core does not declare, named U<arity>_<mask>."""
-    declared = {u.members for _, u in compiled_unions(p.reduct_out)}
-    out = []
-    for m in range(1, n + 1):
-        types = enumerate_types(p.base_out, m)
-        for mask in range(1, 1 << len(types)):
-            members = frozenset(t for i, t in enumerate(types) if mask >> i & 1)
-            if members not in declared:
-                out.append((f"U{m}_{mask}", OrbitUnion(m, members)))
-    return out
+    """(name, arity, mask) of every nonempty orbit union of arity <= n
+    that the core does not declare, named U<arity>_<mask>."""
+    declared = {(arity, mask) for _, arity, mask in compiled_unions(p.reduct_out)}
+    return [(f"U{m}_{mask}", m, mask) for m in range(1, n + 1)
+            for mask in range(1, 1 << len(enumerate_types(p.base_out, m)))
+            if (m, mask) not in declared]
 
 
 def added(expanded, p):
-    """(name, union) of the relations the expansion adds to the core."""
-    return list(compiled_unions(expanded))[len(p.reduct_out.relations):]
+    """(name, arity, types) of the relations the expansion adds to the core."""
+    return [(name, arity, mask_types(expanded.base, arity, mask))
+            for name, arity, mask in compiled_unions(expanded)[len(p.reduct_out.relations):]]
 
 
 class TestDefinabilityOracle:
@@ -1246,8 +1241,8 @@ class TestDefinabilityOracle:
             n = p.reduct_out.max_arity
             endos = [xi for xi in realizable_behaviours(p.base_out, p.base_out, p.k)
                      if preserves_all(xi, p.reduct_out)]
-            want = [(name, u) for name, u in fresh_unions(p, n)
-                    if all(behaviour_preserves_relation(xi, u, u) for xi in endos)]
+            want = [(name, m, mask_types(p.base_out, m, u)) for name, m, u in fresh_unions(p, n)
+                    if all(behaviour_preserves_relation(xi, m, u, u) for xi in endos)]
             expanded = expand(p, n, "ep")
             assert added(expanded, p) == want, p.reduct_out.name
             assert expand(p, n, "fo") == expanded
@@ -1270,21 +1265,22 @@ class TestDefinabilityOracle:
                     if preserves_all(xi, p.reduct_out)]
             return polys[m]
 
-        def violated(u):
-            if len(u.members) == len(enumerate_types(p.base_out, u.arity)):
+        def violated(arity, u):
+            if u.bit_count() == len(enumerate_types(p.base_out, arity)):
                 return False  # every table keeps a union of every type
-            return any(not behaviour_preserves_relation(xi, u, u) and is_realizable(xi)
-                       for m in range(1, len(u.members) + 1) for xi in preserving(m))
+            return any(not behaviour_preserves_relation(xi, arity, u, u) and is_realizable(xi)
+                       for m in range(1, u.bit_count() + 1) for xi in preserving(m))
 
-        want = [(n, u) for n, u in fresh_unions(p, 2) if not violated(u)]
+        want = [(n, m, mask_types(p.base_out, m, u)) for n, m, u in fresh_unions(p, 2)
+                if not violated(m, u)]
         assert added(expand(p, 2, "pp"), p) == want
 
     @pytest.mark.parametrize("name, k, n, mode", [("M1", 3, 3, "ep"), ("Tf", 2, 2, "pp"),
                                                   ("Qlt", 3, 2, "pp"), ("QltRev", 3, 2, "pp")])
     def test_expand_matches_ktype_reference(self, catalog, name, k, n, mode):
-        # the bitmask unions against frozensets of KTypes, on the expansions
-        # that `definable M1 --n 3` and the Tf and Qlt/QltRev pp bidef
-        # queries make
+        # the row pins of expand against checking each union tuple by tuple,
+        # on the expansions that `definable M1 --n 3` and the Tf and
+        # Qlt/QltRev pp bidef queries make
         p = compute_core(catalog.reduct(name), k)
         assert expand(p, n, mode) == reference_expand(p, n, mode)
 
@@ -1304,8 +1300,9 @@ class TestDefinabilityOracle:
             assert is_optimally_presented(c, k) == want_optimal, name
             p = compute_core(c, k)
             assert p.witness in want
+            images = {xi: mask_types(c.base, k, xi.image_types()) for xi in want}
             minimal = [xi for xi in want
-                       if not any(o.image_types() < xi.image_types() for o in want)]
+                       if not any(images[o] < images[xi] for o in want)]
             assert p.witness == min(minimal, key=serialize_behaviour)
 
     def test_one_propagation_per_reduct_arity_and_level(self, catalog, monkeypatch):
@@ -1336,13 +1333,13 @@ def mask_sets(domains):
     return [{v for v in range(d.bit_length()) if d >> v & 1} for d in domains]
 
 
-def reference_union_rows(base, u, arity, k):
+def reference_union_rows(base, union_arity, members, arity, k):
     """union_rows from KTypes: the sorted flat rows whose arguments are
-    members of u padded to level k, and the level-k types whose first
-    u.arity positions have a member's type."""
+    members padded to level k, and the level-k types whose first
+    union_arity positions have a member's type."""
     idx = type_index(base, k)
-    pad = tuple(min(i, u.arity - 1) for i in range(k))
-    padded = [idx[restrict_type(t, pad)] for t in u.members]
+    pad = tuple(min(i, union_arity - 1) for i in range(k))
+    padded = [idx[restrict_type(t, pad)] for t in members]
     rows = []
     for args in product(padded, repeat=arity):
         flat = 0
@@ -1350,7 +1347,7 @@ def reference_union_rows(base, u, arity, k):
             flat = flat * len(idx) + a
         rows.append(flat)
     keep = {v for v, t in enumerate(enumerate_types(base, k))
-            if restrict_type(t, range(u.arity)) in u.members}
+            if restrict_type(t, range(union_arity)) in members}
     return sorted(rows), keep
 
 
@@ -1381,10 +1378,10 @@ class TestSigmaLayer:
             if k < default_level(c):
                 continue
             pins = {}
-            for _, u in compiled_unions(c):
-                rows, keep = union_rows(c.base, u.arity, union_mask(c.base, u), arity, k)
+            for _, m, mask in compiled_unions(c):
+                rows, keep = union_rows(c.base, m, mask, arity, k)
                 assert (sorted(rows), mask_sets([keep])[0]) == reference_union_rows(
-                    c.base, u, arity, k), (name, arity, k)
+                    c.base, m, mask_types(c.base, m, mask), arity, k), (name, arity, k)
                 for flat in rows:
                     pins[flat] = pins.get(flat, keep) & keep
             pins = dict(zip(pins, mask_sets(pins.values())))
@@ -1438,7 +1435,8 @@ class TestCarveBounds:
         # any set of types carves a hereditary class, image of a behaviour or not
         for name in ("linord", "graphs"):
             base = catalog.bounded_class(name)
-            image = frozenset(data.draw(st.sets(st.sampled_from(enumerate_types(base, 3)))))
+            image = types_mask(base, 3, data.draw(
+                st.sets(st.sampled_from(enumerate_types(base, 3)))))
             cap = max(base.max_bound_size, base.signature.max_arity, 3)
             assert carve_bounds(base, image, 3, cap) == \
                 reference_carve_bounds(base, image, 3, cap), (name, image)

@@ -10,20 +10,20 @@ from agekit.ktypes import enumerate_types, serialize_type
 from agekit.reducts import (
     FormulaDef,
     OrbitsDef,
-    OrbitUnion,
     Reduct,
     Relation,
     behaviour_preserves_relation,
     compile_orbit_union,
     compiled_unions,
+    mask_members,
+    serialize_mask,
 )
 from agekit.structures import And, Atom, Eq, Not, Or
-from conftest import apply_types, realizable_behaviours
+from conftest import apply_types, mask_types, realizable_behaviours, types_mask
 
 
-def names_of(union, cls):
-    order = {t: i for i, t in enumerate(enumerate_types(cls, union.arity))}
-    return sorted(order[t] for t in union.members)
+def names_of(mask, cls):
+    return sorted(mask_members(cls, 2, mask))
 
 
 class TestCompile:
@@ -34,7 +34,7 @@ class TestCompile:
     def test_atomic_edge(self, catalog, graphs):
         u = compile_orbit_union(catalog.reduct("Rg"), "E")
         types = enumerate_types(graphs, 2)
-        assert u.members == frozenset({types[2]})
+        assert mask_types(graphs, 2, u) == frozenset({types[2]})
 
     def test_neq_is_lt_and_gt(self, catalog, linord):
         u = compile_orbit_union(catalog.reduct("Qneq"), "neq")
@@ -63,7 +63,7 @@ class TestCompile:
         r = Reduct("lit", linord, (Relation(
             "r", 2, OrbitsDef((types[1], types[2]))),))
         u = compile_orbit_union(r, "r")
-        assert u.members == frozenset({types[1], types[2]})
+        assert mask_types(linord, 2, u) == frozenset({types[1], types[2]})
 
     def test_orbit_literal_outside_age_rejected(self, linord, graphs):
         alien = enumerate_types(graphs, 2)[2]
@@ -82,27 +82,27 @@ class TestPreservation:
         ident = identity_behaviour(linord, 2)
         for rname, reduct in (("lt", "Qlt"), ("leq", "Qleq"), ("neq", "Qneq")):
             u = compile_orbit_union(catalog.reduct(reduct), rname)
-            assert behaviour_preserves_relation(ident, u, u)
+            assert behaviour_preserves_relation(ident, 2, u, u)
 
     def test_reversal_breaks_lt(self, catalog, linord):
         behaviours = realizable_behaviours(linord, linord, 2)
         reversal = next(b for b in behaviours if b.table == (0, 2, 1))
         u = compile_orbit_union(catalog.reduct("Qlt"), "lt")
-        assert not behaviour_preserves_relation(reversal, u, u)
+        assert not behaviour_preserves_relation(reversal, 2, u, u)
 
     def test_clique_collapse_preserves_edges(self, graphs):
         behaviours = realizable_behaviours(graphs, graphs, 2)
         cliqueify = next(b for b in behaviours if b.table == (0, 2, 2))
         types = enumerate_types(graphs, 2)
-        edge = OrbitUnion(2, frozenset({types[2]}))
-        assert behaviour_preserves_relation(cliqueify, edge, edge)
+        edge = types_mask(graphs, 2, {types[2]})
+        assert behaviour_preserves_relation(cliqueify, 2, edge, edge)
 
     def test_level_too_small_is_input_error(self, catalog, linord):
         ident = identity_behaviour(linord, 2)
         types3 = enumerate_types(linord, 3)
-        u3 = OrbitUnion(3, frozenset({types3[0]}))
+        u3 = types_mask(linord, 3, {types3[0]})
         with pytest.raises(InputError):
-            behaviour_preserves_relation(ident, u3, u3)
+            behaviour_preserves_relation(ident, 3, u3, u3)
 
 
 class TestPaddingConvention:
@@ -118,10 +118,10 @@ class TestPaddingConvention:
                     image = apply_types(xi, (expanded,))
                     assert restrict_type(image, (0,)) == apply_types(xi, (p,))
 
-    def test_serialized_unions_deterministic(self, catalog):
+    def test_serialized_unions_deterministic(self, catalog, linord):
         u = compile_orbit_union(catalog.reduct("Qneq"), "neq")
-        assert [serialize_type(t) for t in u.sorted_members()] == sorted(
-            serialize_type(t) for t in u.members)
+        assert serialize_mask(linord, 2, u) == sorted(
+            serialize_type(t) for t in mask_types(linord, 2, u))
 
 
 class TestCompiledUnions:

@@ -16,7 +16,7 @@ from agekit.decide import Caps, Verdict, Witness
 from agekit.definability import DefinableVerdict
 from agekit.ktypes import KType, enumerate_types
 from agekit.parser import Catalog, parse_input
-from agekit.reducts import FormulaDef, OrbitsDef, OrbitUnion, Reduct, Relation
+from agekit.reducts import FormulaDef, OrbitsDef, Reduct, Relation
 from agekit.structures import And, Atom, Eq, FinStructure, Not, Or, Signature, structure
 from conftest import catalog_text
 
@@ -56,7 +56,7 @@ def caps():
 
 
 def core():
-    return CorePresentation(linord(), qlt(), reversal(), frozenset({ktype()}), 2, 3, None)
+    return CorePresentation(linord(), qlt(), reversal(), 0b111, 2, 3, None)
 
 
 # class, its fields in declaration order, a factory that builds a fresh
@@ -79,14 +79,14 @@ CASES = [
     (Relation, ("name", "arity", "definition"),
      lambda: Relation("R", 2, FormulaDef(formula()))),
     (Reduct, ("name", "base", "relations"), qlt),
-    (OrbitUnion, ("arity", "members"), lambda: OrbitUnion(2, frozenset({ktype()}))),
     (Behaviour, ("source", "target", "k", "table", "arity"), reversal),
     (ProbeReport, ("trials", "max_size", "seed", "failures"),
      lambda: ProbeReport(10, 4, 1, ("a failure",))),
     (CorePresentation, ("base_out", "reduct_out", "witness", "image_types", "k",
                         "scan_cap", "realize_cap"), core),
-    (DefinableVerdict, ("definable", "relation", "witness", "arity_cap", "realize_cap"),
-     lambda: DefinableVerdict(False, OrbitUnion(2, frozenset({ktype()})), reversal(), 2, 3)),
+    (DefinableVerdict, ("definable", "arity", "mask", "witness", "arity_cap",
+                        "realize_cap"),
+     lambda: DefinableVerdict(False, 2, 0b110, reversal(), 2, 3)),
     (Caps, ("k", "expand_arity", "realize_cap", "arity_cap", "ap_cap"), caps),
     (Witness, ("matching", "xi", "eta"),
      lambda: Witness((("lt", "lt"),), reversal(), reversal())),
