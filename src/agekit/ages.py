@@ -22,6 +22,8 @@ from .structures import (
     empty_structure,
     extension_slots,
     find_embedding,
+    slot_mask,
+    slot_readers,
     sort_key,
 )
 from .value import Value
@@ -87,45 +89,76 @@ def _rooted_bounds(k: BoundedClass, m: int) -> tuple[FinStructure, ...]:
 
 
 @lru_cache(maxsize=None)
-def _root_index(k: BoundedClass, m: int) -> tuple[frozenset[int], dict[int, tuple]]:
+def _root_index(k: BoundedClass, m: int) -> tuple[frozenset[int], tuple,
+                                                   dict[int, frozenset[int]],
+                                                   dict[int, tuple]]:
     """The rooted bounds of _rooted_bounds(k, m), keyed by the atom mask of
     the pattern each induces on its m roots.
 
-    Returns the keys of the bounds on exactly m points, and, per key, the
-    bounds on more points.
+    Returns four parts: the keys of the bounds on exactly m points; the
+    slot readers (structures.slot_readers) of the slots over m + 1 points
+    through the last one, m; per key, the masks those slots take in the
+    bounds on exactly m + 1 points, the extra point labelled m; and, per
+    key, the bounds on m + 2 or more points.
+
+    A key and a mask decide a bound on m + 1 points: an embedding that
+    sends its roots to points r_0..r_{m-1} sends its extra point to one
+    point y outside them, and every slot of the bound is either on the
+    roots alone, which the key reads, or through the extra point, which
+    the mask reads at (r_0, .., r_{m-1}, y).
     """
     sig = k.signature
+    extra = slot_readers((si, t) for si, (_, arity) in enumerate(sig.symbols)
+                         for t in product(range(m + 1), repeat=arity) if m in t)
     whole: set[int] = set()
+    one_more: dict[int, set] = {}
     larger: dict[int, list] = {}
     for b in _rooted_bounds(k, m):
         key = atom_mask(sig, b.tables, range(m))
         if b.size == m:
             whole.add(key)
+        elif b.size == m + 1:
+            one_more.setdefault(key, set()).add(slot_mask(extra, b.tables, range(m + 1)))
         else:
             larger.setdefault(key, []).append(b)
-    return frozenset(whole), {key: tuple(bs) for key, bs in larger.items()}
+    return (frozenset(whole), extra,
+            {key: frozenset(masks) for key, masks in one_more.items()},
+            {key: tuple(bs) for key, bs in larger.items()})
 
 
 def _in_age_through(k: BoundedClass, tables, size: int, through: tuple[int, ...]) -> bool:
     """Whether the structure (raw tables on size points) lies in the age.
 
     Exact only when dropping any one point of `through` leaves a structure
-    in the age: then, by heredity, a bound can only embed with every point
-    of `through` in its image, so only such embeddings are searched.  Such
-    an embedding sends the bound's roots onto `through` and matches the
-    pattern on them, so the pattern on `through` is read first and looked
-    up in _root_index: a pattern no rooted bound has leaves the structure
-    in the age, a pattern of a bound with no other point is that bound
-    embedding, and only the larger bounds with the pattern are searched.
+    in the age: then, by heredity, every bound embedding passes through all
+    of `through`, so only such embeddings are checked.  Such an embedding
+    sends the m = len(through) roots of one of the bound's rooted forms
+    (_rooted_bounds) onto `through` and matches the pattern on them, so the
+    pattern on `through` is read first and looked up in _root_index.  A
+    pattern of a bound on m points is that bound embedding.  A bound on
+    m + 1 points maps its extra point to one y not in `through`, so it
+    embeds iff, for some such y, the mask of the slots through y over
+    `through` + (y,) is one the index lists for the pattern.  Only the
+    bounds on m + 2 or more points with the pattern are searched, by
+    find_embedding pinned at `through`.
     """
     sig = k.signature
-    whole, larger = _root_index(k, len(through))
+    whole, extra, one_more, larger = _root_index(k, len(through))
     key = atom_mask(sig, tables, through)
     if key in whole:
         return False
-    return not any(
+    masks = one_more.get(key)
+    if masks:
+        points = list(through) + [0]
+        for y in range(size):
+            if y not in through:
+                points[-1] = y
+                if slot_mask(extra, tables, points) in masks:
+                    return False
+    bounds = larger.get(key)
+    return not bounds or not any(
         find_embedding(sig, b.tables, b.size, tables, size, through) is not None
-        for b in larger.get(key, ()))
+        for b in bounds)
 
 
 @lru_cache(maxsize=None)

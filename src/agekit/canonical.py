@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .ages import BoundedClass, _in_age, _in_age_through, enumerate_age, in_age
 from .errors import IncoherentBehaviourError, InputError
@@ -31,7 +31,7 @@ from .ktypes import (
     symbol_holds,
     type_indices,
 )
-from .structures import FinStructure, empty_structure, induced
+from .structures import FinStructure, empty_structure, induced, slot_mask, slot_readers
 from .value import Value
 
 
@@ -570,8 +570,32 @@ def _local_pair_options(k: BoundedClass):
     return singles, options
 
 
+@lru_cache(maxsize=None)
+def _local_triple_options(k: BoundedClass):
+    """Valid patterns of the slots on exactly 3 distinct points, keyed by
+    the mask of the other slots over those 3 points.
+
+    Returns the readers of those other slots (structures.slot_readers) and
+    the options; None for a class without a symbol of arity >= 3, which
+    has no such slot.
+    """
+    from .ktypes import _labeled_age_structures
+    if all(arity < 3 for _, arity in k.signature.symbols):
+        return None
+    slots = [(si, t) for si, (_, arity) in enumerate(k.signature.symbols)
+             for t in product(range(3), repeat=arity)]
+    rest = slot_readers(slot for slot in slots if len(set(slot[1])) < 3)
+    triple = [slot for slot in slots if len(set(slot[1])) == 3]
+    options: dict[int, list] = {}
+    for three in _labeled_age_structures(k, 3):
+        options.setdefault(slot_mask(rest, three.tables, range(3)), []).append(
+            tuple((si, t) for si, t in triple if t in three.tables[si]))
+    return rest, options
+
+
 def random_age_member(k: BoundedClass, n: int, rng: random.Random) -> FinStructure:
-    """Grow a random age member of size <= n, locally filtering pair patterns."""
+    """Grow a random age member of size <= n, locally filtering pair and
+    triple patterns."""
     singles, options = _local_pair_options(k)
     s = empty_structure(k.signature)
     parts = []  # parts[x] is the one-point substructure of s at x
@@ -585,10 +609,19 @@ def random_age_member(k: BoundedClass, n: int, rng: random.Random) -> FinStructu
 
 
 def _random_extension(k, s, old_parts, singles, options, rng):
-    """s grown by one point, with that point's one-point part, or None."""
+    """s grown by one point, with that point's one-point part, or None.
+
+    The new point's part and its pattern with each old point are drawn
+    among the class's one- and two-point patterns.  With a symbol of arity
+    >= 3, its atoms on each triple of the new point and two old points are
+    then drawn together, among the patterns those slots take in 3-point
+    age members that agree with the rest of the triple, and atoms on 4 or
+    more distinct points each with probability 1/2.
+    """
     if not singles:  # no one-point member: the age is {empty structure}
         return None
     size = s.size
+    triples = _local_triple_options(k) if size >= 2 else None
     retries = 64 * (size + 2)
     for _ in range(retries):
         new_part = rng.choice(singles)
@@ -606,15 +639,26 @@ def _random_extension(k, s, old_parts, singles, options, rng):
                 atoms.append((si, tuple(x if v == 0 else size for v in t)))
         if not ok:
             continue
-        # slots touching >= 3 points (arity >= 3 symbols): sample uniformly
-        for si, (_, arity) in enumerate(k.signature.symbols):
-            if arity >= 3:
-                for t in product(range(size + 1), repeat=arity):
-                    if size in t and len(set(t)) >= 3 and rng.random() < 0.5:
-                        atoms.append((si, t))
         tables = [set(tb) for tb in s.tables]
         for si, t in atoms:
             tables[si].add(t)
+        if triples is not None:
+            rest, triple_options = triples
+            for x, y in combinations(range(size), 2):
+                points = (x, y, size)
+                opts = triple_options.get(slot_mask(rest, tables, points))
+                if not opts:
+                    ok = False
+                    break
+                for si, t in rng.choice(opts):
+                    tables[si].add(tuple([points[v] for v in t]))
+            if not ok:
+                continue
+            for si, (_, arity) in enumerate(k.signature.symbols):
+                if arity >= 4:
+                    for t in product(range(size + 1), repeat=arity):
+                        if size in t and len(set(t)) >= 4 and rng.random() < 0.5:
+                            tables[si].add(t)
         # s lies in the age, so only bound embeddings through the new point count
         if _in_age_through(k, tables, size + 1, (size,)):
             grown = FinStructure(k.signature, size + 1, tuple(frozenset(tb) for tb in tables))
@@ -735,23 +779,30 @@ def _prefix_failure(xi: Behaviour, n: int, types) -> str | None:
             members.append([x])
         else:
             members[c].append(x)
-        seen: dict[tuple, bool] = {}  # (symbol, class tuple) -> atom, for a new class
-        for si, arity, holds in symbols:
-            values = row(arity)
-            table = image[si]
-            for t, flat in _through(x, arity, n):
-                h = holds[values[flat]]
-                ct = tuple([class_of[v] for v in t])
-                known = seen.get((si, ct)) if opened else ct in table
-                if known is not None and known != h:
-                    return (f"incoherent image at size {size}: "
-                            "relation atoms disagree across representatives")
-                if opened:
-                    seen[si, ct] = h
-        if opened:
+        if len(members) == size:
+            # every point so far has its own class, numbered as the point:
+            # each tuple through x is its own class tuple, read once
+            for si, arity, holds in symbols:
+                values = row(arity)
+                image[si].update(t for t, flat in _through(x, arity, n) if holds[values[flat]])
+        else:
+            seen: dict[tuple, bool] = {}  # (symbol, class tuple) -> atom, for a new class
+            for si, arity, holds in symbols:
+                values = row(arity)
+                table = image[si]
+                for t, flat in _through(x, arity, n):
+                    h = holds[values[flat]]
+                    ct = tuple([class_of[v] for v in t])
+                    known = seen.get((si, ct)) if opened else ct in table
+                    if known is not None and known != h:
+                        return (f"incoherent image at size {size}: "
+                                "relation atoms disagree across representatives")
+                    if opened:
+                        seen[si, ct] = h
             for (si, ct), h in seen.items():
                 if h:
                     image[si].add(ct)
+        if opened:
             if not _in_age_through(target, image, len(members), (c,)):
                 return f"image outside target age at size {size}"
     return None

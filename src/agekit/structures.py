@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .errors import InputError
 from .value import Value
@@ -373,6 +374,23 @@ def atom_mask(sig: Signature, tables, points) -> int:
             if t in table:
                 mask |= bit
             bit <<= 1
+    return mask
+
+
+def slot_readers(slots) -> tuple:
+    """(symbol, reader, 1 << j) for each (symbol, tuple) slot j: the reader
+    maps a sequence of points to the slot's tuple with position v read as
+    points[v]."""
+    return tuple((si, itemgetter(*t) if len(t) > 1 else (lambda points, v=t[0]: (points[v],)),
+                  1 << j) for j, (si, t) in enumerate(slots))
+
+
+def slot_mask(readers, tables, points) -> int:
+    """Bit j set iff slot j of slot_readers, read at points, holds in tables."""
+    mask = 0
+    for si, read, bit in readers:
+        if read(points) in tables[si]:
+            mask |= bit
     return mask
 
 

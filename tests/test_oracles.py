@@ -101,6 +101,7 @@ from agekit.verify import _v_age
 from conftest import (
     CATALOG_FILES,
     apply_types,
+    catalog_path,
     mask_types,
     poly_image_structure,
     reference_carve_bounds,
@@ -942,6 +943,73 @@ class TestAnchoredBoundChecks:
                     assert got == unindexed_in_age_through(k, s.tables, n, through)
                     verdicts.add((m, got))
         assert verdicts == {(m, v) for m in (1, 2, 3) for v in (False, True)}
+
+    def test_one_point_larger_lookup_equals_unindexed_search(self):
+        # classes whose bounds all have m + 1 points, so the root index
+        # decides every pattern it lists without find_embedding; structures
+        # on m + 1 to 6 points, each holding a bound planted at random
+        # points, half of them with one slot over those points flipped,
+        # checked through the images of m of the bound's points
+        rng = random.Random(5)
+        decided = set()
+        for sig in (Signature((("E", 2), ("U", 1))), Signature((("E", 2), ("T", 3)))):
+            for m in (1, 2, 3):
+                for i in range(6):
+                    k = BoundedClass(f"p{m}{i}", sig, tuple(
+                        random_structure(sig, m + 1, rng) for _ in range(rng.randint(1, 3))))
+                    whole, _, one_more, larger = ages._root_index(k, m)
+                    assert one_more and not larger
+                    for _ in range(30):
+                        n = rng.randint(m + 1, 6)
+                        s = [set(t) for t in random_structure(sig, n, rng).tables]
+                        b = rng.choice(k.bounds)
+                        image = rng.sample(range(n), m + 1)
+                        for si, (_, arity) in enumerate(sig.symbols):
+                            for t in product(range(m + 1), repeat=arity):
+                                mapped = tuple(image[v] for v in t)
+                                s[si].discard(mapped)
+                                if t in b.tables[si]:
+                                    s[si].add(mapped)
+                        if rng.random() < 0.5:
+                            si = rng.randrange(len(sig.symbols))
+                            s[si] ^= {tuple(rng.choice(image)
+                                            for _ in range(sig.symbols[si][1]))}
+                        through = tuple(image[v] for v in rng.sample(range(m + 1), m))
+                        got = _in_age_through(k, s, n, through)
+                        assert got == unindexed_in_age_through(k, s, n, through)
+                        key = structures.atom_mask(sig, s, through)
+                        if key not in whole and key in one_more:
+                            decided.add((m, got))
+        assert decided == {(m, v) for m in (1, 2, 3) for v in (False, True)}
+
+    def test_probe_on_graphs_searches_no_embedding(self, monkeypatch, capsys):
+        # every bound of graphs has at most 2 points: the probe, which checks
+        # through one point, reads each off the root index
+        from agekit import cli
+        calls = [0, 0]  # all calls, calls within the probe
+        probing = [False]
+        real_find, real_probe = structures.find_embedding, cli.greedy_extension_probe
+
+        def counting(*args):
+            calls[0] += 1
+            calls[1] += probing[0]
+            return real_find(*args)
+
+        def probe(*args):
+            probing[0] = True
+            try:
+                return real_probe(*args)
+            finally:
+                probing[0] = False
+
+        monkeypatch.setattr(structures, "find_embedding", counting)
+        monkeypatch.setattr(ages, "find_embedding", counting)
+        monkeypatch.setattr(cli, "greedy_extension_probe", probe)
+        assert cli.main(["probe", catalog_path("graphs.cls"), "--trials", "200",
+                         "--seed", "7"]) == 0
+        assert "verdict: OK" in capsys.readouterr().out
+        # the counter is live: bound normalization at least searches
+        assert calls[0] > 0 and calls[1] == 0
 
     def test_random_age_member(self, catalog, monkeypatch):
         # the random classes include some without a one-point member
