@@ -8,14 +8,13 @@ is never materialized; every computation runs on its age.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 
 from .errors import InputError
 from .structures import (
     FinStructure,
     Signature,
     apply_perm,
-    atom_mask,
     augment,
     canonical_form,
     embeds,
@@ -24,6 +23,7 @@ from .structures import (
     find_embedding,
     slot_mask,
     slot_readers,
+    slots,
     sort_key,
 )
 from .value import Value
@@ -89,14 +89,15 @@ def _rooted_bounds(k: BoundedClass, m: int) -> tuple[FinStructure, ...]:
 
 
 @lru_cache(maxsize=None)
-def _root_index(k: BoundedClass, m: int) -> tuple[frozenset[int], tuple,
+def _root_index(k: BoundedClass, m: int) -> tuple[frozenset[int], tuple, tuple,
                                                    dict[int, frozenset[int]],
                                                    dict[int, tuple]]:
-    """The rooted bounds of _rooted_bounds(k, m), keyed by the atom mask of
+    """The rooted bounds of _rooted_bounds(k, m), keyed by the slot mask of
     the pattern each induces on its m roots.
 
-    Returns four parts: the keys of the bounds on exactly m points; the
-    slot readers (structures.slot_readers) of the slots over m + 1 points
+    Returns five parts: the keys of the bounds on exactly m points; the
+    slot readers (structures.slot_readers) of the slots over m points,
+    which read the key; the slot readers of the slots over m + 1 points
     through the last one, m; per key, the masks those slots take in the
     bounds on exactly m + 1 points, the extra point labelled m; and, per
     key, the bounds on m + 2 or more points.
@@ -108,20 +109,20 @@ def _root_index(k: BoundedClass, m: int) -> tuple[frozenset[int], tuple,
     the mask reads at (r_0, .., r_{m-1}, y).
     """
     sig = k.signature
-    extra = slot_readers((si, t) for si, (_, arity) in enumerate(sig.symbols)
-                         for t in product(range(m + 1), repeat=arity) if m in t)
+    roots = slot_readers(slots(sig, m))
+    extra = slot_readers(slots(sig, m + 1, (m,)))
     whole: set[int] = set()
     one_more: dict[int, set] = {}
     larger: dict[int, list] = {}
     for b in _rooted_bounds(k, m):
-        key = atom_mask(sig, b.tables, range(m))
+        key = slot_mask(roots, b.tables, range(m))
         if b.size == m:
             whole.add(key)
         elif b.size == m + 1:
             one_more.setdefault(key, set()).add(slot_mask(extra, b.tables, range(m + 1)))
         else:
             larger.setdefault(key, []).append(b)
-    return (frozenset(whole), extra,
+    return (frozenset(whole), roots, extra,
             {key: frozenset(masks) for key, masks in one_more.items()},
             {key: tuple(bs) for key, bs in larger.items()})
 
@@ -134,17 +135,16 @@ def _in_age_through(k: BoundedClass, tables, size: int, through: tuple[int, ...]
     of `through`, so only such embeddings are checked.  Such an embedding
     sends the m = len(through) roots of one of the bound's rooted forms
     (_rooted_bounds) onto `through` and matches the pattern on them, so the
-    pattern on `through` is read first and looked up in _root_index.  A
-    pattern of a bound on m points is that bound embedding.  A bound on
-    m + 1 points maps its extra point to one y not in `through`, so it
-    embeds iff, for some such y, the mask of the slots through y over
-    `through` + (y,) is one the index lists for the pattern.  Only the
-    bounds on m + 2 or more points with the pattern are searched, by
-    find_embedding pinned at `through`.
+    slot mask of the pattern on `through` is read first and looked up in
+    _root_index.  A pattern of a bound on m points is that bound
+    embedding.  A bound on m + 1 points maps its extra point to one y not
+    in `through`, so it embeds iff, for some such y, the slot mask of the
+    slots through y over `through` + (y,) is one the index lists for the
+    pattern.  Only the bounds on m + 2 or more points with the pattern are
+    searched, by find_embedding pinned at `through`.
     """
-    sig = k.signature
-    whole, extra, one_more, larger = _root_index(k, len(through))
-    key = atom_mask(sig, tables, through)
+    whole, roots, extra, one_more, larger = _root_index(k, len(through))
+    key = slot_mask(roots, tables, through)
     if key in whole:
         return False
     masks = one_more.get(key)
@@ -157,7 +157,7 @@ def _in_age_through(k: BoundedClass, tables, size: int, through: tuple[int, ...]
                     return False
     bounds = larger.get(key)
     return not bounds or not any(
-        find_embedding(sig, b.tables, b.size, tables, size, through) is not None
+        find_embedding(k.signature, b.tables, b.size, tables, size, through) is not None
         for b in bounds)
 
 
@@ -290,8 +290,8 @@ def check_amalgamation(k: BoundedClass, cap: int | None = None,
                 raise InputError(
                     f"amalgamation check too large: bases on {s} points need more "
                     f"than {AMALGAM_LIMIT:,} amalgam tests; lower --ap-cap")
-            free = _amalgam_free_slots(k.signature, s)
-            own = [[(si, t) for si, table in enumerate(e.tables) for t in table if s in t]
+            free = slots(k.signature, s + 2, (s, s + 1))
+            own = [[(si, t) for si, t in extension_slots(k.signature, s) if t in e.tables[si]]
                    for e in exts]
             moved = [[(si, tuple(s + 1 if v == s else v for v in t)) for si, t in atoms]
                      for atoms in own]
@@ -304,14 +304,6 @@ def check_amalgamation(k: BoundedClass, cap: int | None = None,
                         if not _one_point_amalgam_exists(k, work, s, own[i] + moved[j], free):
                             return AmalgamationResult(False, strong, cap, checked, (b0, b1, b2))
     return AmalgamationResult(True, strong, cap, checked, None)
-
-
-@lru_cache(maxsize=None)
-def _amalgam_free_slots(sig: Signature, s: int) -> tuple:
-    """The (symbol, tuple) slots over s + 2 points through both s and s + 1."""
-    return tuple((si, t) for si, (_, arity) in enumerate(sig.symbols)
-                 for t in product(range(s + 2), repeat=arity)
-                 if s in t and s + 1 in t)
 
 
 def _one_point_amalgam_exists(k, work, s, atoms, free) -> bool:

@@ -31,7 +31,7 @@ from .ktypes import (
     symbol_holds,
     type_indices,
 )
-from .structures import FinStructure, empty_structure, induced, slot_mask, slot_readers
+from .structures import FinStructure, empty_structure, induced, slot_mask, slot_readers, slots
 from .value import Value
 
 
@@ -552,117 +552,70 @@ class ProbeReport(Value):
 
 
 @lru_cache(maxsize=None)
-def _local_pair_options(k: BoundedClass):
-    """Valid 2-point patterns, keyed by (old point 1-type, new point 1-type)."""
-    from .ktypes import _labeled_age_structures
-    singles = _labeled_age_structures(k, 1)
-    pairs = _labeled_age_structures(k, 2)
-    options: dict[tuple, list] = {}
-    for two in pairs:
-        old_part = induced(two, (0,))
-        new_part = induced(two, (1,))
-        cross = []
-        for si, (_, arity) in enumerate(k.signature.symbols):
-            for t in two.tables[si]:
-                if 0 in t and 1 in t:
-                    cross.append((si, t))
-        options.setdefault((old_part, new_part), []).append(tuple(cross))
-    return singles, options
-
-
-@lru_cache(maxsize=None)
-def _local_triple_options(k: BoundedClass):
-    """Valid patterns of the slots on exactly 3 distinct points, keyed by
-    the mask of the other slots over those 3 points.
+def _local_options(k: BoundedClass, j: int):
+    """The patterns the slots on exactly j distinct points take in the
+    labelled age members on j points, keyed by the mask of the other slots
+    over those points.
 
     Returns the readers of those other slots (structures.slot_readers) and
-    the options; None for a class without a symbol of arity >= 3, which
-    has no such slot.
+    the options: per key, the tuple of slots on all j points that hold, one
+    per member, in _labeled_age_structures(k, j) order.
     """
     from .ktypes import _labeled_age_structures
-    if all(arity < 3 for _, arity in k.signature.symbols):
-        return None
-    slots = [(si, t) for si, (_, arity) in enumerate(k.signature.symbols)
-             for t in product(range(3), repeat=arity)]
-    rest = slot_readers(slot for slot in slots if len(set(slot[1])) < 3)
-    triple = [slot for slot in slots if len(set(slot[1])) == 3]
+    sig = k.signature
+    own = slots(sig, j, tuple(range(j)))
+    rest = slot_readers(slot for slot in slots(sig, j) if slot not in own)
     options: dict[int, list] = {}
-    for three in _labeled_age_structures(k, 3):
-        options.setdefault(slot_mask(rest, three.tables, range(3)), []).append(
-            tuple((si, t) for si, t in triple if t in three.tables[si]))
+    for member in _labeled_age_structures(k, j):
+        options.setdefault(slot_mask(rest, member.tables, range(j)), []).append(
+            tuple((si, t) for si, t in own if t in member.tables[si]))
     return rest, options
 
 
 def random_age_member(k: BoundedClass, n: int, rng: random.Random) -> FinStructure:
-    """Grow a random age member of size <= n, locally filtering pair and
-    triple patterns."""
-    singles, options = _local_pair_options(k)
+    """Grow a random age member of size <= n, locally filtering one-, two-
+    and three-point patterns."""
     s = empty_structure(k.signature)
-    parts = []  # parts[x] is the one-point substructure of s at x
     while s.size < n:
-        grown = _random_extension(k, s, parts, singles, options, rng)
+        grown = _random_extension(k, s, rng)
         if grown is None:
             break
-        s, new_part = grown
-        parts.append(new_part)
+        s = grown
     return s
 
 
-def _random_extension(k, s, old_parts, singles, options, rng):
-    """s grown by one point, with that point's one-point part, or None.
+def _random_extension(k, s, rng):
+    """s grown by one point, or None.
 
-    The new point's part and its pattern with each old point are drawn
-    among the class's one- and two-point patterns.  With a symbol of arity
-    >= 3, its atoms on each triple of the new point and two old points are
-    then drawn together, among the patterns those slots take in 3-point
-    age members that agree with the rest of the triple, and atoms on 4 or
-    more distinct points each with probability 1/2.
+    The new point's atoms are drawn width by width, each among the patterns
+    of _local_options that agree with the atoms drawn so far: at width 1
+    its atoms on itself, at width 2 its atoms with each old point, and, with
+    a symbol of arity >= 3, at width 3 its atoms with each two old points.
+    Atoms on 4 or more distinct points are then drawn each with
+    probability 1/2.
     """
-    if not singles:  # no one-point member: the age is {empty structure}
-        return None
+    sig = k.signature
     size = s.size
-    triples = _local_triple_options(k) if size >= 2 else None
-    retries = 64 * (size + 2)
-    for _ in range(retries):
-        new_part = rng.choice(singles)
-        atoms = []
-        for si in range(len(k.signature.symbols)):
-            for t in new_part.tables[si]:
-                atoms.append((si, tuple(size if v == 0 else v for v in t)))
-        ok = True
-        for x in range(size):
-            opts = options.get((old_parts[x], new_part))
+    widths = (1, 2, 3) if sig.max_arity >= 3 else (1, 2)
+    # (readers, options, points) of each step, the new point last
+    steps = [(*_local_options(k, j), old + (size,))
+             for j in widths for old in combinations(range(size), j - 1)]
+    for _ in range(64 * (size + 2)):
+        tables = [set(tb) for tb in s.tables]
+        for rest, options, points in steps:
+            opts = options.get(slot_mask(rest, tables, points))
             if not opts:
-                ok = False
                 break
             for si, t in rng.choice(opts):
-                atoms.append((si, tuple(x if v == 0 else size for v in t)))
-        if not ok:
-            continue
-        tables = [set(tb) for tb in s.tables]
-        for si, t in atoms:
-            tables[si].add(t)
-        if triples is not None:
-            rest, triple_options = triples
-            for x, y in combinations(range(size), 2):
-                points = (x, y, size)
-                opts = triple_options.get(slot_mask(rest, tables, points))
-                if not opts:
-                    ok = False
-                    break
-                for si, t in rng.choice(opts):
-                    tables[si].add(tuple([points[v] for v in t]))
-            if not ok:
-                continue
-            for si, (_, arity) in enumerate(k.signature.symbols):
-                if arity >= 4:
-                    for t in product(range(size + 1), repeat=arity):
-                        if size in t and len(set(t)) >= 4 and rng.random() < 0.5:
-                            tables[si].add(t)
-        # s lies in the age, so only bound embeddings through the new point count
-        if _in_age_through(k, tables, size + 1, (size,)):
-            grown = FinStructure(k.signature, size + 1, tuple(frozenset(tb) for tb in tables))
-            return grown, new_part
+                tables[si].add(tuple([points[v] for v in t]))
+        else:
+            if sig.max_arity >= 4:
+                for si, t in slots(sig, size + 1, (size,)):
+                    if len(set(t)) >= 4 and rng.random() < 0.5:
+                        tables[si].add(t)
+            # s lies in the age, so only bound embeddings through the new point count
+            if _in_age_through(k, tables, size + 1, (size,)):
+                return FinStructure(sig, size + 1, tuple(frozenset(tb) for tb in tables))
     return None
 
 

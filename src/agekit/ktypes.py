@@ -15,10 +15,12 @@ from .ages import BoundedClass, _in_age, age_extensions, in_age
 from .errors import InputError
 from .structures import (
     FinStructure,
-    atom_mask,
     induced,
     parse_literal,
     render_literal,
+    slot_mask,
+    slot_readers,
+    slots,
     structure,
 )
 from .value import Value
@@ -153,11 +155,11 @@ def _too_many(what: str) -> InputError:
 
 @lru_cache(maxsize=None)
 def _labeled_age_structures(k: BoundedClass, n: int) -> tuple[FinStructure, ...]:
-    """All labelled structures on n points that lie in the age, in atom-mask order.
+    """All labelled structures on n points that lie in the age, in slot-mask order.
 
     By heredity each one extends a labelled member on n - 1 points by the
     point n - 1, so the members are the age extensions of those, sorted by
-    atom mask (bit j set iff slot j, in symbol-major tuple-lex order, holds).
+    slot mask over structures.slots(sig, n).
     """
     sig = k.signature
     if n <= 0:
@@ -167,7 +169,8 @@ def _labeled_age_structures(k: BoundedClass, n: int) -> tuple[FinStructure, ...]
         out.extend(age_extensions(k, base))
         if len(out) > TYPE_LIMIT:
             raise _too_many(f"labelled age members on {n} points")
-    out.sort(key=lambda s: atom_mask(sig, s.tables, range(n)))
+    readers = slot_readers(slots(sig, n))
+    out.sort(key=lambda s: slot_mask(readers, s.tables, range(n)))
     return tuple(out)
 
 
@@ -198,10 +201,12 @@ def type_index(k: BoundedClass, level: int) -> dict[KType, int]:
 
 
 @lru_cache(maxsize=None)
-def _type_lookup(k: BoundedClass, level: int) -> dict[tuple, int]:
-    """(blocks, atom mask of the quotient) -> type index at the level."""
-    return {(p.blocks, atom_mask(k.signature, p.quotient.tables, range(p.nblocks))): i
-            for i, p in enumerate(enumerate_types(k, level))}
+def _type_lookup(k: BoundedClass, level: int) -> tuple[dict[tuple, int], tuple]:
+    """(blocks, slot mask of the quotient) -> type index at the level, and
+    the readers of those masks: of the slots over b points at index b."""
+    readers = tuple(slot_readers(slots(k.signature, b)) for b in range(level + 1))
+    return ({(p.blocks, slot_mask(readers[p.nblocks], p.quotient.tables, range(p.nblocks))): i
+             for i, p in enumerate(enumerate_types(k, level))}, readers)
 
 
 # bounded: realizability checks read every member of the source age up to its cap
@@ -223,13 +228,13 @@ def read_type_indices(k: BoundedClass, s: FinStructure, level: int) -> tuple[int
     """type_indices for a structure known to lie in the age, with no age
     test and no cache: the extension probe reads each of its fresh random
     draws once per level."""
-    lookup = _type_lookup(k, level)
+    lookup, readers = _type_lookup(k, level)
     masks: dict[tuple[int, ...], int] = {}
     out = []
     for t in product(range(s.size), repeat=level):
         blocks, key = _partition(t)
         if key not in masks:
-            masks[key] = atom_mask(s.signature, s.tables, key)
+            masks[key] = slot_mask(readers[len(key)], s.tables, key)
         out.append(lookup[blocks, masks[key]])
     return tuple(out)
 

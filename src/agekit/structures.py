@@ -19,6 +19,15 @@ canonical form.  The rendered literal of the canonical form lists atoms in
 the same (symbol-major, tuple-lex) order, so canonical literals are
 byte-portable.
 
+Slots
+-----
+A slot is a (symbol, tuple) pair, one atom a structure may hold.  slots
+lists the slots over a number of points, in the same symbol-major,
+tuple-lex order, and slot j is bit j of a slot mask; slot_mask reads the
+mask of raw tables at any sequence of points through slot_readers.
+Embedding search, one-point extension, age membership, amalgamation, type
+lookup and the extension probe's draws all read structures this way.
+
 Isomorph-free generation
 ------------------------
 augment grows the members of size n of a hereditary class from its
@@ -179,17 +188,33 @@ def induced(s: FinStructure, subset) -> FinStructure:
 
 
 @lru_cache(maxsize=None)
-def _check_slots(sig: Signature, upto: int) -> tuple:
-    """For each new point i: the (symbol, tuple) slots over {0..i} that involve i."""
-    out = []
-    for i in range(upto):
-        slots = []
-        for si, (_, arity) in enumerate(sig.symbols):
-            for t in product(range(i + 1), repeat=arity):
-                if i in t:
-                    slots.append((si, t))
-        out.append(tuple(slots))
-    return tuple(out)
+def slots(sig: Signature, n: int, through: tuple[int, ...] = ()) -> tuple:
+    """The (symbol, tuple) slots over range(n) whose tuple contains every
+    point of `through`, symbol-major and tuple-lex; slot j is bit j of a
+    slot mask."""
+    return tuple((si, t) for si, (_, arity) in enumerate(sig.symbols)
+                 for t in product(range(n), repeat=arity)
+                 if all(v in t for v in through))
+
+
+def slot_readers(slot_list) -> tuple:
+    """(symbol, reader, 1 << j) for each (symbol, tuple) slot j: the reader
+    maps a sequence of points to the slot's tuple with position v read as
+    points[v]."""
+    return tuple((si, itemgetter(*t) if len(t) > 1 else (lambda points, v=t[0]: (points[v],)),
+                  1 << j) for j, (si, t) in enumerate(slot_list))
+
+
+def slot_mask(readers, tables, points) -> int:
+    """The slot mask of raw tables read at points: bit j set iff slot j of
+    slot_readers, read at points, holds.  With the readers of slots(sig, n)
+    it is the mask of the pattern the tables induce on the n points, built
+    without an induced structure."""
+    mask = 0
+    for si, read, bit in readers:
+        if read(points) in tables[si]:
+            mask |= bit
+    return mask
 
 
 def embeds(p: FinStructure, s: FinStructure) -> bool:
@@ -210,7 +235,8 @@ def find_embedding(sig: Signature, p_tables, n: int, s_tables, m: int,
     """
     if n > m:
         return None
-    slots = _check_slots(sig, n)
+    # the slots each pattern point i decides: those over 0..i through i
+    checks = [slots(sig, i + 1, (i,)) for i in range(n)]
     fixed = len(pinned)
     assign = [-1] * n
     used = [False] * m
@@ -222,7 +248,7 @@ def find_embedding(sig: Signature, p_tables, n: int, s_tables, m: int,
             if used[cand]:
                 continue
             assign[i] = cand
-            for si, t in slots[i]:
+            for si, t in checks[i]:
                 if (t in p_tables[si]) != (tuple([assign[v] for v in t]) in s_tables[si]):
                     break
             else:
@@ -362,38 +388,6 @@ def _in_explored_orbit(v: int, done: list, autos: list, label: list) -> bool:
     return not orbit.isdisjoint(done)
 
 
-def atom_mask(sig: Signature, tables, points) -> int:
-    """Atom mask of the pattern that raw tables induce on the ordered points.
-
-    Bit j is set iff slot j holds, slots running symbol-major and tuple-lex
-    over positions in ``points``; no induced structure is built.
-    """
-    mask, bit = 0, 1
-    for (_, arity), table in zip(sig.symbols, tables):
-        for t in product(points, repeat=arity):
-            if t in table:
-                mask |= bit
-            bit <<= 1
-    return mask
-
-
-def slot_readers(slots) -> tuple:
-    """(symbol, reader, 1 << j) for each (symbol, tuple) slot j: the reader
-    maps a sequence of points to the slot's tuple with position v read as
-    points[v]."""
-    return tuple((si, itemgetter(*t) if len(t) > 1 else (lambda points, v=t[0]: (points[v],)),
-                  1 << j) for j, (si, t) in enumerate(slots))
-
-
-def slot_mask(readers, tables, points) -> int:
-    """Bit j set iff slot j of slot_readers, read at points, holds in tables."""
-    mask = 0
-    for si, read, bit in readers:
-        if read(points) in tables[si]:
-            mask |= bit
-    return mask
-
-
 def extension_slots(sig: Signature, new: int) -> tuple:
     """The (symbol, tuple) slots a new point `new` adds, in slot-bit order."""
     # counted before any slot is built
@@ -402,18 +396,18 @@ def extension_slots(sig: Signature, new: int) -> tuple:
         raise InputError(
             f"relation space too large: a point added to {new} points has "
             f"{count} atom slots, more than {EXTENSION_SLOT_LIMIT}")
-    return _check_slots(sig, new + 1)[new]
+    return slots(sig, new + 1, (new,))
 
 
 def one_point_extensions(s: FinStructure):
     """All labelled structures extending s by one new point (index s.size)."""
     sig = s.signature
     new = s.size
-    slots = extension_slots(sig, new)
+    added = extension_slots(sig, new)
     base = [set(t) for t in s.tables]
-    for bits in range(1 << len(slots)):
+    for bits in range(1 << len(added)):
         tables = [set(t) for t in base]
-        for j, (si, t) in enumerate(slots):
+        for j, (si, t) in enumerate(added):
             if bits >> j & 1:
                 tables[si].add(t)
         yield FinStructure(sig, new + 1, tuple(frozenset(t) for t in tables))
@@ -462,14 +456,11 @@ def augment(bases, extensions) -> tuple[FinStructure, ...]:
     seen = set()
     for base in bases:
         moves = _slot_moves(base)
-        slots = extension_slots(base.signature, base.size) if moves else ()
+        readers = slot_readers(extension_slots(base.signature, base.size)) if moves else ()
         explored: set[int] = set()
         for ext in extensions(base):
             if moves:
-                mask = 0
-                for j, (si, t) in enumerate(slots):
-                    if t in ext.tables[si]:
-                        mask |= 1 << j
+                mask = slot_mask(readers, ext.tables, range(ext.size))
                 if mask in explored:
                     continue
                 _add_orbit(mask, moves, explored)
@@ -486,10 +477,10 @@ def _slot_moves(base: FinStructure) -> tuple[tuple[int, ...], ...]:
     if not gens:
         return ()
     new = base.size
-    slots = extension_slots(base.signature, new)
-    index = {slot: j for j, slot in enumerate(slots)}
+    added = extension_slots(base.signature, new)
+    index = {slot: j for j, slot in enumerate(added)}
     return tuple(
-        tuple(index[si, tuple(v if v == new else g[v] for v in t)] for si, t in slots)
+        tuple(index[si, tuple(v if v == new else g[v] for v in t)] for si, t in added)
         for g in gens)
 
 

@@ -4,7 +4,7 @@ helpers that only the tests need."""
 import random
 from functools import lru_cache
 from importlib import resources
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -65,6 +65,32 @@ def catalog_text(name: str) -> str:
 
 def catalog_path(name: str) -> str:
     return str(resources.files("agekit.catalog").joinpath(name))
+
+
+UNARY = """class U
+  sig P/1
+  assert homogeneous ramsey
+end
+
+reduct Up over U
+  rel p/1 := P(x0)
+end
+"""
+
+
+def _hypergraph3_text():
+    """3-uniform hypergraphs: T holds on no tuple with a repeated point, and
+    on every order of a triple or on none."""
+    mixed = [t for t in product(range(2), repeat=3) if len(set(t)) == 2]
+    orders = list(permutations(range(3)))
+    lines = ["class hyper3", "  sig T/3", "  bound size=1: T(0,0,0)"]
+    for size, slots, masks in ((2, mixed, range(1, 1 << 6)),
+                               (3, orders, range(1, (1 << 6) - 1))):
+        for mask in masks:
+            atoms = " ".join(f"T({a},{b},{c})" for g, (a, b, c) in enumerate(slots)
+                             if mask >> g & 1)
+            lines.append(f"  bound size={size}: {atoms}")
+    return "\n".join(lines + ["end", ""])
 
 
 def age_equal_upto(a: BoundedClass, b: BoundedClass, n: int) -> bool:

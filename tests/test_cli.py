@@ -4,6 +4,7 @@ exit codes, certificate paths, determinism."""
 import contextlib
 import copy
 import gc
+import importlib.util
 import io
 import json
 import os
@@ -13,7 +14,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -25,7 +25,7 @@ from agekit.ages import in_age
 from agekit.cli import main
 from agekit.errors import ParseError
 from agekit.parser import Catalog, parse_formula, parse_input, render_class, render_reduct
-from conftest import CATALOG_FILES, catalog_path, catalog_text
+from conftest import CATALOG_FILES, UNARY, _hypergraph3_text, catalog_path, catalog_text
 
 
 def run_cli(argv, capsys):
@@ -405,7 +405,47 @@ class TestExpansionScale:
                 "[{0}{1}{2}|size=3: lt(1,0) lt(2,0) lt(2,1)]") in xi
 
 
-THOMAS = str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "thomas.cls")
+REPO = Path(__file__).resolve().parents[1]
+THOMAS = str(REPO / "perfbench" / "inputs" / "thomas.cls")
+
+
+def _benchmark_queries():
+    """Every query of perfbench/queries.py, in workload order; the benchmark
+    is no package, so the module is loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_queries",
+                                                  REPO / "perfbench" / "queries.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclass reads its own module
+    spec.loader.exec_module(module)
+    return [q for queries in module.WORKLOADS.values() for q in queries]
+
+
+BENCH_QUERIES = _benchmark_queries()
+
+
+@pytest.fixture(scope="module")
+def bench_outputs(tmp_path_factory):
+    """`exit: <code>` and then the stdout of every benchmark query, run in
+    process in order at seed 7 (a verify query reads the certificate an
+    earlier query wrote), with the certificate directory written {certs}."""
+    certs = str(tmp_path_factory.mktemp("certs"))
+    outputs = {}
+    cwd = os.getcwd()
+    os.chdir(REPO)  # the queries name their inputs from the repository root
+    try:
+        for q in BENCH_QUERIES:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(q.argv(7, certs))
+            outputs[q.name] = f"exit: {code}\n" + out.getvalue().replace(certs, "{certs}")
+    finally:
+        os.chdir(cwd)
+    return outputs
+
+
+@pytest.mark.parametrize("name", [q.name for q in BENCH_QUERIES])
+def test_benchmark_query_matches_golden(bench_outputs, name):
+    assert_golden(bench_outputs[name], Path(__file__).parent / "golden" / "bench" / f"{name}.txt")
 
 
 class TestDefinabilityVerdicts:
@@ -771,16 +811,6 @@ class TestExitCodes:
         assert message in captured.err and "bug" in captured.err
         assert "Traceback" not in captured.err
 
-UNARY = """class U
-  sig P/1
-  assert homogeneous ramsey
-end
-
-reduct Up over U
-  rel p/1 := P(x0)
-end
-"""
-
 
 class TestUnarySignature:
     """With unary symbols alone, behaviours still need level 2 to tell which
@@ -828,21 +858,6 @@ class TestUnarySignature:
         assert code == 0
         code, text = run_cli(["verify", str(out)], capsys)
         assert code == 0 and "verdict: CERTIFICATE-OK" in text
-
-
-def _hypergraph3_text():
-    """3-uniform hypergraphs: T holds on no tuple with a repeated point, and
-    on every order of a triple or on none."""
-    mixed = [t for t in product(range(2), repeat=3) if len(set(t)) == 2]
-    orders = list(permutations(range(3)))
-    lines = ["class hyper3", "  sig T/3", "  bound size=1: T(0,0,0)"]
-    for size, slots, masks in ((2, mixed, range(1, 1 << 6)),
-                               (3, orders, range(1, (1 << 6) - 1))):
-        for mask in masks:
-            atoms = " ".join(f"T({a},{b},{c})" for g, (a, b, c) in enumerate(slots)
-                             if mask >> g & 1)
-            lines.append(f"  bound size={size}: {atoms}")
-    return "\n".join(lines + ["end", ""])
 
 
 class TestTernaryProbe:

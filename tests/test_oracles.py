@@ -29,6 +29,7 @@ import random
 import sys
 from functools import lru_cache
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -91,8 +92,8 @@ from agekit.structures import (
     encode_key,
     enumerate_structures,
     find_embedding,
-    induced,
     one_point_extensions,
+    render_literal,
     structure,
 )
 from agekit.parser import parse_input
@@ -100,6 +101,8 @@ from agekit.reducts import behaviour_preserves_relation, compiled_unions
 from agekit.verify import _v_age
 from conftest import (
     CATALOG_FILES,
+    UNARY,
+    _hypergraph3_text,
     apply_types,
     catalog_path,
     mask_types,
@@ -957,7 +960,7 @@ class TestAnchoredBoundChecks:
                 for i in range(6):
                     k = BoundedClass(f"p{m}{i}", sig, tuple(
                         random_structure(sig, m + 1, rng) for _ in range(rng.randint(1, 3))))
-                    whole, _, one_more, larger = ages._root_index(k, m)
+                    whole, roots, _, one_more, larger = ages._root_index(k, m)
                     assert one_more and not larger
                     for _ in range(30):
                         n = rng.randint(m + 1, 6)
@@ -977,7 +980,7 @@ class TestAnchoredBoundChecks:
                         through = tuple(image[v] for v in rng.sample(range(m + 1), m))
                         got = _in_age_through(k, s, n, through)
                         assert got == unindexed_in_age_through(k, s, n, through)
-                        key = structures.atom_mask(sig, s, through)
+                        key = structures.slot_mask(roots, s, through)
                         if key not in whole and key in one_more:
                             decided.add((m, got))
         assert decided == {(m, v) for m in (1, 2, 3) for v in (False, True)}
@@ -1017,13 +1020,27 @@ class TestAnchoredBoundChecks:
         runs += [(k, 5) for k in random_classes()]
         got = [random_age_member(k, n, random.Random(seed))
                for k, n in runs for seed in range(20)]
-        # reference: full bound search, one-point parts rebuilt per extension
-        real = canonical._random_extension
-        monkeypatch.setattr(canonical, "_random_extension", lambda k, s, parts, *rest: real(
-            k, s, [induced(s, (x,)) for x in range(s.size)], *rest))
+        # reference: full bound search
         monkeypatch.setattr(canonical, "_in_age_through", full_in_age)
         assert got == [random_age_member(k, n, random.Random(seed))
                        for k, n in runs for seed in range(20)]
+
+    def test_draws_match_golden(self, catalog):
+        # the literal of each draw for seeds 0-9, written before the draws
+        # were read off one pattern table per width: the reference test
+        # above runs on the same tree, so only this sees a changed order of
+        # rng calls
+        runs = [(name, catalog.bounded_class(name), 8) for name in CLASSES]
+        runs += [("hyper3", parse_input(_hypergraph3_text()).bounded_class("hyper3"), 5),
+                 ("U", parse_input(UNARY).bounded_class("U"), 6)]
+        runs += [(f"random{i}", k, 5) for i, k in enumerate(random_classes())]
+        got = [f"{label} n={n} seed={seed}: "
+               f"{render_literal(random_age_member(k, n, random.Random(seed)))}"
+               for label, k, n in runs for seed in range(10)]
+        want = (Path(__file__).parent / "golden" / "draws.txt").read_text().splitlines()
+        assert len(got) == len(want)
+        for line, expected in zip(got, want):
+            assert line == expected
 
     def test_mirrored_diagrams_tested_once(self, trifree, monkeypatch):
         calls = [0]

@@ -25,6 +25,9 @@ from agekit.structures import (
     induced,
     parse_literal,
     render_literal,
+    slot_mask,
+    slot_readers,
+    slots,
     structure,
 )
 
@@ -150,6 +153,47 @@ class TestEmbeds:
             s = structure(GSIG, ns, [("E", (i, j)) for i in range(ns)
                                      for j in range(ns) if rng.random() < 0.5])
             assert embeds(p, s) == brute_embeds(p, s)
+
+
+def atom_mask(sig, tables, points) -> int:
+    """The mask of the pattern tables induce on the ordered points, by the
+    loop slot_mask replaced: bit j for the j-th tuple over points,
+    symbol-major and tuple-lex."""
+    mask, bit = 0, 1
+    for (_, arity), table in zip(sig.symbols, tables):
+        for t in product(points, repeat=arity):
+            if t in table:
+                mask |= bit
+            bit <<= 1
+    return mask
+
+
+class TestSlots:
+    SIGS = (Signature((("U", 1), ("E", 2), ("T", 3))),
+            Signature((("T", 3), ("U", 1), ("E", 2))))
+
+    def test_slots_equal_product_filter(self):
+        for sig in self.SIGS:
+            for n in range(5):
+                for m in range(min(n, 3) + 1):
+                    for through in permutations(range(n), m):
+                        assert slots(sig, n, through) == tuple(
+                            (si, t) for si, (_, arity) in enumerate(sig.symbols)
+                            for t in product(range(n), repeat=arity)
+                            if set(through) <= set(t))
+
+    def test_slot_mask_equals_atom_mask_loop(self):
+        rng = random.Random(8)
+        for sig in self.SIGS:
+            for _ in range(100):
+                n = rng.randint(1, 5)
+                s = structure(sig, n, [(name, t) for name, arity in sig.symbols
+                                       for t in product(range(n), repeat=arity)
+                                       if rng.random() < 0.5])
+                points = tuple(rng.sample(range(n), rng.randint(0, min(n, 4))))
+                readers = slot_readers(slots(sig, len(points)))
+                assert slot_mask(readers, s.tables, points) == \
+                    atom_mask(sig, s.tables, points)
 
 
 class TestCanonicalForm:
