@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations, product
+from operator import getitem
 
 from .ages import BoundedClass, _in_age, _in_age_through, enumerate_age, in_age
 from .errors import IncoherentBehaviourError, InputError
@@ -318,21 +319,98 @@ def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
     of canonical age representatives over one index set, and restricting
     such a tuple to S need not give a tuple of representatives, so the
     smaller checks do not cover the larger ones.
+
+    Refuters first.  The member tuples that refuted an earlier table of the
+    same (source, target, arity) are tried before the ordered scan, most
+    recent first, those of size at most the cap in use only.  The verdict
+    is the conjunction over every member tuple of size at most the cap, so
+    the order in which its terms are read cannot change it; a refuter
+    larger than the cap is no term of it and is skipped.  Across the tables
+    of one search few tuples refute almost all of them.
+
+    Packed rows.  For a polymorphism whose flat indices at level m
+    (nm ** arity of them, nm the source's m-types) and target m-types both
+    fit in a byte, a member tuple's value row is the sum of its members'
+    packed columns (_member_columns, computed once per (source, n, m,
+    arity) and shared by every table) as bytes, translated through the
+    table's level map laid out as 256 bytes, built once per call: one
+    integer add and one bytes.translate.  Otherwise, and at arity 1, the
+    row is read value by value per tuple (_value_rows).
     """
     n_cap = cap if cap is not None else default_realize_cap(xi.target, xi.k)
-    arities = {a for _, a in xi.target.signature.symbols}
     poly = xi.arity > 1
     if not poly:
         n_cap = min(n_cap, local_realize_bound(xi.target))
+    rows = _member_rows(xi)
+    refuters = _refuters(xi.source, xi.target, xi.arity)
+    for at, (n, idx) in enumerate(refuters):
+        if n <= n_cap and not _image_in_age(xi.target, n, poly, rows(n, idx)):
+            refuters.insert(0, refuters.pop(at))
+            return False
     for n in range(1, n_cap + 1):
-        members_n = enumerate_age(xi.source, n)
-        levels = sorted(arities | {2} if n > 1 or poly else arities)
-        for members in product(members_n, repeat=xi.arity):
-            images = _value_rows(xi, members)
-            rows = tuple((m, tuple(images(m))) for m in levels)
-            if not _image_in_age(xi.target, n, poly, rows):
+        for idx in product(range(len(enumerate_age(xi.source, n))), repeat=xi.arity):
+            if not _image_in_age(xi.target, n, poly, rows(n, idx)):
+                refuters.insert(0, (n, idx))
                 return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _refuters(source: BoundedClass, target: BoundedClass,
+              arity: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The member tuples that refuted a table of the arity from source to
+    target, as (n, indices into enumerate_age(source, n)), most recent
+    first; is_realizable keeps the list."""
+    return []
+
+
+@lru_cache(maxsize=None)
+def _member_columns(source: BoundedClass, n: int, m: int, arity: int) -> tuple:
+    """Per argument position i, per member of enumerate_age(source, n), one
+    int whose big-endian bytes are the member's m-type indices times
+    nm ** (arity - 1 - i), nm the number of m-types.  The sum of a member
+    tuple's ints has its flat indices (_flat_rows order) as bytes, when
+    these are below 256: then no byte carries, in the sum or the scaling."""
+    nm = len(enumerate_types(source, m))
+    # the members lie in the age: no age test
+    packed = [int.from_bytes(bytes(read_type_indices(source, s, m)), "big")
+              for s in enumerate_age(source, n)]
+    return tuple(tuple(nm ** (arity - 1 - i) * p for p in packed) for i in range(arity))
+
+
+def _member_rows(xi: Behaviour):
+    """rows(n, idx): the key of _image_in_age, (level, value row) per level
+    the image reads, for the member tuple at the indices idx into
+    enumerate_age(source, n): bytes on the packed path, else a tuple."""
+    poly = xi.arity > 1
+    arities = {a for _, a in xi.target.signature.symbols}
+    # level 2 is read past one point, or for a polymorphism's reflexive pair
+    levels = sorted(arities), sorted(arities | {2})
+    tables = {}
+    for m in levels[1]:
+        if (poly and len(enumerate_types(xi.source, m)) ** xi.arity <= 256
+                and len(enumerate_types(xi.target, m)) <= 256):
+            tables[m] = bytes(xi.level_map(m)).ljust(256, b"\0")
+    plans: dict[int, list] = {}  # n -> (level, table, columns, row length) per level read
+
+    def rows(n: int, idx: tuple[int, ...]) -> tuple:
+        if n not in plans:
+            plans[n] = [(m, tables.get(m), m in tables and _member_columns(
+                xi.source, n, m, xi.arity), n ** m) for m in levels[n > 1 or poly]]
+        key = []
+        for m, table, columns, size in plans[n]:
+            if table is None:  # the list path
+                images = _value_rows(xi, tuple(map(enumerate_age(xi.source, n).__getitem__, idx)))
+                key.append((m, tuple(images(m))))
+                continue
+            if xi.arity == 2:  # the common case, one add
+                flat = columns[0][idx[0]] + columns[1][idx[1]]
+            else:
+                flat = sum(map(getitem, columns, idx))
+            key.append((m, flat.to_bytes(size, "big").translate(table)))
+        return tuple(key)
+
+    return rows
 
 
 @lru_cache(maxsize=1 << 14)

@@ -420,3 +420,8 @@ def maxdeg1(catalog):
 @pytest.fixture(scope="session")
 def point(catalog):
     return catalog.bounded_class("point")
+
+
+@pytest.fixture(scope="session")
+def hyper3():
+    return parse_input(_hypergraph3_text()).bounded_class("hyper3")

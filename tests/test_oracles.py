@@ -16,7 +16,10 @@ against the search over every arity-preserving matching.  The pinned
 search for relation-preserving behaviours, and the definability expansions
 built on it, are checked against filtering every realizable behaviour,
 and is_realizable's verdict cache and its local bound against building
-every image up to the full realize cap.  carve_bounds, which grows the
+every image up to the full realize cap; its refuters-first order and its
+packed rows against the plain ordered scan with rows built per tuple
+(reference_is_realizable), in shuffled call orders and at caps below a
+learned refuter.  carve_bounds, which grows the
 carved age, is checked against testing every structure of the signature,
 and the verifier's staged age scan against filtering every one-point
 extension.  Work
@@ -47,6 +50,7 @@ from agekit.ages import (
 )
 from agekit.canonical import (
     Behaviour,
+    _value_rows,
     inverse,
     _propagate_domains,
     default_realize_cap,
@@ -599,15 +603,24 @@ class TestImageKernel:
 
 
 class TestNoTypePerTuple:
-    """No KType is built per tuple on the realizability and probe paths."""
+    """No KType is built per tuple on the realizability and probe paths.
+
+    Calls made inside restrict_index_map are not counted: it builds each
+    cached level map once, not per tuple.  The caches the paths read their
+    type indices through are cleared first, so the guard holds when it runs
+    alone as it does after other tests."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         count = [0]
         real = ktypes.type_of_raw
+        level_map = ktypes.restrict_index_map.__wrapped__.__code__
 
         def counting(*args):
-            count[0] += 1
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not level_map:
+                frame = frame.f_back
+            count[0] += frame is None
             return real(*args)
 
         for mod in list(sys.modules.values()):
@@ -615,7 +628,13 @@ class TestNoTypePerTuple:
                     and getattr(mod, "type_of_raw", None) is real:
                 monkeypatch.setattr(mod, "type_of_raw", counting)
         type_indices.cache_clear()
+        canonical._member_columns.cache_clear()
+        canonical._refuters.cache_clear()
         return count
+
+    def test_counts_a_call_outside_the_level_maps(self, calls, graphs):
+        ktypes.type_of_raw(enumerate_age(graphs, 2)[0], (0, 1))
+        assert calls[0] == 1
 
     def test_enumerate_behaviours(self, calls, graphs):
         assert len(realizable_behaviours(graphs, graphs, 3)) == 5
@@ -628,10 +647,22 @@ class TestNoTypePerTuple:
         assert calls[0] == 0
 
     def test_poly_is_realizable(self, calls, linord):
+        # level 2 of linord at arity 2: 9 flat indices, the packed rows
         nt = len(enumerate_types(linord, 2))
         proj0 = tuple(a for a, b in product(range(nt), repeat=2))
-        assert is_realizable(Behaviour(linord, linord, 2, proj0, arity=2))
+        xi = Behaviour(linord, linord, 2, proj0, arity=2)
+        assert is_realizable(xi)
+        assert canonical._member_columns.cache_info().misses > 0
+        assert TestRealizabilityKernel.row_kinds(xi, 3) == {2: bytes}
+        assert calls[0] == 0
+
+    def test_poly_is_realizable_past_a_byte(self, calls, graphs, hyper3):
+        # level 3 of graphs at arity 3: 15 ** 3 flat indices, the list rows
+        xi = TestRealizabilityKernel.lifted(
+            enumerate_behaviours(graphs, hyper3, 3)[0], 3, 0)
+        assert is_realizable(xi, 3)
         assert type_indices.cache_info().misses > 0
+        assert TestRealizabilityKernel.row_kinds(xi, 3) == {2: bytes, 3: tuple}
         assert calls[0] == 0
 
 
@@ -810,6 +841,154 @@ class TestLocalRealizability:
     def test_sampled_pairs_at_k4(self, catalog, source, target):
         assert self.verdicts(catalog.bounded_class(source),
                              catalog.bounded_class(target), 4) == {True}
+
+
+def reference_is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
+    """is_realizable as it read member tuples before the refuter list and
+    the shared member columns: every member tuple in order, its value rows
+    built per tuple by _value_rows, judged by the same verdict cache."""
+    n_cap = cap if cap is not None else default_realize_cap(xi.target, xi.k)
+    arities = {a for _, a in xi.target.signature.symbols}
+    poly = xi.arity > 1
+    if not poly:
+        n_cap = min(n_cap, local_realize_bound(xi.target))
+    for n in range(1, n_cap + 1):
+        levels = sorted(arities | {2} if n > 1 or poly else arities)
+        for members in product(enumerate_age(xi.source, n), repeat=xi.arity):
+            images = _value_rows(xi, members)
+            rows = tuple((m, tuple(images(m))) for m in levels)
+            if not canonical._image_in_age(xi.target, n, poly, rows):
+                return False
+    return True
+
+
+class TestRealizabilityKernel:
+    """is_realizable tries the member tuples that refuted earlier tables
+    first, and reads value rows off packed member columns shared by every
+    table where they fit a byte; its rows and verdicts must equal the
+    plain scan's (reference_is_realizable), in any call order and at any
+    cap."""
+
+    @pytest.fixture
+    def refuters(self):
+        canonical._refuters.cache_clear()
+        return canonical._refuters
+
+    @staticmethod
+    def lifted(xi: Behaviour, arity: int, position: int) -> Behaviour:
+        """The arity-`arity` table that applies xi to argument `position`."""
+        nk = len(enumerate_types(xi.source, xi.k))
+        return Behaviour(xi.source, xi.target, xi.k,
+                         tuple(xi.table[args[position]]
+                               for args in product(range(nk), repeat=arity)), arity)
+
+    @staticmethod
+    def row_kinds(xi: Behaviour, n: int) -> dict:
+        """Per level read on n points: bytes on the packed path, tuple on
+        the list path."""
+        return {m: type(row) for m, row in canonical._member_rows(xi)(n, (0,) * xi.arity)}
+
+    @staticmethod
+    def assert_rows_equal_reference(xi: Behaviour, cap: int):
+        rows = canonical._member_rows(xi)
+        for n in range(1, cap + 1):
+            members = enumerate_age(xi.source, n)
+            for idx in product(range(len(members)), repeat=xi.arity):
+                images = _value_rows(xi, tuple(members[i] for i in idx))
+                assert [(m, tuple(row)) for m, row in rows(n, idx)] == [
+                    (m, tuple(images(m))) for m, _ in rows(n, idx)], (xi.table, n, idx)
+
+    def check(self, xis_caps):
+        verdicts = set()
+        for xi, cap in xis_caps:
+            got = is_realizable(xi, cap)
+            assert got == reference_is_realizable(xi, cap), (xi.table, cap)
+            verdicts.add(got)
+        return verdicts
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_catalog_pairs(self, catalog, refuters, k):
+        xis = [xi for s, t in product(CLASSES, repeat=2)
+               for xi in enumerate_behaviours(catalog.bounded_class(s),
+                                              catalog.bounded_class(t), k)]
+        assert self.check([(xi, cap) for xi in xis for cap in (None, 2)]) == (
+            {False, True} if k == 2 else {True})
+
+    @pytest.mark.parametrize("name", ["Tf", "Qlt"])
+    def test_preserving_poly_tables(self, catalog, refuters, name):
+        c = catalog.reduct(name)
+        xis = preserving_behaviours(c, 2, default_level(c))
+        verdicts = self.check([(xi, cap) for xi in xis for cap in (None, 2)])
+        assert verdicts == ({False, True} if name == "Tf" else {True})
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shuffled_call_orders(self, catalog, refuters, seed):
+        # refuters learned in one order, at one cap, are tried on the
+        # tables of every other order and cap
+        tf = catalog.reduct("Tf")
+        xis = list(preserving_behaviours(tf, 2, 2))
+        xis += [xi for s, t in product(["graphs", "trifree", "maxdeg1"], repeat=2)
+                for xi in enumerate_behaviours(catalog.bounded_class(s),
+                                               catalog.bounded_class(t), 2)]
+        calls = [(xi, cap) for xi in xis for cap in (None, 2, 3)]
+        random.Random(seed).shuffle(calls)
+        assert self.check(calls) == {False, True}
+        assert refuters(tf.base, tf.base, 2)
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_refuter_above_the_cap_is_skipped(self, graphs, trifree, refuters, arity):
+        # a table refuted first on 3 points is realizable at cap 2: the
+        # refuter learned at the full cap is no term of the check at cap 2
+        xis = (enumerate_behaviours(graphs, trifree, 2) if arity == 1
+               else enumerate_behaviours(trifree, trifree, 2, arity=2))
+        xi = next(xi for xi in xis
+                  if not reference_is_realizable(xi) and reference_is_realizable(xi, 2))
+        assert not is_realizable(xi)
+        ((n, _), *_) = refuters(xi.source, xi.target, arity)
+        assert n > 2
+        assert is_realizable(xi, 2)
+        assert not is_realizable(xi)
+
+    def test_flat_indices_past_a_byte(self, graphs, hyper3, refuters):
+        # level 3 of graphs has 15 types: at arity 2 its 225 flat indices
+        # are packed, at arity 3 its 3,375 are read on the list path; the
+        # same tables applied to one argument give the same images on both
+        rng = random.Random(5)
+        nvals = len(enumerate_types(hyper3, 3))
+        lifts = {2: [], 3: []}
+        perturbed = set()
+        for i, xi in enumerate(enumerate_behaviours(graphs, hyper3, 3)):
+            for arity in (2, 3):
+                lift = self.lifted(xi, arity, i % arity)
+                # a changed diagonal row is read by every tuple of one member
+                table = list(lift.table)
+                table[rng.randrange(15) * (15 ** arity - 1) // 14] = rng.randrange(nvals)
+                changed = Behaviour(graphs, hyper3, 3, tuple(table), arity)
+                assert self.row_kinds(lift, 3) == {2: bytes, 3: bytes if arity == 2 else tuple}
+                for t in (lift, changed):
+                    self.assert_rows_equal_reference(t, 3)
+                lifts[arity].append(self.check([(lift, 3)]).pop())
+                perturbed |= self.check([(changed, 3)])
+        assert lifts[2] == lifts[3]
+        assert perturbed == {False, True}
+
+    def test_target_types_past_a_byte(self, linord, refuters):
+        # two free binary symbols have 260 2-types, past a byte: rows of
+        # linord polymorphisms into them take the list path, though the 9
+        # flat indices of linord's 2-types at arity 2 would fit
+        free2 = parse_input("class free2\n  sig E/2 F/2\nend\n").bounded_class("free2")
+        assert len(enumerate_types(free2, 2)) > 256
+        rng = random.Random(6)
+        verdicts = set()
+        for xi in enumerate_behaviours(linord, free2, 2):
+            lift = self.lifted(xi, 2, 0)
+            table = list(lift.table)
+            table[rng.choice((0, 4, 8))] = rng.randrange(260)  # a diagonal row
+            assert self.row_kinds(lift, 3) == {2: tuple}
+            for t in (lift, Behaviour(linord, free2, 2, tuple(table), 2)):
+                self.assert_rows_equal_reference(t, 4)
+                verdicts |= self.check([(t, None)])
+        assert verdicts == {False, True}
 
 
 # -- anchored bound checks --------------------------------------------------------
