@@ -326,15 +326,17 @@ def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
     is the conjunction over every member tuple of size at most the cap, so
     the order in which its terms are read cannot change it; a refuter
     larger than the cap is no term of it and is skipped.  Across the tables
-    of one search few tuples refute almost all of them.
+    of one search few tuples refute almost all of them; the REFUTERS_KEPT
+    most recently useful are kept, so a table that none refutes pays for at most
+    that many before the scan.
 
     Packed rows.  For a polymorphism whose flat indices at level m
     (nm ** arity of them, nm the source's m-types) and target m-types both
     fit in a byte, a member tuple's value row is the sum of its members'
     packed columns (_member_columns, computed once per (source, n, m,
     arity) and shared by every table) as bytes, translated through the
-    table's level map laid out as 256 bytes, built once per call: one
-    integer add and one bytes.translate.  Otherwise, and at arity 1, the
+    table's level map laid out as 256 bytes, built once per call: an
+    integer sum and one bytes.translate.  Otherwise, and at arity 1, the
     row is read value by value per tuple (_value_rows).
     """
     n_cap = cap if cap is not None else default_realize_cap(xi.target, xi.k)
@@ -351,8 +353,14 @@ def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
         for idx in product(range(len(enumerate_age(xi.source, n))), repeat=xi.arity):
             if not _image_in_age(xi.target, n, poly, rows(n, idx)):
                 refuters.insert(0, (n, idx))
+                del refuters[REFUTERS_KEPT:]
                 return False
     return True
+
+
+# refuters kept per (source, target, arity), the least recently useful
+# dropped; the catalog searches learn at most 5
+REFUTERS_KEPT = 8
 
 
 @lru_cache(maxsize=None)
@@ -360,7 +368,7 @@ def _refuters(source: BoundedClass, target: BoundedClass,
               arity: int) -> list[tuple[int, tuple[int, ...]]]:
     """The member tuples that refuted a table of the arity from source to
     target, as (n, indices into enumerate_age(source, n)), most recent
-    first; is_realizable keeps the list."""
+    first, at most REFUTERS_KEPT of them; is_realizable keeps the list."""
     return []
 
 
@@ -403,10 +411,7 @@ def _member_rows(xi: Behaviour):
                 images = _value_rows(xi, tuple(map(enumerate_age(xi.source, n).__getitem__, idx)))
                 key.append((m, tuple(images(m))))
                 continue
-            if xi.arity == 2:  # the common case, one add
-                flat = columns[0][idx[0]] + columns[1][idx[1]]
-            else:
-                flat = sum(map(getitem, columns, idx))
+            flat = sum(map(getitem, columns, idx))
             key.append((m, flat.to_bytes(size, "big").translate(table)))
         return tuple(key)
 

@@ -949,6 +949,20 @@ class TestRealizabilityKernel:
         assert is_realizable(xi, 2)
         assert not is_realizable(xi)
 
+    def test_refuters_kept_are_bounded(self, trifree, refuters):
+        # a full list that refutes nothing: the new refuter goes first and
+        # the oldest is dropped
+        xi = next(xi for xi in enumerate_behaviours(trifree, trifree, 2, arity=2)
+                  if not reference_is_realizable(xi))
+        kept = refuters(trifree, trifree, 2)
+        cap = default_realize_cap(trifree, 2)
+        stale = [(cap + 1, (i, i)) for i in range(canonical.REFUTERS_KEPT)]
+        kept[:] = stale
+        assert not is_realizable(xi)
+        assert len(kept) == canonical.REFUTERS_KEPT
+        assert kept[1:] == stale[:-1]
+        assert kept[0][0] <= cap
+
     def test_flat_indices_past_a_byte(self, graphs, hyper3, refuters):
         # level 3 of graphs has 15 types: at arity 2 its 225 flat indices
         # are packed, at arity 3 its 3,375 are read on the list path; the
