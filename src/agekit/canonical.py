@@ -30,7 +30,6 @@ from .ktypes import (
     serialization_order,
     serialized_types,
     symbol_holds,
-    type_indices,
 )
 from .structures import FinStructure, empty_structure, induced, slot_mask, slot_readers, slots
 from .value import Value
@@ -186,17 +185,19 @@ def image_structure(xi: Behaviour, s: FinStructure) -> FinStructure:
 
 def _value_rows(xi: Behaviour, members: tuple[FinStructure, ...]):
     """``images`` for _image_from_types: the value on the m-types that each
-    m-tuple of points has in the argument structures, one lookup per tuple."""
+    m-tuple of points has in the argument structures, members of the age."""
+    return lambda m: _value_row(xi, m, [read_type_indices(xi.source, s, m) for s in members])
 
-    def images(m: int) -> list[int]:
-        nm = len(enumerate_types(xi.source, m))
-        flat = type_indices(xi.source, members[0], m)
-        for s in members[1:]:
-            flat = [f * nm + a for f, a in zip(flat, type_indices(xi.source, s, m))]
-        lvl = xi.level_map(m)
-        return [lvl[f] for f in flat]
 
-    return images
+def _value_row(xi: Behaviour, m: int, type_rows) -> list[int]:
+    """The value on each m-tuple of points, given per argument the m-type
+    index of every m-tuple in tuple-lex order: one lookup per tuple."""
+    nm = len(enumerate_types(xi.source, m))
+    flat = type_rows[0]
+    for row in type_rows[1:]:
+        flat = [f * nm + a for f, a in zip(flat, row)]
+    lvl = xi.level_map(m)
+    return [lvl[f] for f in flat]
 
 
 def _image_from_types(target: BoundedClass, n: int, images) -> FinStructure:
@@ -281,6 +282,11 @@ def default_realize_cap(target: BoundedClass, k: int) -> int:
     return max(2 * k, target.max_bound_size, target.signature.max_arity)
 
 
+def effective_realize_cap(cap: int | None, target: BoundedClass, k: int) -> int:
+    """The realizability cap in effect: cap (--realize-cap), else the default."""
+    return cap if cap is not None else default_realize_cap(target, k)
+
+
 def local_realize_bound(target: BoundedClass) -> int:
     """max(3, r + 1, b), with r the target's largest arity and b its largest
     bound: an arity-1 image that fails on some member fails on a sub-member
@@ -330,16 +336,15 @@ def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
     most recently useful are kept, so a table that none refutes pays for at most
     that many before the scan.
 
-    Packed rows.  For a polymorphism whose flat indices at level m
-    (nm ** arity of them, nm the source's m-types) and target m-types both
-    fit in a byte, a member tuple's value row is the sum of its members'
-    packed columns (_member_columns, computed once per (source, n, m,
-    arity) and shared by every table) as bytes, translated through the
-    table's level map laid out as 256 bytes, built once per call: an
-    integer sum and one bytes.translate.  Otherwise, and at arity 1, the
-    row is read value by value per tuple (_value_rows).
+    Packed rows.  Where the flat indices at level m (nm ** arity of them,
+    nm the source's m-types) and the target m-types both fit in a byte, a
+    member tuple's value row is the sum of its members' packed columns
+    (_member_columns, once per (source, n, m, arity), shared by every
+    table) as bytes, translated through the table's level map laid out as
+    256 bytes, built once per call.  Otherwise _value_row combines it from
+    the members' type index rows (_member_types, once per (source, n, m)).
     """
-    n_cap = cap if cap is not None else default_realize_cap(xi.target, xi.k)
+    n_cap = effective_realize_cap(cap, xi.target, xi.k)
     poly = xi.arity > 1
     if not poly:
         n_cap = min(n_cap, local_realize_bound(xi.target))
@@ -373,6 +378,12 @@ def _refuters(source: BoundedClass, target: BoundedClass,
 
 
 @lru_cache(maxsize=None)
+def _member_types(source: BoundedClass, n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """read_type_indices at level m of each member of enumerate_age(source, n)."""
+    return tuple(read_type_indices(source, s, m) for s in enumerate_age(source, n))
+
+
+@lru_cache(maxsize=None)
 def _member_columns(source: BoundedClass, n: int, m: int, arity: int) -> tuple:
     """Per argument position i, per member of enumerate_age(source, n), one
     int whose big-endian bytes are the member's m-type indices times
@@ -380,7 +391,6 @@ def _member_columns(source: BoundedClass, n: int, m: int, arity: int) -> tuple:
     tuple's ints has its flat indices (_flat_rows order) as bytes, when
     these are below 256: then no byte carries, in the sum or the scaling."""
     nm = len(enumerate_types(source, m))
-    # the members lie in the age: no age test
     packed = [int.from_bytes(bytes(read_type_indices(source, s, m)), "big")
               for s in enumerate_age(source, n)]
     return tuple(tuple(nm ** (arity - 1 - i) * p for p in packed) for i in range(arity))
@@ -396,22 +406,22 @@ def _member_rows(xi: Behaviour):
     levels = sorted(arities), sorted(arities | {2})
     tables = {}
     for m in levels[1]:
-        if (poly and len(enumerate_types(xi.source, m)) ** xi.arity <= 256
+        if (len(enumerate_types(xi.source, m)) ** xi.arity <= 256
                 and len(enumerate_types(xi.target, m)) <= 256):
             tables[m] = bytes(xi.level_map(m)).ljust(256, b"\0")
-    plans: dict[int, list] = {}  # n -> (level, table, columns, row length) per level read
+    plans: dict[int, list] = {}  # n -> (level, table, member data, row length) per level read
 
     def rows(n: int, idx: tuple[int, ...]) -> tuple:
         if n not in plans:
-            plans[n] = [(m, tables.get(m), m in tables and _member_columns(
-                xi.source, n, m, xi.arity), n ** m) for m in levels[n > 1 or poly]]
+            plans[n] = [(m, tables[m], _member_columns(xi.source, n, m, xi.arity), n ** m)
+                        if m in tables else (m, None, _member_types(xi.source, n, m), 0)
+                        for m in levels[n > 1 or poly]]
         key = []
-        for m, table, columns, size in plans[n]:
+        for m, table, data, size in plans[n]:
             if table is None:  # the list path
-                images = _value_rows(xi, tuple(map(enumerate_age(xi.source, n).__getitem__, idx)))
-                key.append((m, tuple(images(m))))
+                key.append((m, tuple(_value_row(xi, m, [data[i] for i in idx]))))
                 continue
-            flat = sum(map(getitem, columns, idx))
+            flat = sum(map(getitem, data, idx))
             key.append((m, flat.to_bytes(size, "big").translate(table)))
         return tuple(key)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import __version__
-from .canonical import default_realize_cap, serialize_behaviour
+from .canonical import effective_realize_cap, serialize_behaviour
 from .core import CorePresentation
 from .decide import Verdict
 from .definability import DefinableVerdict
@@ -29,8 +29,7 @@ def _core_block(p: CorePresentation) -> dict:
         "base": render_class(p.base_out),
         "reduct": render_reduct(p.reduct_out),
         "witness": serialize_behaviour(p.witness),
-        "witness_realize_cap": (p.realize_cap if p.realize_cap is not None
-                                else default_realize_cap(p.witness.target, p.k)),
+        "witness_realize_cap": effective_realize_cap(p.realize_cap, p.witness.target, p.k),
         "image_types": serialize_mask(p.witness.target, p.k, p.image_types),
         "k": p.k,
         "scan_cap": p.scan_cap,
@@ -68,12 +67,10 @@ def bidef_certificate(kind: str, c: Reduct, d: Reduct, verdict: Verdict) -> dict
             "matching": [list(pair) for pair in w.matching],
             "xi": serialize_behaviour(w.xi),
             "eta": serialize_behaviour(w.eta),
-            "xi_realize_cap": (verdict.caps.realize_cap
-                               if verdict.caps.realize_cap is not None
-                               else default_realize_cap(w.xi.target, w.xi.k)),
-            "eta_realize_cap": (verdict.caps.realize_cap
-                                if verdict.caps.realize_cap is not None
-                                else default_realize_cap(w.eta.target, w.eta.k)),
+            "xi_realize_cap": effective_realize_cap(verdict.caps.realize_cap,
+                                                    w.xi.target, w.xi.k),
+            "eta_realize_cap": effective_realize_cap(verdict.caps.realize_cap,
+                                                     w.eta.target, w.eta.k),
         }
     return cert
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .ages import check_amalgamation
 from .canonical import (
-    default_realize_cap,
+    effective_realize_cap,
     enumerate_behaviours,
     greedy_extension_probe,
     is_realizable,
@@ -179,8 +179,7 @@ def _realizable_behaviours(args: argparse.Namespace) -> tuple:
 
 def _run_behaviours(args: argparse.Namespace) -> tuple[int, str]:
     src, tgt, level, bs = _realizable_behaviours(args)
-    eff = args.realize_cap if args.realize_cap is not None else (
-        default_realize_cap(tgt, level) if bs else None)
+    eff = effective_realize_cap(args.realize_cap, tgt, level) if bs else args.realize_cap
     rep = Report("behaviours")
     rep.line(f"source: {src.name}  target: {tgt.name}")
     rep.line(f"caps: {_caps_line(k=level, realize_cap=eff)}")
@@ -224,7 +223,7 @@ def _run_core(args: argparse.Namespace) -> tuple[int, str]:
     rep.line(f"input: {c.name} over {c.base.name}")
     rep.line(f"caps: {_caps_line(k=p.k, realize_cap=args.realize_cap)} "
              f"scan-cap={p.scan_cap} "
-             f"witness-realize-cap={args.realize_cap if args.realize_cap is not None else default_realize_cap(c.base, p.k)}")
+             f"witness-realize-cap={effective_realize_cap(args.realize_cap, c.base, p.k)}")
     rep.line(f"image types: {p.image_types.bit_count()} of "
              f"{len(enumerate_types(c.base, p.k))}")
     rep.line(f"optimally presented: {'yes' if optimal else 'NO'}")

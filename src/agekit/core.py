@@ -31,7 +31,7 @@ from .ktypes import (
     enumerate_types,
     first_m_index_map,
     pad_index_map,
-    type_indices,
+    read_type_indices,
 )
 from .reducts import OrbitsDef, Reduct, Relation, compiled_unions
 from .structures import (
@@ -139,7 +139,7 @@ def carve_bounds(base: BoundedClass, image_types: int, k: int,
     """
     def member(s) -> bool:
         return in_age(base, s) and all(image_types >> i & 1
-                                       for i in type_indices(base, s, k))
+                                       for i in read_type_indices(base, s, k))
 
     members = (empty_structure(base.signature),)
     bounds = []

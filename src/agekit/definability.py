@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .ages import BoundedClass
-from .canonical import Behaviour, default_realize_cap, is_realizable
+from .canonical import Behaviour, effective_realize_cap, is_realizable
 from .core import CorePresentation, preserving_behaviours, preserving_domains, union_rows
 from .errors import InputError
 from .ktypes import enumerate_types
@@ -76,8 +76,7 @@ def _caps(p: CorePresentation, mode: str, arity_cap: int | None,
         arity_cap = 1
     if arity_cap is not None and arity_cap < 1:
         raise InputError("definable: arity cap must be >= 1")
-    cap = realize_cap if realize_cap is not None else default_realize_cap(p.base_out, p.k)
-    return arity_cap, cap
+    return arity_cap, effective_realize_cap(realize_cap, p.base_out, p.k)
 
 
 def definable(p: CorePresentation, arity: int, mask: int, mode: str,
@@ -94,9 +93,19 @@ def definable(p: CorePresentation, arity: int, mask: int, mode: str,
     return DefinableVerdict(witness is None, arity, mask, witness, arity_cap, cap)
 
 
+# the most orbit unions an expansion enumerates, each one a definability
+# query: 2 ** (types at the arity) - 1 per arity, counted before any is made;
+# the largest catalog expansion, graphs at --n 3, has 32,775
+UNION_LIMIT = 1 << 16
+
+
 def _fresh_unions(base: BoundedClass, existing: Reduct, max_arity: int):
     """(name, arity, mask) of every nonempty orbit union of arity <=
     max_arity not yet declared, with a deterministic fresh name."""
+    unions = sum((1 << len(enumerate_types(base, m))) - 1 for m in range(1, max_arity + 1))
+    if unions > UNION_LIMIT:
+        raise InputError(f"expansion: {unions:,} orbit unions of arity <= {max_arity}, "
+                         f"more than {UNION_LIMIT:,}; lower --n")
     declared = {(arity, mask) for _, arity, mask in compiled_unions(existing)}
     for m in range(1, max_arity + 1):
         for mask in range(1, 1 << len(enumerate_types(base, m))):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .ages import BoundedClass, _in_age, age_extensions, in_age
+from .ages import BoundedClass, _in_age, age_extensions
 from .errors import InputError
 from .structures import (
     FinStructure,
@@ -197,6 +197,7 @@ def enumerate_types(k: BoundedClass, level: int) -> tuple[KType, ...]:
 
 @lru_cache(maxsize=None)
 def type_index(k: BoundedClass, level: int) -> dict[KType, int]:
+    """KType -> index at the level: the lookup for types read from input."""
     return {p: i for i, p in enumerate(enumerate_types(k, level))}
 
 
@@ -209,25 +210,10 @@ def _type_lookup(k: BoundedClass, level: int) -> tuple[dict[tuple, int], tuple]:
              for i, p in enumerate(enumerate_types(k, level))}, readers)
 
 
-# bounded: realizability checks read every member of the source age up to its cap
-@lru_cache(maxsize=1 << 14)
-def type_indices(k: BoundedClass, s: FinStructure, level: int) -> tuple[int, ...]:
-    """The type index of every level-tuple of an age member, in tuple-lex order.
-
-    Equal to ``type_index(k, level)[type_of_raw(s, t)]`` for each t in
-    ``product(range(s.size), repeat=level)``, read off s.tables with no
-    KType or induced structure built.  Raises InputError for a structure
-    outside the age.
-    """
-    if not in_age(k, s):
-        raise InputError("type_indices: structure outside the age")
-    return read_type_indices(k, s, level)
-
-
 def read_type_indices(k: BoundedClass, s: FinStructure, level: int) -> tuple[int, ...]:
-    """type_indices for a structure known to lie in the age, with no age
-    test and no cache: the extension probe reads each of its fresh random
-    draws once per level."""
+    """``type_index(k, level)[type_of_raw(s, t)]`` for each t in
+    ``product(range(s.size), repeat=level)``, read off s.tables with no
+    KType built, no age test (s must lie in the age) and no cache."""
     lookup, readers = _type_lookup(k, level)
     masks: dict[tuple[int, ...], int] = {}
     out = []
@@ -267,9 +253,14 @@ def serialization_order(k: BoundedClass, level: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def restrict_index_map(k: BoundedClass, level: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """Index form of restrict_type: level-`level` types to level-`len(sigma)` types."""
-    idx = type_index(k, len(sigma))
-    return tuple(idx[restrict_type(p, sigma)] for p in enumerate_types(k, level))
+    """Index form of restrict_type, level-`level` types to level-`len(sigma)`
+    types: read off the quotient at the blocks sigma picks, no KType built."""
+    lookup, readers = _type_lookup(k, len(sigma))
+    out = []
+    for p in enumerate_types(k, level):
+        blocks, key = _partition([p.blocks[v] for v in sigma])
+        out.append(lookup[blocks, slot_mask(readers[len(key)], p.quotient.tables, key)])
+    return tuple(out)
 
 
 def monoid_generators(level: int) -> tuple[tuple[int, ...], ...]:

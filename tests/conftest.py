@@ -29,9 +29,9 @@ from agekit.ktypes import (
     degenerate_pairs,
     enumerate_types,
     parse_type,
+    read_type_indices,
     restrict_type,
     type_index,
-    type_indices,
     type_of_raw,
 )
 from agekit.parser import Catalog, parse_input, split_type_columns
@@ -297,7 +297,7 @@ def reference_carve_bounds(base: BoundedClass, image_types, k: int,
     hit = frozenset(mask_members(base, k, image_types))
 
     def member(s) -> bool:
-        return in_age(base, s) and hit.issuperset(type_indices(base, s, k))
+        return in_age(base, s) and hit.issuperset(read_type_indices(base, s, k))
 
     bounds = []
     for size in range(1, cap + 1):

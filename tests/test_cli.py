@@ -620,6 +620,20 @@ class TestExitCodes:
         assert "--n 3" in r.stderr and "--k 2" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["definable", "--reduct", "Qlt", "--n", "4"],
+        ["bidef", "--reducts", "Qlt", "QltRev", "--mode", "fo", "--n", "4"],
+    ], ids=["definable", "bidef"])
+    def test_expansion_past_the_union_guard(self, argv):
+        # linord has 75 4-types: 2 ** 75 - 1 orbit unions of arity 4, refused
+        # before any is enumerated
+        r = subprocess.run(
+            [sys.executable, "-m", "agekit.cli", argv[0], catalog_path("linord.cls"), *argv[1:]],
+            capture_output=True, text=True, timeout=10)
+        assert r.returncode == 3 and r.stdout == ""
+        assert "orbit unions of arity <= 4" in r.stderr and "lower --n" in r.stderr
+        assert "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("flags,named", [
         (["--n", "3"], "--n 3"),
         (["--query", "lt(x0,x1) & lt(x1,x2)", "--query-arity", "3"], "--query-arity 3"),
@@ -1231,6 +1245,47 @@ class TestVerifierRejections:
         (tmp_path / "certificate.json").write_text(json.dumps(cert))
         code, out = run_cli(["verify", str(tmp_path)], capsys)
         assert code == 1 and f"FAILED: {message}" in out
+
+    def test_bound_dropped_by_augment_is_rejected(self, linord, tmp_path, capsys,
+                                                  monkeypatch):
+        # the search grows the carved age with structures.augment; a pruning
+        # bug there that drops a bound must not drop it from the verifier's
+        # scan too
+        from agekit import core, structures, verify
+        empty2 = structures.canonical_form(structures.structure(linord.signature, 2))
+        real = structures.augment
+
+        def pruned(bases, extensions):
+            return tuple(s for s in real(bases, extensions) if s != empty2)
+
+        monkeypatch.setattr(structures, "augment", pruned)
+        monkeypatch.setattr(core, "augment", pruned)
+        caches = (core.compute_core, structures.enumerate_structures, verify._v_age)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            code, _ = run_cli(["core", catalog_path("linord.cls"), "--reduct", "Qleq",
+                               "--witness-out", str(tmp_path)], capsys)
+            base = json.loads((tmp_path / "certificate.json").read_text())["core"]["base"]
+            code_verify, out = run_cli(["verify", str(tmp_path)], capsys)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert code == 0 and "  bound size=2:\n" not in base
+        assert code_verify == 1
+        assert "FAILED: output bounds differ from an independent scan" in out
+
+    def test_verifier_reads_no_structure_enumeration(self):
+        # the verifier's own age scan stands in for the search's generators
+        import ast
+        from agekit import verify
+        tree = ast.parse(Path(verify.__file__).read_text())
+        names = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                 and node.module == "structures" for alias in node.names}
+        assert names == {"FinStructure", "Signature", "canonical_form", "embeds",
+                         "empty_structure", "eval_qf", "extension_slots",
+                         "find_embedding", "induced", "parse_literal",
+                         "render_literal", "sort_key"}
 
     def test_definable_verdict_is_cap_relative(self, certs, tmp_path, capsys):
         assert certs["definable-gt"]["verdict"] == "DEFINABLE"

@@ -80,10 +80,10 @@ from agekit.ktypes import (
     _labeled_age_structures,
     default_level,
     enumerate_types,
+    read_type_indices,
     restrict_type,
     serialize_type,
     type_index,
-    type_indices,
     type_of_raw,
 )
 from agekit.structures import (
@@ -497,7 +497,7 @@ class TestTypeIndices:
                     for s in enumerate_age(k, n):
                         want = tuple(idx[type_of_raw(s, t)]
                                      for t in product(range(n), repeat=level))
-                        assert type_indices(k, s, level) == want
+                        assert read_type_indices(k, s, level) == want
 
     def test_outside_the_age_is_input_error(self, catalog, trifree, linord):
         triangle = structure(trifree.signature, 3, [
@@ -505,9 +505,6 @@ class TestTypeIndices:
         cycle = structure(linord.signature, 3, [
             ("lt", (0, 1)), ("lt", (1, 2)), ("lt", (2, 0))])
         for k, s in ((trifree, triangle), (linord, cycle)):
-            for level in (1, 2, 3):
-                with pytest.raises(InputError, match="outside the age"):
-                    type_indices(k, s, level)
             xi = Behaviour(k, k, 2, tuple(range(len(enumerate_types(k, 2)))))
             with pytest.raises(InputError, match="structure outside the source age"):
                 image_structure(xi, s)
@@ -603,10 +600,8 @@ class TestImageKernel:
 
 
 class TestNoTypePerTuple:
-    """No KType is built per tuple on the realizability and probe paths.
-
-    Calls made inside restrict_index_map are not counted: it builds each
-    cached level map once, not per tuple.  The caches the paths read their
+    """No KType is built per tuple on the realizability and probe paths,
+    nor per type in the restriction maps.  The caches the paths read their
     type indices through are cleared first, so the guard holds when it runs
     alone as it does after other tests."""
 
@@ -614,31 +609,30 @@ class TestNoTypePerTuple:
     def calls(self, monkeypatch):
         count = [0]
         real = ktypes.type_of_raw
-        level_map = ktypes.restrict_index_map.__wrapped__.__code__
 
         def counting(*args):
-            frame = sys._getframe(1)
-            while frame is not None and frame.f_code is not level_map:
-                frame = frame.f_back
-            count[0] += frame is None
+            count[0] += 1
             return real(*args)
 
         for mod in list(sys.modules.values()):
             if mod is not None and mod.__name__.startswith("agekit") \
                     and getattr(mod, "type_of_raw", None) is real:
                 monkeypatch.setattr(mod, "type_of_raw", counting)
-        type_indices.cache_clear()
+        ktypes.restrict_index_map.cache_clear()
+        canonical._arcs.cache_clear()
+        canonical._member_types.cache_clear()
         canonical._member_columns.cache_clear()
         canonical._refuters.cache_clear()
         return count
 
-    def test_counts_a_call_outside_the_level_maps(self, calls, graphs):
+    def test_counts_a_call(self, calls, graphs):
         ktypes.type_of_raw(enumerate_age(graphs, 2)[0], (0, 1))
         assert calls[0] == 1
 
     def test_enumerate_behaviours(self, calls, graphs):
         assert len(realizable_behaviours(graphs, graphs, 3)) == 5
-        assert type_indices.cache_info().misses > 0
+        assert ktypes.restrict_index_map.cache_info().misses > 0
+        assert canonical._member_columns.cache_info().misses > 0
         assert calls[0] == 0
 
     def test_probe(self, calls, graphs):
@@ -661,7 +655,7 @@ class TestNoTypePerTuple:
         xi = TestRealizabilityKernel.lifted(
             enumerate_behaviours(graphs, hyper3, 3)[0], 3, 0)
         assert is_realizable(xi, 3)
-        assert type_indices.cache_info().misses > 0
+        assert canonical._member_types.cache_info().misses > 0
         assert TestRealizabilityKernel.row_kinds(xi, 3) == {2: bytes, 3: tuple}
         assert calls[0] == 0
 
@@ -964,14 +958,17 @@ class TestRealizabilityKernel:
         assert kept[0][0] <= cap
 
     def test_flat_indices_past_a_byte(self, graphs, hyper3, refuters):
-        # level 3 of graphs has 15 types: at arity 2 its 225 flat indices
-        # are packed, at arity 3 its 3,375 are read on the list path; the
-        # same tables applied to one argument give the same images on both
+        # level 3 of graphs has 15 types: at arities 1 and 2 its 15 and 225
+        # flat indices are packed, at arity 3 its 3,375 are read on the list
+        # path; the same tables applied to one argument give the same
+        # images on both
         rng = random.Random(5)
         nvals = len(enumerate_types(hyper3, 3))
         lifts = {2: [], 3: []}
         perturbed = set()
         for i, xi in enumerate(enumerate_behaviours(graphs, hyper3, 3)):
+            assert self.row_kinds(xi, 3) == {2: bytes, 3: bytes}
+            self.assert_rows_equal_reference(xi, 3)
             for arity in (2, 3):
                 lift = self.lifted(xi, arity, i % arity)
                 # a changed diagonal row is read by every tuple of one member
