@@ -7,11 +7,11 @@ perturb the determinism contract.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .ages import check_amalgamation
@@ -95,14 +95,14 @@ _POSITIVE_FLAGS = (("--k", "k"), ("--realize-cap", "realize_cap"),
                    ("--max-size", "max_size"))
 
 
-def _check_positive_flags(args: argparse.Namespace) -> None:
+def _check_positive_flags(args: SimpleNamespace) -> None:
     for flag, dest in _POSITIVE_FLAGS:
         value = getattr(args, dest, None)
         if value is not None and value < 1:
             raise InputError(f"{flag} must be >= 1, got {value}")
 
 
-def _level(args: argparse.Namespace, *inputs) -> int:
+def _level(args: SimpleNamespace, *inputs) -> int:
     """--k, or by default the largest arity of the inputs, which --k must cover."""
     level = default_level(*inputs)
     if args.k is None:
@@ -112,13 +112,13 @@ def _level(args: argparse.Namespace, *inputs) -> int:
     return args.k
 
 
-def run(args: argparse.Namespace) -> tuple[int, str]:
+def run(args: SimpleNamespace) -> tuple[int, str]:
     """Dispatch parsed arguments; returns (exit code, report text)."""
     _check_positive_flags(args)
     return _COMMANDS[args.command][2](args)
 
 
-def _run_check(args: argparse.Namespace) -> tuple[int, str]:
+def _run_check(args: SimpleNamespace) -> tuple[int, str]:
     cat = _load(args.files)
     rep = Report("check")
     rep.data["classes"] = {}
@@ -150,7 +150,7 @@ def _run_check(args: argparse.Namespace) -> tuple[int, str]:
     return worst, rep.emit(args.fmt)
 
 
-def _run_orbits(args: argparse.Namespace) -> tuple[int, str]:
+def _run_orbits(args: SimpleNamespace) -> tuple[int, str]:
     cat = _load(args.files)
     k = cat.bounded_class(args.class_name) if args.class_name else cat.sole_class()
     level = args.k if args.k is not None else max(1, k.signature.max_arity)
@@ -166,7 +166,7 @@ def _run_orbits(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_YES, rep.emit(args.fmt)
 
 
-def _realizable_behaviours(args: argparse.Namespace) -> tuple:
+def _realizable_behaviours(args: SimpleNamespace) -> tuple:
     """The source and target classes, the level, and the realizable
     behaviours between them in serialization order."""
     cat = _load(args.files)
@@ -177,7 +177,7 @@ def _realizable_behaviours(args: argparse.Namespace) -> tuple:
                              if is_realizable(xi, args.realize_cap)]
 
 
-def _run_behaviours(args: argparse.Namespace) -> tuple[int, str]:
+def _run_behaviours(args: SimpleNamespace) -> tuple[int, str]:
     src, tgt, level, bs = _realizable_behaviours(args)
     eff = effective_realize_cap(args.realize_cap, tgt, level) if bs else args.realize_cap
     rep = Report("behaviours")
@@ -192,7 +192,7 @@ def _run_behaviours(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_YES, rep.emit(args.fmt)
 
 
-def _run_probe(args: argparse.Namespace) -> tuple[int, str]:
+def _run_probe(args: SimpleNamespace) -> tuple[int, str]:
     if args.trials < 0:
         raise InputError(f"--trials must be >= 0, got {args.trials}")
     src, tgt, level, bs = _realizable_behaviours(args)
@@ -214,7 +214,7 @@ def _run_probe(args: argparse.Namespace) -> tuple[int, str]:
     return (EXIT_YES if not total_failures else EXIT_NO), rep.emit(args.fmt)
 
 
-def _run_core(args: argparse.Namespace) -> tuple[int, str]:
+def _run_core(args: SimpleNamespace) -> tuple[int, str]:
     cat = _load(args.files)
     c = cat.reduct(args.reduct)
     p = compute_core(c, _level(args, c), args.realize_cap)
@@ -245,7 +245,7 @@ def _run_core(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_YES, rep.emit(args.fmt)
 
 
-def _read_query(args: argparse.Namespace, sig) -> tuple[int, str, object] | None:
+def _read_query(args: SimpleNamespace, sig) -> tuple[int, str, object] | None:
     """The arity of the queried relation, the flag that sets it and the
     query: the --query formula text, or the --query-orbits types, which are
     parsed here and checked to share one level.  None without a query."""
@@ -283,7 +283,7 @@ def _query_mask(query: tuple[int, str, object], p) -> int:
     return mask
 
 
-def _run_definable(args: argparse.Namespace) -> tuple[int, str]:
+def _run_definable(args: SimpleNamespace) -> tuple[int, str]:
     cat = _load(args.files)
     c = cat.reduct(args.reduct)
     _level(args, c)
@@ -334,7 +334,7 @@ def _run_definable(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_YES, rep.emit(args.fmt)
 
 
-def _run_decide(args: argparse.Namespace) -> tuple[int, str]:
+def _run_decide(args: SimpleNamespace) -> tuple[int, str]:
     cat = _load(args.files)
     c, d = (cat.reduct(name) for name in args.reducts)
     _level(args, c, d)
@@ -384,7 +384,7 @@ def _run_decide(args: argparse.Namespace) -> tuple[int, str]:
     return verdict.exit_code, rep.emit(args.fmt)
 
 
-def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
+def _run_verify(args: SimpleNamespace) -> tuple[int, str]:
     rep = Report("verify")
     cert = load_certificate(args.files[0])
     rep.line(f"certificate: kind={cert.get('kind')} verdict={cert.get('verdict')}")
@@ -401,116 +401,156 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 
 # -- argument parsing ------------------------------------------------------------
+#
+# Each subcommand's flags are declared once, as the arguments of one
+# add_argument call each.  argparse is imported and built from them only for
+# help, --version and usage errors; _read_argv reads a well-formed query from
+# the same declarations without it.
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit with the input-error code: argparse's own code 2
-    means PRECONDITION-FAILED here.  Subparsers inherit the class."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+def _arg(*names: str, **options) -> tuple:
+    """One add_argument call, as data."""
+    return names, options
 
 
-def _add_inputs(p: argparse.ArgumentParser, *flags: str) -> None:
+def _inputs(*flags: str) -> tuple:
     """Input files, the named shared flags and --format: a subcommand
     declares only the flags its handler reads, so a flag it would ignore is
     refused."""
-    p.add_argument("files", nargs="+", help="input class/reduct files")
+    declared = [_arg("files", nargs="+", help="input class/reduct files")]
     for flag in flags:
         if flag == "witness-out":
-            p.add_argument("--witness-out", default=None)
+            declared.append(_arg("--witness-out", default=None))
         else:  # --k, --seed and the caps
-            p.add_argument(f"--{flag}", type=int, default=0 if flag == "seed" else None)
-    p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
+            declared.append(_arg(f"--{flag}", type=int, default=0 if flag == "seed" else None))
+    declared.append(_arg("--format", choices=("text", "json"), default="text", dest="fmt"))
+    return tuple(declared)
 
 
-def _add_source_target(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--source", default=None)
-    p.add_argument("--target", default=None)
+_SOURCE_TARGET = (_arg("--source", default=None), _arg("--target", default=None))
 
 
-def _add_check(p: argparse.ArgumentParser) -> None:
-    _add_inputs(p, "ap-cap")
+def _decide_flags(*caps: str) -> tuple:
+    return (*_inputs("k", "realize-cap", "arity-cap", *caps, "witness-out"),
+            _arg("--reducts", nargs=2, required=True, metavar=("C", "D")),
+            _arg("--mode", choices=("fo", "ep", "pp"), default="fo"),
+            _arg("--n", type=int, default=None, dest="expand_arity"))
 
 
-def _add_orbits(p: argparse.ArgumentParser) -> None:
-    _add_inputs(p, "k")
-    p.add_argument("--class", dest="class_name", default=None)
-
-
-def _add_behaviours(p: argparse.ArgumentParser) -> None:
-    _add_inputs(p, "k", "realize-cap")
-    _add_source_target(p)
-
-
-def _add_probe(p: argparse.ArgumentParser) -> None:
-    _add_inputs(p, "k", "realize-cap", "seed")
-    _add_source_target(p)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-size", type=int, default=8, dest="max_size")
-
-
-def _add_core(p: argparse.ArgumentParser) -> None:
-    _add_inputs(p, "k", "realize-cap", "witness-out")
-    p.add_argument("--reduct", required=True)
-
-
-def _add_definable(p: argparse.ArgumentParser) -> None:
-    _add_inputs(p, "k", "realize-cap", "arity-cap", "witness-out")
-    p.add_argument("--reduct", required=True)
-    p.add_argument("--mode", choices=("ep", "pp"), default="ep")
-    p.add_argument("--n", type=int, default=None, dest="expand_arity")
-    p.add_argument("--query", default=None,
-                   help="quantifier-free formula naming an orbit union")
-    p.add_argument("--query-arity", type=int, default=None, dest="query_arity")
-    p.add_argument("--query-orbits", default=None, dest="query_orbits",
-                   help="pipe-separated type serializations")
-
-
-def _add_decide(*caps: str):
-    def add(p: argparse.ArgumentParser) -> None:
-        _add_inputs(p, "k", "realize-cap", "arity-cap", *caps, "witness-out")
-        p.add_argument("--reducts", nargs=2, required=True, metavar=("C", "D"))
-        p.add_argument("--mode", choices=("fo", "ep", "pp"), default="fo")
-        p.add_argument("--n", type=int, default=None, dest="expand_arity")
-    return add
-
-
-def _add_verify(p: argparse.ArgumentParser) -> None:
-    p.add_argument("files", nargs=1, help="certificate directory or file")
-    p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-
-
-# name: (summary, flag adder, handler), in the order --help lists them
+# name: (summary, flags, handler), in the order --help lists them
 _COMMANDS = {
-    "check": ("validate classes and probe amalgamation", _add_check, _run_check),
-    "orbits": ("enumerate k-types of a class", _add_orbits, _run_orbits),
-    "behaviours": ("enumerate realizable behaviours", _add_behaviours, _run_behaviours),
-    "probe": ("randomized extension probe of behaviours", _add_probe, _run_probe),
-    "core": ("compute the model-complete core", _add_core, _run_core),
-    "definable": ("definability expansion / queries", _add_definable, _run_definable),
-    "bidef": ("decide bidef of two reducts", _add_decide(), _run_decide),
-    "biint": ("decide biint of two reducts", _add_decide("ap-cap"), _run_decide),
-    "verify": ("re-check a witness certificate", _add_verify, _run_verify),
+    "check": ("validate classes and probe amalgamation", _inputs("ap-cap"), _run_check),
+    "orbits": ("enumerate k-types of a class",
+               (*_inputs("k"), _arg("--class", dest="class_name", default=None)),
+               _run_orbits),
+    "behaviours": ("enumerate realizable behaviours",
+                   (*_inputs("k", "realize-cap"), *_SOURCE_TARGET), _run_behaviours),
+    "probe": ("randomized extension probe of behaviours",
+              (*_inputs("k", "realize-cap", "seed"), *_SOURCE_TARGET,
+               _arg("--trials", type=int, default=200),
+               _arg("--max-size", type=int, default=8, dest="max_size")),
+              _run_probe),
+    "core": ("compute the model-complete core",
+             (*_inputs("k", "realize-cap", "witness-out"), _arg("--reduct", required=True)),
+             _run_core),
+    "definable": ("definability expansion / queries",
+                  (*_inputs("k", "realize-cap", "arity-cap", "witness-out"),
+                   _arg("--reduct", required=True),
+                   _arg("--mode", choices=("ep", "pp"), default="ep"),
+                   _arg("--n", type=int, default=None, dest="expand_arity"),
+                   _arg("--query", default=None,
+                        help="quantifier-free formula naming an orbit union"),
+                   _arg("--query-arity", type=int, default=None, dest="query_arity"),
+                   _arg("--query-orbits", default=None, dest="query_orbits",
+                        help="pipe-separated type serializations")),
+                  _run_definable),
+    "bidef": ("decide bidef of two reducts", _decide_flags(), _run_decide),
+    "biint": ("decide biint of two reducts", _decide_flags("ap-cap"), _run_decide),
+    "verify": ("re-check a witness certificate",
+               (_arg("files", nargs=1, help="certificate directory or file"),
+                _arg("--format", choices=("text", "json"), default="text", dest="fmt")),
+               _run_verify),
 }
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for argv: every subcommand is listed with its summary, but
-    only the one argv names gets its flags, as a query parses no other and
-    each add_argument reads the terminal size.  The top level has no flag
-    that takes a value, so the first word of argv that is not a flag names
-    the subcommand."""
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The namespace argparse makes of argv, read from the declarations
+    without it, or None for argv of any other form than this one: a
+    subcommand, one run of files, and declared flags spelt in full, each
+    followed by as many values as it takes.  No value may start with '-',
+    and a repeated flag keeps its last values, as in argparse.  None hands
+    argv to argparse: help, --version, abbreviations, --flag=value, '--'
+    and every usage error."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    read = {"command": argv[0]}
+    declared, required = {}, set()
+    for (name,), options in _COMMANDS[argv[0]][1]:
+        flag = name if name.startswith("-") else None  # None: the files
+        dest = options.get("dest", name.lstrip("-").replace("-", "_"))
+        declared[flag] = dest, options
+        read[dest] = options.get("default")
+        if flag is None or options.get("required"):
+            required.add(dest)
+    given = set()
+    i = 1
+    while i < len(argv):
+        flag = argv[i] if argv[i].startswith("-") else None
+        if flag not in declared:
+            return None
+        dest, options = declared[flag]
+        nargs = options.get("nargs")
+        if flag is None:  # argparse takes the whole run, and refuses a second one
+            end = i
+            while end < len(argv) and not argv[end].startswith("-"):
+                end += 1
+            words, i = argv[i:end], end
+            if dest in given or (nargs != "+" and len(words) != nargs):
+                return None
+        else:
+            count = nargs or 1
+            words, i = argv[i + 1:i + 1 + count], i + 1 + count
+            if len(words) != count or any(w.startswith("-") for w in words):
+                return None
+        try:
+            values = [options.get("type", str)(word) for word in words]
+        except ValueError:
+            return None
+        if "choices" in options and not all(v in options["choices"] for v in values):
+            return None
+        read[dest] = values if nargs is not None else values[0]
+        given.add(dest)
+    if not required <= given:
+        return None
+    return SimpleNamespace(**read)
+
+
+def _build_parser(argv):
+    """The argparse parser for argv: every subcommand is listed with its
+    summary, but only the one argv names gets its flags, as a query parses
+    no other and each add_argument reads the terminal size.  The top level
+    has no flag that takes a value, so the first word of argv that is not a
+    flag names the subcommand."""
+    import argparse  # only help, --version and usage errors need it
+
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors exit with the input-error code: argparse's own code 2
+        means PRECONDITION-FAILED here.  Subparsers inherit the class."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
     named = next((word for word in argv if not word.startswith("-")), None)
     ap = _Parser(
         prog="agekit",
         description="decision engine for finitely bounded homogeneous classes")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (summary, add_flags, _) in _COMMANDS.items():
+    for name, (summary, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         if name == named:
-            add_flags(p)
+            for names, options in flags:
+                p.add_argument(*names, **options)
     return ap
 
 
@@ -527,7 +567,7 @@ def main(argv=None) -> int:
     return code
 
 
-def _unread_flag(args: argparse.Namespace) -> str | None:
+def _unread_flag(args: SimpleNamespace) -> str | None:
     """A usage error for a flag given where the mode or another flag leaves
     it unread, or None: such a flag would be accepted and do nothing."""
     if getattr(args, "arity_cap", None) is not None and args.mode != "pp":
@@ -545,11 +585,13 @@ def _unread_flag(args: argparse.Namespace) -> str | None:
 
 
 def _query(argv) -> int:
-    parser = _build_parser(argv)
-    args = parser.parse_args(argv)
-    unread = _unread_flag(args)
-    if unread is not None:
-        parser.error(unread)
+    args = _read_argv(argv)
+    if args is None or _unread_flag(args) is not None:
+        parser = _build_parser(argv)
+        args = SimpleNamespace(**vars(parser.parse_args(argv)))
+        unread = _unread_flag(args)
+        if unread is not None:
+            parser.error(unread)
     start = time.monotonic()
     try:
         code, report = run(args)

@@ -43,7 +43,7 @@ greatest profile, an isomorphism-invariant count of the tuples each point
 occurs in; every member arises that way from the member left by deleting
 a point of greatest profile.  The canonical forms are deduplicated and
 sorted by encoding, so the result equals canonicalizing every extension.
-enumerate_structures and ages.enumerate_age both generate this way.
+ages.enumerate_age generates this way.
 """
 
 from __future__ import annotations
@@ -498,16 +498,6 @@ def _add_orbit(mask: int, moves, explored: set[int]) -> None:
             if image not in explored:
                 explored.add(image)
                 stack.append(image)
-
-
-@lru_cache(maxsize=None)
-def enumerate_structures(sig: Signature, n: int) -> tuple[FinStructure, ...]:
-    """One canonical representative per isomorphism class of size n."""
-    if n < 0:
-        raise InputError("enumerate_structures: n must be >= 0")
-    if n == 0:
-        return (empty_structure(sig),)
-    return augment(enumerate_structures(sig, n - 1), one_point_extensions)
 
 
 # -- structure literals -------------------------------------------------------

@@ -46,10 +46,10 @@ from agekit.reducts import (
 from agekit.structures import (
     FinStructure,
     Signature,
+    augment,
     canonical_form,
     embeds,
     empty_structure,
-    enumerate_structures,
     induced,
     one_point_extensions,
     sort_key,
@@ -57,6 +57,16 @@ from agekit.structures import (
 
 CATALOG_FILES = ("linord.cls", "graphs.cls", "trifree.cls", "bipartite.cls",
                  "maxdeg1.cls", "point.cls")
+
+
+@lru_cache(maxsize=None)
+def enumerate_structures(sig: Signature, n: int) -> tuple[FinStructure, ...]:
+    """One canonical representative per isomorphism class of size n, grown
+    from size n-1 by one-point extension: the whole unbounded age, an
+    oracle for the bounded scans."""
+    if n == 0:
+        return (empty_structure(sig),)
+    return augment(enumerate_structures(sig, n - 1), one_point_extensions)
 
 
 def catalog_text(name: str) -> str:

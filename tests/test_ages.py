@@ -16,11 +16,11 @@ from agekit.structures import (
     Signature,
     canonical_form,
     embeds,
-    enumerate_structures,
     induced,
     render_literal,
     structure,
 )
+from conftest import enumerate_structures
 
 SIG = Signature((("lt", 2),))
 GSIG = Signature((("E", 2),))

@@ -17,10 +17,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agekit import canonical
+from agekit import canonical, cli
 from agekit.ages import in_age
 from agekit.cli import main
 from agekit.errors import ParseError
@@ -1260,7 +1260,7 @@ class TestVerifierRejections:
 
         monkeypatch.setattr(structures, "augment", pruned)
         monkeypatch.setattr(core, "augment", pruned)
-        caches = (core.compute_core, structures.enumerate_structures, verify._v_age)
+        caches = (core.compute_core, verify._v_age)
         for cache in caches:
             cache.cache_clear()
         try:
@@ -1342,6 +1342,79 @@ class TestParserGoldens:
             captured.err, captured.out)
         assert other == ""
         assert_golden(text, HELP / f"{name}.txt")
+
+
+# strict reader: argv built from a subcommand's declared flags, then bent
+# by up to two near misses that argparse reads otherwise than the plain
+# form, or refuses
+_VALUES = {int: ("3", "2"), str: ("Qlt", "QltRev")}
+_ODD_VALUES = ("-1", "\u0663", " 3", "3_0", "", "-x", "x y", "ep")
+_STRAY = ("--", "-h", "--help", "--version")
+
+
+@st.composite
+def _near_query_argv(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = [(names[0], options) for names, options in cli._COMMANDS[command][1]
+             if names[0].startswith("-")]
+    chosen = [f for f in flags if f[1].get("required")]
+    chosen += draw(st.lists(st.sampled_from(flags), max_size=4))  # repeats too
+    pieces = [["a.cls", "b.cls"][:1 if command == "verify" else draw(st.integers(1, 2))]]
+    for flag, options in chosen:
+        pool = options.get("choices") or _VALUES[options.get("type", str)]
+        pieces.append([flag, *(draw(st.sampled_from(pool))
+                               for _ in range(options.get("nargs") or 1))])
+    pieces = draw(st.permutations(pieces))
+    for miss in draw(st.lists(st.sampled_from(
+            ("abbreviate", "equals", "value", "stray", "split", "file")), max_size=2)):
+        with_flag = [piece for piece in pieces if piece[0].startswith("--") and len(piece) > 1]
+        long_flag = [piece for piece in with_flag if len(piece[0]) > 3]
+        if miss == "abbreviate" and long_flag:
+            piece = draw(st.sampled_from(long_flag))
+            piece[0] = piece[0][:draw(st.integers(3, len(piece[0]) - 1))]
+        elif miss == "equals" and with_flag:
+            piece = draw(st.sampled_from(with_flag))
+            piece[:2] = [f"{piece[0]}={piece[1]}"]
+        elif miss == "value" and with_flag:
+            piece = draw(st.sampled_from(with_flag))
+            piece[draw(st.integers(1, len(piece) - 1))] = draw(st.sampled_from(_ODD_VALUES))
+        elif miss == "stray":
+            pieces.insert(draw(st.integers(0, len(pieces))), [draw(st.sampled_from(_STRAY))])
+        elif miss == "split":  # files after a flag, as well as before it
+            pieces.insert(draw(st.integers(1, len(pieces))), ["c.cls"])
+        elif miss == "file":
+            pieces.insert(draw(st.integers(0, len(pieces))), [draw(st.sampled_from(("", "-")))])
+    return [command, *(word for piece in pieces for word in piece)]
+
+
+def _argparse_namespace(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser(argv).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestStrictReader:
+    """A query's argv is read from the declared flags without argparse, and
+    the reader returns argparse's namespace exactly, or None to hand argv to
+    argparse."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(argv=_near_query_argv())
+    @example(argv=["core", "a.cls", "--reduct", "Qlt", "--re", "3"])  # --realize-cap or --reduct
+    @example(argv=["check", "a.cls", "--ap-cap", "2", "--ap-cap", "3"])
+    def test_none_or_the_argparse_namespace(self, argv):
+        read = cli._read_argv(argv)
+        assert read is None or vars(read) == _argparse_namespace(argv), argv
+
+    @pytest.mark.parametrize("name", [q.name for q in BENCH_QUERIES])
+    def test_benchmark_query_is_read_without_argparse(self, name):
+        argv = next(q for q in BENCH_QUERIES if q.name == name).argv(7, "certs")
+        read = cli._read_argv(argv)
+        assert read is not None and cli._unread_flag(read) is None
+        assert vars(read) == _argparse_namespace(argv)
 
 
 def _in_process(argv):

@@ -94,7 +94,6 @@ from agekit.structures import (
     canonical_form,
     empty_structure,
     encode_key,
-    enumerate_structures,
     find_embedding,
     one_point_extensions,
     render_literal,
@@ -109,6 +108,7 @@ from conftest import (
     _hypergraph3_text,
     apply_types,
     catalog_path,
+    enumerate_structures,
     mask_types,
     poly_image_structure,
     reference_carve_bounds,

@@ -19,7 +19,6 @@ from agekit.structures import (
     embeds,
     empty_structure,
     encode_key,
-    enumerate_structures,
     eval_qf,
     find_embedding,
     induced,
@@ -30,6 +29,7 @@ from agekit.structures import (
     slots,
     structure,
 )
+from conftest import enumerate_structures
 
 SIG = Signature((("lt", 2),))
 GSIG = Signature((("E", 2),))

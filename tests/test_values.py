@@ -18,7 +18,7 @@ from agekit.ktypes import KType, enumerate_types
 from agekit.parser import Catalog, parse_input
 from agekit.reducts import FormulaDef, OrbitsDef, Reduct, Relation
 from agekit.structures import And, Atom, Eq, FinStructure, Not, Or, Signature, structure
-from conftest import catalog_text
+from conftest import catalog_path, catalog_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -236,13 +236,31 @@ def test_level_map_memo():
 
 def test_cli_import_footprint():
     # a CLI query is a fresh interpreter: keep dataclasses (and the inspect,
-    # ast, dis and tokenize it pulls in) out of its start-up, and json, which
-    # only a certificate or a --format json report needs
+    # ast, dis and tokenize it pulls in) out of its start-up, json, which
+    # only a certificate or a --format json report needs, and argparse (with
+    # the gettext and locale it pulls in), which only help, --version and a
+    # usage error need
     env = dict(os.environ, PYTHONPATH=str(SRC))
     r = subprocess.run(
         [sys.executable, "-S", "-c",
          "import agekit.cli, sys; print(sorted(m for m in "
-         "('dataclasses', 'inspect', 'json') if m in sys.modules))"],
+         "('dataclasses', 'inspect', 'json', 'argparse', 'gettext', 'locale') "
+         "if m in sys.modules))"],
         capture_output=True, text=True, env=env, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_well_formed_query_runs_without_argparse():
+    # the strict reader reads a well-formed query from the declared flags,
+    # so the query itself loads none of argparse, gettext and locale either
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = ("import sys\nfrom agekit.cli import main\n"
+              f"code = main(['orbits', {catalog_path('linord.cls')!r}, '--k', '2'])\n"
+              "print(code, sorted(m for m in ('argparse', 'gettext', 'locale') "
+              "if m in sys.modules))\n")
+    r = subprocess.run([sys.executable, "-S", "-c", script],
+                       capture_output=True, text=True, env=env, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert "orbit count at level 2: 3" in r.stdout
+    assert r.stdout.splitlines()[-1] == "0 []"
