@@ -8,6 +8,9 @@ materialized.  Candidate tables are searched over domains kept
 arc-consistent after every choice, which leaves only compatible tables;
 callers keep those that pass the bounded realizability check, and the
 randomized extension probe cross-checks that bound on concrete age members.
+Both judge an image by one routine, _image_failure, which grows it point
+by point from the value rows and searches only bounds through each new
+image point; no image is built whole.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from operator import getitem
 
-from .ages import BoundedClass, _in_age, _in_age_through, enumerate_age, in_age
-from .errors import IncoherentBehaviourError, InputError
+from .ages import BoundedClass, _in_age_through, enumerate_age
+from .errors import InputError
 from .ktypes import (
     degenerate_pairs,
     enumerate_types,
@@ -166,29 +169,6 @@ def is_range_rigid(xi: Behaviour) -> bool:
     return all(xi.table[v] == v for v in xi.table)
 
 
-def image_structure(xi: Behaviour, s: FinStructure) -> FinStructure:
-    """The finite trace of an arity-1 behaviour on one age member.
-
-    Points collapsing under the behaviour are identified; relations are read
-    off the images of tuple types.  Raises IncoherentBehaviourError when the
-    table does not induce a well-defined structure on s.
-    """
-    if s.signature != xi.source.signature:
-        raise InputError("image_structure: signature mismatch")
-    if not in_age(xi.source, s):
-        raise InputError("image_structure: structure outside the source age")
-    n = s.size
-    if n == 0:
-        return empty_structure(xi.target.signature)
-    return _image_from_types(xi.target, n, _value_rows(xi, (s,)))
-
-
-def _value_rows(xi: Behaviour, members: tuple[FinStructure, ...]):
-    """``images`` for _image_from_types: the value on the m-types that each
-    m-tuple of points has in the argument structures, members of the age."""
-    return lambda m: _value_row(xi, m, [read_type_indices(xi.source, s, m) for s in members])
-
-
 def _value_row(xi: Behaviour, m: int, type_rows) -> list[int]:
     """The value on each m-tuple of points, given per argument the m-type
     index of every m-tuple in tuple-lex order: one lookup per tuple."""
@@ -198,60 +178,6 @@ def _value_row(xi: Behaviour, m: int, type_rows) -> list[int]:
         flat = [f * nm + a for f, a in zip(flat, row)]
     lvl = xi.level_map(m)
     return [lvl[f] for f in flat]
-
-
-def _image_from_types(target: BoundedClass, n: int, images) -> FinStructure:
-    """The image structure on n > 0 points, given target type indices.
-
-    ``images(m)`` lists the target m-type index of every m-tuple over
-    range(n), in tuple-lex order; it is asked for level 2 (when n > 1) and
-    for each symbol's arity, in that order, once per level.  Collapsing
-    pairs are identified and relations read off the image types.
-    """
-    rows: dict[int, list[int]] = {}
-
-    def row(m: int) -> list[int]:
-        if m not in rows:
-            rows[m] = images(m)
-        return rows[m]
-
-    if n == 1:
-        class_of, nclasses = [0], 1
-    else:
-        degenerate = degenerate_pairs(target)
-        pairs = row(2)
-        collapse = [[degenerate[pairs[x * n + y]] for y in range(n)]
-                    for x in range(n)]
-        if sum(map(sum, collapse)) != n or not all(collapse[x][x] for x in range(n)):
-            failure = _equivalence_failure(collapse)
-            if failure:
-                raise IncoherentBehaviourError(failure)
-        class_of = [-1] * n
-        nclasses = 0
-        for x in range(n):
-            if class_of[x] == -1:
-                for y in range(x, n):
-                    if collapse[x][y]:
-                        class_of[y] = nclasses
-                nclasses += 1
-
-    tables = []
-    for si, (_, arity) in enumerate(target.signature.symbols):
-        holds = symbol_holds(target, si)
-        tuples = product(range(n), repeat=arity)
-        if nclasses == n:  # no collapse: class_of is the identity
-            tables.append(frozenset(
-                t for t, v in zip(tuples, row(arity)) if holds[v]))
-            continue
-        seen: dict[tuple[int, ...], bool] = {}
-        for t, v in zip(tuples, row(arity)):
-            ct = tuple(class_of[x] for x in t)
-            if ct in seen and seen[ct] != holds[v]:
-                raise IncoherentBehaviourError(
-                    "relation atoms disagree across representatives")
-            seen[ct] = holds[v]
-        tables.append(frozenset(ct for ct, h in seen.items() if h))
-    return FinStructure(target.signature, nclasses, tuple(tables))
 
 
 def _equivalence_failure(collapse) -> str | None:
@@ -267,6 +193,95 @@ def _equivalence_failure(collapse) -> str | None:
             for z in range(n):
                 if collapse[x][y] and collapse[y][z] and not collapse[x][z]:
                     return "collapse relation not transitive"
+    return None
+
+
+@lru_cache(maxsize=1 << 12)
+def _through(x: int, arity: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every arity-tuple over range(x + 1) that contains x, in tuple-lex
+    order, with its flat index among the arity-tuples over range(n)."""
+    out = []
+    for t in product(range(x + 1), repeat=arity):
+        if x in t:
+            flat = 0
+            for v in t:
+                flat = flat * n + v
+            out.append((t, flat))
+    return tuple(out)
+
+
+def _image_failure(target: BoundedClass, n: int, row) -> str | None:
+    """The first way the images of the prefixes range(1), .., range(n) of n
+    points fail to be coherent and inside the target age, or None.
+
+    ``row(m)`` lists the target m-type index of every m-tuple over range(n),
+    in tuple-lex order, as bytes or a sequence; it is asked once for level
+    2 when n > 1 and once for each symbol's arity.  The image of an induced
+    sub-member is the induced sub-image (see is_realizable), so the prefix
+    images are nested, with image points numbered by first preimage, and
+    the image on all n points passes exactly when every prefix image does.
+    The image is grown one point x at a time from the previous one, which
+    passed, and only tuples through x are read.  x either joins exactly one
+    class (its collapse row is that class) or opens a new class; any other
+    collapse row breaks a law, which _equivalence_failure names on the
+    whole prefix, as the full prefix image would.  Atoms through x must
+    agree with the image (or, for a new class, with each other), and a new
+    class lies in the target age iff no bound embeds through it, by
+    heredity.  A one-point prefix reads no pair, so point 0's reflexive
+    pair is first judged at size 2.
+    """
+    degenerate = degenerate_pairs(target)
+    pairs = row(2) if n > 1 else b""
+    levels = {arity: row(arity) for arity in {a for _, a in target.signature.symbols}}
+    symbols = [(si, arity, symbol_holds(target, si), levels[arity])
+               for si, (_, arity) in enumerate(target.signature.symbols)]
+    image: list[set] = [set() for _ in symbols]  # tuples over the classes
+    class_of: list[int] = []
+    members: list[list[int]] = []  # the points of each class
+    for x in range(n):
+        size = x + 1
+        if x == 0:
+            c = 0
+        else:
+            collapses = [degenerate[pairs[x * n + y]] for y in range(size)]
+            joined = [y for y in range(x) if collapses[y]]
+            c = class_of[joined[0]] if joined else len(members)
+            if (not collapses[x] or (x == 1 and not degenerate[pairs[0]])
+                    or any(degenerate[pairs[y * n + x]] != collapses[y] for y in range(x))
+                    or (joined and joined != members[c])):
+                collapse = [[degenerate[pairs[a * n + b]] for b in range(size)]
+                            for a in range(size)]
+                return f"incoherent image at size {size}: {_equivalence_failure(collapse)}"
+        class_of.append(c)
+        opened = c == len(members)
+        if opened:
+            members.append([x])
+        else:
+            members[c].append(x)
+        if len(members) == size:
+            # every point so far has its own class, numbered as the point:
+            # each tuple through x is its own class tuple, read once
+            for si, arity, holds, values in symbols:
+                image[si].update(t for t, flat in _through(x, arity, n) if holds[values[flat]])
+        else:
+            seen: dict[tuple, bool] = {}  # (symbol, class tuple) -> atom, for a new class
+            for si, arity, holds, values in symbols:
+                table = image[si]
+                for t, flat in _through(x, arity, n):
+                    h = holds[values[flat]]
+                    ct = tuple([class_of[v] for v in t])
+                    known = seen.get((si, ct)) if opened else ct in table
+                    if known is not None and known != h:
+                        return (f"incoherent image at size {size}: "
+                                "relation atoms disagree across representatives")
+                    if opened:
+                        seen[si, ct] = h
+            for (si, ct), h in seen.items():
+                if h:
+                    image[si].add(ct)
+        if opened:
+            if not _in_age_through(target, image, len(members), (c,)):
+                return f"image outside target age at size {size}"
     return None
 
 
@@ -301,7 +316,12 @@ def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
     The image of a member tuple is a function of the value rows it reads:
     level 2 when points can collapse (n > 1) or a polymorphism's reflexive
     pair is checked (arity > 1), and each target symbol's arity.  Those rows
-    are computed once per member tuple and key the verdict's cache.
+    are computed once per member tuple and key the verdict's cache, and the
+    verdict grows the image from them point by point (_image_failure, the
+    probe's routine).  The rows' entries on the tuples over a prefix of the
+    points give the induced sub-image (as in the lemma below), so the image
+    passes exactly when the image of every prefix does; each step reads
+    only the tuples and the bound embeddings through its new point.
 
     For arity 1 the check stops at min(cap, local_realize_bound(target)),
     with the same verdict as the check to cap.  Lemma: if the image of a
@@ -431,16 +451,12 @@ def _member_rows(xi: Behaviour):
 @lru_cache(maxsize=1 << 14)
 def _image_in_age(target: BoundedClass, n: int, poly: bool, rows: tuple) -> bool:
     """Whether the image on n points with these (level, value row) pairs is
-    coherent and lies in the target age; a polymorphism's (poly) one-point
-    image also needs its reflexive pair to collapse."""
+    coherent and lies in the target age (_image_failure); a polymorphism's
+    (poly) one-point image also needs its reflexive pair to collapse."""
     by_level = dict(rows)
     if poly and n == 1 and not degenerate_pairs(target)[by_level[2][0]]:
         return False
-    try:
-        img = _image_from_types(target, n, by_level.__getitem__)
-    except IncoherentBehaviourError:
-        return False
-    return _in_age(target, img)
+    return _image_failure(target, n, by_level.__getitem__) is None
 
 
 def _mask_of(values, size: int) -> int:
@@ -752,103 +768,8 @@ def greedy_extension_probe(behaviours, max_size: int, trials: int,
             return levels[m]
 
         for xi, out in zip(behaviours, failures):
-            failure = _prefix_failure(xi, s.size, types)
+            failure = _image_failure(xi.target, s.size,
+                                     lambda m, xi=xi: _value_row(xi, m, (types(m),)))
             if failure is not None:
                 out.append(f"trial {trial}: {failure}")
     return tuple(ProbeReport(trials, max_size, seed, tuple(f)) for f in failures)
-
-
-@lru_cache(maxsize=1 << 12)
-def _through(x: int, arity: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every arity-tuple over range(x + 1) that contains x, in tuple-lex
-    order, with its flat index among the arity-tuples over range(n)."""
-    out = []
-    for t in product(range(x + 1), repeat=arity):
-        if x in t:
-            flat = 0
-            for v in t:
-                flat = flat * n + v
-            out.append((t, flat))
-    return tuple(out)
-
-
-def _prefix_failure(xi: Behaviour, n: int, types) -> str | None:
-    """The first way the images of the prefixes range(1), .., range(n) of a
-    member fail, or None; ``types(m)`` lists the source m-type index of
-    every m-tuple over range(n), in tuple-lex order.
-
-    The image of an induced sub-member is the induced sub-image (see
-    is_realizable), so the prefix images are nested, with image points
-    numbered by first preimage.  The image is grown one point x at a time
-    from the previous one, which passed, and only tuples through x are
-    read.  x either joins exactly one class (its collapse row is that
-    class) or opens a new class; any other collapse row breaks a law,
-    which _equivalence_failure names on the whole prefix, as the full
-    image would.  Atoms through x must agree with the image (or, for a new
-    class, with each other), and a new class lies in the target age iff no
-    bound embeds through it, by heredity.  A one-point prefix reads no
-    pair, so point 0's reflexive pair is first judged at size 2.
-    """
-    target = xi.target
-    symbols = [(si, arity, symbol_holds(target, si))
-               for si, (_, arity) in enumerate(target.signature.symbols)]
-    rows: dict[int, list[int]] = {}
-
-    def row(m: int) -> list[int]:
-        if m not in rows:
-            lvl = xi.level_map(m)
-            rows[m] = [lvl[f] for f in types(m)]
-        return rows[m]
-
-    image: list[set] = [set() for _ in symbols]  # tuples over the classes
-    class_of: list[int] = []
-    members: list[list[int]] = []  # the points of each class
-    for x in range(n):
-        size = x + 1
-        if x == 0:
-            c = 0
-        else:
-            degenerate = degenerate_pairs(target)
-            pairs = row(2)
-            collapses = [degenerate[pairs[x * n + y]] for y in range(size)]
-            joined = [y for y in range(x) if collapses[y]]
-            c = class_of[joined[0]] if joined else len(members)
-            if (not collapses[x] or (x == 1 and not degenerate[pairs[0]])
-                    or any(degenerate[pairs[y * n + x]] != collapses[y] for y in range(x))
-                    or (joined and joined != members[c])):
-                collapse = [[degenerate[pairs[a * n + b]] for b in range(size)]
-                            for a in range(size)]
-                return f"incoherent image at size {size}: {_equivalence_failure(collapse)}"
-        class_of.append(c)
-        opened = c == len(members)
-        if opened:
-            members.append([x])
-        else:
-            members[c].append(x)
-        if len(members) == size:
-            # every point so far has its own class, numbered as the point:
-            # each tuple through x is its own class tuple, read once
-            for si, arity, holds in symbols:
-                values = row(arity)
-                image[si].update(t for t, flat in _through(x, arity, n) if holds[values[flat]])
-        else:
-            seen: dict[tuple, bool] = {}  # (symbol, class tuple) -> atom, for a new class
-            for si, arity, holds in symbols:
-                values = row(arity)
-                table = image[si]
-                for t, flat in _through(x, arity, n):
-                    h = holds[values[flat]]
-                    ct = tuple([class_of[v] for v in t])
-                    known = seen.get((si, ct)) if opened else ct in table
-                    if known is not None and known != h:
-                        return (f"incoherent image at size {size}: "
-                                "relation atoms disagree across representatives")
-                    if opened:
-                        seen[si, ct] = h
-            for (si, ct), h in seen.items():
-                if h:
-                    image[si].add(ct)
-        if opened:
-            if not _in_age_through(target, image, len(members), (c,)):
-                return f"image outside target age at size {size}"
-    return None

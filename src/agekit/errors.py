@@ -18,14 +18,5 @@ class ParseError(InputError):
         super().__init__(f"line {line}, col {col}: {message}" if line else message)
 
 
-class IncoherentBehaviourError(AgekitError):
-    """A behaviour table induces an ill-defined image structure.
-
-    Raised when the collapse relation read off a table fails to be an
-    equivalence, or when relation atoms read off different representative
-    tuples disagree.  Such a table is not the behaviour of any function.
-    """
-
-
 class InternalError(AgekitError):
     """A guaranteed invariant was violated; indicates a bug."""

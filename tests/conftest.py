@@ -12,18 +12,17 @@ from agekit.ages import BoundedClass, _in_age, enumerate_age, in_age
 from agekit.canonical import (
     Behaviour,
     ProbeReport,
+    _equivalence_failure,
     _flat_rows,
-    _image_from_types,
-    _value_rows,
+    _value_row,
     default_realize_cap,
     enumerate_behaviours,
-    image_structure,
     is_coherent,
     is_realizable,
     random_age_member,
 )
 from agekit.core import CorePresentation, preserving_behaviours
-from agekit.errors import IncoherentBehaviourError, InputError
+from agekit.errors import InputError, InternalError
 from agekit.ktypes import (
     KType,
     degenerate_pairs,
@@ -31,6 +30,7 @@ from agekit.ktypes import (
     parse_type,
     read_type_indices,
     restrict_type,
+    symbol_holds,
     type_index,
     type_of_raw,
 )
@@ -226,8 +226,74 @@ def compose(eta: Behaviour, xi: Behaviour) -> Behaviour:
     out = Behaviour(xi.source, eta.target, xi.k,
                     tuple(eta.table[v] for v in xi.table))
     if not is_compatible(out) or not is_coherent(out):
-        raise IncoherentBehaviourError("composition produced an invalid table")
+        raise InternalError("composition produced an invalid table")
     return out
+
+
+class IncoherentImage(Exception):
+    """A behaviour table induces an ill-defined image on a member: the
+    collapse relation read off the table is not an equivalence, or relation
+    atoms read off different representative tuples disagree."""
+
+
+def value_rows(xi: Behaviour, members: tuple[FinStructure, ...]):
+    """``images`` for image_from_types: the value on the m-types that each
+    m-tuple of points has in the argument structures, members of the age."""
+    return lambda m: _value_row(xi, m, [read_type_indices(xi.source, s, m) for s in members])
+
+
+def image_from_types(target: BoundedClass, n: int, images) -> FinStructure:
+    """The image structure on n > 0 points, built whole from target type
+    indices: the reference for canonical._image_failure, which grows the
+    image point by point and never builds it.
+
+    ``images(m)`` lists the target m-type index of every m-tuple over
+    range(n), in tuple-lex order; it is asked for level 2 (when n > 1) and
+    for each symbol's arity.  Collapsing pairs are identified and relations
+    read off the image types; raises IncoherentImage when they do not give
+    a well-defined structure.
+    """
+    if n == 1:
+        class_of, nclasses = [0], 1
+    else:
+        degenerate = degenerate_pairs(target)
+        pairs = images(2)
+        collapse = [[degenerate[pairs[x * n + y]] for y in range(n)]
+                    for x in range(n)]
+        failure = _equivalence_failure(collapse)
+        if failure:
+            raise IncoherentImage(failure)
+        class_of = [-1] * n
+        nclasses = 0
+        for x in range(n):
+            if class_of[x] == -1:
+                for y in range(x, n):
+                    if collapse[x][y]:
+                        class_of[y] = nclasses
+                nclasses += 1
+    tables = []
+    for si, (_, arity) in enumerate(target.signature.symbols):
+        holds = symbol_holds(target, si)
+        seen: dict[tuple[int, ...], bool] = {}
+        for t, v in zip(product(range(n), repeat=arity), images(arity)):
+            ct = tuple(class_of[x] for x in t)
+            if ct in seen and seen[ct] != holds[v]:
+                raise IncoherentImage("relation atoms disagree across representatives")
+            seen[ct] = holds[v]
+        tables.append(frozenset(ct for ct, h in seen.items() if h))
+    return FinStructure(target.signature, nclasses, tuple(tables))
+
+
+def image_structure(xi: Behaviour, s: FinStructure) -> FinStructure:
+    """The finite trace of an arity-1 behaviour on one age member, built
+    whole (image_from_types)."""
+    if s.signature != xi.source.signature:
+        raise InputError("image_structure: signature mismatch")
+    if not in_age(xi.source, s):
+        raise InputError("image_structure: structure outside the source age")
+    if s.size == 0:
+        return empty_structure(xi.target.signature)
+    return image_from_types(xi.target, s.size, value_rows(xi, (s,)))
 
 
 def poly_image_structure(xi: Behaviour,
@@ -242,10 +308,10 @@ def poly_image_structure(xi: Behaviour,
         raise InputError("argument structures must share one index set")
     if n == 0:
         return empty_structure(xi.target.signature)
-    images = _value_rows(xi, members)
+    images = value_rows(xi, members)
     if n == 1 and not degenerate_pairs(xi.target)[images(2)[0]]:
-        raise IncoherentBehaviourError("reflexive pair does not collapse")
-    return _image_from_types(xi.target, n, images)
+        raise IncoherentImage("reflexive pair does not collapse")
+    return image_from_types(xi.target, n, images)
 
 
 def reference_probe(xi: Behaviour, max_size: int, trials: int,
@@ -268,7 +334,7 @@ def reference_probe(xi: Behaviour, max_size: int, trials: int,
             part = induced(s, order[:i])
             try:
                 img = image_structure(xi, part)
-            except IncoherentBehaviourError as exc:
+            except IncoherentImage as exc:
                 failures.append(f"trial {trial}: incoherent image at size {i}: {exc}")
                 break
             if not _in_age(xi.target, img):

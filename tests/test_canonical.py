@@ -11,11 +11,12 @@ import pytest
 from agekit.ages import enumerate_age, in_age
 from agekit.canonical import (
     Behaviour,
+    _image_failure,
+    _value_row,
     default_realize_cap,
     enumerate_behaviours,
     greedy_extension_probe,
     identity_behaviour,
-    image_structure,
     inverse,
     is_coherent,
     is_range_rigid,
@@ -24,12 +25,12 @@ from agekit.canonical import (
     random_age_member,
     serialize_behaviour,
 )
-from agekit.errors import IncoherentBehaviourError, InputError
-from agekit.ktypes import KType, enumerate_types, type_index, type_of_raw
+from agekit.errors import InputError
+from agekit.ktypes import KType, enumerate_types, read_type_indices, type_index, type_of_raw
 from agekit.parser import Catalog, parse_input
 from agekit.structures import Signature, canonical_form, induced, structure
-from conftest import (compose, is_compatible, is_identity, parse_behaviour,
-                      realizable_behaviours, reference_probe)
+from conftest import (IncoherentImage, compose, image_structure, is_compatible, is_identity,
+                      parse_behaviour, realizable_behaviours, reference_probe)
 
 SIG = Signature((("lt", 2),))
 GSIG = Signature((("E", 2),))
@@ -270,33 +271,59 @@ class TestLocalRealizeBound:
         self.check_tight(_arcs_to_ternary(local_classes), 4)
 
 
+def image_failure(xi, s):
+    """The engine's check of the image of one member (canonical._image_failure,
+    grown point by point): the failure text, or None."""
+    return _image_failure(xi.target, s.size, lambda m: _value_row(
+        xi, m, (read_type_indices(xi.source, s, m),)))
+
+
 class TestImageStructure:
+    """The image of one member: the engine's point-by-point check, and the
+    image built whole by the tests' reference (conftest.image_structure)."""
+
     def test_identity_gives_back_the_structure(self, linord):
         ident = identity_behaviour(linord, 2)
-        for n in range(4):
+        for n in range(5):
             for s in enumerate_age(linord, n):
+                assert image_failure(ident, s) is None
                 assert canonical_form(image_structure(ident, s)) == canonical_form(s)
 
     def test_total_collapse_gives_a_point(self, linord):
         collapse = Behaviour(linord, linord, 2, (0, 0, 0))
+        assert image_failure(collapse, chain(3)) is None
         img = image_structure(collapse, chain(3))
         assert img.size == 1 and not img.table("lt")
 
     def test_reversal_reverses_the_chain(self, linord):
         reversal = Behaviour(linord, linord, 2, (0, 2, 1))
+        assert image_failure(reversal, chain(3)) is None
         img = image_structure(reversal, chain(3))
         assert img.table("lt") == frozenset({(1, 0), (2, 0), (2, 1)})
 
+    def test_image_outside_the_target_age(self, linord, trifree):
+        # every pair of a chain to an edge: three points give a triangle
+        edges = Behaviour(linord, trifree, 2, (0, 2, 2))
+        assert image_failure(edges, chain(2)) is None
+        assert image_failure(edges, chain(3)) == "image outside target age at size 3"
+        assert not in_age(trifree, image_structure(edges, chain(3)))
+
     def test_outside_age_is_input_error(self, linord):
+        # the reference refuses a structure outside the source age
         cyc = structure(SIG, 3, [("lt", (0, 1)), ("lt", (1, 2)), ("lt", (2, 0))])
         with pytest.raises(InputError):
             image_structure(identity_behaviour(linord, 2), cyc)
 
     def test_incoherent_collapse_raises(self, graphs):
+        # non-edges collapse, so on the path 0-1-2-3 the point 0 joins 2
+        # and 3, and 3 joins 1, but the edge 0-1 does not collapse: first
+        # seen on all four points
         bad = Behaviour(graphs, graphs, 2, (0, 0, 2))
         p4 = structure(GSIG, 4, [("E", (i, j)) for i, j in
                                  ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2))])
-        with pytest.raises(IncoherentBehaviourError):
+        assert image_failure(bad, p4) == (
+            "incoherent image at size 4: collapse relation not transitive")
+        with pytest.raises(IncoherentImage, match="collapse relation not transitive"):
             image_structure(bad, p4)
 
     def test_functorial_on_substructures(self, graphs):

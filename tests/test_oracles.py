@@ -5,8 +5,9 @@ permutations, enumerate_age and enumerate_structures against
 canonicalizing every one-point extension, age_extensions against
 filtering every one-point extension,
 and _labeled_age_structures against a scan of every atom mask.  The
-type-index tables and the image kernel are checked against a KType built
-per tuple.  The anchored bound checks (_in_age_through, the amalgamation
+type-index tables, the whole-image reference and the engine's image
+check, which grows each image point by point, are checked against a KType
+built per tuple.  The anchored bound checks (_in_age_through, the amalgamation
 scan without mirrored diagrams, random_age_member) are checked against the
 full _in_age search, and _in_age_through's root index against searching
 every rooted bound.  The extension probe, which grows each prefix image
@@ -17,9 +18,9 @@ search for relation-preserving behaviours, and the definability expansions
 built on it, are checked against filtering every realizable behaviour,
 and is_realizable's verdict cache and its local bound against building
 every image up to the full realize cap; its refuters-first order and its
-packed rows against the plain ordered scan with rows built per tuple
-(reference_is_realizable), in shuffled call orders and at caps below a
-learned refuter.  carve_bounds, which grows the
+packed rows against the plain ordered scan with rows built per tuple and
+each image built whole (reference_is_realizable), in shuffled call orders
+and at caps below a learned refuter.  carve_bounds, which grows the
 carved age, is checked against testing every structure of the signature,
 and the verifier's staged age scan against filtering every one-point
 extension.  Work
@@ -50,13 +51,11 @@ from agekit.ages import (
 )
 from agekit.canonical import (
     Behaviour,
-    _value_rows,
     inverse,
     _propagate_domains,
     default_realize_cap,
     enumerate_behaviours,
     greedy_extension_probe,
-    image_structure,
     is_coherent,
     is_range_rigid,
     is_realizable,
@@ -75,10 +74,11 @@ from agekit.core import (
     union_rows,
 )
 from agekit.definability import expand
-from agekit.errors import IncoherentBehaviourError, InputError
+from agekit.errors import InputError
 from agekit.ktypes import (
     _labeled_age_structures,
     default_level,
+    degenerate_pairs,
     enumerate_types,
     read_type_indices,
     restrict_type,
@@ -105,10 +105,13 @@ from agekit.verify import _v_age
 from conftest import (
     CATALOG_FILES,
     UNARY,
+    IncoherentImage,
     _hypergraph3_text,
     apply_types,
     catalog_path,
     enumerate_structures,
+    image_from_types,
+    image_structure,
     mask_types,
     poly_image_structure,
     reference_carve_bounds,
@@ -119,6 +122,7 @@ from conftest import (
     reference_sigma_constraints,
     reference_v_age,
     types_mask,
+    value_rows,
 )
 
 CLASSES = [name[:-len(".cls")] for name in CATALOG_FILES]
@@ -396,13 +400,13 @@ def reference_image(sig: Signature, n: int, image_type, single_collapses: bool):
                     for x in range(n)]
         for x in range(n):
             if not collapse[x][x]:
-                raise IncoherentBehaviourError("reflexive pair does not collapse")
+                raise IncoherentImage("reflexive pair does not collapse")
             for y in range(n):
                 if collapse[x][y] != collapse[y][x]:
-                    raise IncoherentBehaviourError("collapse relation not symmetric")
+                    raise IncoherentImage("collapse relation not symmetric")
                 for z in range(n):
                     if collapse[x][y] and collapse[y][z] and not collapse[x][z]:
-                        raise IncoherentBehaviourError("collapse relation not transitive")
+                        raise IncoherentImage("collapse relation not transitive")
     class_of = [-1] * n
     nclasses = 0
     for x in range(n):
@@ -419,7 +423,7 @@ def reference_image(sig: Signature, n: int, image_type, single_collapses: bool):
             holds = tuple(q.blocks[j] for j in range(arity)) in q.quotient.tables[si]
             ct = tuple(class_of[v] for v in t)
             if ct in seen and seen[ct] != holds:
-                raise IncoherentBehaviourError(
+                raise IncoherentImage(
                     "relation atoms disagree across representatives")
             seen[ct] = holds
         tables.append(frozenset(ct for ct, h in seen.items() if h))
@@ -427,10 +431,10 @@ def reference_image(sig: Signature, n: int, image_type, single_collapses: bool):
 
 
 def outcome(fn):
-    """The result, or the message of the IncoherentBehaviourError raised."""
+    """The result, or the message of the IncoherentImage raised."""
     try:
         return fn()
-    except IncoherentBehaviourError as exc:
+    except IncoherentImage as exc:
         return f"incoherent: {exc}"
 
 
@@ -546,12 +550,28 @@ class TestImageKernel:
             "incoherent: reflexive pair does not collapse",
             f"incoherent: collapse relation not {second}"}
 
+    @staticmethod
+    def member_types(k, s) -> dict:
+        """read_type_indices of s at level 2 and each arity of k."""
+        return {m: read_type_indices(k, s, m)
+                for m in {2} | {a for _, a in k.signature.symbols}}
+
+    @staticmethod
+    def engine_passes(xi, n, type_rows) -> bool:
+        """The engine's verdict (canonical._image_in_age, the image grown
+        point by point) on a member tuple of size n, given each member's
+        member_types."""
+        rows = tuple((m, tuple(canonical._value_row(xi, m, [t[m] for t in type_rows])))
+                     for m in sorted(type_rows[0]))
+        return canonical._image_in_age(xi.target, n, xi.arity > 1, rows)
+
     def _check(self, k, xis, cap):
         types = {m: enumerate_types(k, m) for m in (1, 2, 3)}
         messages = set()
         for n in range(cap + 1):
             for s in enumerate_age(k, n):
                 src = source_types(k, s)
+                tidx = self.member_types(k, s)
                 for xi in xis:
                     def image_type(t, xi=xi):
                         m = len(t)
@@ -560,6 +580,9 @@ class TestImageKernel:
                         k.signature, n, image_type, single_collapses=False))
                     got = outcome(lambda: image_structure(xi, s))
                     assert got == want, (xi.table, s)
+                    if n:
+                        assert self.engine_passes(xi, n, (tidx,)) == (
+                            not isinstance(want, str) and _in_age(k, want)), (xi.table, s)
                     if isinstance(got, str):
                         messages.add(got)
         return messages
@@ -583,6 +606,7 @@ class TestImageKernel:
         for n in range(size + 1):
             members = enumerate_age(k, n)
             src = {s: source_types(k, s) for s in members}
+            tidx = {s: self.member_types(k, s) for s in members}
             for pair in product(members, repeat=2):
                 for xi in xis:
                     def image_type(t, xi=xi, pair=pair):
@@ -593,6 +617,9 @@ class TestImageKernel:
                         k.signature, n, image_type, single_collapses=True))
                     got = outcome(lambda: poly_image_structure(xi, pair))
                     assert got == want, (xi.table, pair)
+                    if n:
+                        assert self.engine_passes(xi, n, [tidx[s] for s in pair]) == (
+                            not isinstance(want, str) and _in_age(k, want)), (xi.table, pair)
                     if isinstance(got, str):
                         messages.add(got)
         if level == 2:
@@ -705,7 +732,7 @@ class TestBehaviourSearch:
                 try:
                     img = (image_structure(xi, members[0]) if xi.arity == 1
                            else poly_image_structure(xi, members))
-                except IncoherentBehaviourError:
+                except IncoherentImage:
                     return False
                 if not _in_age(xi.target, img):
                     return False
@@ -837,10 +864,27 @@ class TestLocalRealizability:
                              catalog.bounded_class(target), 4) == {True}
 
 
+@lru_cache(maxsize=None)
+def reference_image_in_age(target: BoundedClass, n: int, poly: bool, rows: tuple) -> bool:
+    """Whether the image on n points with these (level, value row) pairs,
+    built whole (image_from_types), is coherent and passes the full _in_age
+    search; a polymorphism's one-point image also needs its reflexive pair
+    to collapse.  Uses neither the cache nor the point-by-point routine of
+    canonical._image_in_age."""
+    images = dict(rows).__getitem__
+    if poly and n == 1 and not degenerate_pairs(target)[images(2)[0]]:
+        return False
+    try:
+        return _in_age(target, image_from_types(target, n, images))
+    except IncoherentImage:
+        return False
+
+
 def reference_is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
     """is_realizable as it read member tuples before the refuter list and
     the shared member columns: every member tuple in order, its value rows
-    built per tuple by _value_rows, judged by the same verdict cache."""
+    built per tuple by value_rows, its image built whole and searched by
+    _in_age (reference_image_in_age)."""
     n_cap = cap if cap is not None else default_realize_cap(xi.target, xi.k)
     arities = {a for _, a in xi.target.signature.symbols}
     poly = xi.arity > 1
@@ -849,9 +893,9 @@ def reference_is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
     for n in range(1, n_cap + 1):
         levels = sorted(arities | {2} if n > 1 or poly else arities)
         for members in product(enumerate_age(xi.source, n), repeat=xi.arity):
-            images = _value_rows(xi, members)
+            images = value_rows(xi, members)
             rows = tuple((m, tuple(images(m))) for m in levels)
-            if not canonical._image_in_age(xi.target, n, poly, rows):
+            if not reference_image_in_age(xi.target, n, poly, rows):
                 return False
     return True
 
@@ -888,7 +932,7 @@ class TestRealizabilityKernel:
         for n in range(1, cap + 1):
             members = enumerate_age(xi.source, n)
             for idx in product(range(len(members)), repeat=xi.arity):
-                images = _value_rows(xi, tuple(members[i] for i in idx))
+                images = value_rows(xi, tuple(members[i] for i in idx))
                 assert [(m, tuple(row)) for m, row in rows(n, idx)] == [
                     (m, tuple(images(m))) for m, _ in rows(n, idx)], (xi.table, n, idx)
 
@@ -1278,6 +1322,23 @@ def count_calls(monkeypatch, module, name) -> list[int]:
     return calls
 
 
+def count_everywhere(monkeypatch, fn) -> list[int]:
+    """Patch fn to count its calls in every agekit module that holds it, as
+    its own or an imported name; the count is in the returned list."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.startswith("agekit"):
+            for name, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 class TestOnePassProbe:
     """greedy_extension_probe draws each member once for all behaviours,
     reads its type tables once per level and grows each prefix image from
@@ -1305,19 +1366,31 @@ class TestOnePassProbe:
         assert kinds == {"incoherent image", "image outside target age"}
 
     def test_probe_builds_no_image(self, catalog, monkeypatch):
-        # each prefix image is grown from the previous one by its new point:
-        # no image is built whole, and no age test searches a full embedding
+        # each image, a probe's prefix image or the image of a member tuple
+        # that is_realizable judges, is grown from the previous one by its
+        # new point: no age test runs the full search or searches a whole
+        # embedding.  The ages are built and the verdict cache and the
+        # refuters cleared first, so every verdict reaches the routine
         runs = [realizable_behaviours(catalog.bounded_class(name),
                                       catalog.bounded_class(name), 2, cap=cap)
                 for name in ("graphs", "trifree", "maxdeg1") for cap in (None, 2)]
-        images = count_calls(monkeypatch, canonical, "image_structure")
-        kernels = count_calls(monkeypatch, canonical, "_image_from_types")
-        searches = [count_calls(monkeypatch, module, "embeds")
-                    for module in (structures, ages)]
+        xis = [xi for s, t in product(CLASSES, repeat=2) for k in (2, 3)
+               for xi in enumerate_behaviours(catalog.bounded_class(s),
+                                              catalog.bounded_class(t), k)]
+        xis += [xi for c in (catalog.reduct("Tf"), catalog.reduct("Qlt"))
+                for xi in preserving_behaviours(c, 2, default_level(c))]
+        for xi in xis:
+            for n in range(default_realize_cap(xi.target, xi.k) + 1):
+                enumerate_age(xi.source, n)
+        canonical._image_in_age.cache_clear()
+        canonical._refuters.cache_clear()
+        full = count_everywhere(monkeypatch, ages._in_age)
+        searches = count_everywhere(monkeypatch, structures.embeds)
         reports = [r for bs in runs for r in greedy_extension_probe(bs, 8, 30, 4)]
         assert any(r.failures for r in reports)
-        assert images[0] == kernels[0] == 0
-        assert [c[0] for c in searches] == [0, 0]
+        assert {is_realizable(xi) for xi in xis} == {False, True}
+        assert canonical._image_in_age.cache_info().misses > 0
+        assert full[0] == searches[0] == 0
 
     def test_one_type_table_per_level_and_draw(self, catalog, monkeypatch):
         # one level (2, the only arity) per draw, shared by every behaviour
