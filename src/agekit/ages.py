@@ -66,7 +66,12 @@ class BoundedClass(Value):
 
 
 def in_age(k: BoundedClass, s: FinStructure) -> bool:
-    """True iff no bound of the class embeds into s."""
+    """True iff no bound of the class embeds into s, by searching each bound's
+    embeddings into the whole of s.
+
+    The membership reference of the tests: no engine path calls it, as each
+    grows its structures one point at a time and tests them with
+    _in_age_through."""
     if s.signature != k.signature:
         raise InputError("in_age: signature mismatch")
     return _in_age(k, s)
@@ -174,7 +179,8 @@ def enumerate_age(k: BoundedClass, n: int) -> tuple[FinStructure, ...]:
 def age_extensions(k: BoundedClass, base: FinStructure) -> tuple[FinStructure, ...]:
     """The one-point extensions of base that lie in the age, in slot-bit order.
 
-    Equal to ``[e for e in one_point_extensions(base) if _in_age(k, e)]``.
+    base must lie in the age; every caller passes an age member.  The result
+    equals filtering every labelled one-point extension of base by in_age.
     The new point's slots are decided against no old point, then against
     old point 0, old point 1, and so on; a branch is dropped as soon as the
     structure induced on {0..i, new} leaves the age.  That is exact by
@@ -183,7 +189,8 @@ def age_extensions(k: BoundedClass, base: FinStructure) -> tuple[FinStructure, .
     embeddings through the new point and the old point just decided
     against, if any: dropping the new point leaves a prefix of base, which
     lies in the age, and dropping that old point leaves a structure the
-    step before kept.  A base outside the age has no extension in it.
+    step before kept.  For a base outside the age a prefix of base may lie
+    outside it too, and the result is undefined.
 
     The branches are searched depth first on one working table set, with
     the new point labelled 0 and old point x labelled x + 1: the structure
@@ -192,8 +199,6 @@ def age_extensions(k: BoundedClass, base: FinStructure) -> tuple[FinStructure, .
     only adds, and on the way back discards, the new point's slots it
     decides.  The surviving slot masks are sorted into slot-bit order.
     """
-    if not _in_age(k, base):
-        return ()
     sig = k.signature
     new = base.size
     slots = extension_slots(sig, new)

@@ -3,9 +3,11 @@
 The core of a reduct is found by searching the realizable relation-preserving
 range-rigid endo-behaviours of its base class, selecting one whose set of hit
 types is inclusion-minimal, and carving the sub-age of members all of whose
-k-types are hit.  The new age is presented by its minimal bounds, found by
-growing the carved age one point at a time (`carve_bounds`) rather than by
-scanning every structure of the signature.
+k-types are hit.  The new age is presented by its minimal bounds
+(`carve_bounds`): the base's bounds whose one-point deletions are carved
+members, and the base's age members on at most k points whose unhit
+k-tuples each use every point, found by growing the carved age one point
+at a time inside the base's age and reading each structure's type row.
 `preserving_behaviours` is the one search for relation-preserving behaviours
 of a reduct; the core search and the definability oracle both read it.
 """
@@ -13,9 +15,9 @@ of a reduct; the core search and the definability oracle both read it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
-from .ages import BoundedClass, in_age
+from .ages import BoundedClass, age_extensions
 from .canonical import (
     Behaviour,
     _flat_rows,
@@ -34,13 +36,7 @@ from .ktypes import (
     read_type_indices,
 )
 from .reducts import OrbitsDef, Reduct, Relation, compiled_unions
-from .structures import (
-    augment,
-    canonical_form,
-    empty_structure,
-    induced,
-    one_point_extensions,
-)
+from .structures import augment, empty_structure, induced, sort_key
 from .value import Value
 
 
@@ -118,44 +114,48 @@ def qualifying_behaviours(c: Reduct, k: int,
 
 
 def scan_cap_for(c: Reduct, k: int) -> int:
+    """The size the verifier re-scans a core's bounds up to, recorded in
+    reports and certificates; no bound of the core's base is larger."""
     return max(c.base.max_bound_size, c.base.signature.max_arity, k)
 
 
-def carve_bounds(base: BoundedClass, image_types: int, k: int,
-                 cap: int) -> tuple:
-    """Minimal structures outside the carved age, up to the cap, sorted by sort_key.
+def carve_bounds(base: BoundedClass, image_types: int, k: int) -> tuple:
+    """Minimal structures outside the carved age, sorted by sort_key.
 
     The carved age A' holds the members of base's age all of whose k-types
-    are in image_types, a bitmask over type indices.  It is grown level by
-    level from the empty structure: the candidates of size n are augment's
-    one-point extensions of the members of size n - 1; a candidate in A' is
-    a member, and one outside it is a bound iff n = 1 or each of its
-    (n - 1)-point induced substructures is a member.  This finds every member and every bound,
-    because A' is hereditary (a substructure's k-types are some of the
-    structure's): a member, and a minimal non-member of size n >= 2, lose
-    any one point to a member of size n - 1, in particular a point of
-    greatest profile, which augment's gate lets through.  A non-member
-    with a non-member below it may be missed, and it is not a bound.
+    are in image_types, a bitmask over type indices.  A' is hereditary (a
+    substructure's k-types are some of the structure's), and its bounds are
+    of two kinds.  One outside base's age is a minimal non-member of that
+    age, so a bound of base, and is one of A' iff its one-point deletions
+    are in A'.  One inside base's age has a k-tuple of a type outside the
+    image, and each such tuple uses every point, or dropping a point it
+    misses would leave a non-member; so it has at most k points.
+    Conversely a member of base's age with such tuples, all using every
+    point, is a bound.  So A' is grown inside base's age up to k points:
+    the structures of size n are augment's age extensions of the members of
+    size n - 1, which finds each member and each bound of the second kind,
+    as dropping its point of greatest profile leaves a member; its type row
+    makes each one a member, a bound or neither.
     """
-    def member(s) -> bool:
-        return in_age(base, s) and all(image_types >> i & 1
-                                       for i in read_type_indices(base, s, k))
+    def carved(s) -> bool:
+        return all(image_types >> i & 1 for i in read_type_indices(base, s, k))
 
+    bounds = [b for b in base.bounds
+              if all(carved(induced(b, sub)) for sub in combinations(range(b.size), b.size - 1))]
     members = (empty_structure(base.signature),)
-    bounds = []
-    for size in range(1, cap + 1):
-        below = set(members)
+    for size in range(1, k + 1):
+        # per tuple of the type row: whether it uses every point
+        full = [len(set(t)) == size for t in product(range(size), repeat=k)]
         grown = []
-        for s in augment(members, one_point_extensions):
-            if member(s):
+        for s in augment(members, lambda m: age_extensions(base, m)):
+            missed = [f for f, i in zip(full, read_type_indices(base, s, k))
+                      if not image_types >> i & 1]
+            if not missed:
                 grown.append(s)
-            elif size == 1 or all(
-                    canonical_form(induced(s, sub)) in below
-                    for sub in combinations(range(size), size - 1)):
+            elif all(missed):
                 bounds.append(s)
         members = tuple(grown)
-    # augment yields each size's structures in canonical form and encoding order
-    return tuple(bounds)
+    return tuple(sorted(bounds, key=sort_key))
 
 
 @lru_cache(maxsize=None)
@@ -178,11 +178,10 @@ def compute_core(c: Reduct, k: int | None = None,
     witness = minimal[0]  # the first by serialization
     image_types = witness.image_types()
 
-    cap = scan_cap_for(c, k)
     base_out = BoundedClass(
         name=f"{c.name}_core_base",
         signature=c.base.signature,
-        bounds=carve_bounds(c.base, image_types, k, cap),
+        bounds=carve_bounds(c.base, image_types, k),
         homogeneous_asserted=True,
         ramsey_asserted=True,
     )
@@ -197,7 +196,7 @@ def compute_core(c: Reduct, k: int | None = None,
             relations.append(r)
     reduct_out = Reduct(f"{c.name}_core", base_out, tuple(relations))
     return CorePresentation(base_out, reduct_out, witness, image_types, k,
-                            cap, realize_cap)
+                            scan_cap_for(c, k), realize_cap)
 
 
 def is_optimally_presented(c: Reduct, k: int | None = None,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .ages import BoundedClass, _in_age, age_extensions
+from .ages import BoundedClass, age_extensions
 from .errors import InputError
 from .structures import (
     FinStructure,
@@ -162,8 +162,8 @@ def _labeled_age_structures(k: BoundedClass, n: int) -> tuple[FinStructure, ...]
     slot mask over structures.slots(sig, n).
     """
     sig = k.signature
-    if n <= 0:
-        return tuple(s for s in (structure(sig, n),) if _in_age(k, s))
+    if n == 0:  # bounds have at least one point
+        return (structure(sig, 0),)
     out: list[FinStructure] = []
     for base in _labeled_age_structures(k, n - 1):
         out.extend(age_extensions(k, base))

@@ -399,20 +399,6 @@ def extension_slots(sig: Signature, new: int) -> tuple:
     return slots(sig, new + 1, (new,))
 
 
-def one_point_extensions(s: FinStructure):
-    """All labelled structures extending s by one new point (index s.size)."""
-    sig = s.signature
-    new = s.size
-    added = extension_slots(sig, new)
-    base = [set(t) for t in s.tables]
-    for bits in range(1 << len(added)):
-        tables = [set(t) for t in base]
-        for j, (si, t) in enumerate(added):
-            if bits >> j & 1:
-                tables[si].add(t)
-        yield FinStructure(sig, new + 1, tuple(frozenset(t) for t in tables))
-
-
 @lru_cache(maxsize=None)
 def _occurrences(si: int, t: tuple[int, ...]) -> tuple:
     """(point, (symbol, equality pattern, first position)) per distinct point of t."""

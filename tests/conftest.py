@@ -50,13 +50,27 @@ from agekit.structures import (
     canonical_form,
     embeds,
     empty_structure,
+    extension_slots,
     induced,
-    one_point_extensions,
     sort_key,
 )
 
 CATALOG_FILES = ("linord.cls", "graphs.cls", "trifree.cls", "bipartite.cls",
                  "maxdeg1.cls", "point.cls")
+
+
+def one_point_extensions(s: FinStructure):
+    """All labelled structures extending s by one new point (index s.size)."""
+    sig = s.signature
+    new = s.size
+    added = extension_slots(sig, new)
+    base = [set(t) for t in s.tables]
+    for bits in range(1 << len(added)):
+        tables = [set(t) for t in base]
+        for j, (si, t) in enumerate(added):
+            if bits >> j & 1:
+                tables[si].add(t)
+        yield FinStructure(sig, new + 1, tuple(frozenset(t) for t in tables))
 
 
 @lru_cache(maxsize=None)
@@ -366,27 +380,25 @@ def reference_v_age(sig: Signature, bounds, n: int) -> tuple[FinStructure, ...]:
 
 def reference_carve_bounds(base: BoundedClass, image_types, k: int,
                            cap: int) -> tuple[FinStructure, ...]:
-    """The minimal structures outside the carved age, found by testing every
-    structure of the signature up to the cap and each of its one-point-smaller
-    induced substructures: the reference for core.carve_bounds, which grows
-    the carved age by one-point extension."""
+    """The minimal structures outside the carved age up to the cap, found by
+    testing each member of base's age up to the cap, and each bound of base,
+    and each of its one-point-smaller induced substructures: the reference
+    for core.carve_bounds, which reads a bound off its type row and grows
+    the carved age only up to k points.  No other structure can be one: a
+    structure outside base's age whose one-point deletions are all inside
+    is a minimal non-member of it, so a bound of base."""
     hit = frozenset(mask_members(base, k, image_types))
 
     def member(s) -> bool:
         return in_age(base, s) and hit.issuperset(read_type_indices(base, s, k))
 
-    bounds = []
-    for size in range(1, cap + 1):
-        for s in enumerate_structures(base.signature, size):
-            if member(s):
-                continue
-            if size > 1 and not all(
-                member(induced(s, sub))
-                for sub in combinations(range(size), size - 1)
-            ):
-                continue
-            bounds.append(canonical_form(s))
-    return tuple(sorted(bounds, key=sort_key))
+    candidates = [s for size in range(1, cap + 1) for s in enumerate_age(base, size)]
+    candidates += [b for b in base.bounds if b.size <= cap]
+    return tuple(sorted(
+        (s for s in candidates
+         if not member(s) and all(member(induced(s, sub))
+                                  for sub in combinations(range(s.size), s.size - 1))),
+        key=sort_key))
 
 
 def reference_expand(p: CorePresentation, n: int, mode: str) -> Reduct:

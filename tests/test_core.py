@@ -131,13 +131,12 @@ class TestUniqueness:
                     for o in qualifying_behaviours(c, p.k))
             ]
             # carve a presentation per minimal witness and compare pairwise
-            from agekit.core import carve_bounds, scan_cap_for
+            from agekit.core import carve_bounds
             from agekit.ages import BoundedClass
             from agekit.reducts import Reduct
             presentations = []
             for i, xi in enumerate(minimal):
-                bounds = carve_bounds(c.base, xi.image_types(), p.k,
-                                      scan_cap_for(c, p.k))
+                bounds = carve_bounds(c.base, xi.image_types(), p.k)
                 base = BoundedClass(f"{name}_alt{i}", c.base.signature, bounds,
                                     True, True)
                 presentations.append(Reduct(f"{name}_alt{i}", base, c.relations))

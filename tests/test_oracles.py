@@ -21,12 +21,13 @@ every image up to the full realize cap; its refuters-first order and its
 packed rows against the plain ordered scan with rows built per tuple and
 each image built whole (reference_is_realizable), in shuffled call orders
 and at caps below a learned refuter.  carve_bounds, which grows the
-carved age, is checked against testing every structure of the signature,
+carved age inside the base age up to k points, is checked against testing
+every member of the base age and every base bound up to the scan cap,
 and the verifier's staged age scan against filtering every one-point
 extension.  Work
-guards count canonical forms and searches, age-membership tests, amalgam
-tests, per-tuple KTypes and domain propagations, so a silent fallback to
-the slow path fails without any timing.
+guards count canonical forms and searches, age-membership tests (the full
+search none), amalgam tests, per-tuple KTypes and domain propagations, so
+a silent fallback to the slow path fails without any timing.
 """
 
 import random
@@ -95,7 +96,6 @@ from agekit.structures import (
     empty_structure,
     encode_key,
     find_embedding,
-    one_point_extensions,
     render_literal,
     structure,
 )
@@ -113,6 +113,7 @@ from conftest import (
     image_from_types,
     image_structure,
     mask_types,
+    one_point_extensions,
     poly_image_structure,
     reference_carve_bounds,
     reference_expand,
@@ -121,7 +122,6 @@ from conftest import (
     reference_propagate_domains,
     reference_sigma_constraints,
     reference_v_age,
-    types_mask,
     value_rows,
 )
 
@@ -330,11 +330,10 @@ class TestAgeGeneration:
         assert enumerate_structures(sig, n) == reference_structures(sig, n)
 
     def test_age_extensions_equal_filtered_extensions(self, catalog):
+        # every caller passes a member base
         for name in CLASSES:
             k = catalog.bounded_class(name)
-            bases = [s for n in range(5) for s in enumerate_age(k, n)]
-            bases += [s for n in range(3) for s in enumerate_structures(k.signature, n)]
-            for base in bases:
+            for base in (s for n in range(5) for s in enumerate_age(k, n)):
                 want = tuple(e for e in one_point_extensions(base) if _in_age(k, e))
                 assert age_extensions(k, base) == want
 
@@ -344,13 +343,13 @@ class TestAgeGeneration:
             for n in range(5):
                 assert list(_labeled_age_structures(k, n)) == full_mask_scan(k, n)
 
-    def test_in_age_work_guard(self, graphs):
-        # the full filter takes 75,850 membership tests here; point-by-point
-        # pruning takes 2,614
-        _in_age.cache_clear()
+    def test_in_age_work_guard(self, monkeypatch, graphs):
+        # the full filter takes 75,850 membership tests here; deciding the
+        # new point's slots one old point at a time takes 5,122 anchored ones
+        calls = count_calls(monkeypatch, ages, "_in_age_through")
         enumerate_age.cache_clear()
         enumerate_age(graphs, 6)
-        assert _in_age.cache_info().misses <= 5000
+        assert calls[0] <= 5122
 
     def test_canonical_form_work_guard(self, graphs):
         # canonicalizing every extension takes 1,307 canonical forms here;
@@ -1291,20 +1290,23 @@ class TestAnchoredBoundChecks:
         # 2,815 here; 5,295 when both orders of every pair are tested
         assert calls[0] <= sum(e * (e + 1) // 2 for e in exts)
 
-    def test_one_full_check_per_base(self, trifree, monkeypatch):
-        calls = [0]
-        real = ages._in_age
-
-        def counting(k, s):
-            calls[0] += 1
-            return real(k, s)
-
-        monkeypatch.setattr(ages, "_in_age", counting)
-        enumerate_age.cache_clear()
-        enumerate_age(trifree, 6)
-        full_checks = calls[0]
-        bases = sum(len(enumerate_age(trifree, n)) for n in range(6))
-        assert 0 < full_checks <= bases
+    def test_no_full_age_check(self, catalog, monkeypatch):
+        # every structure the engine tests is grown by one point from a
+        # member, so each age test is anchored at the new point: the full
+        # search, ages._in_age, is only the tests' reference.  The caches
+        # are cleared first, so the guard holds when it runs alone as it
+        # does after other tests
+        for cache in (compute_core, enumerate_age, _labeled_age_structures, enumerate_types):
+            cache.cache_clear()
+        full = count_everywhere(monkeypatch, ages._in_age)
+        for name in ("linord", "trifree"):
+            k = catalog.bounded_class(name)
+            enumerate_age(k, 6)
+            _labeled_age_structures(k, 4)
+            assert check_amalgamation(k).ok
+        for name in ("Qleq", "Tf"):
+            compute_core(catalog.reduct(name), 3)
+        assert full[0] == 0
 
 
 # -- one-pass extension probe ---------------------------------------------------
@@ -1758,8 +1760,8 @@ class TestSigmaLayer:
 
 
 class TestCarveBounds:
-    """The carve grown from the carved age against scanning every structure
-    of the signature up to the cap."""
+    """The carve grown inside the base age up to k points against testing
+    every member of the base age, and every base bound, up to the cap."""
 
     @pytest.fixture(scope="class")
     def reducts(self, catalog):
@@ -1773,22 +1775,30 @@ class TestCarveBounds:
             if k < default_level(c):
                 continue
             p = compute_core(c, k)
-            cap = scan_cap_for(c, k)
-            assert carve_bounds(c.base, p.image_types, k, cap) == \
-                reference_carve_bounds(c.base, p.image_types, k, cap), (c.name, k)
+            assert carve_bounds(c.base, p.image_types, k) == \
+                reference_carve_bounds(c.base, p.image_types, k, scan_cap_for(c, k)), \
+                (c.name, k)
 
-    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
-    def test_drawn_type_sets(self, catalog, data):
-        # any set of types carves a hereditary class, image of a behaviour or not
-        for name in ("linord", "graphs"):
-            base = catalog.bounded_class(name)
-            image = types_mask(base, 3, data.draw(
-                st.sets(st.sampled_from(enumerate_types(base, 3)))))
-            cap = max(base.max_bound_size, base.signature.max_arity, 3)
-            assert carve_bounds(base, image, 3, cap) == \
-                reference_carve_bounds(base, image, 3, cap), (name, image)
-
+    def test_drawn_type_sets(self, catalog, hyper3, data):
+        # any set of types carves a hereditary class, image of a behaviour or
+        # not: a few drawn types, or every type but a few.  The random
+        # classes over E/2 have bounds on 1 to 3 points, labelled_graphs
+        # (MIXED_CLASSES) on 1, 2 and 4, so some base bounds exceed k
+        runs = [(catalog.bounded_class(name), k) for name in CLASSES for k in (3, 4)]
+        mixed = parse_input(MIXED_CLASSES).bounded_class("labelled_graphs")
+        runs += [(base, 3) for base in [hyper3, mixed] + random_classes()[:20]]
+        for base, k in runs:
+            ntypes = len(enumerate_types(base, k))  # 0 when no point is a member
+            drawn = data.draw(st.sets(st.integers(0, ntypes - 1), max_size=3)) \
+                if ntypes else set()
+            image = sum(1 << i for i in drawn)
+            if data.draw(st.booleans()):
+                image ^= (1 << ntypes) - 1
+            cap = max(base.max_bound_size, base.signature.max_arity, k)
+            assert carve_bounds(base, image, k) == \
+                reference_carve_bounds(base, image, k, cap), (base.name, k, drawn)
 
 # a unary and a binary symbol, and a ternary one; each class has a bound on
 # one point and one on four
