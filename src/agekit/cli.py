@@ -33,7 +33,7 @@ from .core import compute_core, is_optimally_presented
 from .decide import decide_bidef, decide_biint, default_caps
 from .definability import definable, definable_unions, expansion
 from .errors import AgekitError, InputError, InternalError
-from .ktypes import default_level, enumerate_types, parse_type, serialize_type, type_index
+from .ktypes import default_level, enumerate_types, index_of_type, parse_type, serialize_type
 from .parser import (Catalog, parse_formula, parse_input, render_class,
                      render_reduct, split_type_columns)
 from .reducts import Reduct, Relation, FormulaDef, compile_orbit_union, serialize_mask
@@ -274,12 +274,12 @@ def _query_mask(query: tuple[int, str, object], p) -> int:
             raise InputError(f"--query holds on no {arity}-type of "
                              f"the core base {p.base_out.name}")
         return mask
-    idx = type_index(p.base_out, arity)
     mask = 0
     for t in spec:
-        if t not in idx:
+        i = index_of_type(p.base_out, t)
+        if i is None:
             raise InputError(f"{serialize_type(t)} is not a type of the core base")
-        mask |= 1 << idx[t]
+        mask |= 1 << i
     return mask
 
 

@@ -32,6 +32,7 @@ from .ktypes import (
     default_level,
     enumerate_types,
     first_m_index_map,
+    index_of_type,
     pad_index_map,
     read_type_indices,
 )
@@ -185,12 +186,11 @@ def compute_core(c: Reduct, k: int | None = None,
         homogeneous_asserted=True,
         ramsey_asserted=True,
     )
-    out_types = {m: set(enumerate_types(base_out, m))
-                 for m in {r.arity for r in c.relations}}
     relations = []
     for r in c.relations:
         if isinstance(r.definition, OrbitsDef):
-            kept = tuple(t for t in r.definition.members if t in out_types[r.arity])
+            kept = tuple(t for t in r.definition.members
+                         if index_of_type(base_out, t) is not None)
             relations.append(Relation(r.name, r.arity, OrbitsDef(kept)))
         else:
             relations.append(r)

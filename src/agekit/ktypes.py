@@ -196,12 +196,6 @@ def enumerate_types(k: BoundedClass, level: int) -> tuple[KType, ...]:
 
 
 @lru_cache(maxsize=None)
-def type_index(k: BoundedClass, level: int) -> dict[KType, int]:
-    """KType -> index at the level: the lookup for types read from input."""
-    return {p: i for i, p in enumerate(enumerate_types(k, level))}
-
-
-@lru_cache(maxsize=None)
 def _type_lookup(k: BoundedClass, level: int) -> tuple[dict[tuple, int], tuple]:
     """(blocks, slot mask of the quotient) -> type index at the level, and
     the readers of those masks: of the slots over b points at index b."""
@@ -210,9 +204,19 @@ def _type_lookup(k: BoundedClass, level: int) -> tuple[dict[tuple, int], tuple]:
              for i, p in enumerate(enumerate_types(k, level))}, readers)
 
 
+def index_of_type(k: BoundedClass, p: KType) -> int | None:
+    """The index of p in enumerate_types(k, p.k), the lookup for types read
+    from input; None if p is over another signature or outside the age."""
+    if p.quotient.signature != k.signature:
+        return None
+    lookup, readers = _type_lookup(k, p.k)
+    return lookup.get((p.blocks, slot_mask(readers[p.nblocks], p.quotient.tables,
+                                           range(p.nblocks))))
+
+
 def read_type_indices(k: BoundedClass, s: FinStructure, level: int) -> tuple[int, ...]:
-    """``type_index(k, level)[type_of_raw(s, t)]`` for each t in
-    ``product(range(s.size), repeat=level)``, read off s.tables with no
+    """The enumerate_types(k, level) index of type_of_raw(s, t) for each t
+    in ``product(range(s.size), repeat=level)``, read off s.tables with no
     KType built, no age test (s must lie in the age) and no cache."""
     lookup, readers = _type_lookup(k, level)
     masks: dict[tuple[int, ...], int] = {}

@@ -13,7 +13,13 @@ from itertools import product
 
 from .ages import BoundedClass
 from .errors import InputError
-from .ktypes import enumerate_types, serialization_order, serialize_type, serialized_types, type_index
+from .ktypes import (
+    enumerate_types,
+    index_of_type,
+    serialization_order,
+    serialize_type,
+    serialized_types,
+)
 from .structures import (
     Signature,
     eval_qf,
@@ -90,12 +96,12 @@ def compile_orbit_union(c: Reduct, name: str) -> int:
     rel = c.relation(name)
     mask = 0
     if isinstance(rel.definition, OrbitsDef):
-        idx = type_index(c.base, rel.arity)
         for t in rel.definition.members:
-            if t not in idx:
+            i = index_of_type(c.base, t)
+            if i is None:
                 raise InputError(
                     f"relation {name}: {serialize_type(t)} is not a type of {c.base.name}")
-            mask |= 1 << idx[t]
+            mask |= 1 << i
         return mask
     phi = rel.definition.formula
     for i, p in enumerate(enumerate_types(c.base, rel.arity)):

@@ -1,9 +1,10 @@
 """Independent certificate verifier.
 
 Re-checks every claim a certificate makes using only the primitives of the
-structures module (plus the shared file grammar): its own type enumeration,
-its own restriction via representative tuples, its own image construction
-and age scan.  It deliberately shares no checking logic with the searcher.
+structures module, the shared file grammar and the `KType` value that
+grammar reads: its own type enumeration, its own restriction via
+representative tuples, its own image construction and age scan.  It shares
+nothing that enumerates or checks with the searcher.
 
 One table checker serves every certificate kind: behaviours (one argument
 column) and polymorphism tables (`witness_arity` columns) alike are parsed
@@ -19,6 +20,7 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from .errors import AgekitError, InputError
+from .ktypes import KType, parse_type, serialize_type
 from .parser import Catalog, parse_input, split_type_columns
 from .reducts import FormulaDef, OrbitsDef
 from .structures import (
@@ -31,12 +33,8 @@ from .structures import (
     extension_slots,
     find_embedding,
     induced,
-    parse_literal,
-    render_literal,
     sort_key,
 )
-
-VType = tuple[tuple[int, ...], FinStructure]
 
 
 class VerificationFailure(AgekitError):
@@ -45,53 +43,30 @@ class VerificationFailure(AgekitError):
 
 # -- independent type machinery -------------------------------------------------
 
-def _vtype_of(s: FinStructure, tup) -> VType:
+def _vtype_of(s: FinStructure, tup) -> KType:
     reps: list[int] = []
     blocks = []
     for v in tup:
         if v not in reps:
             reps.append(v)
         blocks.append(reps.index(v))
-    return tuple(blocks), induced(s, reps)
+    return KType(len(blocks), tuple(blocks), induced(s, reps))
 
 
 # every table check restricts the same few types through the same few maps
 @lru_cache(maxsize=None)
-def _vrestrict(p: VType, sigma) -> VType:
+def _vrestrict(p: KType, sigma) -> KType:
     """Restriction through a concrete representative tuple of the type."""
-    blocks, quotient = p
-    return _vtype_of(quotient, [blocks[v] for v in sigma])
+    return _vtype_of(p.quotient, [p.blocks[v] for v in sigma])
 
 
-def _vserialize(p: VType) -> str:
-    blocks, quotient = p
-    parts = []
-    for b in range(quotient.size):
-        members = ",".join(str(i) for i in range(len(blocks)) if blocks[i] == b)
-        parts.append("{" + members + "}")
-    return f"[{''.join(parts)}|{render_literal(quotient)}]"
-
-
-def _vparse_type(sig: Signature, text: str, field: str) -> VType:
+def _vparse_type(sig: Signature, text: str, field: str) -> KType:
     """Parse one serialized type read from the certificate field `field`."""
-    text = text.strip()
-    bad = f"certificate field {field}: bad type serialization {text!r}"
-    if not (text.startswith("[") and text.endswith("]")):
-        raise VerificationFailure(bad)
-    part, _, lit = text[1:-1].partition("|")
-    assign: dict[int, int] = {}
-    for b, group in enumerate(part.strip("{}").split("}{")):
-        for tok in group.split(","):
-            if not tok.isdecimal() or int(tok) in assign:
-                raise VerificationFailure(bad)
-            assign[int(tok)] = b
-    if sorted(assign) != list(range(len(assign))):
-        raise VerificationFailure(bad)
-    blocks = tuple(assign[i] for i in range(len(assign)))
     try:
-        return blocks, parse_literal(sig, lit)
+        return parse_type(sig, text)
     except InputError as exc:
-        raise VerificationFailure(f"{bad}: {exc}")
+        raise VerificationFailure(
+            f"certificate field {field}: bad type {text.strip()!r}: {exc}")
 
 
 def _bounds_allow(bounds, s: FinStructure) -> bool:
@@ -123,7 +98,7 @@ def _stirling2(k: int, b: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _v_types(sig: Signature, bounds, k: int) -> tuple[VType, ...]:
+def _v_types(sig: Signature, bounds, k: int) -> tuple[KType, ...]:
     def partitions(prefix, top):
         if len(prefix) == k:
             yield tuple(prefix)
@@ -134,7 +109,7 @@ def _v_types(sig: Signature, bounds, k: int) -> tuple[VType, ...]:
     out = []
     for rgs in partitions([0], 0):
         for q in _v_labeled(sig, bounds, max(rgs) + 1):
-            out.append((rgs, q))
+            out.append(KType(k, rgs, q))
     return tuple(out)
 
 
@@ -206,13 +181,14 @@ def _v_age(sig: Signature, bounds, n: int) -> tuple[FinStructure, ...]:
 # -- behaviour checks ------------------------------------------------------------
 
 def _vrow(args) -> str:
-    return " | ".join(_vserialize(p) for p in args)
+    return " | ".join(serialize_type(p) for p in args)
 
 
 class _VBehaviour:
-    """A parsed table over verifier-local types: `arity` argument columns of
-    source k-types, one value column of a target k-type.  Arity 1 is a
-    behaviour; a higher arity is a polymorphism table, applied componentwise.
+    """A parsed table over the types the verifier enumerates itself: `arity`
+    argument columns of source k-types, one value column of a target k-type.
+    Arity 1 is a behaviour; a higher arity is a polymorphism table, applied
+    componentwise.
     """
 
     def __init__(self, src_class, tgt_class, k: int, lines: str,
@@ -233,10 +209,10 @@ class _VBehaviour:
             args = tuple(_vparse_type(src_class.signature, c, field) for c in columns)
             q = _vparse_type(tgt_class.signature, right, field)
             for p in args + (q,):
-                if len(p[0]) != k:
+                if p.k != k:
                     raise VerificationFailure(
-                        f"certificate field {field}: type {_vserialize(p)} has "
-                        f"{len(p[0])} positions, not the level {k}")
+                        f"certificate field {field}: type {serialize_type(p)} has "
+                        f"{p.k} positions, not the level {k}")
             rows.append((args, q))
         # the rows are read before the types are enumerated, whose work grows
         # steeply with k: the types are S(k, b) times the labelled members on
@@ -253,22 +229,22 @@ class _VBehaviour:
         self.types_src = _v_types(src_class.signature, src_class.bounds, k)
         src_set = set(self.types_src)
         tgt_set = set(_v_types(tgt_class.signature, tgt_class.bounds, k))
-        self.table: dict[tuple[VType, ...], VType] = {}
+        self.table: dict[tuple[KType, ...], KType] = {}
         for args, q in rows:
             for p in args:
                 if p not in src_set:
-                    raise VerificationFailure(f"{_vserialize(p)} is not a source type")
+                    raise VerificationFailure(f"{serialize_type(p)} is not a source type")
             if q not in tgt_set:
-                raise VerificationFailure(f"{_vserialize(q)} is not a target type")
+                raise VerificationFailure(f"{serialize_type(q)} is not a target type")
             if args in self.table:
                 raise VerificationFailure(f"duplicate row for {_vrow(args)}")
             self.table[args] = q
         if len(self.table) != len(self.types_src) ** arity:
             raise VerificationFailure("behaviour table is not total")
 
-    def apply(self, *args: VType) -> VType:
+    def apply(self, *args: KType) -> KType:
         """Apply componentwise at any level m <= k via padding with the last position."""
-        m = len(args[0][0])
+        m = args[0].k
         if m == self.k:
             return self.table[args]
         if m > self.k:
@@ -297,10 +273,10 @@ class _VBehaviour:
         if n == 0:
             return empty_structure(tgt_sig)
 
-        def value(t) -> VType:
+        def value(t) -> KType:
             return self.apply(*(_vtype_of(s, t) for s in members))
 
-        collapse = [[value((x, y))[0] == (0, 0) for y in range(n)] for x in range(n)]
+        collapse = [[value((x, y)).degenerate_pair for y in range(n)] for x in range(n)]
         for x in range(n):
             if not collapse[x][x]:
                 raise VerificationFailure("image: reflexive pair does not collapse")
@@ -322,8 +298,8 @@ class _VBehaviour:
         for si, (_, arity) in enumerate(tgt_sig.symbols):
             seen: dict[tuple[int, ...], bool] = {}
             for t in product(range(n), repeat=arity):
-                blocks, quotient = value(t)
-                holds = tuple(blocks[j] for j in range(arity)) in quotient.tables[si]
+                q = value(t)
+                holds = q.blocks in q.quotient.tables[si]
                 ct = tuple(class_of[v] for v in t)
                 if ct in seen and seen[ct] != holds:
                     raise VerificationFailure("image: atoms disagree across reps")
@@ -340,16 +316,14 @@ class _VBehaviour:
                         f"image of a size-{n} age member leaves the target age")
 
 
-def _v_union(reduct, name: str) -> set[VType]:
+def _v_union(reduct, name: str) -> set[KType]:
     rel = reduct.relation(name)
     if isinstance(rel.definition, OrbitsDef):
-        return {(t.blocks, t.quotient) for t in rel.definition.members}
+        return set(rel.definition.members)
     phi = rel.definition.formula
     base = reduct.base
-    return {
-        (blocks, q) for blocks, q in _v_types(base.signature, base.bounds, rel.arity)
-        if eval_qf(phi, q, blocks)
-    }
+    return {p for p in _v_types(base.signature, base.bounds, rel.arity)
+            if eval_qf(phi, p.quotient, p.blocks)}
 
 
 # -- certificate fields ------------------------------------------------------------
@@ -463,7 +437,7 @@ def _verify_bidef(cert: dict) -> list[str]:
     notes.append("compositions are identities")
 
     for (p,), q in xi.table.items():
-        if p[0] != q[0]:
+        if p.blocks != q.blocks:
             raise VerificationFailure("behaviour collapses or splits a partition")
     notes.append("behaviours are injective (partition-preserving)")
 
@@ -570,7 +544,7 @@ def _verify_definable(cert: dict) -> list[str]:
         notes.append("verdict DEFINABLE is cap-relative; nothing further to verify")
         return notes
 
-    levels = {len(p[0]) for p in members}
+    levels = {p.k for p in members}
     if len(levels) > 1:
         raise VerificationFailure(
             "certificate field relation.members holds types of different levels")

@@ -31,7 +31,6 @@ from agekit.ktypes import (
     read_type_indices,
     restrict_type,
     symbol_holds,
-    type_index,
     type_of_raw,
 )
 from agekit.parser import Catalog, parse_input, split_type_columns
@@ -122,6 +121,13 @@ def age_equal_upto(a: BoundedClass, b: BoundedClass, n: int) -> bool:
     if a.signature != b.signature:
         return False
     return all(enumerate_age(a, i) == enumerate_age(b, i) for i in range(n + 1))
+
+
+@lru_cache(maxsize=None)
+def type_index(k: BoundedClass, level: int) -> dict[KType, int]:
+    """KType -> index at the level, from the enumeration: the reference
+    for ktypes.index_of_type."""
+    return {p: i for i, p in enumerate(enumerate_types(k, level))}
 
 
 def type_of(k: BoundedClass, s, tup) -> KType:

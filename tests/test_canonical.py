@@ -26,11 +26,11 @@ from agekit.canonical import (
     serialize_behaviour,
 )
 from agekit.errors import InputError
-from agekit.ktypes import KType, enumerate_types, read_type_indices, type_index, type_of_raw
+from agekit.ktypes import KType, enumerate_types, read_type_indices, type_of_raw
 from agekit.parser import Catalog, parse_input
 from agekit.structures import Signature, canonical_form, induced, structure
 from conftest import (IncoherentImage, compose, image_structure, is_compatible, is_identity,
-                      parse_behaviour, realizable_behaviours, reference_probe)
+                      parse_behaviour, realizable_behaviours, reference_probe, type_index)
 
 SIG = Signature((("lt", 2),))
 GSIG = Signature((("E", 2),))
@@ -347,7 +347,6 @@ class TestImageStructure:
 
 
 def _collapse_classes(xi, s):
-    from agekit.ktypes import type_index
     lvl2 = xi.level_map(2)
     idx2 = type_index(xi.source, 2)
     t2 = enumerate_types(xi.target, 2)

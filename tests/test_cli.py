@@ -1150,6 +1150,15 @@ class TestMalformedCertificates:
         # rows of 2 positions read before any type on 12 positions is built
         pytest.param("core.witness", lambda c: c["core"].update(k=12),
                      id="core.witness-level"),
+        # types the file grammar refuses: blocks out of first-occurrence
+        # order, and a quotient whose size is not the number of blocks
+        pytest.param("core.image_types", lambda c: c["core"].update(
+            image_types=["[{1}{0,2}|size=2: lt(0,1)]"]), id="core.image_types-order"),
+        pytest.param("core.image_types", lambda c: c["core"].update(
+            image_types=["[{0,1,2}|size=2:]"]), id="core.image_types-size"),
+        pytest.param("core.witness", lambda c: c["core"].update(
+            witness=c["core"]["witness"].replace("[{0,1}|size=1:]", "[{0,1}|size=2:]", 1)),
+            id="core.witness-size"),
     ])
     def test_rejected_with_field_name(self, core_cert, tmp_path, field, edit):
         cert = copy.deepcopy(core_cert)
@@ -1278,16 +1287,20 @@ class TestVerifierRejections:
         assert "FAILED: output bounds differ from an independent scan" in out
 
     def test_verifier_reads_no_structure_enumeration(self):
-        # the verifier's own age scan stands in for the search's generators
+        # the verifier's own age scan stands in for the search's generators;
+        # of the type machinery it shares the value and the file grammar only
         import ast
         from agekit import verify
         tree = ast.parse(Path(verify.__file__).read_text())
-        names = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
-                 and node.module == "structures" for alias in node.names}
-        assert names == {"FinStructure", "Signature", "canonical_form", "embeds",
-                         "empty_structure", "eval_qf", "extension_slots",
-                         "find_embedding", "induced", "parse_literal",
-                         "render_literal", "sort_key"}
+        imported: dict[str, set[str]] = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom):
+                imported.setdefault(node.module, set()).update(a.name for a in node.names)
+        assert imported["structures"] == {
+            "FinStructure", "Signature", "canonical_form", "embeds", "empty_structure",
+            "eval_qf", "extension_slots", "find_embedding", "induced", "sort_key"}
+        assert imported["ktypes"] == {"KType", "parse_type", "serialize_type"}
+        assert not imported.keys() & {"ages", "canonical", "core", "definability", "decide"}
 
     def test_definable_verdict_is_cap_relative(self, certs, tmp_path, capsys):
         assert certs["definable-gt"]["verdict"] == "DEFINABLE"

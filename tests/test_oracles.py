@@ -81,10 +81,11 @@ from agekit.ktypes import (
     default_level,
     degenerate_pairs,
     enumerate_types,
+    index_of_type,
+    parse_type,
     read_type_indices,
     restrict_type,
     serialize_type,
-    type_index,
     type_of_raw,
 )
 from agekit.structures import (
@@ -122,6 +123,7 @@ from conftest import (
     reference_propagate_domains,
     reference_sigma_constraints,
     reference_v_age,
+    type_index,
     value_rows,
 )
 
@@ -501,6 +503,23 @@ class TestTypeIndices:
                         want = tuple(idx[type_of_raw(s, t)]
                                      for t in product(range(n), repeat=level))
                         assert read_type_indices(k, s, level) == want
+
+    def test_index_of_type_is_the_enumeration_index(self, catalog):
+        for name in CLASSES:
+            k = catalog.bounded_class(name)
+            for level in (1, 2, 3, 4):
+                idx = type_index(k, level)
+                assert [index_of_type(k, p) for p in enumerate_types(k, level)] == \
+                    [idx[p] for p in enumerate_types(k, level)]
+
+    def test_index_of_type_outside_the_class_is_none(self, linord, graphs, trifree):
+        # graphs' type over E, and quotients that embed a bound
+        assert index_of_type(linord, enumerate_types(graphs, 2)[2]) is None
+        for k, text in ((linord, "[{0}{1}|size=2: lt(0,1) lt(1,0)]"),
+                        (linord, "[{0}{1}{2}|size=3:]"),
+                        (trifree, "[{0}{1}{2}|size=3: E(0,1) E(1,0) E(0,2) E(2,0) "
+                                  "E(1,2) E(2,1)]")):
+            assert index_of_type(k, parse_type(k.signature, text)) is None
 
     def test_outside_the_age_is_input_error(self, catalog, trifree, linord):
         triangle = structure(trifree.signature, 3, [
