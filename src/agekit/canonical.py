@@ -8,9 +8,10 @@ materialized.  Candidate tables are searched over domains kept
 arc-consistent after every choice, which leaves only compatible tables;
 callers keep those that pass the bounded realizability check, and the
 randomized extension probe cross-checks that bound on concrete age members.
-Both judge an image by one routine, _image_failure, which grows it point
-by point from the value rows and searches only bounds through each new
-image point; no image is built whole.
+Both read an image's value rows by one packing rule and judge them through
+one bounded verdict cache, keyed by the rows, by one routine,
+_image_failure, which grows the image point by point and searches only
+bounds through each new image point; no image is built whole.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .ktypes import (
     serialized_types,
     symbol_holds,
 )
-from .structures import FinStructure, empty_structure, induced, slot_mask, slot_readers, slots
+from .structures import FinStructure, induced, slot_mask, slot_readers, slots
 from .value import Value
 
 
@@ -316,12 +317,13 @@ def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
     The image of a member tuple is a function of the value rows it reads:
     level 2 when points can collapse (n > 1) or a polymorphism's reflexive
     pair is checked (arity > 1), and each target symbol's arity.  Those rows
-    are computed once per member tuple and key the verdict's cache, and the
-    verdict grows the image from them point by point (_image_failure, the
-    probe's routine).  The rows' entries on the tuples over a prefix of the
-    points give the induced sub-image (as in the lemma below), so the image
-    passes exactly when the image of every prefix does; each step reads
-    only the tuples and the bound embeddings through its new point.
+    are computed once per member tuple and key the verdict cache
+    (_image_verdict, shared with the probe), and the verdict grows the
+    image from them point by point (_image_failure).  The rows' entries on
+    the tuples over a prefix of the points give the induced sub-image (as
+    in the lemma below), so the image passes exactly when the image of
+    every prefix does; each step reads only the tuples and the bound
+    embeddings through its new point.
 
     For arity 1 the check stops at min(cap, local_realize_bound(target)),
     with the same verdict as the check to cap.  Lemma: if the image of a
@@ -361,8 +363,10 @@ def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
     member tuple's value row is the sum of its members' packed columns
     (_member_columns, once per (source, n, m, arity), shared by every
     table) as bytes, translated through the table's level map laid out as
-    256 bytes, built once per call.  Otherwise _value_row combines it from
-    the members' type index rows (_member_types, once per (source, n, m)).
+    256 bytes (_packed_level_map, once per call).  Otherwise _value_row
+    combines it from the members' type index rows (_member_types, once per
+    (source, n, m)).  The probe reads its rows by the same rule, so a row
+    it meets has the key realizability gives it.
     """
     n_cap = effective_realize_cap(cap, xi.target, xi.k)
     poly = xi.arity > 1
@@ -371,12 +375,12 @@ def is_realizable(xi: Behaviour, cap: int | None = None) -> bool:
     rows = _member_rows(xi)
     refuters = _refuters(xi.source, xi.target, xi.arity)
     for at, (n, idx) in enumerate(refuters):
-        if n <= n_cap and not _image_in_age(xi.target, n, poly, rows(n, idx)):
+        if n <= n_cap and _image_verdict(xi.target, n, poly, rows(n, idx)) is not None:
             refuters.insert(0, refuters.pop(at))
             return False
     for n in range(1, n_cap + 1):
         for idx in product(range(len(enumerate_age(xi.source, n))), repeat=xi.arity):
-            if not _image_in_age(xi.target, n, poly, rows(n, idx)):
+            if _image_verdict(xi.target, n, poly, rows(n, idx)) is not None:
                 refuters.insert(0, (n, idx))
                 del refuters[REFUTERS_KEPT:]
                 return False
@@ -416,26 +420,39 @@ def _member_columns(source: BoundedClass, n: int, m: int, arity: int) -> tuple:
     return tuple(tuple(nm ** (arity - 1 - i) * p for p in packed) for i in range(arity))
 
 
+def _packed_level_map(xi: Behaviour, m: int) -> bytes | None:
+    """xi's level map at m laid out as 256 bytes, the bytes.translate table
+    that sends a packed row of flat indices to its value row; None unless
+    the flat indices at level m (nm ** arity of them, nm the source's
+    m-types) and the target m-types both fit in a byte."""
+    if (len(enumerate_types(xi.source, m)) ** xi.arity <= 256
+            and len(enumerate_types(xi.target, m)) <= 256):
+        return bytes(xi.level_map(m)).ljust(256, b"\0")
+    return None
+
+
+def _read_levels(xi: Behaviour) -> tuple[list[int], list[int]]:
+    """The levels an image of xi reads, on one point and on more: each
+    target symbol's arity, plus level 2 past one point (which a
+    polymorphism reads on one point too, for its reflexive pair)."""
+    arities = {a for _, a in xi.target.signature.symbols}
+    return sorted(arities | {2} if xi.arity > 1 else arities), sorted(arities | {2})
+
+
 def _member_rows(xi: Behaviour):
-    """rows(n, idx): the key of _image_in_age, (level, value row) per level
+    """rows(n, idx): the key of _image_verdict, (level, value row) per level
     the image reads, for the member tuple at the indices idx into
     enumerate_age(source, n): bytes on the packed path, else a tuple."""
-    poly = xi.arity > 1
-    arities = {a for _, a in xi.target.signature.symbols}
-    # level 2 is read past one point, or for a polymorphism's reflexive pair
-    levels = sorted(arities), sorted(arities | {2})
-    tables = {}
-    for m in levels[1]:
-        if (len(enumerate_types(xi.source, m)) ** xi.arity <= 256
-                and len(enumerate_types(xi.target, m)) <= 256):
-            tables[m] = bytes(xi.level_map(m)).ljust(256, b"\0")
+    levels = _read_levels(xi)
+    tables = {m: _packed_level_map(xi, m) for m in levels[1]}
     plans: dict[int, list] = {}  # n -> (level, table, member data, row length) per level read
 
     def rows(n: int, idx: tuple[int, ...]) -> tuple:
         if n not in plans:
             plans[n] = [(m, tables[m], _member_columns(xi.source, n, m, xi.arity), n ** m)
-                        if m in tables else (m, None, _member_types(xi.source, n, m), 0)
-                        for m in levels[n > 1 or poly]]
+                        if tables[m] is not None
+                        else (m, None, _member_types(xi.source, n, m), 0)
+                        for m in levels[n > 1]]
         key = []
         for m, table, data, size in plans[n]:
             if table is None:  # the list path
@@ -449,14 +466,16 @@ def _member_rows(xi: Behaviour):
 
 
 @lru_cache(maxsize=1 << 14)
-def _image_in_age(target: BoundedClass, n: int, poly: bool, rows: tuple) -> bool:
-    """Whether the image on n points with these (level, value row) pairs is
-    coherent and lies in the target age (_image_failure); a polymorphism's
-    (poly) one-point image also needs its reflexive pair to collapse."""
+def _image_verdict(target: BoundedClass, n: int, poly: bool, rows: tuple) -> str | None:
+    """How the image on n points with these (level, value row) pairs fails
+    to be coherent and inside the target age (_image_failure), or None when
+    it passes; a polymorphism's (poly) one-point image also needs its
+    reflexive pair to collapse.  The verdict cache of is_realizable and the
+    probe: a value row met twice is judged once."""
     by_level = dict(rows)
     if poly and n == 1 and not degenerate_pairs(target)[by_level[2][0]]:
-        return False
-    return _image_failure(target, n, by_level.__getitem__) is None
+        return "incoherent image at size 1: reflexive pair does not collapse"
+    return _image_failure(target, n, by_level.__getitem__)
 
 
 def _mask_of(values, size: int) -> int:
@@ -683,49 +702,71 @@ def _local_options(k: BoundedClass, j: int):
 
 def random_age_member(k: BoundedClass, n: int, rng: random.Random) -> FinStructure:
     """Grow a random age member of size <= n, locally filtering one-, two-
-    and three-point patterns."""
-    s = empty_structure(k.signature)
-    while s.size < n:
-        grown = _random_extension(k, s, rng)
-        if grown is None:
-            break
-        s = grown
-    return s
+    and three-point patterns.  The draw grows one working table set in
+    place (_random_extension) and is frozen once."""
+    tables: list[set] = [set() for _ in k.signature.symbols]
+    size = 0
+    while size < n and _random_extension(k, tables, size, rng):
+        size += 1
+    return FinStructure(k.signature, size, tuple(frozenset(tb) for tb in tables))
 
 
-def _random_extension(k, s, rng):
-    """s grown by one point, or None.
+def _random_extension(k: BoundedClass, tables: list[set], size: int,
+                      rng: random.Random) -> bool:
+    """Grow the age member in tables, on size points, by the point size in
+    place; False, with tables as they were, when every attempt fails.
 
     The new point's atoms are drawn width by width, each among the patterns
     of _local_options that agree with the atoms drawn so far: at width 1
     its atoms on itself, at width 2 its atoms with each old point, and, with
     a symbol of arity >= 3, at width 3 its atoms with each two old points.
     Atoms on 4 or more distinct points are then drawn each with
-    probability 1/2.
+    probability 1/2.  A failed attempt takes its own atoms back out.
+
+    Lemma: when every bound has at most widths[-1] points and no symbol has
+    arity 4 or more, a completed attempt lies in the age, so its age test
+    is skipped.  A width-j step fixes the slots on exactly the j points,
+    the new point and j - 1 old ones, after every other slot over those
+    points: those on old points alone belong to the member, and those
+    through the new point on fewer distinct points were drawn at smaller
+    widths.  The pattern drawn agrees with those slots, so the structure
+    induced on the j points is a labelled age member.  A bound embedding
+    that misses the new point lands in the member, which is in the age; one
+    through it has an image of at most widths[-1] points containing the new
+    point, and the structure induced there is such a drawn member, into
+    which no bound embeds.  With a larger bound (the triangle of trifree,
+    at widths 1 and 2) or atoms on 4 or more points, drawn freely, the
+    test runs.
     """
     sig = k.signature
-    size = s.size
     widths = (1, 2, 3) if sig.max_arity >= 3 else (1, 2)
+    tested = k.max_bound_size > widths[-1] or sig.max_arity >= 4
     # (readers, options, points) of each step, the new point last
     steps = [(*_local_options(k, j), old + (size,))
              for j in widths for old in combinations(range(size), j - 1)]
     for _ in range(64 * (size + 2)):
-        tables = [set(tb) for tb in s.tables]
+        added = []
         for rest, options, points in steps:
             opts = options.get(slot_mask(rest, tables, points))
             if not opts:
                 break
             for si, t in rng.choice(opts):
-                tables[si].add(tuple([points[v] for v in t]))
+                atom = tuple([points[v] for v in t])
+                tables[si].add(atom)
+                added.append((si, atom))
         else:
             if sig.max_arity >= 4:
                 for si, t in slots(sig, size + 1, (size,)):
                     if len(set(t)) >= 4 and rng.random() < 0.5:
                         tables[si].add(t)
-            # s lies in the age, so only bound embeddings through the new point count
-            if _in_age_through(k, tables, size + 1, (size,)):
-                return FinStructure(sig, size + 1, tuple(frozenset(tb) for tb in tables))
-    return None
+                        added.append((si, t))
+            # the member lies in the age, so only bound embeddings through
+            # the new point count
+            if not tested or _in_age_through(k, tables, size + 1, (size,)):
+                return True
+        for si, t in added:
+            tables[si].discard(t)
+    return False
 
 
 def greedy_extension_probe(behaviours, max_size: int, trials: int,
@@ -743,6 +784,14 @@ def greedy_extension_probe(behaviours, max_size: int, trials: int,
     behaviour, and each report is the one a probe of its behaviour alone
     would give.  Any failure falsifies the bounded check's completeness on
     that behaviour and is reported verbatim.
+
+    A behaviour's value rows on a draw are read as is_realizable reads
+    them (see its "Packed rows"): the draw's type indices at a level, read
+    once as bytes, translated through the behaviour's _packed_level_map
+    where there is one, else combined by _value_row.  They key the same
+    bounded verdict cache (_image_verdict), so a value row met twice, in
+    this probe or by realizability, is judged once; the cache keeps rows,
+    never a draw.
     """
     behaviours = tuple(behaviours)
     if not behaviours:
@@ -750,6 +799,10 @@ def greedy_extension_probe(behaviours, max_size: int, trials: int,
     source = behaviours[0].source
     if any(xi.source != source for xi in behaviours):
         raise InputError("greedy_extension_probe: behaviours must share one source class")
+    plans = []  # per behaviour: its levels read on one point and on more, its tables
+    for xi in behaviours:
+        levels = _read_levels(xi)
+        plans.append((xi, levels, {m: _packed_level_map(xi, m) for m in levels[1]}))
     rng = random.Random(seed)
     failures: list[list[str]] = [[] for _ in behaviours]
     for trial in range(trials):
@@ -760,16 +813,17 @@ def greedy_extension_probe(behaviours, max_size: int, trials: int,
         order = list(range(s.size))
         rng.shuffle(order)
         s = induced(s, order)
-        levels: dict[int, tuple[int, ...]] = {}
-
-        def types(m: int) -> tuple[int, ...]:
-            if m not in levels:
-                levels[m] = read_type_indices(source, s, m)
-            return levels[m]
-
-        for xi, out in zip(behaviours, failures):
-            failure = _image_failure(xi.target, s.size,
-                                     lambda m, xi=xi: _value_row(xi, m, (types(m),)))
+        types: dict[int, bytes | tuple[int, ...]] = {}
+        for (xi, levels, tables), out in zip(plans, failures):
+            rows = []
+            for m in levels[s.size > 1]:
+                if m not in types:
+                    t = read_type_indices(source, s, m)
+                    types[m] = bytes(t) if len(enumerate_types(source, m)) <= 256 else t
+                table = tables[m]
+                rows.append((m, types[m].translate(table) if table is not None
+                             else tuple(_value_row(xi, m, (types[m],)))))
+            failure = _image_verdict(xi.target, s.size, False, tuple(rows))
             if failure is not None:
                 out.append(f"trial {trial}: {failure}")
     return tuple(ProbeReport(trials, max_size, seed, tuple(f)) for f in failures)

@@ -38,7 +38,6 @@ from .parser import (Catalog, parse_formula, parse_input, render_class,
                      render_reduct, split_type_columns)
 from .reducts import Reduct, Relation, FormulaDef, compile_orbit_union, serialize_mask
 from .structures import render_literal
-from .verify import VerificationFailure, verify_certificate
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -385,6 +384,9 @@ def _run_decide(args: SimpleNamespace) -> tuple[int, str]:
 
 
 def _run_verify(args: SimpleNamespace) -> tuple[int, str]:
+    # off the start-up path: the checker's code is about 80 KB of every
+    # other query's heap, and only verify runs it
+    from .verify import VerificationFailure, verify_certificate
     rep = Report("verify")
     cert = load_certificate(args.files[0])
     rep.line(f"certificate: kind={cert.get('kind')} verdict={cert.get('verdict')}")

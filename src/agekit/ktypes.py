@@ -148,6 +148,12 @@ def partitions_rgs(k: int, blocks: int | None = None):
 # partition enumerated yields a type, so the guard bounds the work too
 TYPE_LIMIT = 1 << 16
 
+# the most points a bound may have: a class canonicalizes its bounds, by a
+# labelling search that recurses once per point and whose time grows
+# steeply with the points (about 0.3 s for an empty bound on 16 points over
+# one binary symbol, over 30 s on 40), so the parser refuses larger ones
+BOUND_LIMIT = 16
+
 
 def _too_many(what: str) -> InputError:
     return InputError(f"type enumeration: more than {TYPE_LIMIT:,} {what}; lower --k")

@@ -8,7 +8,7 @@ from itertools import accumulate
 
 from .ages import BoundedClass
 from .errors import InputError, ParseError
-from .ktypes import parse_type, serialize_type
+from .ktypes import BOUND_LIMIT, parse_type, serialize_type
 from .reducts import (
     FormulaDef,
     OrbitsDef,
@@ -133,9 +133,13 @@ def _parse_class(lines, i, name, cat) -> int:
             if sig is None:
                 raise ParseError("bound before sig", lineno, 1)
             try:
-                bounds.append(parse_literal(sig, rest))
+                bound = parse_literal(sig, rest)
             except InputError as exc:
                 raise ParseError(str(exc), lineno, 1)
+            if bound.size > BOUND_LIMIT:
+                raise ParseError(f"bound on {bound.size:,} points: above the limit of "
+                                 f"{BOUND_LIMIT} points", lineno, 1)
+            bounds.append(bound)
         elif key == "assert":
             for flag in rest.split():
                 if flag == "homogeneous":

@@ -52,6 +52,7 @@ from agekit.structures import (
     extension_slots,
     induced,
     sort_key,
+    structure,
 )
 
 CATALOG_FILES = ("linord.cls", "graphs.cls", "trifree.cls", "bipartite.cls",
@@ -114,6 +115,44 @@ def _hypergraph3_text():
                              if mask >> g & 1)
             lines.append(f"  bound size={size}: {atoms}")
     return "\n".join(lines + ["end", ""])
+
+
+def random_structure(sig: Signature, n: int, rng) -> FinStructure:
+    return structure(sig, n, [(name, t) for name, arity in sig.symbols
+                              for t in product(range(n), repeat=arity)
+                              if rng.random() < 0.5])
+
+
+def random_class(sig: Signature, rng, name: str) -> BoundedClass:
+    """1-4 bounds on at most 3 points.  Half the classes take uniform random
+    bounds.  The other half take one random structure on 2 or 3 points in
+    1-4 of the four ways of joining its last two points by E: with all four
+    kept, amalgamating the two points over the others fails, which uniform
+    bounds almost never bring about."""
+    if rng.random() < 0.5:
+        bounds = [random_structure(sig, rng.randint(1, 3), rng)
+                  for _ in range(rng.randint(1, 4))]
+    else:
+        n = rng.randint(2, 3)
+        e = sig.index("E")
+        a, b = n - 2, n - 1
+        base = [set(t) for t in random_structure(sig, n, rng).tables]
+        base[e] -= {(a, b), (b, a)}
+        bounds = []
+        for joins in rng.sample(((), ((a, b),), ((b, a),), ((a, b), (b, a))),
+                                rng.choice((1, 2, 3, 4, 4, 4))):
+            tables = [set(t) for t in base]
+            tables[e] |= set(joins)
+            bounds.append(FinStructure(sig, n, tuple(frozenset(t) for t in tables)))
+    return BoundedClass(name, sig, tuple(bounds))
+
+
+def random_classes() -> list[BoundedClass]:
+    """40 seeded classes, 20 over E/2 and 20 over E/2 and U/1."""
+    rng = random.Random(4)
+    return [random_class(sig, rng, f"r{i}")
+            for sig in (Signature((("E", 2),)), Signature((("E", 2), ("U", 1))))
+            for i in range(20)]
 
 
 def age_equal_upto(a: BoundedClass, b: BoundedClass, n: int) -> bool:

@@ -692,6 +692,19 @@ class TestExitCodes:
         assert "line 2" in r.stderr and "arity 99999999999" in r.stderr
         assert "Traceback" not in r.stderr and "internal error" not in r.stderr
 
+    @pytest.mark.parametrize("size,code", [(1000, 3), (17, 3), (16, 0)])
+    def test_bound_size_limit(self, tmp_path, capsys, size, code):
+        # a bound above ktypes.BOUND_LIMIT points is refused where it is
+        # read, before the class canonicalizes it (at 1,000 points that
+        # recursed past Python's limit and was reported as an engine bug)
+        path = tmp_path / "big.cls"
+        path.write_text(f"class Big\n  sig lt/2\n  bound size={size}:\nend\n")
+        assert main(["orbits", str(path), "--k", "2"]) == code
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        if code == 3:
+            assert f"bound on {size:,} points" in err and "limit of 16 points" in err
+
     @pytest.mark.parametrize("sig,k,limit,named", [
         ("E/2", "2", 10, "labelled age members on 2 points"),
         ("U/1", "3", 20, "types at level 3"),

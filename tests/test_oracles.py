@@ -116,6 +116,9 @@ from conftest import (
     mask_types,
     one_point_extensions,
     poly_image_structure,
+    random_class,
+    random_classes,
+    random_structure,
     reference_carve_bounds,
     reference_expand,
     realizable_behaviours,
@@ -576,12 +579,12 @@ class TestImageKernel:
 
     @staticmethod
     def engine_passes(xi, n, type_rows) -> bool:
-        """The engine's verdict (canonical._image_in_age, the image grown
+        """The engine's verdict (canonical._image_verdict, the image grown
         point by point) on a member tuple of size n, given each member's
         member_types."""
         rows = tuple((m, tuple(canonical._value_row(xi, m, [t[m] for t in type_rows])))
                      for m in sorted(type_rows[0]))
-        return canonical._image_in_age(xi.target, n, xi.arity > 1, rows)
+        return canonical._image_verdict(xi.target, n, xi.arity > 1, rows) is None
 
     def _check(self, k, xis, cap):
         types = {m: enumerate_types(k, m) for m in (1, 2, 3)}
@@ -888,7 +891,7 @@ def reference_image_in_age(target: BoundedClass, n: int, poly: bool, rows: tuple
     built whole (image_from_types), is coherent and passes the full _in_age
     search; a polymorphism's one-point image also needs its reflexive pair
     to collapse.  Uses neither the cache nor the point-by-point routine of
-    canonical._image_in_age."""
+    canonical._image_verdict."""
     images = dict(rows).__getitem__
     if poly and n == 1 and not degenerate_pairs(target)[images(2)[0]]:
         return False
@@ -1109,44 +1112,6 @@ def unindexed_in_age_through(k, tables, size, through) -> bool:
     return not any(
         find_embedding(k.signature, b.tables, b.size, tables, size, through) is not None
         for b in ages._rooted_bounds(k, len(through)))
-
-
-def random_structure(sig: Signature, n: int, rng) -> FinStructure:
-    return structure(sig, n, [(name, t) for name, arity in sig.symbols
-                              for t in product(range(n), repeat=arity)
-                              if rng.random() < 0.5])
-
-
-def random_class(sig: Signature, rng, name: str) -> BoundedClass:
-    """1-4 bounds on at most 3 points.  Half the classes take uniform random
-    bounds.  The other half take one random structure on 2 or 3 points in
-    1-4 of the four ways of joining its last two points by E: with all four
-    kept, amalgamating the two points over the others fails, which uniform
-    bounds almost never bring about."""
-    if rng.random() < 0.5:
-        bounds = [random_structure(sig, rng.randint(1, 3), rng)
-                  for _ in range(rng.randint(1, 4))]
-    else:
-        n = rng.randint(2, 3)
-        e = sig.index("E")
-        a, b = n - 2, n - 1
-        base = [set(t) for t in random_structure(sig, n, rng).tables]
-        base[e] -= {(a, b), (b, a)}
-        bounds = []
-        for joins in rng.sample(((), ((a, b),), ((b, a),), ((a, b), (b, a))),
-                                rng.choice((1, 2, 3, 4, 4, 4))):
-            tables = [set(t) for t in base]
-            tables[e] |= set(joins)
-            bounds.append(FinStructure(sig, n, tuple(frozenset(t) for t in tables)))
-    return BoundedClass(name, sig, tuple(bounds))
-
-
-def random_classes() -> list[BoundedClass]:
-    """40 seeded classes, 20 over E/2 and 20 over E/2 and U/1."""
-    rng = random.Random(4)
-    return [random_class(sig, rng, f"r{i}")
-            for sig in (Signature((("E", 2),)), Signature((("E", 2), ("U", 1))))
-            for i in range(20)]
 
 
 class TestAnchoredBoundChecks:
@@ -1403,15 +1368,36 @@ class TestOnePassProbe:
         for xi in xis:
             for n in range(default_realize_cap(xi.target, xi.k) + 1):
                 enumerate_age(xi.source, n)
-        canonical._image_in_age.cache_clear()
+        canonical._image_verdict.cache_clear()
         canonical._refuters.cache_clear()
         full = count_everywhere(monkeypatch, ages._in_age)
         searches = count_everywhere(monkeypatch, structures.embeds)
         reports = [r for bs in runs for r in greedy_extension_probe(bs, 8, 30, 4)]
         assert any(r.failures for r in reports)
         assert {is_realizable(xi) for xi in xis} == {False, True}
-        assert canonical._image_in_age.cache_info().misses > 0
+        assert canonical._image_verdict.cache_info().misses > 0
         assert full[0] == searches[0] == 0
+
+    def test_each_value_row_judged_once(self, graphs, monkeypatch):
+        # the probe reads its value rows into the verdict cache that
+        # is_realizable keys by them, so with the cache cleared the routine
+        # runs once per distinct (target, n, rows) key, not once per image
+        # (200 draws x 5 behaviours); the cache is cleared first, so the
+        # guard holds when it runs alone as it does after other tests
+        bs = realizable_behaviours(graphs, graphs, 2)
+        assert len(bs) == 5
+        canonical._image_verdict.cache_clear()
+        judged = []
+        real = canonical._image_failure
+
+        def judging(target, n, row):
+            levels = sorted({a for _, a in target.signature.symbols} | ({2} if n > 1 else set()))
+            judged.append((target, n, tuple((m, tuple(row(m))) for m in levels)))
+            return real(target, n, row)
+
+        monkeypatch.setattr(canonical, "_image_failure", judging)
+        assert all(r.ok for r in greedy_extension_probe(bs, 8, 200, 7))
+        assert len(judged) == len(set(judged)) <= 279
 
     def test_one_type_table_per_level_and_draw(self, catalog, monkeypatch):
         # one level (2, the only arity) per draw, shared by every behaviour

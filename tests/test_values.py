@@ -237,15 +237,15 @@ def test_level_map_memo():
 def test_cli_import_footprint():
     # a CLI query is a fresh interpreter: keep dataclasses (and the inspect,
     # ast, dis and tokenize it pulls in) out of its start-up, json, which
-    # only a certificate or a --format json report needs, and argparse (with
+    # only a certificate or a --format json report needs, argparse (with
     # the gettext and locale it pulls in), which only help, --version and a
-    # usage error need
+    # usage error need, and the certificate checker, which only verify needs
     env = dict(os.environ, PYTHONPATH=str(SRC))
     r = subprocess.run(
         [sys.executable, "-S", "-c",
          "import agekit.cli, sys; print(sorted(m for m in "
-         "('dataclasses', 'inspect', 'json', 'argparse', 'gettext', 'locale') "
-         "if m in sys.modules))"],
+         "('dataclasses', 'inspect', 'json', 'argparse', 'gettext', 'locale', "
+         "'agekit.verify') if m in sys.modules))"],
         capture_output=True, text=True, env=env, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
